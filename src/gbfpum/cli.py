@@ -8,13 +8,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .community import DetectionParams, detect_communities
-from .errors import GraphError, NumericalError
+from .errors import GraphError, NumericalError, ZeroSignalError
 from .graph import Graph, as_vertex_set, load_graph
 from .kernel import KernelParams
 from .metrics import KatzParams, default_alpha
@@ -45,13 +46,29 @@ class _Parser(argparse.ArgumentParser):
         raise UsageFailure(message)
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)  # argparse turns a ValueError here into a usage error
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+    return value
+
+
+def _unit_fraction(text: str) -> float:
+    value = float(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser, with_kernel: bool) -> None:
     sub.add_argument("--graph", required=True, help="edge-list file")
     sub.add_argument("--samples", help="file with one sampled vertex id per line")
     sub.add_argument("--n-samples", type=int, help="draw this many seeded samples")
     sub.add_argument("--seed", type=int, default=0, help="PRNG seed for sampling")
-    sub.add_argument("--alpha", type=float, help="Katz attenuation (default: capped)")
-    sub.add_argument("--small-fraction", type=float, default=0.02)
+    sub.add_argument(
+        "--alpha", type=_positive_float, help="Katz attenuation (default: capped)"
+    )
+    sub.add_argument("--small-fraction", type=_unit_fraction, default=0.02)
     sub.add_argument("--out", required=True, help="output JSON path")
     if with_kernel:
         sub.add_argument("--signal", help="CSV of vertex_id,value")
@@ -60,8 +77,8 @@ def _add_common(sub: argparse.ArgumentParser, with_kernel: bool) -> None:
             action="store_true",
             help="use the built-in smooth reference signal",
         )
-        sub.add_argument("--epsilon", type=float, default=0.01)
-        sub.add_argument("--exponent", type=float, default=2.0)
+        sub.add_argument("--epsilon", type=_positive_float, default=0.01)
+        sub.add_argument("--exponent", type=_positive_float, default=2.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,7 +127,17 @@ def _load_signal(path: str, n: int) -> np.ndarray:
                 raise InputFailure(f"signal row for vertex {row[0]} has no value")
             if not 0 <= vid < n:
                 raise InputFailure(f"signal vertex {vid} out of range")
-            values[vid] = float(row[1])
+            try:
+                value = float(row[1])
+            except ValueError:
+                raise InputFailure(
+                    f"signal value for vertex {vid} is not a number: {row[1]!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise InputFailure(
+                    f"signal value for vertex {vid} is not finite: {row[1]!r}"
+                )
+            values[vid] = value
     missing = np.flatnonzero(np.isnan(values))
     if len(missing):
         raise InputFailure(f"signal file misses vertex {int(missing[0])}")
@@ -124,11 +151,16 @@ def _resolve_samples(args, n: int) -> np.ndarray:
         p = Path(args.samples)
         if not p.is_file():
             raise InputFailure(f"sample file not found: {args.samples}")
-        ids = [
-            int(line.strip())
-            for line in p.read_text().splitlines()
-            if line.strip() and not line.startswith("#")
-        ]
+        ids = []
+        for line_no, line in enumerate(p.read_text().splitlines(), start=1):
+            if not line.strip() or line.startswith("#"):
+                continue
+            try:
+                ids.append(int(line.strip()))
+            except ValueError:
+                raise InputFailure(
+                    f"sample file line {line_no} is not a vertex id: {line!r}"
+                ) from None
         if not ids:
             raise InputFailure("sample file is empty")
         return as_vertex_set(ids, n)
@@ -301,10 +333,10 @@ def main(argv: list[str] | None = None) -> int:
     except UsageFailure as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InputFailure, GraphError, OSError) as exc:
+    except (InputFailure, GraphError, ZeroSignalError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NumericalError, ValueError) as exc:
+    except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return 0

@@ -39,7 +39,7 @@ class EmptySetError(GbfPumError):
 
 
 class NumericalError(GbfPumError):
-    """Errors raised by the dense linear algebra layer."""
+    """Errors raised by the linear algebra layer."""
 
 
 class NotSymmetricError(NumericalError):
@@ -52,6 +52,13 @@ class NotPositiveDefiniteError(NumericalError):
     def __init__(self, pivot: int):
         self.pivot = pivot
         super().__init__(f"matrix is not positive definite (pivot {pivot})")
+
+
+class SparseSolverError(NumericalError):
+    def __init__(self, solver: str, reason: str):
+        self.solver = solver
+        self.reason = reason
+        super().__init__(f"{solver} failed: {reason}")
 
 
 class NonPositiveShiftError(NumericalError):

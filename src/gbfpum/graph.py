@@ -136,6 +136,10 @@ class Graph:
         np.fill_diagonal(L, self.degrees().astype(np.float64))
         return L
 
+    def sparse_laplacian(self) -> sp.csr_matrix:
+        """Combinatorial Laplacian L = D - A as scipy CSR."""
+        return (sp.diags(self.degrees().astype(np.float64)) - self.adjacency()).tocsr()
+
 
 def as_vertex_set(ids, n: int) -> np.ndarray:
     """Normalize to a sorted, duplicate-free int64 array with ids < n."""
@@ -178,7 +182,3 @@ def load_graph(stream: IO[str] | str) -> Graph:
     if max_id < 0:
         raise ParseError(0, "<empty edge list>")
     return Graph.from_edges(max_id + 1, edges, require_connected=True)
-
-
-def laplacian(g: Graph) -> np.ndarray:
-    return g.laplacian()

@@ -1,7 +1,14 @@
 """Polyharmonic-spline kernel matrices on graph Laplacians.
 
-K = (eps I + L)^(-s), computed from the spectral expansion
-sum_k (eps + lambda_k)^(-s) u_k u_k^T.
+K = (eps I + L)^(-s). `kernel_columns` is the entry point and picks one of
+two routes:
+
+- integer s: the needed columns K[:, cols] = M^(-s) E_cols with
+  M = eps I + L, from one sparse LU of M and s solve passes; no dense
+  n x n matrix is formed.
+- any other s: the spectral expansion sum_k (eps + lambda_k)^(-s) u_k u_k^T
+  of a dense eigendecomposition (`gbf_kernel`), which the tests also use as
+  the oracle for the sparse route.
 """
 
 from __future__ import annotations
@@ -9,9 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import NonPositiveShiftError
-from .numerics import check_symmetric, sym_eigen
+from .graph import Graph
+from .numerics import check_symmetric, sparse_lu, sym_eigen
 
 SHIFT_TOL = 1e-12
 
@@ -39,3 +48,25 @@ def gbf_kernel(L: np.ndarray, p: KernelParams) -> np.ndarray:
     w = (p.epsilon + eig.values) ** (-p.s)
     K = (eig.vectors * w) @ eig.vectors.T
     return (K + K.T) / 2.0
+
+
+def kernel_columns(g: Graph, cols: np.ndarray, p: KernelParams) -> np.ndarray:
+    """Columns `cols` (distinct local ids) of K = (eps I + L)^(-s), L the Laplacian of g.
+
+    Returns an (n, len(cols)) array whose rows `cols` form the exactly
+    symmetric block K[cols, cols]. Integer s takes the sparse
+    factor-and-solve route, any other s the dense spectral one.
+    """
+    if not float(p.s).is_integer():
+        return gbf_kernel(g.laplacian(), p)[:, cols]
+    shift = p.epsilon  # + lambda_min, which is 0 for every graph Laplacian
+    if shift <= SHIFT_TOL:
+        raise NonPositiveShiftError(float(shift))
+    lu = sparse_lu(g.sparse_laplacian() + p.epsilon * sp.identity(g.n, format="csr"))
+    X = np.zeros((g.n, len(cols)), order="F")
+    X[cols, np.arange(len(cols))] = 1.0
+    for _ in range(int(p.s)):
+        X = lu.solve(X)
+    block = X[cols]
+    X[cols] = (block + block.T) / 2.0
+    return X

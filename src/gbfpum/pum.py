@@ -10,8 +10,8 @@ import numpy as np
 from .community import Community, Cover, DetectionParams, detect_communities
 from .errors import NoSamplesError, UncoveredVertexError, ZeroSignalError
 from .graph import Graph, as_vertex_set
-from .kernel import KernelParams, gbf_kernel
-from .numerics import spd_solve, sym_eigen
+from .kernel import KernelParams, kernel_columns
+from .numerics import low_eigen, spd_solve, sym_eigen
 
 
 @dataclass
@@ -77,7 +77,8 @@ def local_interpolant(
     """Kernel interpolant on one subdomain, exact at its sample nodes.
 
     Solves K[W,W] a = y[W] on the subdomain's kernel matrix and evaluates
-    s(v) = sum_i a_i K[v, w_i] at every subdomain vertex.
+    s(v) = sum_i a_i K[v, w_i] at every subdomain vertex. The kernel enters
+    only through its columns K[:, W] (`kernel_columns`).
     """
     nodes = c.interpolation_nodes
     if len(nodes) == 0:
@@ -85,12 +86,12 @@ def local_interpolant(
     sub, vs = g.induced_subgraph(c.subdomain)
     local = {int(v): i for i, v in enumerate(vs)}
     w_loc = np.array([local[int(w)] for w in nodes], dtype=np.int64)
-    K = gbf_kernel(sub.laplacian(), p)
-    Kww = K[np.ix_(w_loc, w_loc)]
+    Kw = kernel_columns(sub, w_loc, p)
+    Kww = Kw[w_loc]
     y_w = y[nodes]
     a = spd_solve(Kww, y_w)
     resid = float(np.linalg.norm(Kww @ a - y_w) / max(np.linalg.norm(y_w), 1.0))
-    s = K[:, w_loc] @ a
+    s = Kw @ a
     diag = CommunityDiagnostics(
         community_id=community_id,
         subdomain_size=len(vs),
@@ -161,7 +162,7 @@ def run_pipeline(
 def global_gbf_baseline(
     g: Graph, y_full: np.ndarray, W: np.ndarray, kp: KernelParams
 ) -> PumResult:
-    """Single-domain dense kernel interpolation over the whole graph."""
+    """Single-domain kernel interpolation over the whole graph."""
     W = as_vertex_set(W, g.n)
     if len(W) == 0:
         raise NoSamplesError(0)
@@ -185,8 +186,14 @@ def synthetic_signal(g: Graph, n_modes: int = 10) -> np.ndarray:
 
     Unit coefficients on the eigenvectors of the `n_modes` smallest nonzero
     eigenvalues; each eigenvector's sign is fixed by its first nonzero entry.
+    The lowest n_modes + 1 pairs come from shift-invert Lanczos on the sparse
+    Laplacian; only when that asks for every mode (n_modes + 1 >= n) does the
+    dense eigendecomposition run.
     """
-    eig = sym_eigen(g.laplacian())
+    if n_modes + 1 < g.n:
+        eig = low_eigen(g.sparse_laplacian(), n_modes + 1)
+    else:
+        eig = sym_eigen(g.laplacian())
     vecs = eig.vectors[:, 1 : 1 + n_modes]
     y = np.zeros(g.n)
     for j in range(vecs.shape[1]):

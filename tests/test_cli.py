@@ -116,6 +116,65 @@ class TestInterpolate:
         assert rc == 2
 
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--epsilon", "-1"),
+            ("--epsilon", "nan"),
+            ("--exponent", "0"),
+            ("--alpha", "-0.1"),
+            ("--small-fraction", "2"),
+            ("--small-fraction", "0"),
+        ],
+    )
+    def test_invalid_parameter_exit_1(self, fixture_files, tmp_path, capsys, flag, value):
+        graph, samples, signal = fixture_files
+        rc = main(
+            ["interpolate", "--graph", str(graph), "--signal", str(signal), "--samples", str(samples),
+             flag, value, "--out", str(tmp_path / "o.json")]
+        )
+        assert rc == 1
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [("abc", "not a number: 'abc'"), ("inf", "not finite: 'inf'"), ("nan", "not finite: 'nan'")],
+    )
+    def test_bad_signal_value_exit_2(self, fixture_files, tmp_path, capsys, bad, reason):
+        graph, samples, _ = fixture_files
+        rows = [f"{v},{val}" for v, val in enumerate([1.0, 2.0, 3.0, 3.0, 2.0, 1.0])]
+        rows[3] = f"3,{bad}"
+        signal = tmp_path / "bad.csv"
+        signal.write_text("\n".join(rows) + "\n")
+        rc = main(
+            ["interpolate", "--graph", str(graph), "--signal", str(signal), "--samples", str(samples),
+             "--out", str(tmp_path / "o.json")]
+        )
+        assert rc == 2
+        assert f"vertex 3 is {reason}" in capsys.readouterr().err
+
+    def test_zero_signal_exit_2(self, fixture_files, tmp_path):
+        graph, samples, _ = fixture_files
+        signal = tmp_path / "zero.csv"
+        signal.write_text("".join(f"{v},0.0\n" for v in range(6)))
+        rc = main(
+            ["interpolate", "--graph", str(graph), "--signal", str(signal), "--samples", str(samples),
+             "--out", str(tmp_path / "o.json")]
+        )
+        assert rc == 2
+
+    def test_non_integer_sample_exit_2(self, fixture_files, tmp_path, capsys):
+        graph, _, signal = fixture_files
+        samples = tmp_path / "bad_w.txt"
+        samples.write_text("0\nfour\n")
+        rc = main(
+            ["interpolate", "--graph", str(graph), "--signal", str(signal), "--samples", str(samples),
+             "--out", str(tmp_path / "o.json")]
+        )
+        assert rc == 2
+        assert "line 2" in capsys.readouterr().err
+
+
 class TestBenchmark:
     def test_small_sweep(self, fixture_files, tmp_path):
         graph, _, signal = fixture_files

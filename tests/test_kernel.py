@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from gbfpum import Graph, KernelParams, gbf_kernel, spd_solve, sym_eigen
-from gbfpum.errors import NotSymmetricError
+from gbfpum import Graph, KernelParams, gbf_kernel, local_interpolant, spd_solve, sym_eigen
+from gbfpum.community import Community
+from gbfpum.errors import NonPositiveShiftError, NotSymmetricError
+from gbfpum.kernel import kernel_columns
 
 from conftest import random_connected_graph
 
@@ -63,3 +65,53 @@ class TestGbfKernel:
             KernelParams(epsilon=0.0)
         with pytest.raises(ValueError):
             KernelParams(s=-1.0)
+
+
+class TestKernelColumns:
+    """The sparse factor-and-solve route against the dense spectral oracle."""
+
+    @staticmethod
+    def _gap(g: Graph, cols: np.ndarray, p: KernelParams) -> tuple[float, float]:
+        K = gbf_kernel(g.laplacian(), p)
+        got = kernel_columns(g, cols, p)
+        return float(np.abs(got - K[:, cols]).max()), float(np.abs(K).max())
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [3, 17, 42])
+    def test_matches_dense_kernel(self, seed, s):
+        g = random_connected_graph(seed, n_min=20, n_max=60)
+        rng = np.random.default_rng(seed)
+        cols = np.sort(rng.choice(g.n, size=int(rng.integers(1, g.n)), replace=False))
+        gap, scale = self._gap(g, cols, KernelParams(epsilon=0.05, s=float(s)))
+        assert gap <= 1e-10 * scale
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_disconnected_subgraph_block_diagonal(self, s):
+        # two triangles joined by the bridge 2-3; dropping 2 leaves {0,1} and {3,4,5}
+        g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
+        sub, vs = g.induced_subgraph(np.array([0, 1, 3, 4, 5]))
+        assert not sub.is_connected()
+        cols = np.array([0, 3])  # one sample per piece: global vertices 0 and 4
+        p = KernelParams(epsilon=0.01, s=float(s))
+        gap, scale = self._gap(sub, cols, p)
+        assert gap <= 1e-10 * scale
+        got = kernel_columns(sub, cols, p)
+        assert np.all(got[2:, 0] == 0.0) and np.all(got[:2, 1] == 0.0)
+
+    def test_sample_block_exactly_symmetric(self, geometric200):
+        cols = np.arange(0, 200, 7)
+        Kw = kernel_columns(geometric200, cols, KernelParams(epsilon=0.01, s=3.0))
+        assert np.array_equal(Kw[cols], Kw[cols].T)
+
+    def test_fractional_s_is_dense_route(self, path10):
+        p = KernelParams(epsilon=0.3, s=1.5)
+        cols = np.array([1, 4, 8])
+        assert np.array_equal(kernel_columns(path10, cols, p), gbf_kernel(path10.laplacian(), p)[:, cols])
+
+    @pytest.mark.parametrize("s", [2.0, 1.5])
+    def test_nonpositive_shift_through_local_interpolant(self, path10, s):
+        c = Community(
+            core=np.arange(10), overlap=np.empty(0, dtype=np.int64), interpolation_nodes=np.array([0, 5])
+        )
+        with pytest.raises(NonPositiveShiftError):
+            local_interpolant(path10, c, np.ones(10), KernelParams(epsilon=1e-13, s=s))

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gbfpum import spd_solve, sym_eigen
-from gbfpum.errors import NotPositiveDefiniteError, NotSymmetricError
+from gbfpum.errors import NotPositiveDefiniteError, NotSymmetricError, SparseSolverError
+from gbfpum.numerics import check_symmetric, low_eigen, sparse_lu
 
 from conftest import random_connected_graph
 
@@ -87,3 +89,39 @@ class TestSpdSolve:
         B = rng.standard_normal((10, 4))
         X = spd_solve(M, B)
         assert np.abs(M @ X - B).max() <= 1e-8
+
+
+class TestSparse:
+    def test_check_symmetric_sparse(self):
+        check_symmetric(sp.csr_matrix([[2.0, -1.0], [-1.0, 2.0]]))
+        with pytest.raises(NotSymmetricError):
+            check_symmetric(sp.csr_matrix([[2.0, -1.0], [0.0, 2.0]]))
+
+    def test_sparse_lu_solves(self):
+        g = random_connected_graph(5, n_max=30)
+        M = g.sparse_laplacian() + 0.1 * sp.identity(g.n, format="csr")
+        b = np.random.default_rng(0).standard_normal(g.n)
+        x = sparse_lu(M).solve(b)
+        assert np.linalg.norm(M @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+    def test_sparse_lu_singular_is_numerical_error(self, path3):
+        with pytest.raises(SparseSolverError):
+            sparse_lu(path3.sparse_laplacian())
+
+    def test_sparse_lu_not_symmetric(self):
+        with pytest.raises(NotSymmetricError):
+            sparse_lu(sp.csr_matrix([[2.0, -1.0], [0.0, 2.0]]))
+
+    def test_low_eigen_matches_dense(self):
+        g = random_connected_graph(8, n_min=30, n_max=40)
+        dense = sym_eigen(g.laplacian())
+        low = low_eigen(g.sparse_laplacian(), 5)
+        assert np.abs(low.values - dense.values[:5]).max() <= 1e-10
+        # each vector up to sign; the lowest eigenvalues of this graph are simple
+        assert np.diff(dense.values[:6]).min() > 1e-3
+        overlap = np.abs(np.sum(low.vectors * dense.vectors[:, :5], axis=0))
+        assert np.abs(overlap - 1.0).max() <= 1e-10
+
+    def test_low_eigen_needs_k_below_order(self, path3):
+        with pytest.raises(ValueError):
+            low_eigen(path3.sparse_laplacian(), 3)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from gbfpum import (
     DetectionParams,
@@ -235,3 +236,40 @@ def test_synthetic_signal_is_smooth_and_deterministic(geometric200):
     rq = (y1 @ L @ y1) / (y1 @ y1)
     lam = np.linalg.eigvalsh(L)
     assert rq < np.median(lam)
+
+
+def dense_signal_oracle(g: Graph, n_modes: int = 10) -> tuple[np.ndarray, np.ndarray]:
+    """(reference signal, lowest n_modes + 2 eigenvalues) from a dense LAPACK eigh.
+
+    Same definition as `synthetic_signal`: unit sum of the eigenvectors of
+    the n_modes smallest nonzero eigenvalues, each signed by its first
+    nonzero entry.
+    """
+    last = min(n_modes + 1, g.n - 1)
+    values, vectors = eigh(g.laplacian(), subset_by_index=[0, last])
+    y = np.zeros(g.n)
+    for v in vectors[:, 1 : 1 + n_modes].T:
+        nz = np.flatnonzero(np.abs(v) > 1e-12)
+        y += -v if v[nz[0]] < 0 else v
+    return y, values
+
+
+class TestSyntheticSignalRoute:
+    @pytest.mark.parametrize("fixture", ["geometric200", "minnesota"])
+    def test_lanczos_matches_dense_oracle(self, request, fixture):
+        g = request.getfixturevalue(fixture)
+        y_ref, lam = dense_signal_oracle(g)
+        # the 10 lowest nonzero modes span a well-defined space only when
+        # lambda_10 < lambda_11 by far more than rounding (8.3e-5 on minnesota)
+        assert lam[11] - lam[10] > 1e-5
+        y = synthetic_signal(g)
+        assert np.linalg.norm(y - y_ref) <= 1e-9 * np.linalg.norm(y_ref)
+
+    def test_bit_identical_repeats(self, minnesota, minnesota_signal):
+        assert np.array_equal(synthetic_signal(minnesota), minnesota_signal)
+
+    def test_dense_fallback_all_modes(self, path10):
+        # n_modes + 1 >= n leaves no room for Lanczos: the dense route runs
+        y = synthetic_signal(path10, n_modes=10)
+        y_ref, _ = dense_signal_oracle(path10, n_modes=10)
+        assert np.abs(y - y_ref).max() <= 1e-12
