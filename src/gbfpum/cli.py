@@ -186,11 +186,10 @@ def _detection_params(args, g: Graph) -> DetectionParams:
     )
 
 
-def _param_block(args, g: Graph, with_kernel: bool) -> dict:
-    alpha = args.alpha if args.alpha is not None else default_alpha(g)
+def _param_block(args, dp: DetectionParams, with_kernel: bool) -> dict:
     block = {
-        "alpha": alpha,
-        "small_fraction": args.small_fraction,
+        "alpha": dp.katz.alpha,
+        "small_fraction": dp.small_fraction,
         "seed": args.seed if args.n_samples is not None else None,
     }
     if with_kernel:
@@ -208,9 +207,10 @@ def _write_json(path: str, doc: dict) -> None:
 def cmd_partition(args) -> None:
     g = _load_graph_file(args.graph)
     W = _resolve_samples(args, g.n)
-    cover = detect_communities(g, W, _detection_params(args, g))
+    dp = _detection_params(args, g)
+    cover = detect_communities(g, W, dp)
     doc = cover.to_json_dict()
-    doc["params"] = _param_block(args, g, with_kernel=False)
+    doc["params"] = _param_block(args, dp, with_kernel=False)
     _write_json(args.out, doc)
 
     # plot data: one row per vertex with core id, overlap memberships, sample flag
@@ -236,8 +236,9 @@ def cmd_interpolate(args) -> None:
     W = _resolve_samples(args, g.n)
     y = _resolve_signal(args, g)
     kp = KernelParams(epsilon=args.epsilon, s=args.exponent)
-    result, cover = run_pipeline(g, y, W, _detection_params(args, g), kp)
-    doc = result.to_json_dict(params=_param_block(args, g, with_kernel=True))
+    dp = _detection_params(args, g)
+    result, cover = run_pipeline(g, y, W, dp, kp)
+    doc = result.to_json_dict(params=_param_block(args, dp, with_kernel=True))
     _write_json(args.out, doc)
 
     csv_path = Path(args.out).with_suffix(".csv")
@@ -270,10 +271,7 @@ def cmd_benchmark(args) -> None:
         raise InputFailure(f"count {counts[-1]} exceeds graph order {g.n}")
     y = _resolve_signal(args, g)
     kp = KernelParams(epsilon=args.epsilon, s=args.exponent)
-    alpha = args.alpha if args.alpha is not None else default_alpha(g)
-    dp = DetectionParams(
-        small_fraction=args.small_fraction, katz=KatzParams(alpha=alpha)
-    )
+    dp = _detection_params(args, g)
 
     rows = []
     for count in counts:
@@ -295,13 +293,8 @@ def cmd_benchmark(args) -> None:
     doc = {
         "format_version": FORMAT_VERSION,
         "rows": rows,
-        "params": {
-            "alpha": alpha,
-            "epsilon": args.epsilon,
-            "s": args.exponent,
-            "seed": args.seed,
-            "small_fraction": args.small_fraction,
-        },
+        # benchmark always draws seeded samples, so its seed is always set
+        "params": {**_param_block(args, dp, with_kernel=True), "seed": args.seed},
     }
     _write_json(args.out, doc)
     csv_path = Path(args.out).with_suffix(".csv")

@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csgraph
 
 from .graph import Graph, as_vertex_set
 from .metrics import (
@@ -45,12 +46,7 @@ class Cover:
 
     def membership(self, n: int) -> np.ndarray:
         """Core assignment per vertex; cores must partition 0..n-1."""
-        member = -np.ones(n, dtype=np.int64)
-        for cid, c in enumerate(self.communities):
-            member[c.core] = cid
-        if (member < 0).any():
-            raise ValueError("cores do not cover every vertex")
-        return member
+        return core_membership(n, [c.core for c in self.communities])
 
     def to_json_dict(self) -> dict:
         return {
@@ -89,7 +85,7 @@ class Cover:
 @dataclass(frozen=True)
 class DetectionParams:
     small_fraction: float = 0.02
-    katz: KatzParams | None = None  # None -> closed form with default alpha
+    katz: KatzParams | None = None  # None -> default alpha
     t_low: float = 0.4
     t_high: float = 0.8
 
@@ -103,61 +99,33 @@ class DetectionParams:
 def split_community(
     g: Graph, core: np.ndarray, W: np.ndarray, katz: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Bipartition a connected core at its two most central sample nodes.
+    """Bipartition a sorted core at its two most central sample nodes.
 
-    Seeds are the top two Katz-ranked members of W inside the core; every
-    core vertex joins the seed it reaches in fewer hops within the induced
-    core subgraph. Ties go to the seed with higher Katz centrality, then to
-    the seed with the lower vertex id. Returns None when the core holds
+    Seeds are the top two Katz-ranked members of W inside the core (ties to
+    the lower vertex id); every core vertex joins the seed it reaches in
+    fewer hops within the induced core subgraph. The first seed takes ties
+    and the vertices neither seed reaches. Returns None when the core holds
     fewer than two sample nodes.
     """
     w_in = np.intersect1d(core, W)
     if len(w_in) < 2:
         return None
-    ranked = sorted(w_in.tolist(), key=lambda v: (-katz[v], v))
-    s1, s2 = ranked[0], ranked[1]
-    # tie-break winner between the two seeds
-    if katz[s1] > katz[s2] or (katz[s1] == katz[s2] and s1 < s2):
-        winner = s1
-    else:
-        winner = s2
-
-    in_core = set(core.tolist())
-    d1 = _bfs_distances(g, s1, in_core)
-    d2 = _bfs_distances(g, s2, in_core)
-    side1, side2 = [], []
-    for v in core.tolist():
-        a, b = d1.get(v), d2.get(v)
-        if b is None or (a is not None and a < b):
-            side1.append(v)
-        elif a is None or b < a:
-            side2.append(v)
-        else:
-            (side1 if winner == s1 else side2).append(v)
-    return np.array(sorted(side1), dtype=np.int64), np.array(sorted(side2), dtype=np.int64)
+    seeds = sorted(w_in.tolist(), key=lambda v: (-katz[v], v))[:2]
+    sub = g.adjacency()[core][:, core]
+    d1, d2 = csgraph.shortest_path(
+        sub, unweighted=True, indices=np.searchsorted(core, seeds)
+    )
+    to_second = d2 < d1
+    return core[~to_second], core[to_second]
 
 
-def _bfs_distances(g: Graph, src: int, allowed: set[int]) -> dict[int, int]:
-    dist = {src: 0}
-    frontier = [src]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for w in g.neighbors(u):
-                w = int(w)
-                if w in allowed and w not in dist:
-                    dist[w] = d
-                    nxt.append(w)
-        frontier = nxt
-    return dist
-
-
-def _membership(n: int, cores: list[np.ndarray]) -> np.ndarray:
+def core_membership(n: int, cores: list[np.ndarray]) -> np.ndarray:
+    """Core id per vertex; the cores must cover every vertex 0..n-1."""
     member = -np.ones(n, dtype=np.int64)
     for cid, core in enumerate(cores):
         member[core] = cid
+    if (member < 0).any():
+        raise ValueError("cores do not cover every vertex")
     return member
 
 
@@ -166,7 +134,7 @@ def _split_phase(
 ) -> list[np.ndarray]:
     """Greedy divisive loop: accept each split that raises global modularity."""
     cores: list[np.ndarray] = [np.arange(g.n, dtype=np.int64)]
-    q_run = modularity(g, _membership(g.n, cores))
+    q_run = modularity(g, core_membership(g.n, cores))
     q_prev, q_curr = -1.0, -0.5
     while len(cores) <= len(W) and q_curr > q_prev:
         q_pass_start = q_run
@@ -178,7 +146,7 @@ def _split_phase(
                 continue
             side1, side2 = parts
             candidate = cores[:cid] + [side1] + cores[cid + 1 :] + [side2]
-            q_cand = modularity(g, _membership(g.n, candidate))
+            q_cand = modularity(g, core_membership(g.n, candidate))
             if q_cand > q_run:
                 cores = candidate
                 provenance.append(
@@ -213,7 +181,6 @@ def merge_small(
         return len(c) < threshold
 
     if any(not is_small(c) for c in cores):
-        merged: list[np.ndarray] = []
         small_ids = [i for i, c in enumerate(cores) if is_small(c)]
         big_ids = [i for i, c in enumerate(cores) if not is_small(c)]
         bigs = {i: cores[i] for i in big_ids}
@@ -224,9 +191,8 @@ def merge_small(
                 if jv > best_j:
                     best, best_j = bid, jv
             bigs[best] = np.union1d(bigs[best], cores[sid])
-            _log_merge(g, provenance, cores[sid], bigs[best])
-        merged = [bigs[i] for i in big_ids]
-        return merged
+            _log_merge(g, provenance, bigs[best])
+        return [bigs[i] for i in big_ids]
 
     # no big community exists: merge smalls pairwise, largest first
     while len(cores) > 1 and any(is_small(c) for c in cores):
@@ -242,18 +208,16 @@ def merge_small(
                 best, best_j = j, jv
         lo, hi = min(src, best), max(src, best)
         union = np.union1d(cores[lo], cores[hi])
-        _log_merge(g, provenance, cores[hi], union)
+        _log_merge(g, provenance, union)
         cores = [c for i, c in enumerate(cores) if i not in (lo, hi)]
         cores.insert(lo, union)
     return cores
 
 
-def _log_merge(g: Graph, provenance: list[dict], absorbed, result) -> None:
-    entry = {"action": "merge", "q_before": None, "q_after": None}
-    sub, _ = g.induced_subgraph(result)
-    if not sub.is_connected():
-        entry["action"] = "merge_disconnected"
-    provenance.append(entry)
+def _log_merge(g: Graph, provenance: list[dict], result: np.ndarray) -> None:
+    connected = g.induced_subgraph(result)[0].is_connected()
+    action = "merge" if connected else "merge_disconnected"
+    provenance.append({"action": action, "q_before": None, "q_after": None})
 
 
 def expand_overlap(
@@ -265,22 +229,20 @@ def expand_overlap(
     1-hop one; boundary-free vertices add nothing. Cores are untouched, so a
     second application is a no-op.
     """
+    A = g.adjacency()
+    deg = g.degrees()
     overlaps = []
     for core in cores:
-        core_set = set(core.tolist())
-        extra: set[int] = set()
-        for v in core.tolist():
-            nb = g.neighbors(v)
-            if len(nb) == 0:
-                continue
-            inside = sum(1 for w in nb if int(w) in core_set)
-            r = inside / len(nb)
-            if r <= p.t_low:
-                extra.update(int(w) for w in g.neighborhood(v, radius=2))
-            elif r <= p.t_high:
-                extra.update(int(w) for w in nb)
-        extra -= core_set
-        overlaps.append(np.array(sorted(extra), dtype=np.int64))
+        in_core = np.zeros(g.n)
+        in_core[core] = 1.0
+        r = (A[core] @ in_core) / np.maximum(deg[core], 1)
+        has_nb = deg[core] > 0
+        far = core[has_nb & (r <= p.t_low)]
+        near = core[has_nb & (p.t_low < r) & (r <= p.t_high)]
+        ring1 = A[np.union1d(far, near)].indices
+        ring2 = A[np.unique(A[far].indices)].indices
+        extra = np.setdiff1d(np.union1d(ring1, ring2), core)
+        overlaps.append(extra.astype(np.int64))
     return overlaps
 
 
@@ -298,12 +260,12 @@ def detect_communities(g: Graph, W: np.ndarray, p: DetectionParams) -> Cover:
             "q_before": None,
             "q_after": None,
             "alpha": katz_params.alpha,
-            "mode": katz_params.mode,
+            "mode": "closed-form",
         }
     ]
     cores = _split_phase(g, W, katz, provenance)
     cores = merge_small(g, cores, p, provenance)
-    q_final = modularity(g, _membership(g.n, cores))
+    q_final = modularity(g, core_membership(g.n, cores))
     overlaps = expand_overlap(g, cores, p)
     provenance.append({"action": "expand", "q_before": q_final, "q_after": q_final})
 

@@ -11,6 +11,7 @@ from typing import IO, Iterable
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from .errors import (
     DisconnectedError,
@@ -22,44 +23,48 @@ from .errors import (
 
 
 class Graph:
-    """Undirected simple graph in compressed sparse row form."""
+    """Undirected simple graph held as one read-only binary CSR adjacency.
 
-    __slots__ = ("n", "m", "indptr", "indices")
+    `indptr` and `indices` are the adjacency's own arrays; every structural
+    query (neighbors, connectivity, subgraphs, Laplacians) reads that matrix.
+    """
+
+    __slots__ = ("n", "m", "indptr", "indices", "_adj")
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray, m: int):
         self.n = n
         self.m = m
-        self.indptr = indptr
-        self.indices = indices
-        self.indptr.setflags(write=False)
-        self.indices.setflags(write=False)
+        self._adj = sp.csr_matrix(
+            (np.ones(len(indices)), indices, indptr), shape=(n, n)
+        )
+        for arr in (self._adj.data, self._adj.indices, self._adj.indptr):
+            arr.setflags(write=False)
+        self.indptr = self._adj.indptr
+        self.indices = self._adj.indices
 
     @classmethod
     def from_edges(
         cls, n: int, edges: Iterable[tuple[int, int]], require_connected: bool = True
     ) -> "Graph":
-        """Build a graph from undirected edge pairs; duplicates are collapsed."""
-        pairs = set()
-        for u, v in edges:
-            if u == v:
-                raise SelfLoopError(u)
-            if u < 0 or v < 0 or u >= n or v >= n:
-                raise OutOfRangeError(max(u, v), n)
-            pairs.add((min(u, v), max(u, v)))
-        m = len(pairs)
-        if m:
-            arr = np.array(sorted(pairs), dtype=np.int64)
-            rows = np.concatenate([arr[:, 0], arr[:, 1]])
-            cols = np.concatenate([arr[:, 1], arr[:, 0]])
-        else:
-            rows = np.empty(0, dtype=np.int64)
-            cols = np.empty(0, dtype=np.int64)
-        order = np.lexsort((cols, rows))
-        rows, cols = rows[order], cols[order]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, rows + 1, 1)
-        indptr = np.cumsum(indptr)
-        g = cls(n, indptr, cols, m)
+        """Build a graph from undirected edge pairs; duplicates are collapsed.
+
+        The first bad edge in input order raises: a self-loop before a vertex
+        out of range.
+        """
+        u, v = np.array(list(edges), dtype=np.int64).reshape(-1, 2).T
+        loop = u == v
+        bad = np.flatnonzero(loop | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n))
+        if len(bad):
+            i = bad[0]
+            if loop[i]:
+                raise SelfLoopError(int(u[i]))
+            raise OutOfRangeError(int(max(u[i], v[i])), n)
+        pairs = np.unique(np.stack([np.minimum(u, v), np.maximum(u, v)], axis=1), axis=0)
+        rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+        cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+        A = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
+        A.sort_indices()
+        g = cls(n, A.indptr, A.indices, len(pairs))
         if require_connected and not g.is_connected():
             raise DisconnectedError()
         return g
@@ -85,25 +90,10 @@ class Graph:
         nb = self.neighbors(v)
         if radius == 1:
             return nb.copy()
-        out = set(nb.tolist())
-        for u in nb:
-            out.update(self.neighbors(u).tolist())
-        out.discard(v)
-        return np.array(sorted(out), dtype=np.int64)
+        return np.setdiff1d(np.union1d(nb, self._adj[nb].indices), [v])
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return False
-        seen = np.zeros(self.n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            u = stack.pop()
-            for w in self.neighbors(u):
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(int(w))
-        return bool(seen.all())
+        return csgraph.connected_components(self._adj, directed=False)[0] == 1
 
     def induced_subgraph(self, vs: np.ndarray) -> tuple["Graph", np.ndarray]:
         """Subgraph on vertex set vs.
@@ -114,21 +104,13 @@ class Graph:
         vs = as_vertex_set(vs, self.n)
         if len(vs) == 0:
             raise EmptySetError()
-        local = -np.ones(self.n, dtype=np.int64)
-        local[vs] = np.arange(len(vs))
-        edges = []
-        for li, v in enumerate(vs):
-            for w in self.neighbors(v):
-                lw = local[w]
-                if lw > li:
-                    edges.append((li, int(lw)))
-        sub = Graph.from_edges(len(vs), edges, require_connected=False)
-        return sub, vs
+        S = self._adj[vs][:, vs]
+        S.sort_indices()
+        return Graph(len(vs), S.indptr, S.indices, S.nnz // 2), vs
 
     def adjacency(self) -> sp.csr_matrix:
-        """Binary adjacency matrix as scipy CSR."""
-        data = np.ones(len(self.indices), dtype=np.float64)
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+        """Binary adjacency matrix as scipy CSR (shared and read-only)."""
+        return self._adj
 
     def laplacian(self) -> np.ndarray:
         """Dense combinatorial Laplacian L = D - A."""

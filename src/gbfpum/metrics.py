@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,39 +32,23 @@ def default_alpha(g: Graph) -> float:
 @dataclass(frozen=True)
 class KatzParams:
     alpha: float
-    mode: str = "closed-form"  # or "truncated"
-    series_terms: int = 50
 
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        if self.mode not in ("closed-form", "truncated"):
-            raise ValueError(f"unknown Katz mode {self.mode!r}")
-        if self.mode == "truncated" and self.series_terms < 1:
-            raise ValueError("series_terms must be >= 1")
 
 
 def katz_centrality(g: Graph, p: KatzParams) -> np.ndarray:
     """Katz centrality: sum over walk lengths k of alpha^k (A^k 1)_i.
 
-    Closed form solves the sparse system (I - alpha A) x = 1 and returns
-    x - 1; truncated mode sums the first `series_terms` powers and serves as
-    the series oracle.
+    Solves the sparse system (I - alpha A) x = 1 and returns x - 1.
     """
-    A = g.adjacency()
-    if p.mode == "closed-form":
-        bound = spectral_radius_bound(g)
-        if p.alpha >= 1.0 / bound:
-            raise AlphaDivergesError(p.alpha, 1.0 / bound)
-        M = sp.identity(g.n, format="csr") - p.alpha * A
-        x = sparse_lu(M).solve(np.ones(g.n))
-        return x - 1.0
-    total = np.zeros(g.n)
-    v = np.ones(g.n)
-    for _ in range(p.series_terms):
-        v = p.alpha * (A @ v)
-        total += v
-    return total
+    bound = spectral_radius_bound(g)
+    if p.alpha >= 1.0 / bound:
+        raise AlphaDivergesError(p.alpha, 1.0 / bound)
+    M = sp.identity(g.n, format="csr") - p.alpha * g.adjacency()
+    x = sparse_lu(M).solve(np.ones(g.n))
+    return x - 1.0
 
 
 def modularity(g: Graph, membership: np.ndarray) -> float:
@@ -112,17 +96,3 @@ def jaccard_communities(g: Graph, U: np.ndarray, V: np.ndarray) -> float:
     union = deg[U][:, None] + deg[V][None, :] - inter
     vals = np.where(union > 0, inter / np.where(union > 0, union, 1.0), 0.0)
     return float(vals.mean())
-
-
-@dataclass(frozen=True)
-class CommunityAssignment:
-    """Disjoint community ids per vertex, contiguous 0..k-1."""
-
-    membership: np.ndarray = field()
-
-    def __post_init__(self):
-        m = np.asarray(self.membership, dtype=np.int64)
-        ids = np.unique(m)
-        if len(ids) and not np.array_equal(ids, np.arange(len(ids))):
-            raise ValueError("community ids must be contiguous 0..k-1")
-        object.__setattr__(self, "membership", m)

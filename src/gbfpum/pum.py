@@ -84,8 +84,7 @@ def local_interpolant(
     if len(nodes) == 0:
         raise NoSamplesError(community_id)
     sub, vs = g.induced_subgraph(c.subdomain)
-    local = {int(v): i for i, v in enumerate(vs)}
-    w_loc = np.array([local[int(w)] for w in nodes], dtype=np.int64)
+    w_loc = np.searchsorted(vs, nodes)
     Kw = kernel_columns(sub, w_loc, p)
     Kww = Kw[w_loc]
     y_w = y[nodes]

@@ -12,11 +12,13 @@ from gbfpum import (
     DetectionParams,
     KatzParams,
     KernelParams,
+    assemble_global,
     build_pu,
     detect_communities,
     gbf_kernel,
     global_gbf_baseline,
     katz_centrality,
+    local_interpolant,
     modularity,
     run_pipeline,
     sample_nodes,
@@ -28,7 +30,7 @@ from gbfpum import (
 from conftest import path_graph, random_connected_graph, two_triangle_graph
 from test_community import check_cover_invariants
 from test_kernel import inverse_power_oracle
-from test_metrics import modularity_double_sum
+from test_metrics import katz_series, modularity_double_sum
 
 PAPER_COMMUNITY_COUNTS = {200: 6, 400: 11, 600: 6, 800: 9}
 
@@ -42,17 +44,14 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def minnesota_runs(minnesota, minnesota_signal):
-    """Pipeline results for the nested sample sweep, plus the global baseline."""
+    """Pipeline results for the nested sample sweep."""
     dp, kp = DetectionParams(), KernelParams()
     runs = {}
     for count in (200, 400, 600, 800):
         W = sample_nodes(minnesota.n, count, seed=0)
         result, cover = run_pipeline(minnesota, minnesota_signal, W, dp, kp)
         runs[count] = (W, result, cover)
-    baseline = global_gbf_baseline(
-        minnesota, minnesota_signal, runs[400][0], kp
-    )
-    return runs, baseline
+    return runs
 
 
 def _max_rel_err_at(W, truth, approx):
@@ -74,7 +73,7 @@ def test_interpolation_exactness(geometric200, minnesota, minnesota_signal, minn
         res, _ = run_pipeline(g, y, W, dp, kp)
         ok_time &= (time.perf_counter() - t0) < 1.0
         worst = max(worst, _max_rel_err_at(W, y, res.approximant))
-    runs, _ = minnesota_runs
+    runs = minnesota_runs
     W, res, _ = runs[400]
     worst = max(worst, _max_rel_err_at(W, minnesota_signal, res.approximant))
     ok_time &= res.wall_times["total_s"] < 300.0
@@ -95,7 +94,7 @@ def test_partition_of_unity_invariant(geometric200, minnesota, minnesota_runs):
     covers = [
         (g, detect_communities(g, W, DetectionParams())) for g, W in cases
     ]
-    runs, _ = minnesota_runs
+    runs = minnesota_runs
     covers.append((minnesota, runs[200][2]))
     for g, cover in covers:
         pu = build_pu(cover, g.n)
@@ -135,9 +134,7 @@ def test_katz_oracle_equivalence(path3):
         terms = max(60, int(np.ceil(np.log(1e-12 / g.n) / np.log(alpha))))
         assert alpha**terms * g.n < 1e-12
         closed = katz_centrality(g, KatzParams(alpha=alpha))
-        trunc = katz_centrality(
-            g, KatzParams(alpha=alpha, mode="truncated", series_terms=terms)
-        )
+        trunc = katz_series(g, alpha, terms)
         worst = max(worst, float(np.abs(closed - trunc).max()))
     path_gap = float(
         np.abs(
@@ -193,7 +190,7 @@ def test_algorithm1_structural_suite():
 
 
 def test_trend_reproduction(minnesota_runs):
-    runs, _ = minnesota_runs
+    runs = minnesota_runs
     rrmses = {n: runs[n][1].rrmse for n in (200, 400, 600, 800)}
     counts = {n: len(runs[n][2].communities) for n in (200, 400, 600, 800)}
     decreasing = all(
@@ -213,10 +210,31 @@ def test_trend_reproduction(minnesota_runs):
     )
 
 
-def test_speedup_over_global_baseline(minnesota_runs):
-    runs, baseline = minnesota_runs
-    local_time = runs[400][1].wall_times["interpolate_s"]
-    base_time = baseline.wall_times["total_s"]
+def _best_of_three(fn) -> float:
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+
+def test_speedup_over_global_baseline(minnesota, minnesota_signal, minnesota_runs):
+    # both sides are timed alike, best of three identical calls, so a one-off
+    # cost of the first call (BLAS thread start-up) falls on neither
+    W, _, cover = minnesota_runs[400]
+    g, y, kp = minnesota, minnesota_signal, KernelParams()
+
+    def interpolate_locally():
+        pu = build_pu(cover, g.n)
+        locals_ = [
+            local_interpolant(g, c, y, kp, community_id=cid)[0]
+            for cid, c in enumerate(cover.communities)
+        ]
+        assemble_global(cover, pu, locals_, g.n)
+
+    local_time = _best_of_three(interpolate_locally)
+    base_time = _best_of_three(lambda: global_gbf_baseline(g, y, W, kp))
     report(
         "local interpolation beats global dense solve",
         local_time < base_time,
@@ -226,7 +244,6 @@ def test_speedup_over_global_baseline(minnesota_runs):
 
 def test_baseline_equivalence(geometric200):
     from gbfpum.community import Community, Cover
-    from gbfpum.pum import assemble_global, local_interpolant
 
     kp = KernelParams()
     worst = 0.0

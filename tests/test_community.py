@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gbfpum import (
     DetectionParams,
@@ -22,6 +23,51 @@ from conftest import random_connected_graph
 
 def global_katz(g):
     return katz_centrality(g, KatzParams(alpha=default_alpha(g)))
+
+
+def bfs_hops(g, src, allowed):
+    """Hop count from src to every vertex it reaches inside `allowed`."""
+    dist = {src: 0}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in g.neighbors(u).tolist():
+                if w in allowed and w not in dist:
+                    dist[w] = dist[u] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
+def split_oracle(g, core, W, katz):
+    """Split by per-vertex BFS: side 2 only for vertices strictly nearer seed 2."""
+    w_in = sorted(set(core.tolist()) & set(W.tolist()), key=lambda v: (-katz[v], v))
+    if len(w_in) < 2:
+        return None
+    allowed = set(core.tolist())
+    d1, d2 = bfs_hops(g, w_in[0], allowed), bfs_hops(g, w_in[1], allowed)
+    side2 = [v for v in core.tolist() if v in d2 and (v not in d1 or d2[v] < d1[v])]
+    side1 = [v for v in core.tolist() if v not in side2]
+    return side1, side2
+
+
+def overlap_oracle(g, core, p):
+    """Per-vertex overlap ring: r(v) picks v's 2-hop or 1-hop neighborhood."""
+    core_set = set(core.tolist())
+    extra = set()
+    for v in core.tolist():
+        nb = g.neighbors(v).tolist()
+        if not nb:
+            continue
+        r = sum(w in core_set for w in nb) / len(nb)
+        if r <= p.t_low:
+            extra.update(nb)
+            for u in nb:
+                extra.update(g.neighbors(u).tolist())
+        elif r <= p.t_high:
+            extra.update(nb)
+    return sorted(extra - core_set)
 
 
 def check_cover_invariants(g, W, cover):
@@ -75,6 +121,32 @@ class TestSplitCommunity:
             for side in sides:
                 sub, _ = g.induced_subgraph(side)
                 assert sub.is_connected()
+
+
+    def test_unreached_vertices_join_first_seed(self, path10):
+        # core pieces {0,1,2}, {5,6} and {8,9}; seeds 1 and 5 reach neither {8,9}
+        core = np.array([0, 1, 2, 5, 6, 8, 9])
+        katz = np.zeros(10)
+        katz[1], katz[5] = 2.0, 1.0
+        side1, side2 = split_community(path10, core, np.array([1, 5]), katz)
+        assert side1.tolist() == [0, 1, 2, 8, 9]
+        assert side2.tolist() == [5, 6]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.booleans())
+    def test_matches_bfs_oracle(self, seed, whole_graph):
+        g = random_connected_graph(seed, n_max=30)
+        rng = np.random.default_rng(seed)
+        # a random vertex subset is often a disconnected core
+        core = np.arange(g.n) if whole_graph else np.flatnonzero(rng.random(g.n) < 0.5)
+        W = np.flatnonzero(rng.random(g.n) < 0.3)
+        katz = global_katz(g)
+        got = split_community(g, core, W, katz)
+        expect = split_oracle(g, core, W, katz)
+        if expect is None:
+            assert got is None
+        else:
+            assert [side.tolist() for side in got] == list(expect)
 
 
 class TestDetect:
@@ -191,6 +263,22 @@ class TestExpandOverlap:
         before = [c.copy() for c in cores]
         expand_overlap(two_triangle, cores, DetectionParams())
         assert all(a.tolist() == b.tolist() for a, b in zip(cores, before))
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.floats(0.05, 0.6),
+        st.floats(0.05, 0.4),
+    )
+    def test_matches_per_vertex_oracle(self, seed, t_low, gap):
+        g = random_connected_graph(seed, n_max=30)
+        rng = np.random.default_rng(seed)
+        member = rng.integers(0, 4, g.n)
+        cores = [np.flatnonzero(member == k) for k in np.unique(member)]
+        p = DetectionParams(t_low=t_low, t_high=min(t_low + gap, 1.0))
+        got = expand_overlap(g, cores, p)
+        assert [o.tolist() for o in got] == [overlap_oracle(g, c, p) for c in cores]
 
 
 class TestCoverSerialization:

@@ -128,3 +128,47 @@ def test_graph_invariants(seed):
     # radius-2 neighborhood contains radius-1
     v = seed % g.n
     assert set(g.neighborhood(v, 1)) <= set(g.neighborhood(v, 2))
+
+
+@given(
+    st.integers(1, 8),
+    st.lists(st.tuples(st.integers(-2, 10), st.integers(-2, 10)), max_size=12),
+)
+def test_from_edges_first_bad_edge_raises(n, edges):
+    # the first bad edge in input order decides; a self-loop before the range
+    expect = None
+    for u, v in edges:
+        if u == v:
+            expect = (SelfLoopError, u)
+        elif min(u, v) < 0 or max(u, v) >= n:
+            expect = (OutOfRangeError, max(u, v))
+        if expect:
+            break
+    if expect is None:
+        g = Graph.from_edges(n, edges, require_connected=False)
+        assert g.m == len({(min(u, v), max(u, v)) for u, v in edges})
+    else:
+        with pytest.raises(expect[0]) as exc:
+            Graph.from_edges(n, edges, require_connected=False)
+        assert exc.value.vertex == expect[1]
+
+
+@given(st.integers(0, 10**6))
+def test_csr_queries_match_edge_oracle(seed):
+    # per-vertex set oracles for the CSR slice and row gathers
+    g = random_connected_graph(seed)
+    rng = np.random.default_rng(seed)
+    vs = np.flatnonzero(rng.random(g.n) < 0.5)
+    if len(vs):
+        sub, _ = g.induced_subgraph(vs)
+        keep = set(vs.tolist())
+        local = {v: i for i, v in enumerate(vs.tolist())}
+        for v in vs.tolist():
+            expect = sorted(local[w] for w in g.neighbors(v).tolist() if w in keep)
+            assert sub.neighbors(local[v]).tolist() == expect
+        assert 2 * sub.m == sub.degrees().sum()
+    v = int(rng.integers(g.n))
+    ring = set(g.neighbors(v).tolist())
+    for u in g.neighbors(v).tolist():
+        ring.update(g.neighbors(u).tolist())
+    assert g.neighborhood(v, 2).tolist() == sorted(ring - {v})

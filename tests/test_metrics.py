@@ -12,9 +12,19 @@ from gbfpum import (
     modularity,
 )
 from gbfpum.errors import AlphaDivergesError
-from gbfpum.metrics import CommunityAssignment
 
 from conftest import random_connected_graph
+
+
+def katz_series(g: Graph, alpha: float, terms: int) -> np.ndarray:
+    """Katz oracle: the first `terms` powers of sum_k alpha^k A^k 1."""
+    A = g.adjacency()
+    total = np.zeros(g.n)
+    v = np.ones(g.n)
+    for _ in range(terms):
+        v = alpha * (A @ v)
+        total += v
+    return total
 
 
 def modularity_double_sum(g: Graph, membership) -> float:
@@ -41,7 +51,7 @@ class TestKatz:
         assert np.ptp(got) <= 1e-12
 
     def test_truncated_one_term(self, path3):
-        got = katz_centrality(path3, KatzParams(alpha=0.1, mode="truncated", series_terms=1))
+        got = katz_series(path3, alpha=0.1, terms=1)
         assert np.allclose(got, [0.1, 0.2, 0.1], atol=1e-12)
 
     def test_alpha_diverges(self, path3):
@@ -58,9 +68,7 @@ class TestKatz:
         exact = katz_centrality(g, KatzParams(alpha=alpha))
         prev_gap = np.inf
         for terms in (5, 10, 20, 60, 120):
-            trunc = katz_centrality(
-                g, KatzParams(alpha=alpha, mode="truncated", series_terms=terms)
-            )
+            trunc = katz_series(g, alpha, terms)
             assert (trunc <= exact + 1e-12).all()  # from below
             gap = np.abs(exact - trunc).max()
             assert gap <= prev_gap + 1e-15
@@ -70,8 +78,6 @@ class TestKatz:
     def test_bad_params(self):
         with pytest.raises(ValueError):
             KatzParams(alpha=-1.0)
-        with pytest.raises(ValueError):
-            KatzParams(alpha=0.1, mode="bogus")
 
 
 class TestModularity:
@@ -97,11 +103,6 @@ class TestModularity:
         assert modularity(g, member) == pytest.approx(
             modularity_double_sum(g, member), abs=1e-12
         )
-
-    def test_assignment_type_validates(self):
-        with pytest.raises(ValueError):
-            CommunityAssignment(np.array([0, 2]))  # gap in ids
-        CommunityAssignment(np.array([0, 1, 1]))
 
 
 class TestJaccard:
