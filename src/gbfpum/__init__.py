@@ -8,7 +8,6 @@ from .metrics import (
     KatzParams,
     default_alpha,
     jaccard_communities,
-    jaccard_vertices,
     katz_centrality,
     modularity,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "gbf_kernel",
     "global_gbf_baseline",
     "jaccard_communities",
-    "jaccard_vertices",
     "katz_centrality",
     "load_graph",
     "local_interpolant",

@@ -9,19 +9,14 @@ fraction of its vertices' neighbors that stay inside the core.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csgraph
 
 from .graph import Graph, as_vertex_set
-from .metrics import (
-    KatzParams,
-    default_alpha,
-    jaccard_communities,
-    katz_centrality,
-    modularity,
-)
+from .metrics import KatzParams, default_alpha, katz_centrality, modularity
 
 FORMAT_VERSION = 1
 
@@ -43,6 +38,8 @@ class Community:
 class Cover:
     communities: list[Community]
     provenance: list[dict] = field(default_factory=list)
+    # wall seconds per detection stage; not serialised, so the JSON stays deterministic
+    stage_times: dict[str, float] = field(default_factory=dict, compare=False)
 
     def membership(self, n: int) -> np.ndarray:
         """Core assignment per vertex; cores must partition 0..n-1."""
@@ -119,36 +116,90 @@ def split_community(
     return core[~to_second], core[to_second]
 
 
+def _owners(n: int, cores: list[np.ndarray]) -> np.ndarray:
+    """Index of the core holding each vertex, -1 where none does."""
+    owner = -np.ones(n, dtype=np.int64)
+    for cid, core in enumerate(cores):
+        owner[core] = cid
+    return owner
+
+
 def core_membership(n: int, cores: list[np.ndarray]) -> np.ndarray:
     """Core id per vertex; the cores must cover every vertex 0..n-1."""
-    member = -np.ones(n, dtype=np.int64)
-    for cid, core in enumerate(cores):
-        member[core] = cid
+    member = _owners(n, cores)
     if (member < 0).any():
         raise ValueError("cores do not cover every vertex")
     return member
 
 
+def _split_plan(
+    g: Graph, core: np.ndarray, W: np.ndarray, katz: np.ndarray
+) -> tuple[tuple[np.ndarray, np.ndarray], list[tuple[int, int]]] | None:
+    """The core's bipartition and each side's (intra, degree sum) counts.
+
+    `intra` counts the ordered vertex pairs inside the side joined by an edge,
+    as `metrics.modularity` does; both sides' counts come from one label-mask
+    pass over the core's adjacency rows.
+    """
+    parts = split_community(g, core, W, katz)
+    if parts is None:
+        return None
+    rows = g.adjacency()[core]
+    label = np.zeros(g.n, dtype=np.int8)  # 0 outside the core
+    for k, side in enumerate(parts, start=1):
+        label[side] = k
+    src = np.repeat(label[core], np.diff(rows.indptr))
+    intra = np.bincount(src[src == label[rows.indices]], minlength=3)
+    deg = g.degrees()
+    return parts, [
+        (int(intra[k]), int(deg[side].sum())) for k, side in enumerate(parts, start=1)
+    ]
+
+
+def _modularity_of(counts: list[tuple[int, int]], m: int) -> float:
+    """`metrics.modularity` of cores given as (intra, degree sum) in core id order.
+
+    The float operations are those of `modularity` on the same cores, so the
+    value is bit-identical to it.
+    """
+    if m == 0:
+        return 0.0
+    intra, deg = np.array(counts, dtype=np.float64).T
+    return float(np.sum(intra / (2.0 * m) - (deg / (2.0 * m)) ** 2))
+
+
 def _split_phase(
     g: Graph, W: np.ndarray, katz: np.ndarray, provenance: list[dict]
 ) -> list[np.ndarray]:
-    """Greedy divisive loop: accept each split that raises global modularity."""
-    cores: list[np.ndarray] = [np.arange(g.n, dtype=np.int64)]
-    q_run = modularity(g, core_membership(g.n, cores))
+    """Greedy divisive loop: accept each split that raises global modularity.
+
+    Each core carries its intra and degree-sum counts, so a candidate is
+    scored without a pass over the whole graph. A core's bipartition depends
+    only on the core, W and katz, so it is computed once, when the core is
+    created, and reused by every later pass that scores it.
+    """
+    everything = np.arange(g.n, dtype=np.int64)
+    cores = [everything]
+    counts = [(len(g.indices), int(g.degrees().sum()))]
+    plans = [_split_plan(g, everything, W, katz)]
+    q_run = _modularity_of(counts, g.m)
     q_prev, q_curr = -1.0, -0.5
     while len(cores) <= len(W) and q_curr > q_prev:
         q_pass_start = q_run
         for cid in range(len(cores)):
             if len(cores) + 1 > len(W):
                 break
-            parts = split_community(g, cores[cid], W, katz)
-            if parts is None:
+            plan = plans[cid]
+            if plan is None:
                 continue
-            side1, side2 = parts
-            candidate = cores[:cid] + [side1] + cores[cid + 1 :] + [side2]
-            q_cand = modularity(g, core_membership(g.n, candidate))
+            (side1, side2), (c1, c2) = plan
+            cand = counts[:cid] + [c1] + counts[cid + 1 :] + [c2]
+            q_cand = _modularity_of(cand, g.m)
             if q_cand > q_run:
-                cores = candidate
+                cores = cores[:cid] + [side1] + cores[cid + 1 :] + [side2]
+                counts = cand
+                plans[cid] = _split_plan(g, side1, W, katz)
+                plans.append(_split_plan(g, side2, W, katz))
                 provenance.append(
                     {"action": "split", "q_before": q_run, "q_after": q_cand}
                 )
@@ -181,37 +232,53 @@ def merge_small(
         return len(c) < threshold
 
     if any(not is_small(c) for c in cores):
-        small_ids = [i for i, c in enumerate(cores) if is_small(c)]
-        big_ids = [i for i, c in enumerate(cores) if not is_small(c)]
-        bigs = {i: cores[i] for i in big_ids}
-        for sid in small_ids:
-            best, best_j = None, -1.0
-            for bid in big_ids:
-                jv = jaccard_communities(g, cores[sid], bigs[bid])
-                if jv > best_j:
-                    best, best_j = bid, jv
-            bigs[best] = np.union1d(bigs[best], cores[sid])
+        bigs = [c for c in cores if not is_small(c)]
+        # later small cores compare against the big ones grown so far
+        owner = _owners(g.n, bigs)
+        for small in (c for c in cores if is_small(c)):
+            sim = _mean_jaccard(g, small, owner, [len(c) for c in bigs])
+            best = int(np.argmax(sim))
+            bigs[best] = np.union1d(bigs[best], small)
+            owner[small] = best
             _log_merge(g, provenance, bigs[best])
-        return [bigs[i] for i in big_ids]
+        return bigs
 
     # no big community exists: merge smalls pairwise, largest first
     while len(cores) > 1 and any(is_small(c) for c in cores):
-        sizes = [(-len(c), i) for i, c in enumerate(cores)]
-        sizes.sort()
-        src = sizes[0][1]
-        best, best_j = None, -1.0
-        for j, c in enumerate(cores):
-            if j == src:
-                continue
-            jv = jaccard_communities(g, cores[src], c)
-            if jv > best_j:
-                best, best_j = j, jv
+        src = min(range(len(cores)), key=lambda i: (-len(cores[i]), i))
+        sim = _mean_jaccard(g, cores[src], _owners(g.n, cores), [len(c) for c in cores])
+        sim[src] = -1.0
+        best = int(np.argmax(sim))
         lo, hi = min(src, best), max(src, best)
         union = np.union1d(cores[lo], cores[hi])
         _log_merge(g, provenance, union)
         cores = [c for i, c in enumerate(cores) if i not in (lo, hi)]
         cores.insert(lo, union)
     return cores
+
+
+def _mean_jaccard(
+    g: Graph, U: np.ndarray, owner: np.ndarray, sizes: list[int]
+) -> np.ndarray:
+    """`jaccard_communities(g, U, V)` for every core V, from one sparse product.
+
+    `owner[v]` is the index of the core holding v (negative: none) and
+    `sizes` the core sizes. A vertex pair with no common neighbour has
+    Jaccard 0, so only the nonzeros of A[U] @ A.T (= A[U] @ A, A being
+    symmetric) are evaluated; their sum per owning core over |U|·|V| is the
+    mean over all pairs. Sorted column indices make each sum run in the
+    row-major order of `jaccard_communities`.
+    """
+    A = g.adjacency()
+    P = A[U] @ A
+    P.sort_indices()
+    deg = g.degrees().astype(np.float64)
+    rows = np.repeat(U, np.diff(P.indptr))
+    jac = P.data / (deg[rows] + deg[P.indices] - P.data)
+    own = owner[P.indices]
+    live = own >= 0
+    sums = np.bincount(own[live], weights=jac[live], minlength=len(sizes))
+    return sums / (len(U) * np.asarray(sizes))
 
 
 def _log_merge(g: Graph, provenance: list[dict], result: np.ndarray) -> None:
@@ -251,8 +318,10 @@ def detect_communities(g: Graph, W: np.ndarray, p: DetectionParams) -> Cover:
     W = as_vertex_set(W, g.n)
     if len(W) == 0:
         raise ValueError("need at least one interpolation node")
+    t0 = time.perf_counter()
     katz_params = p.katz or KatzParams(alpha=default_alpha(g))
     katz = katz_centrality(g, katz_params)
+    t1 = time.perf_counter()
 
     provenance: list[dict] = [
         {
@@ -264,9 +333,12 @@ def detect_communities(g: Graph, W: np.ndarray, p: DetectionParams) -> Cover:
         }
     ]
     cores = _split_phase(g, W, katz, provenance)
+    t2 = time.perf_counter()
     cores = merge_small(g, cores, p, provenance)
     q_final = modularity(g, core_membership(g.n, cores))
+    t3 = time.perf_counter()
     overlaps = expand_overlap(g, cores, p)
+    t4 = time.perf_counter()
     provenance.append({"action": "expand", "q_before": q_final, "q_after": q_final})
 
     communities = []
@@ -279,4 +351,10 @@ def detect_communities(g: Graph, W: np.ndarray, p: DetectionParams) -> Cover:
                 interpolation_nodes=np.intersect1d(sub, W),
             )
         )
-    return Cover(communities=communities, provenance=provenance)
+    stage_times = {
+        "katz_s": t1 - t0,
+        "split_s": t2 - t1,
+        "merge_s": t3 - t2,
+        "expand_s": t4 - t3,
+    }
+    return Cover(communities, provenance, stage_times)

@@ -74,16 +74,6 @@ def modularity(g: Graph, membership: np.ndarray) -> float:
     return float(np.sum(intra_halfedges / (2.0 * m) - (deg_tot / (2.0 * m)) ** 2))
 
 
-def jaccard_vertices(g: Graph, u: int, v: int) -> float:
-    """|N(u) ∩ N(v)| / |N(u) ∪ N(v)| over open neighborhoods."""
-    nu = set(g.neighbors(u).tolist())
-    nv = set(g.neighbors(v).tolist())
-    union = len(nu | nv)
-    if union == 0:
-        return 0.0
-    return len(nu & nv) / union
-
-
 def jaccard_communities(g: Graph, U: np.ndarray, V: np.ndarray) -> float:
     """Mean vertex Jaccard similarity over all |U|*|V| ordered pairs."""
     U = as_vertex_set(U, g.n)

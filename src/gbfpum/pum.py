@@ -150,6 +150,7 @@ def run_pipeline(
         rrmse=rrmse(y_full, approx),
         per_community=diags,
         wall_times={
+            **cover.stage_times,
             "partition_s": t1 - t0,
             "interpolate_s": t2 - t1,
             "total_s": t2 - t0,

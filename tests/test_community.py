@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gbfpum import (
     DetectionParams,
@@ -8,11 +8,13 @@ from gbfpum import (
     KatzParams,
     default_alpha,
     detect_communities,
+    jaccard_communities,
     katz_centrality,
     modularity,
 )
 from gbfpum.community import (
     Cover,
+    core_membership,
     expand_overlap,
     merge_small,
     split_community,
@@ -68,6 +70,81 @@ def overlap_oracle(g, core, p):
         elif r <= p.t_high:
             extra.update(nb)
     return sorted(extra - core_set)
+
+
+def replay_split_log(g, W, katz, provenance):
+    """Rebuild the cores each scored split saw, following the log's decisions.
+
+    Yields (entry, membership before, candidate membership) for every `split`
+    and `split_rejected` entry, calling `split_community` afresh each time.
+    """
+    log = iter(e for e in provenance if e["action"] in ("split", "split_rejected"))
+    cores = [np.arange(g.n)]
+    accepted = True  # a pass runs again only after a pass that accepted a split
+    while len(cores) <= len(W) and accepted:
+        accepted = False
+        for cid in range(len(cores)):
+            if len(cores) + 1 > len(W):
+                break
+            parts = split_community(g, cores[cid], W, katz)
+            if parts is None:
+                continue
+            candidate = cores[:cid] + [parts[0]] + cores[cid + 1 :] + [parts[1]]
+            entry = next(log)
+            yield entry, core_membership(g.n, cores), core_membership(g.n, candidate)
+            if entry["action"] == "split":
+                cores, accepted = candidate, True
+    assert next(log, None) is None, "log holds more scored splits than the replay"
+
+
+def merge_oracle(g, cores, p, provenance):
+    """`merge_small` by one `jaccard_communities` call per pair of cores.
+
+    Returns (merged cores, near_tie): near_tie is set when the two highest
+    similarities of a pick are nonzero and within a relative 1e-12, where the
+    summation order of the mean, not the tie rule, decides the pick.
+    """
+    threshold = int(np.ceil(p.small_fraction * g.n))
+    cores = [c.copy() for c in cores]
+    near_tie = False
+
+    def pick(src, candidates):
+        nonlocal near_tie
+        best, best_j = None, -1.0
+        values = []
+        for i, c in candidates:
+            jv = jaccard_communities(g, src, c)
+            values.append(jv)
+            if jv > best_j:
+                best, best_j = i, jv
+        top = sorted(values)[-2:]
+        near_tie |= len(top) == 2 and top[1] > 0 and top[1] - top[0] <= 1e-12 * top[1]
+        return best
+
+    def log(union):
+        connected = g.induced_subgraph(union)[0].is_connected()
+        action = "merge" if connected else "merge_disconnected"
+        provenance.append({"action": action, "q_before": None, "q_after": None})
+
+    big_ids = [i for i, c in enumerate(cores) if len(c) >= threshold]
+    if big_ids:
+        bigs = {i: cores[i] for i in big_ids}
+        for sid, small in enumerate(cores):
+            if sid in bigs:
+                continue
+            best = pick(small, [(b, bigs[b]) for b in big_ids])
+            bigs[best] = np.union1d(bigs[best], small)
+            log(bigs[best])
+        return [bigs[i] for i in big_ids], near_tie
+    while len(cores) > 1 and any(len(c) < threshold for c in cores):
+        src = sorted((-len(c), i) for i, c in enumerate(cores))[0][1]
+        best = pick(cores[src], [(j, c) for j, c in enumerate(cores) if j != src])
+        lo, hi = min(src, best), max(src, best)
+        union = np.union1d(cores[lo], cores[hi])
+        log(union)
+        cores = [c for i, c in enumerate(cores) if i not in (lo, hi)]
+        cores.insert(lo, union)
+    return cores, near_tie
 
 
 def check_cover_invariants(g, W, cover):
@@ -150,6 +227,18 @@ class TestSplitCommunity:
 
 
 class TestDetect:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.floats(0.05, 0.9))
+    def test_split_log_q_is_modularity(self, seed, frac):
+        g = random_connected_graph(seed, n_max=40)
+        rng = np.random.default_rng(seed)
+        W = np.flatnonzero(rng.random(g.n) < frac)
+        assume(len(W) >= 1)
+        cover = detect_communities(g, W, DetectionParams())
+        for entry, before, after in replay_split_log(g, W, global_katz(g), cover.provenance):
+            assert entry["q_before"].hex() == modularity(g, before).hex()
+            assert entry["q_after"].hex() == modularity(g, after).hex()
+
     def test_single_sample_single_community(self, two_triangle):
         cover = detect_communities(two_triangle, np.array([3]), DetectionParams())
         assert len(cover.communities) == 1
@@ -213,6 +302,38 @@ class TestMergeSmall:
         assert np.array_equal(np.sort(allv), np.arange(10))
         thr = int(np.ceil(0.2 * 10))
         assert all(len(c) >= thr for c in got) or len(got) == 1
+
+    def test_ties_go_to_lowest_id(self):
+        # path 0..8: the small core {4} is equally similar to its mirror images
+        g = Graph.from_edges(9, [(i, i + 1) for i in range(8)])
+        cores = [np.arange(4), np.array([4]), np.arange(5, 9)]
+        got = merge_small(g, cores, DetectionParams(small_fraction=0.3), [])
+        assert [c.tolist() for c in got] == [[0, 1, 2, 3, 4], [5, 6, 7, 8]]
+        # no big core, and every pair of singletons shares no neighbour: the
+        # lowest id wins each tie, so only the first union is connected
+        g = Graph.from_edges(4, [(0, 1), (2, 3)], require_connected=False)
+        prov = []
+        merge_small(g, [np.array([v]) for v in range(4)], DetectionParams(small_fraction=0.4), prov)
+        assert [e["action"] for e in prov] == ["merge"] + ["merge_disconnected"] * 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(2, 8), st.booleans())
+    def test_matches_jaccard_loop(self, seed, k, some_big):
+        g = random_connected_graph(seed, n_max=30)
+        rng = np.random.default_rng(seed)
+        member = rng.choice(k, size=g.n, p=rng.dirichlet(np.ones(k)))
+        cores = [np.flatnonzero(member == c) for c in np.unique(member)]
+        largest = max(len(c) for c in cores)
+        assume(len(cores) >= 2 and largest >= 2)
+        # threshold ceil(small_fraction * n): at most the largest core, or above it
+        threshold = int(rng.integers(2, largest + 1)) if some_big else largest + 1
+        p = DetectionParams(small_fraction=(threshold - 0.5) / g.n)
+        expect_log, got_log = [], []
+        expect, near_tie = merge_oracle(g, cores, p, expect_log)
+        assume(not near_tie)
+        got = merge_small(g, cores, p, got_log)
+        assert [c.tolist() for c in got] == [c.tolist() for c in expect]
+        assert got_log == expect_log
 
     def test_disconnected_merge_logged(self):
         # star: small cores {1} and {2} are not adjacent; merging smalls among

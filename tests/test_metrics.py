@@ -7,7 +7,6 @@ from gbfpum import (
     KatzParams,
     default_alpha,
     jaccard_communities,
-    jaccard_vertices,
     katz_centrality,
     modularity,
 )
@@ -38,6 +37,16 @@ def modularity_double_sum(g: Graph, membership) -> float:
             if membership[i] == membership[j]:
                 q += A[i, j] - k[i] * k[j] / (2 * m)
     return q / (2 * m)
+
+
+def jaccard_vertices(g: Graph, u: int, v: int) -> float:
+    """Jaccard oracle: |N(u) ∩ N(v)| / |N(u) ∪ N(v)| over open neighborhoods."""
+    nu = set(g.neighbors(u).tolist())
+    nv = set(g.neighbors(v).tolist())
+    union = len(nu | nv)
+    if union == 0:
+        return 0.0
+    return len(nu & nv) / union
 
 
 class TestKatz:

@@ -156,7 +156,24 @@ class TestPipeline:
         )
         assert len(cover.communities) == 2
         assert np.isfinite(res.rrmse)
-        assert set(res.wall_times) == {"partition_s", "interpolate_s", "total_s"}
+        assert set(res.wall_times) == {
+            "katz_s",
+            "split_s",
+            "merge_s",
+            "expand_s",
+            "partition_s",
+            "interpolate_s",
+            "total_s",
+        }
+
+    def test_stage_times_within_partition(self, geometric200):
+        y = synthetic_signal(geometric200)
+        W = sample_nodes(geometric200.n, 60, seed=5)
+        res, cover = run_pipeline(geometric200, y, W, DetectionParams(), KernelParams())
+        stages = [res.wall_times[k] for k in ("katz_s", "split_s", "merge_s", "expand_s")]
+        assert all(t >= 0.0 for t in stages)
+        assert sum(stages) <= res.wall_times["partition_s"]
+        assert "stage_times" not in cover.to_json_dict()
 
     def test_exactness_at_samples(self, geometric200):
         y = synthetic_signal(geometric200)
