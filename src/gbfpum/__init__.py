@@ -5,7 +5,6 @@ from .errors import GbfPumError
 from .graph import Graph, load_graph
 from .kernel import KernelParams, gbf_kernel
 from .metrics import (
-    KatzParams,
     default_alpha,
     jaccard_communities,
     katz_centrality,
@@ -32,7 +31,6 @@ __all__ = [
     "DetectionParams",
     "GbfPumError",
     "Graph",
-    "KatzParams",
     "KernelParams",
     "PumResult",
     "assemble_global",

@@ -14,11 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .community import DetectionParams, detect_communities
+from .community import Cover, DetectionParams, detect_communities
 from .errors import GraphError, NumericalError, ZeroSignalError
 from .graph import Graph, as_vertex_set, load_graph
 from .kernel import KernelParams
-from .metrics import KatzParams, default_alpha
 from .pum import (
     global_gbf_baseline,
     run_pipeline,
@@ -46,18 +45,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageFailure(message)
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)  # argparse turns a ValueError here into a usage error
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
-    return value
+def _param(cls, name: str) -> dict:
+    """argparse `type` and `default` from field `name` of a params dataclass.
 
+    A value the dataclass rejects becomes a usage error that names the flag.
+    """
 
-def _unit_fraction(text: str) -> float:
-    value = float(text)
-    if not 0 < value < 1:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
-    return value
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+            cls(**{name: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return {"type": parse, "default": getattr(cls, name)}  # the field's default
 
 
 def _add_common(sub: argparse.ArgumentParser, with_kernel: bool) -> None:
@@ -65,10 +67,9 @@ def _add_common(sub: argparse.ArgumentParser, with_kernel: bool) -> None:
     sub.add_argument("--samples", help="file with one sampled vertex id per line")
     sub.add_argument("--n-samples", type=int, help="draw this many seeded samples")
     sub.add_argument("--seed", type=int, default=0, help="PRNG seed for sampling")
-    sub.add_argument(
-        "--alpha", type=_positive_float, help="Katz attenuation (default: capped)"
-    )
-    sub.add_argument("--small-fraction", type=_unit_fraction, default=0.02)
+    alpha = _param(DetectionParams, "alpha")
+    sub.add_argument("--alpha", help="Katz attenuation (default: capped)", **alpha)
+    sub.add_argument("--small-fraction", **_param(DetectionParams, "small_fraction"))
     sub.add_argument("--out", required=True, help="output JSON path")
     if with_kernel:
         sub.add_argument("--signal", help="CSV of vertex_id,value")
@@ -77,8 +78,8 @@ def _add_common(sub: argparse.ArgumentParser, with_kernel: bool) -> None:
             action="store_true",
             help="use the built-in smooth reference signal",
         )
-        sub.add_argument("--epsilon", type=_positive_float, default=0.01)
-        sub.add_argument("--exponent", type=_positive_float, default=2.0)
+        sub.add_argument("--epsilon", **_param(KernelParams, "epsilon"))
+        sub.add_argument("--exponent", **_param(KernelParams, "s"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -179,17 +180,14 @@ def _resolve_signal(args, g: Graph) -> np.ndarray:
     return _load_signal(args.signal, g.n)
 
 
-def _detection_params(args, g: Graph) -> DetectionParams:
-    alpha = args.alpha if args.alpha is not None else default_alpha(g)
-    return DetectionParams(
-        small_fraction=args.small_fraction, katz=KatzParams(alpha=alpha)
-    )
+def _detection_params(args) -> DetectionParams:
+    return DetectionParams(small_fraction=args.small_fraction, alpha=args.alpha)
 
 
-def _param_block(args, dp: DetectionParams, with_kernel: bool) -> dict:
+def _param_block(args, cover: Cover, with_kernel: bool) -> dict:
     block = {
-        "alpha": dp.katz.alpha,
-        "small_fraction": dp.small_fraction,
+        "alpha": cover.provenance[0]["alpha"],  # the Katz entry: the alpha used
+        "small_fraction": args.small_fraction,
         "seed": args.seed if args.n_samples is not None else None,
     }
     if with_kernel:
@@ -207,10 +205,9 @@ def _write_json(path: str, doc: dict) -> None:
 def cmd_partition(args) -> None:
     g = _load_graph_file(args.graph)
     W = _resolve_samples(args, g.n)
-    dp = _detection_params(args, g)
-    cover = detect_communities(g, W, dp)
+    cover = detect_communities(g, W, _detection_params(args))
     doc = cover.to_json_dict()
-    doc["params"] = _param_block(args, dp, with_kernel=False)
+    doc["params"] = _param_block(args, cover, with_kernel=False)
     _write_json(args.out, doc)
 
     # plot data: one row per vertex with core id, overlap memberships, sample flag
@@ -236,9 +233,8 @@ def cmd_interpolate(args) -> None:
     W = _resolve_samples(args, g.n)
     y = _resolve_signal(args, g)
     kp = KernelParams(epsilon=args.epsilon, s=args.exponent)
-    dp = _detection_params(args, g)
-    result, cover = run_pipeline(g, y, W, dp, kp)
-    doc = result.to_json_dict(params=_param_block(args, dp, with_kernel=True))
+    result, cover = run_pipeline(g, y, W, _detection_params(args), kp)
+    doc = result.to_json_dict(params=_param_block(args, cover, with_kernel=True))
     _write_json(args.out, doc)
 
     csv_path = Path(args.out).with_suffix(".csv")
@@ -271,7 +267,7 @@ def cmd_benchmark(args) -> None:
         raise InputFailure(f"count {counts[-1]} exceeds graph order {g.n}")
     y = _resolve_signal(args, g)
     kp = KernelParams(epsilon=args.epsilon, s=args.exponent)
-    dp = _detection_params(args, g)
+    dp = _detection_params(args)
 
     rows = []
     for count in counts:
@@ -293,8 +289,8 @@ def cmd_benchmark(args) -> None:
     doc = {
         "format_version": FORMAT_VERSION,
         "rows": rows,
-        # benchmark always draws seeded samples, so its seed is always set
-        "params": {**_param_block(args, dp, with_kernel=True), "seed": args.seed},
+        # seeded samples, so the seed is always set; every cover records one alpha
+        "params": {**_param_block(args, cover, with_kernel=True), "seed": args.seed},
     }
     _write_json(args.out, doc)
     csv_path = Path(args.out).with_suffix(".csv")

@@ -16,7 +16,8 @@ import numpy as np
 from scipy.sparse import csgraph
 
 from .graph import Graph, as_vertex_set
-from .metrics import KatzParams, default_alpha, katz_centrality, modularity
+from .metrics import default_alpha, katz_centrality, modularity, modularity_from_counts
+from .numerics import check_positive
 
 FORMAT_VERSION = 1
 
@@ -28,6 +29,11 @@ class Community:
     core: np.ndarray
     overlap: np.ndarray
     interpolation_nodes: np.ndarray
+
+    @classmethod
+    def of(cls, core: np.ndarray, overlap: np.ndarray, W: np.ndarray) -> "Community":
+        """Community with the samples W in core ∪ overlap as interpolation nodes."""
+        return cls(core, overlap, np.intersect1d(np.union1d(core, overlap), W))
 
     @property
     def subdomain(self) -> np.ndarray:
@@ -64,31 +70,25 @@ class Cover:
 
     @classmethod
     def from_json_dict(cls, doc: dict, n: int, W: np.ndarray) -> "Cover":
-        comms = []
-        for entry in sorted(doc["communities"], key=lambda e: e["id"]):
-            core = as_vertex_set(entry["core"], n)
-            overlap = as_vertex_set(entry["overlap"], n)
-            sub = np.union1d(core, overlap)
-            comms.append(
-                Community(
-                    core=core,
-                    overlap=overlap,
-                    interpolation_nodes=np.intersect1d(sub, W),
-                )
-            )
+        comms = [
+            Community.of(as_vertex_set(e["core"], n), as_vertex_set(e["overlap"], n), W)
+            for e in sorted(doc["communities"], key=lambda e: e["id"])
+        ]
         return cls(communities=comms, provenance=list(doc.get("provenance", [])))
 
 
 @dataclass(frozen=True)
 class DetectionParams:
     small_fraction: float = 0.02
-    katz: KatzParams | None = None  # None -> default alpha
+    alpha: float | None = None  # Katz attenuation; None -> metrics.default_alpha
     t_low: float = 0.4
     t_high: float = 0.8
 
     def __post_init__(self):
         if not 0 < self.small_fraction < 1:
-            raise ValueError("small_fraction must lie in (0, 1)")
+            raise ValueError(f"small_fraction = {self.small_fraction} is not in (0, 1)")
+        if self.alpha is not None:
+            check_positive("alpha", self.alpha)
         if not 0 < self.t_low < self.t_high <= 1:
             raise ValueError("need 0 < t_low < t_high <= 1")
 
@@ -156,45 +156,32 @@ def _split_plan(
     ]
 
 
-def _modularity_of(counts: list[tuple[int, int]], m: int) -> float:
-    """`metrics.modularity` of cores given as (intra, degree sum) in core id order.
-
-    The float operations are those of `modularity` on the same cores, so the
-    value is bit-identical to it.
-    """
-    if m == 0:
-        return 0.0
-    intra, deg = np.array(counts, dtype=np.float64).T
-    return float(np.sum(intra / (2.0 * m) - (deg / (2.0 * m)) ** 2))
-
-
 def _split_phase(
     g: Graph, W: np.ndarray, katz: np.ndarray, provenance: list[dict]
 ) -> list[np.ndarray]:
     """Greedy divisive loop: accept each split that raises global modularity.
 
-    Each core carries its intra and degree-sum counts, so a candidate is
-    scored without a pass over the whole graph. A core's bipartition depends
-    only on the core, W and katz, so it is computed once, when the core is
-    created, and reused by every later pass that scores it.
+    Passes over the cores stop after one that accepts no split (each accepted
+    split strictly raises Q). Each core carries its intra and degree-sum
+    counts, so a candidate is scored without a pass over the whole graph. A
+    core's bipartition depends only on the core, W and katz, so it is computed
+    once, when the core is created, and reused by every later pass.
     """
     everything = np.arange(g.n, dtype=np.int64)
     cores = [everything]
     counts = [(len(g.indices), int(g.degrees().sum()))]
     plans = [_split_plan(g, everything, W, katz)]
-    q_run = _modularity_of(counts, g.m)
-    q_prev, q_curr = -1.0, -0.5
-    while len(cores) <= len(W) and q_curr > q_prev:
-        q_pass_start = q_run
-        for cid in range(len(cores)):
-            if len(cores) + 1 > len(W):
-                break
+    q_run = modularity_from_counts(*np.array(counts, dtype=np.float64).T, g.m)
+    accepted = True
+    while accepted:
+        accepted = False
+        for cid in range(len(cores)):  # cores split off in this pass wait for the next
             plan = plans[cid]
             if plan is None:
                 continue
             (side1, side2), (c1, c2) = plan
             cand = counts[:cid] + [c1] + counts[cid + 1 :] + [c2]
-            q_cand = _modularity_of(cand, g.m)
+            q_cand = modularity_from_counts(*np.array(cand, dtype=np.float64).T, g.m)
             if q_cand > q_run:
                 cores = cores[:cid] + [side1] + cores[cid + 1 :] + [side2]
                 counts = cand
@@ -204,11 +191,11 @@ def _split_phase(
                     {"action": "split", "q_before": q_run, "q_after": q_cand}
                 )
                 q_run = q_cand
+                accepted = True
             else:
                 provenance.append(
                     {"action": "split_rejected", "q_before": q_run, "q_after": q_cand}
                 )
-        q_prev, q_curr = q_pass_start, q_run
     return cores
 
 
@@ -220,22 +207,19 @@ def merge_small(
 ) -> list[np.ndarray]:
     """Fold cores smaller than ceil(small_fraction*n) into the most similar big one.
 
-    Without any big community, small cores merge among themselves largest-first
-    until every survivor is big or one core remains. Ties on Jaccard similarity
-    go to the lowest community id. Merged cores may be disconnected; that is
-    logged, not rejected.
+    Without any big core, the largest core (lowest id among equals) absorbs
+    the others one at a time, most similar to the growing union first, so a
+    single core remains. Ties on Jaccard similarity go to the lowest
+    community id. Merged cores may be disconnected; that is logged, not
+    rejected.
     """
     threshold = int(np.ceil(p.small_fraction * g.n))
     cores = [c.copy() for c in cores]
-
-    def is_small(c):
-        return len(c) < threshold
-
-    if any(not is_small(c) for c in cores):
-        bigs = [c for c in cores if not is_small(c)]
+    bigs = [c for c in cores if len(c) >= threshold]
+    if bigs:
         # later small cores compare against the big ones grown so far
         owner = _owners(g.n, bigs)
-        for small in (c for c in cores if is_small(c)):
+        for small in (c for c in cores if len(c) < threshold):
             sim = _mean_jaccard(g, small, owner, [len(c) for c in bigs])
             best = int(np.argmax(sim))
             bigs[best] = np.union1d(bigs[best], small)
@@ -243,18 +227,14 @@ def merge_small(
             _log_merge(g, provenance, bigs[best])
         return bigs
 
-    # no big community exists: merge smalls pairwise, largest first
-    while len(cores) > 1 and any(is_small(c) for c in cores):
-        src = min(range(len(cores)), key=lambda i: (-len(cores[i]), i))
-        sim = _mean_jaccard(g, cores[src], _owners(g.n, cores), [len(c) for c in cores])
-        sim[src] = -1.0
-        best = int(np.argmax(sim))
-        lo, hi = min(src, best), max(src, best)
-        union = np.union1d(cores[lo], cores[hi])
+    # no big core: the largest absorbs the rest
+    src = min(range(len(cores)), key=lambda i: (-len(cores[i]), i))
+    union, others = cores[src], cores[:src] + cores[src + 1 :]
+    while others:
+        sim = _mean_jaccard(g, union, _owners(g.n, others), [len(c) for c in others])
+        union = np.union1d(union, others.pop(int(np.argmax(sim))))
         _log_merge(g, provenance, union)
-        cores = [c for i, c in enumerate(cores) if i not in (lo, hi)]
-        cores.insert(lo, union)
-    return cores
+    return [union]
 
 
 def _mean_jaccard(
@@ -319,8 +299,8 @@ def detect_communities(g: Graph, W: np.ndarray, p: DetectionParams) -> Cover:
     if len(W) == 0:
         raise ValueError("need at least one interpolation node")
     t0 = time.perf_counter()
-    katz_params = p.katz or KatzParams(alpha=default_alpha(g))
-    katz = katz_centrality(g, katz_params)
+    alpha = default_alpha(g) if p.alpha is None else p.alpha
+    katz = katz_centrality(g, alpha)
     t1 = time.perf_counter()
 
     provenance: list[dict] = [
@@ -328,7 +308,7 @@ def detect_communities(g: Graph, W: np.ndarray, p: DetectionParams) -> Cover:
             "action": "katz",
             "q_before": None,
             "q_after": None,
-            "alpha": katz_params.alpha,
+            "alpha": alpha,
             "mode": "closed-form",
         }
     ]
@@ -341,16 +321,7 @@ def detect_communities(g: Graph, W: np.ndarray, p: DetectionParams) -> Cover:
     t4 = time.perf_counter()
     provenance.append({"action": "expand", "q_before": q_final, "q_after": q_final})
 
-    communities = []
-    for core, overlap in zip(cores, overlaps):
-        sub = np.union1d(core, overlap)
-        communities.append(
-            Community(
-                core=core,
-                overlap=overlap,
-                interpolation_nodes=np.intersect1d(sub, W),
-            )
-        )
+    communities = [Community.of(c, o, W) for c, o in zip(cores, overlaps)]
     stage_times = {
         "katz_s": t1 - t0,
         "split_s": t2 - t1,

@@ -48,6 +48,11 @@ class NotSymmetricError(NumericalError):
         super().__init__(f"matrix is not symmetric (max |M - M^T| = {max_asym:g})")
 
 
+class NonFiniteMatrixError(NumericalError):
+    def __init__(self):
+        super().__init__("matrix is non-finite (holds NaN or inf)")
+
+
 class NotPositiveDefiniteError(NumericalError):
     def __init__(self, pivot: int):
         self.pivot = pivot

@@ -1,4 +1,4 @@
-"""Immutable sparse undirected graph with Laplacian and neighborhood services.
+"""Immutable sparse undirected graph with Laplacian and subgraph services.
 
 Vertices are dense 0-based integers. Graphs are simple (no self-loops, no
 duplicate edges) and unweighted; the globally loaded graph must be connected,
@@ -25,8 +25,9 @@ from .errors import (
 class Graph:
     """Undirected simple graph held as one read-only binary CSR adjacency.
 
-    `indptr` and `indices` are the adjacency's own arrays; every structural
-    query (neighbors, connectivity, subgraphs, Laplacians) reads that matrix.
+    `indptr` and `indices` are the adjacency's own arrays (row v lists the
+    sorted neighbors of v); every structural query (degrees, connectivity,
+    subgraphs, Laplacians) reads that matrix.
     """
 
     __slots__ = ("n", "m", "indptr", "indices", "_adj")
@@ -69,28 +70,8 @@ class Graph:
             raise DisconnectedError()
         return g
 
-    def neighbors(self, v: int) -> np.ndarray:
-        """Sorted adjacency row of v (read-only view)."""
-        if not 0 <= v < self.n:
-            raise OutOfRangeError(v, self.n)
-        return self.indices[self.indptr[v] : self.indptr[v + 1]]
-
-    def degree(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise OutOfRangeError(v, self.n)
-        return int(self.indptr[v + 1] - self.indptr[v])
-
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
-
-    def neighborhood(self, v: int, radius: int = 1) -> np.ndarray:
-        """Vertices within `radius` hops of v (radius 1 or 2), excluding v."""
-        if radius not in (1, 2):
-            raise ValueError("radius must be 1 or 2")
-        nb = self.neighbors(v)
-        if radius == 1:
-            return nb.copy()
-        return np.setdiff1d(np.union1d(nb, self._adj[nb].indices), [v])
 
     def is_connected(self) -> bool:
         return csgraph.connected_components(self._adj, directed=False)[0] == 1

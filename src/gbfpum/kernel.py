@@ -20,7 +20,7 @@ import scipy.sparse as sp
 
 from .errors import NonPositiveShiftError
 from .graph import Graph
-from .numerics import check_symmetric, sparse_lu, sym_eigen
+from .numerics import check_positive, sparse_lu, sym_eigen
 
 SHIFT_TOL = 1e-12
 
@@ -31,16 +31,12 @@ class KernelParams:
     s: float = 2.0
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.s <= 0:
-            raise ValueError("s must be positive")
+        check_positive("epsilon", self.epsilon)
+        check_positive("s", self.s)
 
 
 def gbf_kernel(L: np.ndarray, p: KernelParams) -> np.ndarray:
     """Positive definite kernel matrix (eps I + L)^(-s) from the spectrum of L."""
-    L = np.asarray(L, dtype=np.float64)
-    check_symmetric(L)
     eig = sym_eigen(L)
     shift = p.epsilon + eig.values[0]
     if shift <= SHIFT_TOL:

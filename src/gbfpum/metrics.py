@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import AlphaDivergesError, EmptySetError
 from .graph import Graph, as_vertex_set
-from .numerics import sparse_lu
+from .numerics import check_positive, sparse_lu
 
 DEFAULT_ALPHA_CAP = 0.5
 DEFAULT_ALPHA_SAFETY = 0.85
@@ -29,24 +27,16 @@ def default_alpha(g: Graph) -> float:
     return min(DEFAULT_ALPHA_CAP, DEFAULT_ALPHA_SAFETY / spectral_radius_bound(g))
 
 
-@dataclass(frozen=True)
-class KatzParams:
-    alpha: float
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-
-
-def katz_centrality(g: Graph, p: KatzParams) -> np.ndarray:
+def katz_centrality(g: Graph, alpha: float) -> np.ndarray:
     """Katz centrality: sum over walk lengths k of alpha^k (A^k 1)_i.
 
     Solves the sparse system (I - alpha A) x = 1 and returns x - 1.
     """
+    check_positive("alpha", alpha)
     bound = spectral_radius_bound(g)
-    if p.alpha >= 1.0 / bound:
-        raise AlphaDivergesError(p.alpha, 1.0 / bound)
-    M = sp.identity(g.n, format="csr") - p.alpha * g.adjacency()
+    if alpha >= 1.0 / bound:
+        raise AlphaDivergesError(alpha, 1.0 / bound)
+    M = sp.identity(g.n, format="csr") - alpha * g.adjacency()
     x = sparse_lu(M).solve(np.ones(g.n))
     return x - 1.0
 
@@ -60,10 +50,7 @@ def modularity(g: Graph, membership: np.ndarray) -> float:
     membership = np.asarray(membership)
     if len(membership) != g.n:
         raise ValueError("membership must assign every vertex")
-    m = g.m
-    if m == 0:
-        return 0.0
-    n_comm = int(membership.max()) + 1
+    n_comm = int(membership.max(initial=-1)) + 1
     deg = g.degrees().astype(np.float64)
     rows = np.repeat(np.arange(g.n), deg.astype(np.int64))
     same = membership[rows] == membership[g.indices]
@@ -71,7 +58,18 @@ def modularity(g: Graph, membership: np.ndarray) -> float:
         membership[rows][same], minlength=n_comm
     ).astype(np.float64)
     deg_tot = np.bincount(membership, weights=deg, minlength=n_comm)
-    return float(np.sum(intra_halfedges / (2.0 * m) - (deg_tot / (2.0 * m)) ** 2))
+    return modularity_from_counts(intra_halfedges, deg_tot, g.m)
+
+
+def modularity_from_counts(intra: np.ndarray, deg: np.ndarray, m: int) -> float:
+    """Q from each community's intra half-edge count and degree sum, in community order.
+
+    The one float recipe for Q: `modularity` and the split scorer both end
+    here, so their values agree bit for bit.
+    """
+    if m == 0:
+        return 0.0
+    return float(np.sum(intra / (2.0 * m) - (deg / (2.0 * m)) ** 2))
 
 
 def jaccard_communities(g: Graph, U: np.ndarray, V: np.ndarray) -> float:

@@ -10,6 +10,7 @@ n x n matrix is formed for them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,12 @@ from scipy.linalg import eigh
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.sparse.linalg import SuperLU, eigsh, splu
 
-from .errors import NotPositiveDefiniteError, NotSymmetricError, SparseSolverError
+from .errors import (
+    NonFiniteMatrixError,
+    NotPositiveDefiniteError,
+    NotSymmetricError,
+    SparseSolverError,
+)
 
 SYM_TOL = 1e-12
 # Shift-invert pole for `low_eigen`: below the spectrum of a positive
@@ -34,10 +40,17 @@ class EigenDecomposition:
     vectors: np.ndarray  # orthonormal columns, same order as values
 
 
+def check_positive(name: str, value: float) -> None:
+    """Raise ValueError unless `value` is a positive finite number."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a positive finite number, got {value}")
+
+
 def check_symmetric(M, tol: float = SYM_TOL) -> None:
     """Raise NotSymmetricError unless max|M - M^T| <= tol * max(1, max|M|).
 
-    Accepts dense arrays and scipy sparse matrices; the sparse check is O(nnz).
+    NaN or inf entries raise NonFiniteMatrixError (NaN passes any tolerance
+    test). Accepts dense arrays and scipy sparse matrices; O(nnz) when sparse.
     """
     if not sp.issparse(M):
         M = np.asarray(M, dtype=np.float64)
@@ -45,9 +58,11 @@ def check_symmetric(M, tol: float = SYM_TOL) -> None:
         raise NotSymmetricError(float("inf"))
     if M.shape[0] == 0:
         return
-    scale = max(1.0, float(abs(M).max()))
+    peak = float(abs(M).max())  # NaN when any entry is NaN
+    if not math.isfinite(peak):
+        raise NonFiniteMatrixError()
     asym = float(abs(M - M.T).max())
-    if asym > tol * scale:
+    if asym > tol * max(1.0, peak):
         raise NotSymmetricError(asym)
 
 

@@ -164,12 +164,7 @@ def global_gbf_baseline(
 ) -> PumResult:
     """Single-domain kernel interpolation over the whole graph."""
     W = as_vertex_set(W, g.n)
-    if len(W) == 0:
-        raise NoSamplesError(0)
-    everything = np.arange(g.n, dtype=np.int64)
-    c = Community(
-        core=everything, overlap=np.empty(0, dtype=np.int64), interpolation_nodes=W
-    )
+    c = Community.of(np.arange(g.n, dtype=np.int64), np.empty(0, dtype=np.int64), W)
     t0 = time.perf_counter()
     s, diag = local_interpolant(g, c, y_full, kp, community_id=0)
     t1 = time.perf_counter()

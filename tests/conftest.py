@@ -8,6 +8,11 @@ from gbfpum import Graph, load_graph, synthetic_signal
 DATA = Path(__file__).resolve().parent.parent / "data"
 
 
+def neighbors(g: Graph, v: int) -> list[int]:
+    """Sorted neighbors of v: row v of the CSR adjacency."""
+    return g.indices[g.indptr[v] : g.indptr[v + 1]].tolist()
+
+
 def path_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 

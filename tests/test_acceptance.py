@@ -10,7 +10,6 @@ import pytest
 
 from gbfpum import (
     DetectionParams,
-    KatzParams,
     KernelParams,
     assemble_global,
     build_pu,
@@ -133,12 +132,12 @@ def test_katz_oracle_equivalence(path3):
         alpha = 0.1 / float(g.degrees().max())
         terms = max(60, int(np.ceil(np.log(1e-12 / g.n) / np.log(alpha))))
         assert alpha**terms * g.n < 1e-12
-        closed = katz_centrality(g, KatzParams(alpha=alpha))
+        closed = katz_centrality(g, alpha)
         trunc = katz_series(g, alpha, terms)
         worst = max(worst, float(np.abs(closed - trunc).max()))
     path_gap = float(
         np.abs(
-            katz_centrality(path3, KatzParams(alpha=0.1))
+            katz_centrality(path3, 0.1)
             - np.array([0.122449, 0.224490, 0.122449])
         ).max()
     )

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gbfpum import default_alpha, load_graph
 from gbfpum.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -123,7 +124,9 @@ class TestInterpolate:
             ("--epsilon", "-1"),
             ("--epsilon", "nan"),
             ("--exponent", "0"),
+            ("--exponent", "inf"),
             ("--alpha", "-0.1"),
+            ("--alpha", "nan"),
             ("--small-fraction", "2"),
             ("--small-fraction", "0"),
         ],
@@ -206,6 +209,21 @@ class TestBenchmark:
         graph, _, signal = fixture_files
         rc = main(["benchmark", "--graph", str(graph), "--signal", str(signal), "--counts", "7", "--out", str(tmp_path / "o.json")])
         assert rc == 2
+
+
+def test_params_alpha_is_the_alpha_used(fixture_files, tmp_path):
+    graph, samples, signal = fixture_files
+    default = default_alpha(load_graph(graph.read_text()))
+    runs = {
+        "partition": ["--samples", str(samples)],
+        "interpolate": ["--samples", str(samples), "--signal", str(signal)],
+        "benchmark": ["--counts", "2,4", "--signal", str(signal)],
+    }
+    out = tmp_path / "o.json"
+    for command, args in runs.items():
+        for extra, alpha in (([], default), (["--alpha", "0.05"], 0.05)):
+            assert main([command, "--graph", str(graph), "--out", str(out), *args, *extra]) == 0
+            assert json.loads(out.read_text())["params"]["alpha"] == alpha
 
 
 def test_unknown_subcommand_exit_1(tmp_path):

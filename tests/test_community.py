@@ -5,7 +5,6 @@ from hypothesis import assume, given, settings, strategies as st
 from gbfpum import (
     DetectionParams,
     Graph,
-    KatzParams,
     default_alpha,
     detect_communities,
     jaccard_communities,
@@ -20,11 +19,11 @@ from gbfpum.community import (
     split_community,
 )
 
-from conftest import random_connected_graph
+from conftest import neighbors, random_connected_graph
 
 
 def global_katz(g):
-    return katz_centrality(g, KatzParams(alpha=default_alpha(g)))
+    return katz_centrality(g, default_alpha(g))
 
 
 def bfs_hops(g, src, allowed):
@@ -34,7 +33,7 @@ def bfs_hops(g, src, allowed):
     while frontier:
         nxt = []
         for u in frontier:
-            for w in g.neighbors(u).tolist():
+            for w in neighbors(g, u):
                 if w in allowed and w not in dist:
                     dist[w] = dist[u] + 1
                     nxt.append(w)
@@ -59,14 +58,14 @@ def overlap_oracle(g, core, p):
     core_set = set(core.tolist())
     extra = set()
     for v in core.tolist():
-        nb = g.neighbors(v).tolist()
+        nb = neighbors(g, v)
         if not nb:
             continue
         r = sum(w in core_set for w in nb) / len(nb)
         if r <= p.t_low:
             extra.update(nb)
             for u in nb:
-                extra.update(g.neighbors(u).tolist())
+                extra.update(neighbors(g, u))
         elif r <= p.t_high:
             extra.update(nb)
     return sorted(extra - core_set)
@@ -259,6 +258,11 @@ class TestDetect:
         check_cover_invariants(path10, np.arange(10), cover)
         accepted = [e for e in cover.provenance if e["action"] == "split"]
         assert accepted, "a path should admit at least one modularity-raising split"
+
+    def test_bad_params(self):
+        for alpha in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                DetectionParams(alpha=alpha)
 
     def test_determinism(self, geometric200):
         W = np.arange(0, 200, 7)

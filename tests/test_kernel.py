@@ -65,6 +65,9 @@ class TestGbfKernel:
             KernelParams(epsilon=0.0)
         with pytest.raises(ValueError):
             KernelParams(s=-1.0)
+        for bad in ({"s": np.nan}, {"s": np.inf}, {"epsilon": np.inf}):
+            with pytest.raises(ValueError):
+                KernelParams(**bad)
 
 
 class TestKernelColumns:

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from gbfpum import (
     Graph,
-    KatzParams,
     default_alpha,
     jaccard_communities,
     katz_centrality,
@@ -12,7 +11,7 @@ from gbfpum import (
 )
 from gbfpum.errors import AlphaDivergesError
 
-from conftest import random_connected_graph
+from conftest import neighbors, random_connected_graph
 
 
 def katz_series(g: Graph, alpha: float, terms: int) -> np.ndarray:
@@ -41,8 +40,8 @@ def modularity_double_sum(g: Graph, membership) -> float:
 
 def jaccard_vertices(g: Graph, u: int, v: int) -> float:
     """Jaccard oracle: |N(u) ∩ N(v)| / |N(u) ∪ N(v)| over open neighborhoods."""
-    nu = set(g.neighbors(u).tolist())
-    nv = set(g.neighbors(v).tolist())
+    nu = set(neighbors(g, u))
+    nv = set(neighbors(g, v))
     union = len(nu | nv)
     if union == 0:
         return 0.0
@@ -51,12 +50,12 @@ def jaccard_vertices(g: Graph, u: int, v: int) -> float:
 
 class TestKatz:
     def test_path3_closed_form(self, path3):
-        got = katz_centrality(path3, KatzParams(alpha=0.1))
+        got = katz_centrality(path3, 0.1)
         assert np.allclose(got, [0.122449, 0.224490, 0.122449], atol=1e-6)
 
     def test_vertex_transitive_equal(self):
         tri = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
-        got = katz_centrality(tri, KatzParams(alpha=0.2))
+        got = katz_centrality(tri, 0.2)
         assert np.ptp(got) <= 1e-12
 
     def test_truncated_one_term(self, path3):
@@ -65,7 +64,7 @@ class TestKatz:
 
     def test_alpha_diverges(self, path3):
         with pytest.raises(AlphaDivergesError):
-            katz_centrality(path3, KatzParams(alpha=0.6))  # 1/maxdeg = 0.5
+            katz_centrality(path3, 0.6)  # 1/maxdeg = 0.5
 
     def test_default_alpha_capped(self, path3, two_triangle):
         assert default_alpha(path3) == pytest.approx(0.85 / 2)
@@ -74,7 +73,7 @@ class TestKatz:
     def test_truncated_converges_to_closed_form_from_below(self):
         g = random_connected_graph(123, n_max=50)
         alpha = 0.3 / g.degrees().max()
-        exact = katz_centrality(g, KatzParams(alpha=alpha))
+        exact = katz_centrality(g, alpha)
         prev_gap = np.inf
         for terms in (5, 10, 20, 60, 120):
             trunc = katz_series(g, alpha, terms)
@@ -84,9 +83,10 @@ class TestKatz:
             prev_gap = gap
         assert prev_gap < 1e-8
 
-    def test_bad_params(self):
-        with pytest.raises(ValueError):
-            KatzParams(alpha=-1.0)
+    def test_bad_params(self, path3):
+        for alpha in (-1.0, np.nan):
+            with pytest.raises(ValueError):
+                katz_centrality(path3, alpha)
 
 
 class TestModularity:

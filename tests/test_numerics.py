@@ -3,7 +3,12 @@ import pytest
 import scipy.sparse as sp
 
 from gbfpum import spd_solve, sym_eigen
-from gbfpum.errors import NotPositiveDefiniteError, NotSymmetricError, SparseSolverError
+from gbfpum.errors import (
+    NonFiniteMatrixError,
+    NotPositiveDefiniteError,
+    NotSymmetricError,
+    SparseSolverError,
+)
 from gbfpum.numerics import check_symmetric, low_eigen, sparse_lu
 
 from conftest import random_connected_graph
@@ -89,6 +94,18 @@ class TestSpdSolve:
         B = rng.standard_normal((10, 4))
         X = spd_solve(M, B)
         assert np.abs(M @ X - B).max() <= 1e-8
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "factor",
+    [lambda M: spd_solve(M, np.ones(2)), sym_eigen, lambda M: sparse_lu(sp.csr_matrix(M))],
+    ids=["spd_solve", "sym_eigen", "sparse_lu"],
+)
+def test_non_finite_matrix_rejected(factor, bad):
+    # NaN passes every tolerance comparison, so it is rejected before them
+    with pytest.raises(NonFiniteMatrixError, match="non-finite"):
+        factor(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 class TestSparse:
