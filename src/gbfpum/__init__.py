@@ -16,6 +16,7 @@ from .pum import (
     assemble_global,
     build_pu,
     global_gbf_baseline,
+    interpolate_cover,
     local_interpolant,
     rrmse,
     run_pipeline,
@@ -39,6 +40,7 @@ __all__ = [
     "detect_communities",
     "gbf_kernel",
     "global_gbf_baseline",
+    "interpolate_cover",
     "jaccard_communities",
     "katz_centrality",
     "load_graph",

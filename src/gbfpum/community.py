@@ -98,20 +98,22 @@ def split_community(
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Bipartition a sorted core at its two most central sample nodes.
 
-    Seeds are the top two Katz-ranked members of W inside the core (ties to
-    the lower vertex id); every core vertex joins the seed it reaches in
-    fewer hops within the induced core subgraph. The first seed takes ties
-    and the vertices neither seed reaches. Returns None when the core holds
-    fewer than two sample nodes.
+    Seeds are the top two Katz-ranked members of the sorted sample set W
+    inside the core (ties to the lower vertex id); every core vertex joins the
+    seed it reaches in fewer hops within the induced core subgraph. The first
+    seed takes ties and the vertices neither seed reaches. Returns None when
+    the core holds fewer than two sample nodes.
     """
-    w_in = np.intersect1d(core, W)
-    if len(w_in) < 2:
+    pos = np.searchsorted(W, core)
+    sampled = pos < len(W)
+    sampled[sampled] = W[pos[sampled]] == core[sampled]
+    local = np.flatnonzero(sampled)
+    if len(local) < 2:
         return None
-    seeds = sorted(w_in.tolist(), key=lambda v: (-katz[v], v))[:2]
-    sub = g.adjacency()[core][:, core]
-    d1, d2 = csgraph.shortest_path(
-        sub, unweighted=True, indices=np.searchsorted(core, seeds)
-    )
+    w_in = core[local]
+    seeds = local[np.lexsort((w_in, -katz[w_in]))[:2]]
+    sub = g.disjoint_union([core]).adjacency()
+    d1, d2 = csgraph.dijkstra(sub, unweighted=True, indices=seeds)
     to_second = d2 < d1
     return core[~to_second], core[to_second]
 
@@ -138,22 +140,17 @@ def _split_plan(
     """The core's bipartition and each side's (intra, degree sum) counts.
 
     `intra` counts the ordered vertex pairs inside the side joined by an edge,
-    as `metrics.modularity` does; both sides' counts come from one label-mask
-    pass over the core's adjacency rows.
+    as `metrics.modularity` does: the entries of that side's rows in the
+    disjoint union of the two sides' induced subgraphs.
     """
     parts = split_community(g, core, W, katz)
     if parts is None:
         return None
-    rows = g.adjacency()[core]
-    label = np.zeros(g.n, dtype=np.int8)  # 0 outside the core
-    for k, side in enumerate(parts, start=1):
-        label[side] = k
-    src = np.repeat(label[core], np.diff(rows.indptr))
-    intra = np.bincount(src[src == label[rows.indices]], minlength=3)
+    indptr = g.union_csr(list(parts))[0]
+    cut = int(indptr[len(parts[0])])
+    intra = (cut, int(indptr[-1]) - cut)
     deg = g.degrees()
-    return parts, [
-        (int(intra[k]), int(deg[side].sum())) for k, side in enumerate(parts, start=1)
-    ]
+    return parts, [(k, int(deg[side].sum())) for k, side in zip(intra, parts)]
 
 
 def _split_phase(

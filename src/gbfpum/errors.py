@@ -74,6 +74,16 @@ class NonPositiveShiftError(NumericalError):
         )
 
 
+class SampleFreePieceError(NumericalError):
+    def __init__(self, community_id: int, piece_size: int):
+        self.community_id = community_id
+        self.piece_size = piece_size
+        super().__init__(
+            f"community {community_id} has a connected piece of {piece_size} "
+            "vertices with no interpolation node; the interpolant there is undefined"
+        )
+
+
 class AlphaDivergesError(NumericalError):
     def __init__(self, alpha: float, bound: float):
         self.alpha = alpha

@@ -89,6 +89,35 @@ class Graph:
         S.sort_indices()
         return Graph(len(vs), S.indptr, S.indices, S.nnz // 2), vs
 
+    def disjoint_union(self, parts: list[np.ndarray]) -> "Graph":
+        """Disjoint union of the subgraphs induced by sorted vertex sets `parts`.
+
+        Vertex i of the result is a copy of vertex concat(parts)[i]; two
+        copies are adjacent when they come from the same part and their
+        originals are adjacent.
+        """
+        indptr, indices = self.union_csr(parts)
+        return Graph(len(indptr) - 1, indptr, indices, len(indices) // 2)
+
+    def union_csr(self, parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """CSR arrays (indptr, indices) of `disjoint_union(parts)`, rows sorted.
+
+        Read with one numpy gather over `indptr`/`indices`, with no sparse
+        object: each copy keeps the neighbors found in its own part.
+        """
+        vs = np.concatenate(parts)
+        part = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
+        key = part * self.n + vs  # strictly increasing: sorted parts, in order
+        starts = self.indptr[vs]
+        counts = self.indptr[vs + 1] - starts
+        row = np.repeat(np.arange(len(vs)), counts)
+        flat = np.arange(len(row)) + (starts - np.cumsum(counts) + counts)[row]
+        nbr_key = part[row] * self.n + self.indices[flat]
+        col = np.minimum(np.searchsorted(key, nbr_key), max(len(vs) - 1, 0))
+        hit = key[col] == nbr_key
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(row[hit], minlength=len(vs)))])
+        return indptr, col[hit]
+
     def adjacency(self) -> sp.csr_matrix:
         """Binary adjacency matrix as scipy CSR (shared and read-only)."""
         return self._adj

@@ -1,14 +1,15 @@
-"""Polyharmonic-spline kernel matrices on graph Laplacians.
+"""Polyharmonic-spline kernels on graph Laplacians and their precision matrices.
 
-K = (eps I + L)^(-s). `kernel_columns` is the entry point and picks one of
-two routes:
+K = (eps I + L)^(-s). The two interpolation routes of `pum` reach it
+differently:
 
-- integer s: the needed columns K[:, cols] = M^(-s) E_cols with
-  M = eps I + L, from one sparse LU of M and s solve passes; no dense
-  n x n matrix is formed.
-- any other s: the spectral expansion sum_k (eps + lambda_k)^(-s) u_k u_k^T
-  of a dense eigendecomposition (`gbf_kernel`), which the tests also use as
-  the oracle for the sparse route.
+- the kernel route (`kernel_columns`) forms the columns K[:, cols] the
+  interpolant needs. For integer s they come from one sparse LU of
+  M = eps I + L and s solve passes, with no dense n x n matrix; for any
+  other s from the spectral expansion of a dense eigendecomposition
+  (`gbf_kernel`), which the tests also use as the oracle for the sparse one.
+- the native route never forms K: for integer s the precision matrix
+  A = K^(-1) = M^s (`precision_matrix`) is sparse, and `pum` solves with it.
 """
 
 from __future__ import annotations
@@ -35,15 +36,39 @@ class KernelParams:
         check_positive("s", self.s)
 
 
-def gbf_kernel(L: np.ndarray, p: KernelParams) -> np.ndarray:
-    """Positive definite kernel matrix (eps I + L)^(-s) from the spectrum of L."""
+def gbf_kernel(L: np.ndarray, p: KernelParams, cols: np.ndarray) -> np.ndarray:
+    """Columns `cols` (distinct) of the kernel (eps I + L)^(-s), from the spectrum of L.
+
+    K[:, cols] = U diag(w) U[cols]^T with w = (eps + lambda)^(-s), formed
+    without the full n x n matrix; the block K[cols, cols] is made exactly
+    symmetric. Pass np.arange(n) for the whole matrix.
+    """
     eig = sym_eigen(L)
     shift = p.epsilon + eig.values[0]
     if shift <= SHIFT_TOL:
         raise NonPositiveShiftError(float(shift))
     w = (p.epsilon + eig.values) ** (-p.s)
-    K = (eig.vectors * w) @ eig.vectors.T
-    return (K + K.T) / 2.0
+    K = eig.vectors @ (w[:, None] * eig.vectors[cols].T)
+    block = K[cols]
+    K[cols] = (block + block.T) / 2.0
+    return K
+
+
+def _shifted_laplacian(g: Graph, p: KernelParams) -> sp.csr_matrix:
+    """M = eps I + L as scipy CSR, L the Laplacian of g; K = M^(-s)."""
+    shift = p.epsilon  # + lambda_min, which is 0 for every graph Laplacian
+    if shift <= SHIFT_TOL:
+        raise NonPositiveShiftError(float(shift))
+    return (g.sparse_laplacian() + p.epsilon * sp.identity(g.n, format="csr")).tocsr()
+
+
+def precision_matrix(g: Graph, p: KernelParams) -> sp.csr_matrix:
+    """A = K^(-1) = (eps I + L)^s for integer s: sparse, with s-hop fill."""
+    M = _shifted_laplacian(g, p)
+    A = M
+    for _ in range(int(p.s) - 1):
+        A = A @ M
+    return A.tocsr()
 
 
 def kernel_columns(g: Graph, cols: np.ndarray, p: KernelParams) -> np.ndarray:
@@ -54,11 +79,8 @@ def kernel_columns(g: Graph, cols: np.ndarray, p: KernelParams) -> np.ndarray:
     factor-and-solve route, any other s the dense spectral one.
     """
     if not float(p.s).is_integer():
-        return gbf_kernel(g.laplacian(), p)[:, cols]
-    shift = p.epsilon  # + lambda_min, which is 0 for every graph Laplacian
-    if shift <= SHIFT_TOL:
-        raise NonPositiveShiftError(float(shift))
-    lu = sparse_lu(g.sparse_laplacian() + p.epsilon * sp.identity(g.n, format="csr"))
+        return gbf_kernel(g.laplacian(), p, cols)
+    lu = sparse_lu(_shifted_laplacian(g, p))
     X = np.zeros((g.n, len(cols)), order="F")
     X[cols, np.arange(len(cols))] = 1.0
     for _ in range(int(p.s)):

@@ -1,4 +1,20 @@
-"""Partition-of-unity kernel interpolation: local solves, global blending, errors."""
+"""Partition-of-unity kernel interpolation: local solves, global blending, errors.
+
+`interpolate_cover` is the interpolation stage of `run_pipeline`. It takes
+one of two routes to the local kernel interpolants of K = (eps I + L)^(-s):
+
+- integer s, the native route: every subdomain becomes one block of a
+  disjoint-union graph, whose precision matrix A = (eps I + L)^s = K^-1 is
+  sparse. With S the sampled vertex copies and U the others, the block
+  inverse identity K[U,S] K[S,S]^-1 = -A[U,U]^-1 A[U,S] gives every local
+  interpolant from one sparse LU: f[S] = y[S], A[U,U] f[U] = -A[U,S] y[S].
+- any other s, the kernel route: one `local_interpolant` per community,
+  which solves K[W,W] a = y[W] on the kernel columns K[:, W], blended by
+  `assemble_global`.
+
+`global_gbf_baseline` is the paper's single-domain comparison and stays on
+the kernel route for every s.
+"""
 
 from __future__ import annotations
 
@@ -6,12 +22,18 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csgraph
 
 from .community import Community, Cover, DetectionParams, detect_communities
-from .errors import NoSamplesError, UncoveredVertexError, ZeroSignalError
+from .errors import (
+    NoSamplesError,
+    SampleFreePieceError,
+    UncoveredVertexError,
+    ZeroSignalError,
+)
 from .graph import Graph, as_vertex_set
-from .kernel import KernelParams, kernel_columns
-from .numerics import low_eigen, spd_solve, sym_eigen
+from .kernel import KernelParams, kernel_columns, precision_matrix
+from .numerics import low_eigen, sparse_lu, spd_solve, sym_eigen
 
 
 @dataclass
@@ -29,7 +51,13 @@ class CommunityDiagnostics:
     community_id: int
     subdomain_size: int
     sample_count: int
+    # relative residual of the solved system: K[W,W] on the kernel route,
+    # A[U,U] on the native one
     solve_residual: float
+    # connected pieces of the subdomain and the fewest samples in any of them;
+    # None when not counted (a lone `local_interpolant` call)
+    pieces: int | None = None
+    min_piece_samples: int | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -37,6 +65,8 @@ class CommunityDiagnostics:
             "subdomain_size": self.subdomain_size,
             "sample_count": self.sample_count,
             "solve_residual": self.solve_residual,
+            "pieces": self.pieces,
+            "min_piece_samples": self.min_piece_samples,
         }
 
 
@@ -125,6 +155,99 @@ def rrmse(truth: np.ndarray, approx: np.ndarray) -> float:
     return float(np.linalg.norm(truth - approx) / denom)
 
 
+def _piece_health(
+    g: Graph, part: np.ndarray, sampled: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Connected pieces per part of a disjoint union, and the fewest samples in any piece.
+
+    Vertex i of g belongs to part[i] (0 <= part < k) and is an interpolation
+    node where sampled[i]. A piece without one would get the zero
+    interpolant, so it raises SampleFreePieceError for the lowest such part.
+    """
+    count, piece = csgraph.connected_components(g.adjacency(), directed=False)
+    piece_part = np.empty(count, dtype=np.int64)
+    piece_part[piece] = part
+    samples = np.bincount(piece[sampled], minlength=count)
+    empty = np.flatnonzero(samples == 0)
+    if len(empty):
+        worst = empty[np.argmin(piece_part[empty])]
+        raise SampleFreePieceError(int(piece_part[worst]), int(np.sum(piece == worst)))
+    fewest = np.full(k, np.iinfo(np.int64).max)
+    np.minimum.at(fewest, piece_part, samples)
+    return np.bincount(piece_part, minlength=k), fewest
+
+
+def _native_solve(
+    union: Graph, part: np.ndarray, sampled: np.ndarray, y_s: np.ndarray, kp: KernelParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """f = y on the sampled copies and -A[U,U]^-1 A[U,S] y[S] on the others.
+
+    Also returns each part's relative residual of the A[U,U] system.
+    """
+    A = precision_matrix(union, kp)
+    U = np.flatnonzero(~sampled)
+    f = np.empty(union.n)
+    f[sampled] = y_s
+    rows = A[U]
+    A_uu = rows[:, U]
+    b = -(rows[:, np.flatnonzero(sampled)] @ y_s)
+    if len(U):
+        f[U] = sparse_lu(A_uu).solve(b)
+    k = int(part.max()) + 1
+    resid2 = np.bincount(part[U], weights=(A_uu @ f[U] - b) ** 2, minlength=k)
+    rhs2 = np.bincount(part[U], weights=b**2, minlength=k)
+    return f, np.sqrt(resid2) / np.maximum(np.sqrt(rhs2), 1.0)
+
+
+def interpolate_cover(
+    g: Graph, cover: Cover, y: np.ndarray, kp: KernelParams
+) -> tuple[np.ndarray, list[CommunityDiagnostics]]:
+    """Partition-of-unity approximant of y from its values at the cover's interpolation nodes.
+
+    Every community's local interpolant, native route for integer s and
+    kernel route otherwise (see the module docstring), blended with weight
+    1/multiplicity. Before any solve, one connected-components pass over the
+    subdomains' disjoint union counts each subdomain's pieces; a piece with
+    no interpolation node raises SampleFreePieceError.
+    """
+    pu = build_pu(cover, g.n)
+    comms = cover.communities
+    for cid, c in enumerate(comms):
+        if len(c.interpolation_nodes) == 0:
+            raise NoSamplesError(cid)
+    subs = [c.subdomain for c in comms]
+    sizes = np.array([len(sub) for sub in subs])
+    part = np.repeat(np.arange(len(comms)), sizes)
+    copies = np.concatenate(subs)
+    sampled = np.zeros(len(copies), dtype=bool)
+    for off, sub, c in zip(np.cumsum(sizes) - sizes, subs, comms):
+        sampled[off + np.searchsorted(sub, c.interpolation_nodes)] = True
+    union = g.disjoint_union(subs)
+    pieces, fewest = _piece_health(union, part, sampled, len(comms))
+
+    if float(kp.s).is_integer():
+        y_s = y[copies[sampled]]
+        f, resid = _native_solve(union, part, sampled, y_s, kp)
+        approx = np.bincount(
+            copies, weights=pu.weights(copies) * f, minlength=g.n
+        )
+        approx[copies[sampled]] = y_s  # every local interpolant holds y there
+        diags = [
+            CommunityDiagnostics(cid, len(sub), len(c.interpolation_nodes), float(r))
+            for cid, (sub, c, r) in enumerate(zip(subs, comms, resid))
+        ]
+    else:
+        locals_, diags = [], []
+        for cid, c in enumerate(comms):
+            s, d = local_interpolant(g, c, y, kp, community_id=cid)
+            locals_.append(s)
+            diags.append(d)
+        approx = assemble_global(cover, pu, locals_, g.n)
+    for d, count, least in zip(diags, pieces, fewest):
+        d.pieces, d.min_piece_samples = int(count), int(least)
+    return approx, diags
+
+
 def run_pipeline(
     g: Graph,
     y_full: np.ndarray,
@@ -137,13 +260,7 @@ def run_pipeline(
     t0 = time.perf_counter()
     cover = detect_communities(g, W, dp)
     t1 = time.perf_counter()
-    pu = build_pu(cover, g.n)
-    locals_, diags = [], []
-    for cid, c in enumerate(cover.communities):
-        s, d = local_interpolant(g, c, y_full, kp, community_id=cid)
-        locals_.append(s)
-        diags.append(d)
-    approx = assemble_global(cover, pu, locals_, g.n)
+    approx, diags = interpolate_cover(g, cover, y_full, kp)
     t2 = time.perf_counter()
     result = PumResult(
         approximant=approx,
@@ -162,12 +279,24 @@ def run_pipeline(
 def global_gbf_baseline(
     g: Graph, y_full: np.ndarray, W: np.ndarray, kp: KernelParams
 ) -> PumResult:
-    """Single-domain kernel interpolation over the whole graph."""
+    """Single-domain kernel interpolation over the whole graph: the paper's baseline.
+
+    It stays on the kernel route (kernel columns and a Cholesky solve of
+    K[W,W]) for every s, on purpose. On the native route of
+    `interpolate_cover` the global solve costs as much as the partition of
+    unity at the paper's sizes: at N=400 on the 2642-vertex road graph the
+    subdomains hold 2,691 vertex copies, more than the graph itself, and both
+    solves took about 0.009 s (best of seven, one BLAS thread).
+    """
     W = as_vertex_set(W, g.n)
     c = Community.of(np.arange(g.n, dtype=np.int64), np.empty(0, dtype=np.int64), W)
     t0 = time.perf_counter()
     s, diag = local_interpolant(g, c, y_full, kp, community_id=0)
     t1 = time.perf_counter()
+    sampled = np.zeros(g.n, dtype=bool)
+    sampled[W] = True
+    pieces, fewest = _piece_health(g, np.zeros(g.n, dtype=np.int64), sampled, 1)
+    diag.pieces, diag.min_piece_samples = int(pieces[0]), int(fewest[0])
     return PumResult(
         approximant=s,
         rrmse=rrmse(y_full, s),

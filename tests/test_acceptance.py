@@ -16,6 +16,7 @@ from gbfpum import (
     detect_communities,
     gbf_kernel,
     global_gbf_baseline,
+    interpolate_cover,
     katz_centrality,
     local_interpolant,
     modularity,
@@ -154,7 +155,7 @@ def test_kernel_correctness(geometric200):
     lam = sym_eigen(L).values
     worst_oracle, worst_spec = 0.0, 0.0
     for s in (1, 2):
-        K = gbf_kernel(L, KernelParams(epsilon=eps, s=float(s)))
+        K = gbf_kernel(L, KernelParams(epsilon=eps, s=float(s)), np.arange(len(L)))
         worst_oracle = max(
             worst_oracle, float(np.abs(K - inverse_power_oracle(L, eps, s)).max())
         )
@@ -223,16 +224,7 @@ def test_speedup_over_global_baseline(minnesota, minnesota_signal, minnesota_run
     # cost of the first call (BLAS thread start-up) falls on neither
     W, _, cover = minnesota_runs[400]
     g, y, kp = minnesota, minnesota_signal, KernelParams()
-
-    def interpolate_locally():
-        pu = build_pu(cover, g.n)
-        locals_ = [
-            local_interpolant(g, c, y, kp, community_id=cid)[0]
-            for cid, c in enumerate(cover.communities)
-        ]
-        assemble_global(cover, pu, locals_, g.n)
-
-    local_time = _best_of_three(interpolate_locally)
+    local_time = _best_of_three(lambda: interpolate_cover(g, cover, y, kp))
     base_time = _best_of_three(lambda: global_gbf_baseline(g, y, W, kp))
     report(
         "local interpolation beats global dense solve",

@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 from gbfpum import Graph, load_graph
@@ -150,3 +151,17 @@ def test_csr_queries_match_edge_oracle(seed):
             expect = sorted(local[w] for w in neighbors(g, v) if w in keep)
             assert neighbors(sub, local[v]) == expect
         assert 2 * sub.m == sub.degrees().sum()
+
+
+@given(st.integers(0, 10**6), st.integers(1, 4))
+def test_disjoint_union_matches_induced_blocks(seed, k):
+    # overlapping, possibly empty parts: one block per part, no edge across parts
+    g = random_connected_graph(seed)
+    rng = np.random.default_rng(seed)
+    parts = [np.flatnonzero(rng.random(g.n) < 0.5) for _ in range(k)]
+    union = g.disjoint_union(parts)
+    blocks = [g.induced_subgraph(p)[0].adjacency() for p in parts if len(p)]
+    expect = sp.block_diag(blocks, format="csr") if blocks else sp.csr_matrix((0, 0))
+    assert union.n == sum(map(len, parts)) and 2 * union.m == union.degrees().sum()
+    assert (union.adjacency() != expect).nnz == 0
+    assert all(neighbors(union, i) == sorted(neighbors(union, i)) for i in range(union.n))

@@ -1,0 +1,220 @@
+"""The interpolation stage `interpolate_cover`: native route, kernel route, pieces."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse import csgraph
+
+import gbfpum.kernel
+import gbfpum.metrics
+import gbfpum.pum
+from gbfpum import (
+    DetectionParams,
+    Graph,
+    KernelParams,
+    assemble_global,
+    build_pu,
+    detect_communities,
+    global_gbf_baseline,
+    interpolate_cover,
+    local_interpolant,
+    run_pipeline,
+    sample_nodes,
+)
+from gbfpum.cli import EXIT_NUMERICAL, main
+from gbfpum.community import Community, Cover
+from gbfpum.errors import (
+    NoSamplesError,
+    NonPositiveShiftError,
+    NumericalError,
+    SampleFreePieceError,
+)
+
+from conftest import DATA, path_graph, random_connected_graph
+
+
+def kernel_route(g: Graph, cover: Cover, y: np.ndarray, kp: KernelParams) -> np.ndarray:
+    """Per-community kernel interpolants blended by 1/multiplicity."""
+    locals_ = [local_interpolant(g, c, y, kp)[0] for c in cover.communities]
+    return assemble_global(cover, build_pu(cover, g.n), locals_, g.n)
+
+
+def community(core, nodes, overlap=()):
+    return Community(
+        core=np.array(core, dtype=np.int64),
+        overlap=np.array(overlap, dtype=np.int64),
+        interpolation_nodes=np.array(nodes, dtype=np.int64),
+    )
+
+
+def independent_pieces(g: Graph, c: Community) -> list[tuple[int, int]]:
+    """(size, sample count) of each connected piece of c's subdomain."""
+    sub, vs = g.induced_subgraph(c.subdomain)
+    count, label = csgraph.connected_components(sub.adjacency(), directed=False)
+    sampled = np.isin(vs, c.interpolation_nodes)
+    return [(int(np.sum(label == p)), int(np.sum(sampled[label == p]))) for p in range(count)]
+
+
+@pytest.fixture(scope="module")
+def road_covers(minnesota):
+    return {
+        count: detect_communities(minnesota, sample_nodes(minnesota.n, count, 0), DetectionParams())
+        for count in (200, 400, 600, 800)
+    }
+
+
+class TestNativeRoute:
+    # At s = 3 and epsilon = 0.01, (eps I + L)^3 has condition number near 1e9
+    # on the road graph, and both routes sit up to ~1e-9 max|y| from a refined
+    # solve at N = 200; epsilon = 0.05 keeps s = 3 well inside 1e-10.
+    @pytest.mark.parametrize("s,eps", [(1, 0.01), (2, 0.01), (3, 0.05)])
+    def test_matches_kernel_route_on_road_graph(self, minnesota, minnesota_signal, road_covers, s, eps):
+        kp = KernelParams(epsilon=eps, s=float(s))
+        scale = np.abs(minnesota_signal).max()
+        for count, cover in road_covers.items():
+            native, _ = interpolate_cover(minnesota, cover, minnesota_signal, kp)
+            ref = kernel_route(minnesota, cover, minnesota_signal, kp)
+            assert np.abs(native - ref).max() <= 1e-10 * scale, count
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from([1.0, 2.0, 3.0]))
+    def test_matches_kernel_route_on_random_graphs(self, seed, s):
+        g = random_connected_graph(seed)
+        rng = np.random.default_rng(seed)
+        W = np.flatnonzero(rng.random(g.n) < 0.3)
+        if len(W) == 0:
+            W = np.array([0])
+        y = rng.standard_normal(g.n)
+        cover = detect_communities(g, W, DetectionParams())
+        kp = KernelParams(epsilon=0.5, s=s)
+        native, _ = interpolate_cover(g, cover, y, kp)
+        ref = kernel_route(g, cover, y, kp)
+        assert np.abs(native - ref).max() <= 1e-10 * np.abs(y).max()
+
+    def test_samples_exact_and_calls_bit_identical(self, minnesota, minnesota_signal, road_covers):
+        W = sample_nodes(minnesota.n, 400, 0)
+        a, diags = interpolate_cover(minnesota, road_covers[400], minnesota_signal, KernelParams())
+        b, _ = interpolate_cover(minnesota, road_covers[400], minnesota_signal, KernelParams())
+        assert np.array_equal(a[W], minnesota_signal[W])
+        assert np.array_equal(a, b)
+        assert all(d.solve_residual <= 1e-10 for d in diags)
+
+    def test_one_sparse_lu_per_integer_pipeline(self, monkeypatch, geometric200):
+        calls = {}
+        for module in (gbfpum.metrics, gbfpum.kernel, gbfpum.pum):
+            name = module.__name__.split(".")[-1]
+            original = getattr(module, "sparse_lu")
+
+            def counted(M, name=name, original=original):
+                calls[name] = calls.get(name, 0) + 1
+                return original(M)
+
+            monkeypatch.setattr(module, "sparse_lu", counted)
+        y = np.cos(np.arange(geometric200.n))
+        run_pipeline(geometric200, y, sample_nodes(200, 40, 1), DetectionParams(), KernelParams())
+        # Katz centrality in detection, then one factor for every community
+        assert calls == {"metrics": 1, "pum": 1}
+
+    def test_fractional_s_keeps_kernel_route(self, geometric200):
+        W = sample_nodes(200, 40, 2)
+        y = np.sin(np.arange(200) / 7.0)
+        cover = detect_communities(geometric200, W, DetectionParams())
+        kp = KernelParams(s=1.5)
+        got, diags = interpolate_cover(geometric200, cover, y, kp)
+        assert np.array_equal(got, kernel_route(geometric200, cover, y, kp))
+        assert [d.community_id for d in diags] == list(range(len(cover.communities)))
+
+    def test_all_sampled_community(self, path10):
+        # no unsampled copy: nothing to factor, the samples are the answer
+        y = np.arange(10.0)
+        got, diags = interpolate_cover(path10, Cover([community(range(10), range(10))]), y, KernelParams())
+        assert np.array_equal(got, y)
+        assert diags[0].solve_residual == 0.0
+
+    @pytest.mark.parametrize("s", [2.0, 1.5])
+    def test_nonpositive_shift(self, path10, s):
+        cover = Cover([community(range(10), [0, 5])])
+        with pytest.raises(NonPositiveShiftError):
+            interpolate_cover(path10, cover, np.ones(10), KernelParams(epsilon=1e-13, s=s))
+
+    def test_community_without_samples(self, path10):
+        cover = Cover([community(range(5), [2]), community(range(5, 10), [])])
+        with pytest.raises(NoSamplesError):
+            interpolate_cover(path10, cover, np.ones(10), KernelParams())
+
+
+class TestPieces:
+    @staticmethod
+    def split_cover(nodes_b):
+        # on the path 0-...-9, community 1 = {5, 6} + {8, 9}: two pieces
+        return Cover(
+            [community(range(5), [2]), community([5, 6, 8, 9], nodes_b), community([7], [7])]
+        )
+
+    @pytest.mark.parametrize("s", [2.0, 1.5])
+    def test_sample_free_piece_raises(self, path10, s):
+        with pytest.raises(SampleFreePieceError) as exc:
+            interpolate_cover(path10, self.split_cover([9]), np.ones(10), KernelParams(s=s))
+        assert (exc.value.community_id, exc.value.piece_size) == (1, 2)
+        assert isinstance(exc.value, NumericalError)
+
+    @pytest.mark.parametrize("s", [2.0, 1.5])
+    def test_pieces_reported(self, path10, s):
+        cover = self.split_cover([5, 9])
+        y = np.cos(np.arange(10.0))
+        got, diags = interpolate_cover(path10, cover, y, KernelParams(s=s))
+        assert [(d.pieces, d.min_piece_samples) for d in diags] == [(1, 1), (2, 1), (1, 1)]
+        assert np.abs(got - kernel_route(path10, cover, y, KernelParams(s=s))).max() <= 1e-12
+        doc = diags[1].to_json_dict()
+        assert (doc["pieces"], doc["min_piece_samples"]) == (2, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.floats(0.05, 0.5))
+    def test_detection_search_for_sample_free_pieces(self, seed, small_fraction):
+        g = random_connected_graph(seed, n_max=60)
+        rng = np.random.default_rng(seed)
+        W = np.unique(rng.integers(0, g.n, int(rng.integers(1, max(2, g.n // 4)))))
+        cover = detect_communities(g, W, DetectionParams(small_fraction=small_fraction))
+        pieces = [independent_pieces(g, c) for c in cover.communities]
+        free = [(cid, size) for cid, ps in enumerate(pieces) for size, k in ps if k == 0]
+        if free:
+            with pytest.raises(SampleFreePieceError) as exc:
+                interpolate_cover(g, cover, np.ones(g.n), KernelParams())
+            assert (exc.value.community_id, exc.value.piece_size) == free[0]
+            return
+        _, diags = interpolate_cover(g, cover, np.ones(g.n), KernelParams())
+        assert [(d.pieces, d.min_piece_samples) for d in diags] == [
+            (len(ps), min(k for _, k in ps)) for ps in pieces
+        ]
+
+    def test_baseline_on_disconnected_graph(self):
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)], require_connected=False)
+        with pytest.raises(SampleFreePieceError) as exc:
+            global_gbf_baseline(g, np.ones(5), np.array([0]), KernelParams())
+        assert (exc.value.community_id, exc.value.piece_size) == (0, 2)
+        base = global_gbf_baseline(g, np.ones(5), np.array([0, 4]), KernelParams())
+        assert (base.per_community[0].pieces, base.per_community[0].min_piece_samples) == (2, 1)
+
+    def test_cli_exit_code_and_json_keys(self, monkeypatch, tmp_path):
+        out = tmp_path / "res.json"
+        argv = ["interpolate", "--graph", str(DATA / "geometric_200.edges"), "--synthetic",
+                "--n-samples", "30", "--out", str(out)]
+        assert main(argv) == 0
+        rows = json.loads(out.read_text())["per_community"]
+        assert all(r["pieces"] >= 1 and r["min_piece_samples"] >= 1 for r in rows)
+
+        def sample_free(*args):
+            raise SampleFreePieceError(3, 7)
+
+        monkeypatch.setattr("gbfpum.cli.run_pipeline", sample_free)
+        assert main(argv) == EXIT_NUMERICAL
+
+
+def test_path_pipeline_reports_one_piece_per_community():
+    g = path_graph(30)
+    y = np.sin(np.arange(30) / 4.0)
+    res, cover = run_pipeline(g, y, np.array([2, 14, 27]), DetectionParams(), KernelParams())
+    assert len(res.per_community) == len(cover.communities)
+    assert all(d.pieces == 1 and d.min_piece_samples >= 1 for d in res.per_community)

@@ -21,12 +21,12 @@ def inverse_power_oracle(L: np.ndarray, eps: float, s: int) -> np.ndarray:
 
 class TestGbfKernel:
     def test_single_vertex(self):
-        K = gbf_kernel(np.array([[0.0]]), KernelParams(epsilon=1.0, s=3.0))
+        K = gbf_kernel(np.array([[0.0]]), KernelParams(epsilon=1.0, s=3.0), np.arange(1))
         assert K == pytest.approx(np.array([[1.0]]))
 
     def test_single_edge_hand_inverse(self):
         g = Graph.from_edges(2, [(0, 1)])
-        K = gbf_kernel(g.laplacian(), KernelParams(epsilon=1.0, s=1.0))
+        K = gbf_kernel(g.laplacian(), KernelParams(epsilon=1.0, s=1.0), np.arange(2))
         assert np.allclose(K, [[2 / 3, 1 / 3], [1 / 3, 2 / 3]], atol=1e-12)
 
     @pytest.mark.parametrize("s", [1, 2])
@@ -34,31 +34,31 @@ class TestGbfKernel:
         g = random_connected_graph(7, n_min=20, n_max=30)
         L = g.laplacian()
         p = KernelParams(epsilon=0.5, s=float(s))
-        assert np.abs(gbf_kernel(L, p) - inverse_power_oracle(L, 0.5, s)).max() <= 1e-8
+        assert np.abs(gbf_kernel(L, p, np.arange(g.n)) - inverse_power_oracle(L, 0.5, s)).max() <= 1e-8
 
     def test_spectrum_is_transformed_laplacian_spectrum(self, path10):
         L = path10.laplacian()
         p = KernelParams(epsilon=0.3, s=2.0)
         lam = sym_eigen(L).values
-        got = np.sort(sym_eigen(gbf_kernel(L, p)).values)
+        got = np.sort(sym_eigen(gbf_kernel(L, p, np.arange(10))).values)
         expect = np.sort((p.epsilon + lam) ** (-p.s))
         assert np.abs(got - expect).max() <= 1e-9
 
     def test_spd_witness(self, two_triangle):
-        K = gbf_kernel(two_triangle.laplacian(), KernelParams())
+        K = gbf_kernel(two_triangle.laplacian(), KernelParams(), np.arange(two_triangle.n))
         spd_solve(K, np.ones(two_triangle.n))  # Cholesky must succeed
 
     def test_increasing_s_shrinks_spectrum(self, path10):
         # with epsilon such that eps + lambda_k > 1 for all k
         L = path10.laplacian() + 0.0
         eps = 1.5
-        lam2 = sym_eigen(gbf_kernel(L, KernelParams(epsilon=eps, s=2.0))).values
-        lam3 = sym_eigen(gbf_kernel(L, KernelParams(epsilon=eps, s=3.0))).values
+        lam2 = sym_eigen(gbf_kernel(L, KernelParams(epsilon=eps, s=2.0), np.arange(10))).values
+        lam3 = sym_eigen(gbf_kernel(L, KernelParams(epsilon=eps, s=3.0), np.arange(10))).values
         assert (np.sort(lam3) < np.sort(lam2) + 1e-15).all()
 
     def test_not_symmetric(self):
         with pytest.raises(NotSymmetricError):
-            gbf_kernel(np.array([[1.0, 0.5], [0.0, 1.0]]), KernelParams())
+            gbf_kernel(np.array([[1.0, 0.5], [0.0, 1.0]]), KernelParams(), np.arange(2))
 
     def test_bad_params(self):
         with pytest.raises(ValueError):
@@ -75,7 +75,7 @@ class TestKernelColumns:
 
     @staticmethod
     def _gap(g: Graph, cols: np.ndarray, p: KernelParams) -> tuple[float, float]:
-        K = gbf_kernel(g.laplacian(), p)
+        K = gbf_kernel(g.laplacian(), p, np.arange(g.n))
         got = kernel_columns(g, cols, p)
         return float(np.abs(got - K[:, cols]).max()), float(np.abs(K).max())
 
@@ -109,7 +109,7 @@ class TestKernelColumns:
     def test_fractional_s_is_dense_route(self, path10):
         p = KernelParams(epsilon=0.3, s=1.5)
         cols = np.array([1, 4, 8])
-        assert np.array_equal(kernel_columns(path10, cols, p), gbf_kernel(path10.laplacian(), p)[:, cols])
+        assert np.array_equal(kernel_columns(path10, cols, p), gbf_kernel(path10.laplacian(), p, cols))
 
     @pytest.mark.parametrize("s", [2.0, 1.5])
     def test_nonpositive_shift_through_local_interpolant(self, path10, s):
