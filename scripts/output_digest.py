@@ -1,0 +1,83 @@
+#!/usr/bin/env python3
+"""Print one JSON line of output digests per road-graph case, to compare two checkouts.
+
+Run with the checkout's sources first on the path and diff the outputs:
+
+    PYTHONPATH=src python3 scripts/output_digest.py > digest.jsonl
+
+Cases, all on data/minnesota_surrogate.edges with the reference signal and
+epsilon 0.01:
+
+- 28 `run_pipeline` calls at N = 200, 400, 600, 800: the benchmark sweep's 24
+  (sample seeds 0-4 at s = 2, sample seed 5 at s = 1.5), plus sample seed 0 at
+  s = 1 and s = 3 for N = 200 and 800;
+- `global_gbf_baseline` at N = 200 and 800, sample seed 0, s = 2.
+
+Each line holds the sha256 of the cover JSON, of the approximant's bytes off
+the samples W and at W, and of the diagnostics JSON; the `repr` of rrmse; and
+how many sample values the approximant misses.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+
+from gbfpum import (
+    DetectionParams,
+    KernelParams,
+    global_gbf_baseline,
+    load_graph,
+    run_pipeline,
+    sample_nodes,
+    synthetic_signal,
+)
+
+GRAPH = Path(__file__).resolve().parent.parent / "data" / "minnesota_surrogate.edges"
+COUNTS = (200, 400, 600, 800)
+PIPELINES = (
+    [(count, seed, 2.0) for seed in range(5) for count in COUNTS]
+    + [(count, 5, 1.5) for count in COUNTS]
+    + [(count, 0, s) for s in (1.0, 3.0) for count in (200, 800)]
+)
+GLOBAL_COUNTS = (200, 800)
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest(case: str, y, W, result, cover_json) -> dict:
+    at_w = np.zeros(len(y), dtype=bool)
+    at_w[W] = True
+    approx = result.approximant
+    diags = json.dumps([d.to_json_dict() for d in result.per_community], sort_keys=True)
+    return {
+        "case": case,
+        "cover": None if cover_json is None else sha(cover_json.encode()),
+        "approx_off_w": sha(approx[~at_w].tobytes()),
+        "approx_at_w": sha(approx[at_w].tobytes()),
+        "w_misses": int(np.sum(approx[W] != y[W])),
+        "rrmse": repr(result.rrmse),
+        "diagnostics": sha(diags.encode()),
+    }
+
+
+def main() -> None:
+    with open(GRAPH) as fh:
+        g = load_graph(fh)
+    y = synthetic_signal(g)
+    for count, seed, s in PIPELINES:
+        W = sample_nodes(g.n, count, seed)
+        result, cover = run_pipeline(g, y, W, DetectionParams(), KernelParams(s=s))
+        case = f"run_pipeline N={count} sample_seed={seed} s={s:g}"
+        print(json.dumps(digest(case, y, W, result, cover.to_json())), flush=True)
+    for count in GLOBAL_COUNTS:
+        W = sample_nodes(g.n, count, 0)
+        result = global_gbf_baseline(g, y, W, KernelParams())
+        print(json.dumps(digest(f"global_gbf_baseline N={count}", y, W, result, None)), flush=True)
+
+
+if __name__ == "__main__":
+    main()

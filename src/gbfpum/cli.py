@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .community import Cover, DetectionParams, detect_communities
+from .community import FORMAT_VERSION, Cover, DetectionParams, detect_communities
 from .errors import GraphError, NumericalError, ZeroSignalError
 from .graph import Graph, as_vertex_set, load_graph
 from .kernel import KernelParams
@@ -28,8 +28,6 @@ from .pum import (
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
-
-FORMAT_VERSION = 1
 
 
 class UsageFailure(Exception):
@@ -64,8 +62,6 @@ def _param(cls, name: str) -> dict:
 
 def _add_common(sub: argparse.ArgumentParser, with_kernel: bool) -> None:
     sub.add_argument("--graph", required=True, help="edge-list file")
-    sub.add_argument("--samples", help="file with one sampled vertex id per line")
-    sub.add_argument("--n-samples", type=int, help="draw this many seeded samples")
     sub.add_argument("--seed", type=int, default=0, help="PRNG seed for sampling")
     alpha = _param(DetectionParams, "alpha")
     sub.add_argument("--alpha", help="Katz attenuation (default: capped)", **alpha)
@@ -91,6 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     si = subs.add_parser("interpolate", help="reconstruct a signal from samples")
     _add_common(si, with_kernel=True)
+
+    for sub in (sp, si):
+        sub.add_argument("--samples", help="file with one sampled vertex id per line")
+        sub.add_argument("--n-samples", type=int, help="draw this many seeded samples")
 
     sb = subs.add_parser("benchmark", help="sweep sample counts; optional baseline")
     _add_common(sb, with_kernel=True)
@@ -188,7 +188,8 @@ def _param_block(args, cover: Cover, with_kernel: bool) -> dict:
     block = {
         "alpha": cover.provenance[0]["alpha"],  # the Katz entry: the alpha used
         "small_fraction": args.small_fraction,
-        "seed": args.seed if args.n_samples is not None else None,
+        # seeded samples unless a sample file was given; benchmark always draws
+        "seed": args.seed if getattr(args, "samples", None) is None else None,
     }
     if with_kernel:
         block["epsilon"] = args.epsilon
@@ -257,10 +258,6 @@ def cmd_benchmark(args) -> None:
         raise UsageFailure("--counts must list at least one sample count")
     if counts != sorted(counts):
         raise UsageFailure("--counts must be ascending")
-    if args.samples is not None:
-        raise UsageFailure("benchmark draws seeded samples; --samples not supported")
-    if args.n_samples is not None:
-        raise UsageFailure("benchmark takes counts from --counts, not --n-samples")
 
     g = _load_graph_file(args.graph)
     if counts[-1] > g.n:
@@ -289,8 +286,7 @@ def cmd_benchmark(args) -> None:
     doc = {
         "format_version": FORMAT_VERSION,
         "rows": rows,
-        # seeded samples, so the seed is always set; every cover records one alpha
-        "params": {**_param_block(args, cover, with_kernel=True), "seed": args.seed},
+        "params": _param_block(args, cover, with_kernel=True),  # every cover records one alpha
     }
     _write_json(args.out, doc)
     csv_path = Path(args.out).with_suffix(".csv")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csgraph
@@ -35,8 +36,9 @@ class Community:
         """Community with the samples W in core ∪ overlap as interpolation nodes."""
         return cls(core, overlap, np.intersect1d(np.union1d(core, overlap), W))
 
-    @property
+    @cached_property
     def subdomain(self) -> np.ndarray:
+        # computed once: core and overlap are never modified, and no caller writes to it
         return np.union1d(self.core, self.overlap)
 
 
@@ -211,7 +213,6 @@ def merge_small(
     rejected.
     """
     threshold = int(np.ceil(p.small_fraction * g.n))
-    cores = [c.copy() for c in cores]
     bigs = [c for c in cores if len(c) >= threshold]
     if bigs:
         # later small cores compare against the big ones grown so far

@@ -77,7 +77,7 @@ class Graph:
         return csgraph.connected_components(self._adj, directed=False)[0] == 1
 
     def induced_subgraph(self, vs: np.ndarray) -> tuple["Graph", np.ndarray]:
-        """Subgraph on vertex set vs.
+        """Subgraph on vertex set vs: the disjoint union of one part.
 
         Returns (subgraph, vs) where vs maps local index -> global id.
         The subgraph may be disconnected.
@@ -85,9 +85,7 @@ class Graph:
         vs = as_vertex_set(vs, self.n)
         if len(vs) == 0:
             raise EmptySetError()
-        S = self._adj[vs][:, vs]
-        S.sort_indices()
-        return Graph(len(vs), S.indptr, S.indices, S.nnz // 2), vs
+        return self.disjoint_union([vs]), vs
 
     def disjoint_union(self, parts: list[np.ndarray]) -> "Graph":
         """Disjoint union of the subgraphs induced by sorted vertex sets `parts`.

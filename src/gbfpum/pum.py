@@ -1,30 +1,33 @@
 """Partition-of-unity kernel interpolation: local solves, global blending, errors.
 
-`interpolate_cover` is the interpolation stage of `run_pipeline`. It takes
-one of two routes to the local kernel interpolants of K = (eps I + L)^(-s):
+`interpolate_cover` is the interpolation stage of `run_pipeline`. Every
+subdomain becomes one block of a disjoint-union graph of vertex copies, and
+one of two solvers fills one vector f over those copies with the local
+kernel interpolants of K = (eps I + L)^(-s):
 
-- integer s, the native route: every subdomain becomes one block of a
-  disjoint-union graph, whose precision matrix A = (eps I + L)^s = K^-1 is
-  sparse. With S the sampled vertex copies and U the others, the block
-  inverse identity K[U,S] K[S,S]^-1 = -A[U,U]^-1 A[U,S] gives every local
-  interpolant from one sparse LU: f[S] = y[S], A[U,U] f[U] = -A[U,S] y[S].
-- any other s, the kernel route: one `local_interpolant` per community,
-  which solves K[W,W] a = y[W] on the kernel columns K[:, W], blended by
-  `assemble_global`.
+- integer s, the native route: the precision matrix A = (eps I + L)^s = K^-1
+  of the union is sparse. With S the sampled vertex copies and U the others,
+  the block inverse identity K[U,S] K[S,S]^-1 = -A[U,U]^-1 A[U,S] gives every
+  local interpolant from one sparse LU: f[S] = y[S], A[U,U] f[U] = -A[U,S] y[S].
+- any other s, the kernel route: `local_interpolant` on each subdomain's
+  induced subgraph, which solves K[W,W] a = y[W] on the kernel columns K[:, W].
 
-`global_gbf_baseline` is the paper's single-domain comparison and stays on
-the kernel route for every s.
+Both routes then share one blend (`assemble_global`, weight 1/multiplicity),
+one write-back of y at the samples, and one diagnostics record per community.
+
+`global_gbf_baseline` is the paper's single-domain comparison: one
+`local_interpolant` on the whole graph, on the kernel route for every s.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.sparse import csgraph
 
-from .community import Community, Cover, DetectionParams, detect_communities
+from .community import FORMAT_VERSION, Cover, DetectionParams, detect_communities
 from .errors import (
     NoSamplesError,
     SampleFreePieceError,
@@ -54,20 +57,12 @@ class CommunityDiagnostics:
     # relative residual of the solved system: K[W,W] on the kernel route,
     # A[U,U] on the native one
     solve_residual: float
-    # connected pieces of the subdomain and the fewest samples in any of them;
-    # None when not counted (a lone `local_interpolant` call)
-    pieces: int | None = None
-    min_piece_samples: int | None = None
+    # connected pieces of the subdomain and the fewest samples in any of them
+    pieces: int
+    min_piece_samples: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "community_id": self.community_id,
-            "subdomain_size": self.subdomain_size,
-            "sample_count": self.sample_count,
-            "solve_residual": self.solve_residual,
-            "pieces": self.pieces,
-            "min_piece_samples": self.min_piece_samples,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -79,7 +74,7 @@ class PumResult:
 
     def to_json_dict(self, params: dict | None = None) -> dict:
         doc = {
-            "format_version": 1,
+            "format_version": FORMAT_VERSION,
             "rrmse": self.rrmse,
             "n_communities": len(self.per_community),
             "per_community": [d.to_json_dict() for d in self.per_community],
@@ -102,45 +97,32 @@ def build_pu(cover: Cover, n: int) -> PartitionOfUnity:
 
 
 def local_interpolant(
-    g: Graph, c: Community, y: np.ndarray, p: KernelParams, community_id: int = 0
-) -> tuple[np.ndarray, CommunityDiagnostics]:
-    """Kernel interpolant on one subdomain, exact at its sample nodes.
+    g: Graph, nodes: np.ndarray, y_nodes: np.ndarray, p: KernelParams
+) -> tuple[np.ndarray, float]:
+    """Kernel interpolant on graph g from the values y_nodes at its vertices nodes.
 
-    Solves K[W,W] a = y[W] on the subdomain's kernel matrix and evaluates
-    s(v) = sum_i a_i K[v, w_i] at every subdomain vertex. The kernel enters
-    only through its columns K[:, W] (`kernel_columns`).
+    Solves K[W,W] a = y[W] (W = nodes) and evaluates s(v) = sum_i a_i K[v, w_i]
+    at every vertex of g, so s reproduces y at W up to the solve's rounding.
+    The kernel enters only through its columns K[:, W] (`kernel_columns`).
+    Also returns the relative residual of the K[W,W] system.
     """
-    nodes = c.interpolation_nodes
     if len(nodes) == 0:
-        raise NoSamplesError(community_id)
-    sub, vs = g.induced_subgraph(c.subdomain)
-    w_loc = np.searchsorted(vs, nodes)
-    Kw = kernel_columns(sub, w_loc, p)
-    Kww = Kw[w_loc]
-    y_w = y[nodes]
-    a = spd_solve(Kww, y_w)
-    resid = float(np.linalg.norm(Kww @ a - y_w) / max(np.linalg.norm(y_w), 1.0))
-    s = Kw @ a
-    diag = CommunityDiagnostics(
-        community_id=community_id,
-        subdomain_size=len(vs),
-        sample_count=len(nodes),
-        solve_residual=resid,
-    )
-    return s, diag
+        raise NoSamplesError(0)
+    Kw = kernel_columns(g, nodes, p)
+    Kww = Kw[nodes]
+    a = spd_solve(Kww, y_nodes)
+    resid = float(np.linalg.norm(Kww @ a - y_nodes) / max(np.linalg.norm(y_nodes), 1.0))
+    return Kw @ a, resid
 
 
 def assemble_global(
     cover: Cover, pu: PartitionOfUnity, locals_: list[np.ndarray], n: int
 ) -> np.ndarray:
-    """Blend local interpolants with the partition-of-unity weights."""
+    """Blend local interpolants with the partition-of-unity weights, summed in community order."""
     if len(locals_) != len(cover.communities):
         raise ValueError("need one local vector per community")
-    out = np.zeros(n)
-    for c, s in zip(cover.communities, locals_):
-        sub = c.subdomain
-        out[sub] += pu.weights(sub) * s
-    return out
+    copies = np.concatenate([c.subdomain for c in cover.communities])
+    return np.bincount(copies, weights=pu.weights(copies) * np.concatenate(locals_), minlength=n)
 
 
 def rrmse(truth: np.ndarray, approx: np.ndarray) -> float:
@@ -205,8 +187,10 @@ def interpolate_cover(
     """Partition-of-unity approximant of y from its values at the cover's interpolation nodes.
 
     Every community's local interpolant, native route for integer s and
-    kernel route otherwise (see the module docstring), blended with weight
-    1/multiplicity. Before any solve, one connected-components pass over the
+    kernel route otherwise (see the module docstring), fills its block of
+    one vector over the subdomains' vertex copies; `assemble_global` blends
+    the blocks with weight 1/multiplicity and y is written back at the
+    samples. Before any solve, one connected-components pass over the
     subdomains' disjoint union counts each subdomain's pieces; a piece with
     no interpolation node raises SampleFreePieceError.
     """
@@ -217,34 +201,34 @@ def interpolate_cover(
             raise NoSamplesError(cid)
     subs = [c.subdomain for c in comms]
     sizes = np.array([len(sub) for sub in subs])
+    starts = np.cumsum(sizes) - sizes
+    offsets = starts[1:]
     part = np.repeat(np.arange(len(comms)), sizes)
     copies = np.concatenate(subs)
     sampled = np.zeros(len(copies), dtype=bool)
-    for off, sub, c in zip(np.cumsum(sizes) - sizes, subs, comms):
+    for off, sub, c in zip(starts, subs, comms):
         sampled[off + np.searchsorted(sub, c.interpolation_nodes)] = True
     union = g.disjoint_union(subs)
     pieces, fewest = _piece_health(union, part, sampled, len(comms))
+    y_s = y[copies[sampled]]
 
     if float(kp.s).is_integer():
-        y_s = y[copies[sampled]]
         f, resid = _native_solve(union, part, sampled, y_s, kp)
-        approx = np.bincount(
-            copies, weights=pu.weights(copies) * f, minlength=g.n
-        )
-        approx[copies[sampled]] = y_s  # every local interpolant holds y there
-        diags = [
-            CommunityDiagnostics(cid, len(sub), len(c.interpolation_nodes), float(r))
-            for cid, (sub, c, r) in enumerate(zip(subs, comms, resid))
-        ]
     else:
-        locals_, diags = [], []
-        for cid, c in enumerate(comms):
-            s, d = local_interpolant(g, c, y, kp, community_id=cid)
-            locals_.append(s)
-            diags.append(d)
-        approx = assemble_global(cover, pu, locals_, g.n)
-    for d, count, least in zip(diags, pieces, fewest):
-        d.pieces, d.min_piece_samples = int(count), int(least)
+        solved = [
+            local_interpolant(g.induced_subgraph(sub)[0], np.flatnonzero(hit), y[sub[hit]], kp)
+            for sub, hit in zip(subs, np.split(sampled, offsets))
+        ]
+        f = np.concatenate([values for values, _ in solved])
+        resid = [r for _, r in solved]
+    approx = assemble_global(cover, pu, np.split(f, offsets), g.n)
+    approx[copies[sampled]] = y_s  # the solves and the weighted sums hold y only to rounding
+    diags = [
+        CommunityDiagnostics(
+            cid, len(sub), len(c.interpolation_nodes), float(r), int(count), int(least)
+        )
+        for cid, (sub, c, r, count, least) in enumerate(zip(subs, comms, resid, pieces, fewest))
+    ]
     return approx, diags
 
 
@@ -286,17 +270,21 @@ def global_gbf_baseline(
     `interpolate_cover` the global solve costs as much as the partition of
     unity at the paper's sizes: at N=400 on the 2642-vertex road graph the
     subdomains hold 2,691 vertex copies, more than the graph itself, and both
-    solves took about 0.009 s (best of seven, one BLAS thread).
+    solves took about 0.009 s (best of seven, one BLAS thread). A piece of g
+    without samples raises SampleFreePieceError before the solve, and y is
+    written back at W after it, as in `interpolate_cover`.
     """
     W = as_vertex_set(W, g.n)
-    c = Community.of(np.arange(g.n, dtype=np.int64), np.empty(0, dtype=np.int64), W)
+    if len(W) == 0:
+        raise NoSamplesError(0)
     t0 = time.perf_counter()
-    s, diag = local_interpolant(g, c, y_full, kp, community_id=0)
-    t1 = time.perf_counter()
     sampled = np.zeros(g.n, dtype=bool)
     sampled[W] = True
     pieces, fewest = _piece_health(g, np.zeros(g.n, dtype=np.int64), sampled, 1)
-    diag.pieces, diag.min_piece_samples = int(pieces[0]), int(fewest[0])
+    s, resid = local_interpolant(g, W, y_full[W], kp)
+    s[W] = y_full[W]
+    t1 = time.perf_counter()
+    diag = CommunityDiagnostics(0, g.n, len(W), resid, int(pieces[0]), int(fewest[0]))
     return PumResult(
         approximant=s,
         rrmse=rrmse(y_full, s),

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gbfpum import Graph, load_graph, synthetic_signal
+from gbfpum import Graph, local_interpolant, load_graph, synthetic_signal
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -11,6 +11,13 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 def neighbors(g: Graph, v: int) -> list[int]:
     """Sorted neighbors of v: row v of the CSR adjacency."""
     return g.indices[g.indptr[v] : g.indptr[v + 1]].tolist()
+
+
+def community_interpolant(g: Graph, c, y: np.ndarray, p) -> tuple[np.ndarray, float]:
+    """`local_interpolant` of community c on its induced subgraph, indexed like c.subdomain."""
+    sub, vs = g.induced_subgraph(c.subdomain)
+    nodes = c.interpolation_nodes
+    return local_interpolant(sub, np.searchsorted(vs, nodes), y[nodes], p)
 
 
 def path_graph(n: int) -> Graph:

@@ -210,6 +210,13 @@ class TestBenchmark:
         rc = main(["benchmark", "--graph", str(graph), "--signal", str(signal), "--counts", "7", "--out", str(tmp_path / "o.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("flag", [["--samples", "s.txt"], ["--n-samples", "4"]])
+    def test_sample_flags_exit_1(self, fixture_files, tmp_path, flag):
+        # the sweep draws its samples from --counts and --seed
+        graph, _, signal = fixture_files
+        rc = main(["benchmark", "--graph", str(graph), "--signal", str(signal), "--counts", "2", *flag, "--out", str(tmp_path / "o.json")])
+        assert rc == 1
+
 
 def test_params_alpha_is_the_alpha_used(fixture_files, tmp_path):
     graph, samples, signal = fixture_files

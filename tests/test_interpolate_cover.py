@@ -19,7 +19,6 @@ from gbfpum import (
     detect_communities,
     global_gbf_baseline,
     interpolate_cover,
-    local_interpolant,
     run_pipeline,
     sample_nodes,
 )
@@ -32,13 +31,16 @@ from gbfpum.errors import (
     SampleFreePieceError,
 )
 
-from conftest import DATA, path_graph, random_connected_graph
+from conftest import DATA, community_interpolant, path_graph, random_connected_graph
 
 
 def kernel_route(g: Graph, cover: Cover, y: np.ndarray, kp: KernelParams) -> np.ndarray:
-    """Per-community kernel interpolants blended by 1/multiplicity."""
-    locals_ = [local_interpolant(g, c, y, kp)[0] for c in cover.communities]
-    return assemble_global(cover, build_pu(cover, g.n), locals_, g.n)
+    """Per-community kernel interpolants blended by 1/multiplicity, y kept at the samples."""
+    locals_ = [community_interpolant(g, c, y, kp)[0] for c in cover.communities]
+    approx = assemble_global(cover, build_pu(cover, g.n), locals_, g.n)
+    W = np.concatenate([c.interpolation_nodes for c in cover.communities])
+    approx[W] = y[W]
+    return approx
 
 
 def community(core, nodes, overlap=()):
@@ -94,12 +96,22 @@ class TestNativeRoute:
         assert np.abs(native - ref).max() <= 1e-10 * np.abs(y).max()
 
     def test_samples_exact_and_calls_bit_identical(self, minnesota, minnesota_signal, road_covers):
+        # both routes of the stage and the global baseline hold y at W bit for bit
         W = sample_nodes(minnesota.n, 400, 0)
-        a, diags = interpolate_cover(minnesota, road_covers[400], minnesota_signal, KernelParams())
-        b, _ = interpolate_cover(minnesota, road_covers[400], minnesota_signal, KernelParams())
-        assert np.array_equal(a[W], minnesota_signal[W])
-        assert np.array_equal(a, b)
-        assert all(d.solve_residual <= 1e-10 for d in diags)
+        y = minnesota_signal
+        for s in (2.0, 1.5):
+            a, diags = interpolate_cover(minnesota, road_covers[400], y, KernelParams(s=s))
+            b, _ = interpolate_cover(minnesota, road_covers[400], y, KernelParams(s=s))
+            assert np.array_equal(a[W], y[W]), s
+            assert np.array_equal(a, b)
+            assert all(d.solve_residual <= 1e-10 for d in diags)
+            comms = road_covers[400].communities
+            assert [d.subdomain_size for d in diags] == [len(c.subdomain) for c in comms]
+            assert [d.sample_count for d in diags] == [len(c.interpolation_nodes) for c in comms]
+        base = global_gbf_baseline(minnesota, y, W, KernelParams())
+        again = global_gbf_baseline(minnesota, y, W, KernelParams())
+        assert np.array_equal(base.approximant[W], y[W])
+        assert np.array_equal(base.approximant, again.approximant)
 
     def test_one_sparse_lu_per_integer_pipeline(self, monkeypatch, geometric200):
         calls = {}
@@ -196,6 +208,20 @@ class TestPieces:
         assert (exc.value.community_id, exc.value.piece_size) == (0, 2)
         base = global_gbf_baseline(g, np.ones(5), np.array([0, 4]), KernelParams())
         assert (base.per_community[0].pieces, base.per_community[0].min_piece_samples) == (2, 1)
+
+    def test_baseline_counts_pieces_before_solving(self, monkeypatch):
+        calls = []
+        original = gbfpum.pum.kernel_columns
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(gbfpum.pum, "kernel_columns", counted)
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)], require_connected=False)
+        with pytest.raises(SampleFreePieceError):
+            global_gbf_baseline(g, np.ones(5), np.array([0]), KernelParams())
+        assert calls == []
 
     def test_cli_exit_code_and_json_keys(self, monkeypatch, tmp_path):
         out = tmp_path / "res.json"

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gbfpum import Graph, KernelParams, gbf_kernel, local_interpolant, spd_solve, sym_eigen
-from gbfpum.community import Community
 from gbfpum.errors import NonPositiveShiftError, NotSymmetricError
 from gbfpum.kernel import kernel_columns
 
@@ -113,8 +112,5 @@ class TestKernelColumns:
 
     @pytest.mark.parametrize("s", [2.0, 1.5])
     def test_nonpositive_shift_through_local_interpolant(self, path10, s):
-        c = Community(
-            core=np.arange(10), overlap=np.empty(0, dtype=np.int64), interpolation_nodes=np.array([0, 5])
-        )
         with pytest.raises(NonPositiveShiftError):
-            local_interpolant(path10, c, np.ones(10), KernelParams(epsilon=1e-13, s=s))
+            local_interpolant(path10, np.array([0, 5]), np.ones(2), KernelParams(epsilon=1e-13, s=s))

@@ -10,7 +10,6 @@ from gbfpum import (
     build_pu,
     detect_communities,
     global_gbf_baseline,
-    local_interpolant,
     rrmse,
     run_pipeline,
     sample_nodes,
@@ -18,6 +17,8 @@ from gbfpum import (
 )
 from gbfpum.community import Community, Cover
 from gbfpum.errors import NoSamplesError, UncoveredVertexError, ZeroSignalError
+
+from conftest import community_interpolant
 
 
 
@@ -63,21 +64,21 @@ class TestLocalInterpolant:
     def test_single_vertex_subdomain(self, path3):
         c = _community([1], nodes=[1])
         y = np.array([0.0, 5.0, 0.0])
-        s, diag = local_interpolant(path3, c, y, KernelParams())
+        s, _ = community_interpolant(path3, c, y, KernelParams())
         assert s[0] == pytest.approx(5.0, rel=1e-12)
-        assert diag.subdomain_size == 1 and diag.sample_count == 1
+        assert len(s) == 1
 
     def test_all_nodes_constant_signal(self, two_triangle):
         c = _community(range(6), nodes=range(6))
         y = np.ones(6)
-        s, _ = local_interpolant(two_triangle, c, y, KernelParams())
+        s, _ = community_interpolant(two_triangle, c, y, KernelParams())
         assert np.abs(s - 1.0).max() <= 1e-7
 
     def test_single_edge_hand_solution(self):
         g = Graph.from_edges(2, [(0, 1)])
         c = _community([0, 1], nodes=[0])
         y = np.array([1.0, 0.0])
-        s, _ = local_interpolant(g, c, y, KernelParams(epsilon=1.0, s=1.0))
+        s, _ = community_interpolant(g, c, y, KernelParams(epsilon=1.0, s=1.0))
         # K = [[2/3,1/3],[1/3,2/3]], a = 1.5, s = (1, 0.5)
         assert np.allclose(s, [1.0, 0.5], atol=1e-12)
 
@@ -86,19 +87,19 @@ class TestLocalInterpolant:
         y = synthetic_signal(geometric200)
         cover = detect_communities(geometric200, W, DetectionParams())
         for cid, c in enumerate(cover.communities):
-            s, diag = local_interpolant(geometric200, c, y, KernelParams(), cid)
+            s, resid = community_interpolant(geometric200, c, y, KernelParams())
             sub = c.subdomain
             pos = np.searchsorted(sub, c.interpolation_nodes)
             rel = np.abs(s[pos] - y[c.interpolation_nodes]) / np.maximum(
                 np.abs(y[c.interpolation_nodes]), 1e-30
             )
             assert rel.max() <= 1e-7
-            assert diag.solve_residual <= 1e-6
+            assert resid <= 1e-6
 
     def test_no_samples(self, path3):
         c = _community([0, 1], nodes=[])
         with pytest.raises(NoSamplesError):
-            local_interpolant(path3, c, np.zeros(3), KernelParams())
+            community_interpolant(path3, c, np.zeros(3), KernelParams())
 
     def test_locality(self, path10):
         # changing the signal outside the subdomain leaves the local solution alone
@@ -106,8 +107,8 @@ class TestLocalInterpolant:
         y1 = synthetic_signal(path10)
         y2 = y1.copy()
         y2[7] += 100.0
-        s1, _ = local_interpolant(path10, c, y1, KernelParams())
-        s2, _ = local_interpolant(path10, c, y2, KernelParams())
+        s1, _ = community_interpolant(path10, c, y1, KernelParams())
+        s2, _ = community_interpolant(path10, c, y2, KernelParams())
         assert np.array_equal(s1, s2)
 
 
@@ -214,7 +215,7 @@ class TestBaseline:
         base = global_gbf_baseline(path10, y, W, KernelParams())
         cover = Cover([_community(range(10), nodes=W)])
         pu = build_pu(cover, 10)
-        s, _ = local_interpolant(path10, cover.communities[0], y, KernelParams())
+        s, _ = community_interpolant(path10, cover.communities[0], y, KernelParams())
         assembled = assemble_global(cover, pu, [s], 10)
         assert np.abs(base.approximant - assembled).max() <= 1e-8
 
