@@ -1,0 +1,45 @@
+#!/usr/bin/env python3
+"""Time community detection on larger road-network surrogates; no options.
+
+Builds `generate_datasets.road_surrogate` (seed 1, m = 1.25 n) at n = 10,000
+and 20,000, samples N = n/10 vertices (sample seed 0) and runs
+`detect_communities` with default parameters. Prints one JSON line per graph:
+the stage times of `Cover.stage_times`, their total, the community count, the
+largest subdomain and the sha256 of the cover JSON. Run it with each
+checkout's sources first on the path and diff the digests:
+
+    PYTHONPATH=src python3 scripts/detect_scaling.py
+"""
+
+import hashlib
+import json
+import time
+
+from generate_datasets import road_surrogate
+
+from gbfpum import DetectionParams, Graph, detect_communities, sample_nodes
+
+SIZES = (10_000, 20_000)
+
+
+def main() -> None:
+    for n in SIZES:
+        g = Graph.from_edges(n, road_surrogate(n=n, m_target=int(1.25 * n), seed=1))
+        W = sample_nodes(g.n, n // 10, 0)
+        t0 = time.perf_counter()
+        cover = detect_communities(g, W, DetectionParams())
+        total = time.perf_counter() - t0
+        line = {
+            "n": n,
+            "N": len(W),
+            **{k: round(v, 4) for k, v in cover.stage_times.items()},
+            "detect_s": round(total, 4),
+            "communities": len(cover.communities),
+            "max_subdomain": max(len(c.subdomain) for c in cover.communities),
+            "cover_sha256": hashlib.sha256(cover.to_json().encode()).hexdigest(),
+        }
+        print(json.dumps(line), flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .graph import Graph, as_vertex_set
+from .graph import Graph, as_vertex_set, csr_gather
 from .metrics import default_alpha, katz_centrality, modularity, modularity_from_counts
 from .numerics import check_positive
 
@@ -104,55 +105,114 @@ def split_community(
     inside the core (ties to the lower vertex id); every core vertex joins the
     seed it reaches in fewer hops within the induced core subgraph. The first
     seed takes ties and the vertices neither seed reaches. Returns None when
-    the core holds fewer than two sample nodes.
+    the core holds fewer than two sample nodes. This is the one-core call of
+    `_bipartition`, which splits many cores at once.
     """
-    pos = np.searchsorted(W, core)
-    sampled = pos < len(W)
-    sampled[sampled] = W[pos[sampled]] == core[sampled]
-    local = np.flatnonzero(sampled)
-    if len(local) < 2:
+    label = np.full(g.n, -1, dtype=np.int64)
+    label[core] = 0
+    second, planned = _bipartition(g, label, W, katz)
+    if len(planned) == 0:
         return None
-    w_in = core[local]
-    seeds = local[np.lexsort((w_in, -katz[w_in]))[:2]]
-    sub = g.disjoint_union([core]).adjacency()
-    d1, d2 = csgraph.dijkstra(sub, unweighted=True, indices=seeds)
-    to_second = d2 < d1
+    to_second = second[core]
     return core[~to_second], core[to_second]
 
 
+def _intra_graph(g: Graph, label: np.ndarray) -> tuple[np.ndarray, sp.csr_matrix]:
+    """(vs, adjacency): the labelled vertices vs (label >= 0) and the edges among
+    them whose two ends share a label, read with one CSR gather.
+
+    Vertex i of the adjacency is vs[i]; distinct labels share no edge.
+    """
+    vs = np.flatnonzero(label >= 0)
+    at, row = csr_gather(g.indptr, vs)
+    nbr = g.indices[at]
+    keep = label[nbr] == label[vs][row]
+    local = np.full(g.n, -1, dtype=np.int64)
+    local[vs] = np.arange(len(vs))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(row[keep], minlength=len(vs)))])
+    adj = sp.csr_matrix(
+        (np.ones(int(keep.sum())), local[nbr[keep]], indptr), shape=(len(vs), len(vs))
+    )
+    return vs, adj
+
+
+def _bipartition(
+    g: Graph, label: np.ndarray, W: np.ndarray, katz: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """`split_community` of every core at once; `label` holds the core of each vertex.
+
+    Vertices labelled -1 are in no core to split. Returns (second, planned):
+    `second[v]` is True where v joins the second seed's side, and `planned`
+    lists the cores holding two samples, the only ones split. The cores share
+    no edge of the masked adjacency, so one multi-source BFS from all first
+    seeds and one from all second seeds give every core's own hop counts.
+    """
+    w = W[label[W] >= 0]
+    lw = label[w]
+    order = np.lexsort((w, -katz[w], lw))
+    w, lw = w[order], lw[order]
+    head = np.ones(len(w), dtype=bool)  # the first (most central) sample of each core
+    head[1:] = lw[1:] != lw[:-1]
+    first = np.flatnonzero(head)
+    first = first[first + 1 < len(w)]
+    first = first[lw[first + 1] == lw[first]]
+    planned = lw[first]
+    second = np.zeros(g.n, dtype=bool)
+    if len(planned) == 0:
+        return second, planned
+    vs, adj = _intra_graph(g, _restrict(label, planned))
+    seeds = np.searchsorted(vs, w[first]), np.searchsorted(vs, w[first + 1])
+    d1, d2 = (csgraph.dijkstra(adj, unweighted=True, indices=s, min_only=True) for s in seeds)
+    second[vs] = d2 < d1
+    return second, planned
+
+
+def _restrict(label: np.ndarray, ids) -> np.ndarray:
+    """`label` where it is one of `ids`, -1 elsewhere."""
+    keep = np.zeros(int(label.max()) + 2, dtype=bool)  # keep[-1], read by label -1, stays False
+    keep[ids] = True
+    return np.where(keep[label], label, -1)
+
+
+def _side_counts(
+    g: Graph, label: np.ndarray, second: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each labelled core's two sides' (intra, degree sum) counts, by label, shape (k, 2).
+
+    `intra` counts the ordered vertex pairs inside a side joined by an edge,
+    as `metrics.modularity` does. Vertices labelled -1 are skipped.
+    """
+    vs, adj = _intra_graph(g, np.where(label >= 0, 2 * label + second, -1))
+    side = 2 * label[vs] + second[vs]
+    k2 = 2 * (int(label.max()) + 1)
+    intra = np.bincount(side, weights=np.diff(adj.indptr), minlength=k2)
+    deg = np.bincount(side, weights=g.degrees()[vs], minlength=k2)
+    return intra.reshape(-1, 2), deg.reshape(-1, 2)
+
+
 def _owners(n: int, cores: list[np.ndarray]) -> np.ndarray:
-    """Index of the core holding each vertex, -1 where none does."""
-    owner = -np.ones(n, dtype=np.int64)
-    for cid, core in enumerate(cores):
-        owner[core] = cid
+    """Index of the core holding each vertex, -1 where none does.
+
+    Raises ValueError when two cores share a vertex.
+    """
+    owner = np.full(n, -1, dtype=np.int64)
+    if not cores:
+        return owner
+    members = np.concatenate(cores)
+    hits = np.bincount(members, minlength=n)
+    if (hits > 1).any():
+        v = int(np.argmax(hits > 1))
+        raise ValueError(f"cores overlap: vertex {v} lies in {int(hits[v])} cores")
+    owner[members] = np.repeat(np.arange(len(cores)), [len(c) for c in cores])
     return owner
 
 
 def core_membership(n: int, cores: list[np.ndarray]) -> np.ndarray:
-    """Core id per vertex; the cores must cover every vertex 0..n-1."""
+    """Core id per vertex; the cores must partition 0..n-1."""
     member = _owners(n, cores)
     if (member < 0).any():
         raise ValueError("cores do not cover every vertex")
     return member
-
-
-def _split_plan(
-    g: Graph, core: np.ndarray, W: np.ndarray, katz: np.ndarray
-) -> tuple[tuple[np.ndarray, np.ndarray], list[tuple[int, int]]] | None:
-    """The core's bipartition and each side's (intra, degree sum) counts.
-
-    `intra` counts the ordered vertex pairs inside the side joined by an edge,
-    as `metrics.modularity` does: the entries of that side's rows in the
-    disjoint union of the two sides' induced subgraphs.
-    """
-    parts = split_community(g, core, W, katz)
-    if parts is None:
-        return None
-    indptr = g.union_csr(list(parts))[0]
-    cut = int(indptr[len(parts[0])])
-    intra = (cut, int(indptr[-1]) - cut)
-    deg = g.degrees()
-    return parts, [(k, int(deg[side].sum())) for k, side in zip(intra, parts)]
 
 
 def _split_phase(
@@ -161,31 +221,49 @@ def _split_phase(
     """Greedy divisive loop: accept each split that raises global modularity.
 
     Passes over the cores stop after one that accepts no split (each accepted
-    split strictly raises Q). Each core carries its intra and degree-sum
-    counts, so a candidate is scored without a pass over the whole graph. A
-    core's bipartition depends only on the core, W and katz, so it is computed
-    once, when the core is created, and reused by every later pass.
+    split strictly raises Q). Core ids index `label`; a split keeps the first
+    side under its id and gives the second the next free one. A candidate is
+    scored from per-core (intra, degree sum) counts. A core's bipartition
+    depends only on the core, W and katz, and cores split off in a pass wait
+    for the next one, so the plans of every core a pass created are made
+    together at its end, and reused by every later pass.
     """
-    everything = np.arange(g.n, dtype=np.int64)
-    cores = [everything]
-    counts = [(len(g.indices), int(g.degrees().sum()))]
-    plans = [_split_plan(g, everything, W, katz)]
-    q_run = modularity_from_counts(*np.array(counts, dtype=np.float64).T, g.m)
+    label = np.zeros(g.n, dtype=np.int64)
+    k = 1  # cores so far
+    cap = len(W) + 1  # every core holds a sample, so there are at most len(W)
+    intra, deg = np.zeros(cap), np.zeros(cap)
+    intra[0], deg[0] = len(g.indices), g.degrees().sum()
+    # the plan of each core: its sides' counts, and second[v] for its vertices
+    plan_intra, plan_deg = np.zeros((cap, 2)), np.zeros((cap, 2))
+    has_plan = np.zeros(cap, dtype=bool)
+    second = np.zeros(g.n, dtype=bool)
+
+    def store_plans(planned: np.ndarray) -> None:
+        has_plan[planned] = True
+        side_intra, side_deg = _side_counts(g, _restrict(label, planned), second)
+        plan_intra[planned], plan_deg[planned] = side_intra[planned], side_deg[planned]
+
+    # the first pass holds one core, the whole graph
+    sides = split_community(g, np.arange(g.n, dtype=np.int64), W, katz)
+    if sides is not None:
+        second[sides[1]] = True
+        store_plans(np.array([0]))
+    q_run = modularity_from_counts(intra[:1], deg[:1], g.m)
     accepted = True
     while accepted:
         accepted = False
-        for cid in range(len(cores)):  # cores split off in this pass wait for the next
-            plan = plans[cid]
-            if plan is None:
+        touched = []
+        for cid in range(k):  # cores split off in this pass wait for the next
+            if not has_plan[cid]:
                 continue
-            (side1, side2), (c1, c2) = plan
-            cand = counts[:cid] + [c1] + counts[cid + 1 :] + [c2]
-            q_cand = modularity_from_counts(*np.array(cand, dtype=np.float64).T, g.m)
+            c_intra, c_deg = intra[: k + 1].copy(), deg[: k + 1].copy()
+            c_intra[[cid, k]], c_deg[[cid, k]] = plan_intra[cid], plan_deg[cid]
+            q_cand = modularity_from_counts(c_intra, c_deg, g.m)
             if q_cand > q_run:
-                cores = cores[:cid] + [side1] + cores[cid + 1 :] + [side2]
-                counts = cand
-                plans[cid] = _split_plan(g, side1, W, katz)
-                plans.append(_split_plan(g, side2, W, katz))
+                label[(label == cid) & second] = k
+                intra[: k + 1], deg[: k + 1] = c_intra, c_deg
+                touched += [cid, k]
+                k += 1
                 provenance.append(
                     {"action": "split", "q_before": q_run, "q_after": q_cand}
                 )
@@ -195,7 +273,104 @@ def _split_phase(
                 provenance.append(
                     {"action": "split_rejected", "q_before": q_run, "q_after": q_cand}
                 )
-    return cores
+        if touched:
+            fresh = _restrict(label, touched)
+            new_second, planned = _bipartition(g, fresh, W, katz)
+            second[fresh >= 0] = new_second[fresh >= 0]
+            has_plan[touched] = False
+            store_plans(planned)
+    return _cores_of(label, k)
+
+
+def _cores_of(label: np.ndarray, k: int) -> list[np.ndarray]:
+    """Sorted vertex set of each label 0..k-1; vertices labelled -1 join none."""
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(label + 1, minlength=k + 1))[:-1])[1:]
+
+
+class _JaccardRows:
+    """Vertex Jaccard similarity of the vertices `rows` to every vertex.
+
+    One sparse product A[rows] @ A holds the common-neighbour counts. A vertex
+    pair with no common neighbour has Jaccard 0, so only its nonzeros are
+    evaluated. Sorted column indices make each sum below run in the
+    row-major order of `jaccard_communities`.
+    """
+
+    def __init__(self, g: Graph, rows: np.ndarray):
+        A = g.adjacency()
+        P = A[rows] @ A
+        P.sort_indices()
+        degree = g.degrees().astype(np.float64)
+        r = np.repeat(rows, np.diff(P.indptr))
+        self.jac = P.data / (degree[r] + degree[P.indices] - P.data)
+        self.cols = P.indices
+        self.indptr = P.indptr
+        self.pos = np.full(g.n, -1, dtype=np.int64)
+        self.pos[rows] = np.arange(len(rows))
+
+    def mean(self, U: np.ndarray, owner: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """`jaccard_communities(g, U, V)` for every core V.
+
+        `owner[v]` is the index of the core holding v (negative: none) and
+        `sizes` the core sizes; the sum per owning core over |U|·|V| is the
+        mean over all pairs. U must be sorted and among `rows`.
+        """
+        at = csr_gather(self.indptr, self.pos[U])[0]
+        own = owner[self.cols[at]]
+        live = own >= 0
+        sums = np.bincount(own[live], weights=self.jac[at][live], minlength=len(sizes))
+        return sums / (len(U) * sizes)
+
+
+class _Pieces:
+    """Connected pieces of merged cores, by union-find over the intra-core components.
+
+    The components of the graph that keeps only edges inside a core come from
+    one `connected_components` call. Merging core X into a vertex set Y unions
+    the components across the edges between them; the union is connected when
+    the pieces of X and of Y, less the unions that joined two roots, leave one.
+    """
+
+    def __init__(self, g: Graph, owner: np.ndarray, n_cores: int):
+        self.g = g
+        vs, adj = _intra_graph(g, owner)
+        n_comp, comp = csgraph.connected_components(adj, directed=False)
+        self.comp = np.full(g.n, -1, dtype=np.int64)  # vertices in no core are in no piece
+        self.comp[vs] = comp
+        self.parent = list(range(n_comp))
+        comp_owner = np.zeros(n_comp, dtype=np.int64)
+        comp_owner[comp] = owner[vs]
+        self.of_core = np.bincount(comp_owner, minlength=n_cores)  # pieces per input core
+
+    def _root(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]  # path halving
+        return x
+
+    def join(self, X: np.ndarray, in_Y: np.ndarray) -> int:
+        """Union the components across the edges from the vertices X into the mask `in_Y`.
+
+        Returns how many unions joined two distinct roots.
+        """
+        at, row = csr_gather(self.g.indptr, X)
+        nbr = self.g.indices[at]
+        hit = in_Y[nbr]
+        n_comp = len(self.parent)
+        pairs = np.unique(self.comp[X[row[hit]]] * n_comp + self.comp[nbr[hit]])
+        joined = 0
+        for a, b in zip(*np.divmod(pairs, n_comp)):
+            ra, rb = self._root(int(a)), self._root(int(b))
+            if ra != rb:
+                self.parent[max(ra, rb)] = min(ra, rb)
+                joined += 1
+        return joined
+
+
+def _log_merge(provenance: list[dict], pieces: int) -> None:
+    action = "merge" if pieces == 1 else "merge_disconnected"
+    provenance.append({"action": action, "q_before": None, "q_after": None})
 
 
 def merge_small(
@@ -210,59 +385,48 @@ def merge_small(
     the others one at a time, most similar to the growing union first, so a
     single core remains. Ties on Jaccard similarity go to the lowest
     community id. Merged cores may be disconnected; that is logged, not
-    rejected.
+    rejected. The cores must not overlap; they need not cover every vertex.
     """
     threshold = int(np.ceil(p.small_fraction * g.n))
-    bigs = [c for c in cores if len(c) >= threshold]
-    if bigs:
+    owner = _owners(g.n, cores)
+    sizes = np.array([len(c) for c in cores])
+    big = np.flatnonzero(sizes >= threshold)
+    small = np.flatnonzero(sizes < threshold)
+    if len(cores) < 2 or len(small) == 0:
+        return list(cores)
+    pieces = _Pieces(g, owner, len(cores))
+    if len(big):
         # later small cores compare against the big ones grown so far
-        owner = _owners(g.n, bigs)
-        for small in (c for c in cores if len(c) < threshold):
-            sim = _mean_jaccard(g, small, owner, [len(c) for c in bigs])
-            best = int(np.argmax(sim))
-            bigs[best] = np.union1d(bigs[best], small)
-            owner[small] = best
-            _log_merge(g, provenance, bigs[best])
-        return bigs
+        jac = _JaccardRows(g, np.concatenate([cores[i] for i in small]))
+        rank = np.full(len(cores) + 1, -1)  # big index per core id; owner -1 reads -1
+        rank[big] = np.arange(len(big))
+        owner = rank[owner]
+        big_sizes, big_pieces = sizes[big], pieces.of_core[big]
+        for sid in small:
+            U = cores[sid]
+            best = int(np.argmax(jac.mean(U, owner, big_sizes)))
+            joined = pieces.join(U, owner == best)
+            big_pieces[best] += pieces.of_core[sid] - joined
+            owner[U] = best
+            big_sizes[best] += len(U)
+            _log_merge(provenance, big_pieces[best])
+        return _cores_of(owner, len(big))
 
     # no big core: the largest absorbs the rest
-    src = min(range(len(cores)), key=lambda i: (-len(cores[i]), i))
-    union, others = cores[src], cores[:src] + cores[src + 1 :]
+    src = int(np.argmax(sizes))
+    jac = _JaccardRows(g, np.arange(g.n))
+    others = [i for i in range(len(cores)) if i != src]
+    in_union = owner == src
+    owner[in_union] = -1  # the union's vertices count towards no core's similarity
+    union_pieces = pieces.of_core[src]
     while others:
-        sim = _mean_jaccard(g, union, _owners(g.n, others), [len(c) for c in others])
-        union = np.union1d(union, others.pop(int(np.argmax(sim))))
-        _log_merge(g, provenance, union)
-    return [union]
-
-
-def _mean_jaccard(
-    g: Graph, U: np.ndarray, owner: np.ndarray, sizes: list[int]
-) -> np.ndarray:
-    """`jaccard_communities(g, U, V)` for every core V, from one sparse product.
-
-    `owner[v]` is the index of the core holding v (negative: none) and
-    `sizes` the core sizes. A vertex pair with no common neighbour has
-    Jaccard 0, so only the nonzeros of A[U] @ A.T (= A[U] @ A, A being
-    symmetric) are evaluated; their sum per owning core over |U|·|V| is the
-    mean over all pairs. Sorted column indices make each sum run in the
-    row-major order of `jaccard_communities`.
-    """
-    A = g.adjacency()
-    P = A[U] @ A
-    P.sort_indices()
-    deg = g.degrees().astype(np.float64)
-    rows = np.repeat(U, np.diff(P.indptr))
-    jac = P.data / (deg[rows] + deg[P.indices] - P.data)
-    own = owner[P.indices]
-    live = own >= 0
-    sums = np.bincount(own[live], weights=jac[live], minlength=len(sizes))
-    return sums / (len(U) * np.asarray(sizes))
-
-
-def _log_merge(g: Graph, provenance: list[dict], result: np.ndarray) -> None:
-    connected = g.induced_subgraph(result)[0].is_connected()
-    action = "merge" if connected else "merge_disconnected"
-    provenance.append({"action": action, "q_before": None, "q_after": None})
+        sim = jac.mean(np.flatnonzero(in_union), owner, sizes)[others]
+        o = others.pop(int(np.argmax(sim)))
+        union_pieces += pieces.of_core[o] - pieces.join(cores[o], in_union)
+        in_union[cores[o]] = True
+        owner[cores[o]] = -1
+        _log_merge(provenance, union_pieces)
+    return [np.flatnonzero(in_union)]
 
 
 def expand_overlap(
@@ -272,23 +436,36 @@ def expand_overlap(
 
     r(v) <= t_low pulls in v's 2-hop neighborhood, t_low < r(v) <= t_high the
     1-hop one; boundary-free vertices add nothing. Cores are untouched, so a
-    second application is a no-op.
+    second application is a no-op. The cores must not overlap; they need not
+    cover every vertex.
+
+    Every core at once: r(v) from the row counts of the intra-core graph, and
+    each ring as (core, vertex) keys, the 2-hop ones from one product A[far] @ A.
     """
-    A = g.adjacency()
+    owner = _owners(g.n, cores)
     deg = g.degrees()
-    overlaps = []
-    for core in cores:
-        in_core = np.zeros(g.n)
-        in_core[core] = 1.0
-        r = (A[core] @ in_core) / np.maximum(deg[core], 1)
-        has_nb = deg[core] > 0
-        far = core[has_nb & (r <= p.t_low)]
-        near = core[has_nb & (p.t_low < r) & (r <= p.t_high)]
-        ring1 = A[np.union1d(far, near)].indices
-        ring2 = A[np.unique(A[far].indices)].indices
-        extra = np.setdiff1d(np.union1d(ring1, ring2), core)
-        overlaps.append(extra.astype(np.int64))
-    return overlaps
+    vs, adj = _intra_graph(g, owner)
+    inside = np.zeros(g.n, dtype=np.int64)
+    inside[vs] = np.diff(adj.indptr)
+    r = inside / np.maximum(deg, 1)
+    has_nb = (owner >= 0) & (deg > 0)
+    far = np.flatnonzero(has_nb & (r <= p.t_low))
+    ring = np.flatnonzero(has_nb & (r <= p.t_high))
+    at, row = csr_gather(g.indptr, ring)
+    two_hop = g.adjacency()[far] @ g.adjacency()
+    keys = np.unique(
+        np.concatenate(
+            [
+                owner[ring][row] * g.n + g.indices[at],
+                np.repeat(owner[far], np.diff(two_hop.indptr)) * g.n + two_hop.indices,
+            ]
+        )
+    )
+    cid, v = np.divmod(keys, g.n)
+    keep = owner[v] != cid
+    cid, v = cid[keep], v[keep]
+    bounds = np.searchsorted(cid, np.arange(len(cores) + 1))
+    return [v[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def detect_communities(g: Graph, W: np.ndarray, p: DetectionParams) -> Cover:

@@ -92,29 +92,18 @@ class Graph:
 
         Vertex i of the result is a copy of vertex concat(parts)[i]; two
         copies are adjacent when they come from the same part and their
-        originals are adjacent.
-        """
-        indptr, indices = self.union_csr(parts)
-        return Graph(len(indptr) - 1, indptr, indices, len(indices) // 2)
-
-    def union_csr(self, parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        """CSR arrays (indptr, indices) of `disjoint_union(parts)`, rows sorted.
-
-        Read with one numpy gather over `indptr`/`indices`, with no sparse
-        object: each copy keeps the neighbors found in its own part.
+        originals are adjacent. Read with one numpy gather over
+        `indptr`/`indices`: each copy keeps the neighbors found in its own part.
         """
         vs = np.concatenate(parts)
         part = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
         key = part * self.n + vs  # strictly increasing: sorted parts, in order
-        starts = self.indptr[vs]
-        counts = self.indptr[vs + 1] - starts
-        row = np.repeat(np.arange(len(vs)), counts)
-        flat = np.arange(len(row)) + (starts - np.cumsum(counts) + counts)[row]
+        flat, row = csr_gather(self.indptr, vs)
         nbr_key = part[row] * self.n + self.indices[flat]
         col = np.minimum(np.searchsorted(key, nbr_key), max(len(vs) - 1, 0))
         hit = key[col] == nbr_key
         indptr = np.concatenate([[0], np.cumsum(np.bincount(row[hit], minlength=len(vs)))])
-        return indptr, col[hit]
+        return Graph(len(vs), indptr, col[hit], int(hit.sum()) // 2)
 
     def adjacency(self) -> sp.csr_matrix:
         """Binary adjacency matrix as scipy CSR (shared and read-only)."""
@@ -129,6 +118,17 @@ class Graph:
     def sparse_laplacian(self) -> sp.csr_matrix:
         """Combinatorial Laplacian L = D - A as scipy CSR."""
         return (sp.diags(self.degrees().astype(np.float64)) - self.adjacency()).tocsr()
+
+
+def csr_gather(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entry positions of the CSR rows `rows`, row after row, and each entry's row.
+
+    The row is an index into `rows`; no sparse object is formed.
+    """
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    row = np.repeat(np.arange(len(rows)), counts)
+    return np.arange(len(row)) + (starts - np.cumsum(counts) + counts)[row], row
 
 
 def as_vertex_set(ids, n: int) -> np.ndarray:

@@ -36,14 +36,17 @@ class KernelParams:
         check_positive("s", self.s)
 
 
-def gbf_kernel(L: np.ndarray, p: KernelParams, cols: np.ndarray) -> np.ndarray:
+def gbf_kernel(
+    L: np.ndarray, p: KernelParams, cols: np.ndarray, overwrite: bool = False
+) -> np.ndarray:
     """Columns `cols` (distinct) of the kernel (eps I + L)^(-s), from the spectrum of L.
 
     K[:, cols] = U diag(w) U[cols]^T with w = (eps + lambda)^(-s), formed
     without the full n x n matrix; the block K[cols, cols] is made exactly
-    symmetric. Pass np.arange(n) for the whole matrix.
+    symmetric. Pass np.arange(n) for the whole matrix. L is modified only
+    with `overwrite` (see `sym_eigen`).
     """
-    eig = sym_eigen(L)
+    eig = sym_eigen(L, overwrite=overwrite)
     shift = p.epsilon + eig.values[0]
     if shift <= SHIFT_TOL:
         raise NonPositiveShiftError(float(shift))
@@ -79,7 +82,9 @@ def kernel_columns(g: Graph, cols: np.ndarray, p: KernelParams) -> np.ndarray:
     factor-and-solve route, any other s the dense spectral one.
     """
     if not float(p.s).is_integer():
-        return gbf_kernel(g.laplacian(), p, cols)
+        # L is exactly symmetric, so L.T is L in Fortran order: the eigensolver
+        # works in its storage, with the same result as on a copy
+        return gbf_kernel(g.laplacian().T, p, cols, overwrite=True)
     lu = sparse_lu(_shifted_laplacian(g, p))
     X = np.zeros((g.n, len(cols)), order="F")
     X[cols, np.arange(len(cols))] = 1.0

@@ -27,6 +27,8 @@ from .errors import (
 )
 
 SYM_TOL = 1e-12
+# Entries per row block of the dense symmetry check, which forms no n x n temporary.
+SYM_BLOCK = 1 << 16
 # Shift-invert pole for `low_eigen`: below the spectrum of a positive
 # semidefinite matrix, so M - sigma I stays positive definite.
 LOW_EIGEN_SIGMA = -1e-3
@@ -51,26 +53,41 @@ def check_symmetric(M, tol: float = SYM_TOL) -> None:
 
     NaN or inf entries raise NonFiniteMatrixError (NaN passes any tolerance
     test). Accepts dense arrays and scipy sparse matrices; O(nnz) when sparse.
+    A dense M is read in row blocks of about SYM_BLOCK entries.
     """
     if not sp.issparse(M):
         M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotSymmetricError(float("inf"))
-    if M.shape[0] == 0:
+    n = M.shape[0]
+    if n == 0:
         return
-    peak = float(abs(M).max())  # NaN when any entry is NaN
-    if not math.isfinite(peak):
-        raise NonFiniteMatrixError()
-    asym = float(abs(M - M.T).max())
+    if sp.issparse(M):
+        blocks = [(M, M.T)]
+    else:
+        step = max(1, SYM_BLOCK // n)
+        blocks = ((M[i : i + step], M[:, i : i + step].T) for i in range(0, n, step))
+    peak = asym = 0.0
+    for rows, rows_t in blocks:  # rows of M and the same rows of M^T
+        block_peak = float(abs(rows).max())  # NaN when any entry is NaN
+        if not math.isfinite(block_peak):
+            raise NonFiniteMatrixError()
+        peak = max(peak, block_peak)
+        asym = max(asym, float(abs(rows - rows_t).max()))
     if asym > tol * max(1.0, peak):
         raise NotSymmetricError(asym)
 
 
-def sym_eigen(M: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending."""
+def sym_eigen(M: np.ndarray, overwrite: bool = False) -> EigenDecomposition:
+    """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
+
+    With `overwrite`, M is the caller's to lose: a Fortran-ordered float64 M
+    is LAPACK's workspace, so no n x n copy is made. M is never modified
+    otherwise.
+    """
     M = np.asarray(M, dtype=np.float64)
-    check_symmetric(M)
-    values, vectors = eigh(M)
+    check_symmetric(M)  # also rejects NaN and inf
+    values, vectors = eigh(M, overwrite_a=overwrite, check_finite=False)
     return EigenDecomposition(values=values, vectors=vectors)
 
 

@@ -13,6 +13,8 @@ from gbfpum import (
 )
 from gbfpum.community import (
     Cover,
+    _bipartition,
+    _side_counts,
     core_membership,
     expand_overlap,
     merge_small,
@@ -404,6 +406,90 @@ class TestExpandOverlap:
         p = DetectionParams(t_low=t_low, t_high=min(t_low + gap, 1.0))
         got = expand_overlap(g, cores, p)
         assert [o.tolist() for o in got] == [overlap_oracle(g, c, p) for c in cores]
+
+
+def random_cores(g, rng, k, drop):
+    """k random disjoint cores (often disconnected); a share `drop` of vertices joins none."""
+    label = rng.integers(0, k, g.n)
+    label[rng.random(g.n) < drop] = -1
+    return label, [np.flatnonzero(label == c) for c in range(k) if (label == c).any()]
+
+
+class TestPassFunctions:
+    """The whole-graph passes against per-core oracles."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 6), st.floats(0.0, 0.5), st.floats(0.02, 0.6))
+    def test_batched_split_matches_per_core(self, seed, k, drop, frac):
+        g = random_connected_graph(seed, n_max=40)
+        rng = np.random.default_rng(seed)
+        label, _ = random_cores(g, rng, k, drop)
+        W = np.flatnonzero(rng.random(g.n) < frac)  # cores with 0, 1 or many samples
+        katz = global_katz(g)
+        second, planned = _bipartition(g, label, W, katz)
+        intra, deg = _side_counts(g, np.where(np.isin(label, planned), label, -1), second)
+        adj = g.adjacency().toarray()
+        for c in range(k):
+            core = np.flatnonzero(label == c)
+            expect = split_oracle(g, core, W, katz)
+            assert (c in planned) == (expect is not None)
+            if expect is None:
+                assert not second[core].any()
+                continue
+            side1, side2 = core[~second[core]], core[second[core]]
+            assert [side1.tolist(), side2.tolist()] == list(expect)
+            assert [s.tolist() for s in split_community(g, core, W, katz)] == list(expect)
+            for j, side in enumerate((side1, side2)):
+                assert intra[c, j] == adj[np.ix_(side, side)].sum()
+                assert deg[c, j] == g.degrees()[side].sum()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(2, 8), st.floats(0.0, 0.4), st.booleans())
+    def test_merge_log_matches_connectivity(self, seed, k, drop, some_big):
+        # random, often disconnected cores that need not cover the graph, on both branches
+        g = random_connected_graph(seed, n_max=30)
+        rng = np.random.default_rng(seed)
+        _, cores = random_cores(g, rng, k, drop)
+        assume(len(cores) >= 2)
+        largest = max(len(c) for c in cores)
+        assume(largest >= 2 or not some_big)
+        threshold = int(rng.integers(2, largest + 1)) if some_big else largest + 1
+        p = DetectionParams(small_fraction=(threshold - 0.5) / g.n)
+        expect_log, got_log = [], []
+        expect, near_tie = merge_oracle(g, cores, p, expect_log)
+        assume(not near_tie)
+        got = merge_small(g, cores, p, got_log)
+        assert [c.tolist() for c in got] == [c.tolist() for c in expect]
+        assert got_log == expect_log  # the oracle logs `induced_subgraph(...).is_connected()`
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 5), st.floats(0.0, 0.6), st.floats(0.05, 0.6))
+    def test_expand_matches_oracle_partial_cores(self, seed, k, drop, t_low):
+        g = random_connected_graph(seed, n_max=30)
+        rng = np.random.default_rng(seed)
+        _, cores = random_cores(g, rng, k, drop)
+        p = DetectionParams(t_low=t_low, t_high=min(t_low + 0.3, 1.0))
+        got = expand_overlap(g, cores, p)
+        assert [o.tolist() for o in got] == [overlap_oracle(g, c, p) for c in cores]
+        assert all(o.dtype == np.int64 for o in got)
+
+    def test_overlapping_cores_rejected(self, path10):
+        cores = [np.array([0, 1, 2, 3]), np.array([3, 4, 5])]
+        with pytest.raises(ValueError, match="vertex 3 lies in 2 cores"):
+            expand_overlap(path10, cores, DetectionParams())
+        with pytest.raises(ValueError, match="vertex 3 lies in 2 cores"):
+            merge_small(path10, cores, DetectionParams(small_fraction=0.5), [])
+        with pytest.raises(ValueError, match="vertex 3 lies in 2 cores"):
+            core_membership(10, cores + [np.arange(6, 10)])
+
+    def test_partial_cores_still_work(self, path10):
+        # vertices 7..9 are in no core: they are not merged and not counted as a core
+        cores = [np.array([0, 1, 2, 3, 4]), np.array([5, 6])]
+        got = merge_small(path10, cores, DetectionParams(small_fraction=0.3), prov := [])
+        assert [c.tolist() for c in got] == [[0, 1, 2, 3, 4, 5, 6]]
+        assert [e["action"] for e in prov] == ["merge"]
+        overlaps = expand_overlap(path10, got, DetectionParams())
+        assert overlaps[0].tolist() == [7]  # r(6) = 1/2: the 1-hop ring
 
 
 class TestCoverSerialization:

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gbfpum import spd_solve, sym_eigen
+from gbfpum import KernelParams, gbf_kernel, spd_solve, sym_eigen
 from gbfpum.errors import (
     NonFiniteMatrixError,
     NotPositiveDefiniteError,
     NotSymmetricError,
     SparseSolverError,
 )
-from gbfpum.numerics import check_symmetric, low_eigen, sparse_lu
+from gbfpum.numerics import SYM_TOL, check_symmetric, low_eigen, sparse_lu
 
 from conftest import random_connected_graph
 
@@ -54,6 +54,55 @@ class TestSymEigen:
             eig = sym_eigen(g.laplacian())
             assert abs(eig.values[0]) <= 1e-9
             assert eig.values[-1] >= -1e-9
+
+
+class TestOwnership:
+    """The dense routes leave a caller's matrix alone unless told to overwrite it."""
+
+    def test_sym_eigen_and_gbf_kernel_keep_input(self, geometric200):
+        L = geometric200.laplacian()
+        for M in (L, L.T):  # C and Fortran order
+            before = M.copy()
+            sym_eigen(M)
+            gbf_kernel(M, KernelParams(s=1.5), np.arange(0, 200, 9))
+            assert np.array_equal(M, before)
+
+    def test_overwrite_is_bit_identical(self, geometric200):
+        L = geometric200.laplacian()
+        expect = sym_eigen(L)
+        work = L.T.copy(order="F")
+        got = sym_eigen(work, overwrite=True)
+        assert not np.array_equal(work, L)  # LAPACK worked in place: no copy was made
+        assert np.array_equal(got.values, expect.values)
+        assert np.array_equal(got.vectors, expect.vectors)
+
+
+class TestCheckSymmetricBlocks:
+    """The dense check runs in row blocks; verdict and reported maximum are the whole-matrix ones."""
+
+    @pytest.mark.parametrize("order", [1, 2, 300, 700])  # 300 and 700 take 2 and 8 blocks
+    @pytest.mark.parametrize("where", ["first", "last", "none"])
+    def test_matches_whole_matrix(self, order, where):
+        rng = np.random.default_rng(order)
+        M = rng.standard_normal((order, order))
+        M = (M + M.T) / 2
+        if where != "none" and order > 1:
+            i = 0 if where == "first" else order - 1
+            M[i, (i + 1) % order] += 1e-3 * (1 + i)
+        asym = float(np.abs(M - M.T).max())
+        if asym > SYM_TOL * max(1.0, float(np.abs(M).max())):
+            with pytest.raises(NotSymmetricError) as exc:
+                check_symmetric(M)
+            assert exc.value.max_asym == asym
+        else:
+            check_symmetric(M)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_in_a_late_block(self, bad):
+        M = np.eye(400)
+        M[399, 0] = bad
+        with pytest.raises(NonFiniteMatrixError):
+            check_symmetric(M)
 
 
 class TestSpdSolve:
