@@ -27,10 +27,11 @@ class Graph:
 
     `indptr` and `indices` are the adjacency's own arrays (row v lists the
     sorted neighbors of v); every structural query (degrees, connectivity,
-    subgraphs, Laplacians) reads that matrix.
+    subgraphs, Laplacians) reads that matrix. `katz_memo` is the one memo:
+    `metrics.katz_centrality` keeps its last (alpha, read-only vector) there.
     """
 
-    __slots__ = ("n", "m", "indptr", "indices", "_adj")
+    __slots__ = ("n", "m", "indptr", "indices", "_adj", "katz_memo")
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray, m: int):
         self.n = n
@@ -42,6 +43,7 @@ class Graph:
             arr.setflags(write=False)
         self.indptr = self._adj.indptr
         self.indices = self._adj.indices
+        self.katz_memo: tuple[float, np.ndarray] | None = None
 
     @classmethod
     def from_edges(
@@ -110,9 +112,11 @@ class Graph:
         return self._adj
 
     def laplacian(self) -> np.ndarray:
-        """Dense combinatorial Laplacian L = D - A."""
-        L = -self.adjacency().toarray()
-        np.fill_diagonal(L, self.degrees().astype(np.float64))
+        """Dense combinatorial Laplacian L = D - A, written from the CSR arrays into one buffer."""
+        deg = self.degrees()
+        L = np.zeros((self.n, self.n))
+        L[np.repeat(np.arange(self.n), deg), self.indices] = -1.0
+        np.fill_diagonal(L, deg)
         return L
 
     def sparse_laplacian(self) -> sp.csr_matrix:

@@ -8,6 +8,10 @@ differently:
   M = eps I + L and s solve passes, with no dense n x n matrix; for any
   other s from the spectral expansion of a dense eigendecomposition
   (`gbf_kernel`), which the tests also use as the oracle for the sparse one.
+  `pum` asks for them per connected piece, so the dense order is a piece's.
+  The eigendecomposition works in the storage of L; with divide and conquer
+  (orders up to `numerics.EVD_MAX_ORDER`) it adds two n x n of workspace,
+  with MRRR (above) one n x n for the eigenvectors.
 - the native route never forms K: for integer s the precision matrix
   A = K^(-1) = M^s (`precision_matrix`) is sparse, and `pum` solves with it.
 """

@@ -30,15 +30,21 @@ def default_alpha(g: Graph) -> float:
 def katz_centrality(g: Graph, alpha: float) -> np.ndarray:
     """Katz centrality: sum over walk lengths k of alpha^k (A^k 1)_i.
 
-    Solves the sparse system (I - alpha A) x = 1 and returns x - 1.
+    Solves the sparse system (I - alpha A) x = 1 and returns x - 1, read-only.
+    The vector is memoised on g (`Graph.katz_memo`) for its alpha, so pipelines
+    that reuse a graph solve once; another alpha solves again and replaces it.
     """
     check_positive("alpha", alpha)
     bound = spectral_radius_bound(g)
     if alpha >= 1.0 / bound:
         raise AlphaDivergesError(alpha, 1.0 / bound)
+    if g.katz_memo is not None and g.katz_memo[0] == alpha:
+        return g.katz_memo[1]
     M = sp.identity(g.n, format="csr") - alpha * g.adjacency()
-    x = sparse_lu(M).solve(np.ones(g.n))
-    return x - 1.0
+    x = sparse_lu(M).solve(np.ones(g.n)) - 1.0
+    x.setflags(write=False)
+    g.katz_memo = (alpha, x)
+    return x
 
 
 def modularity(g: Graph, membership: np.ndarray) -> float:

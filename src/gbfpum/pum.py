@@ -9,8 +9,11 @@ kernel interpolants of K = (eps I + L)^(-s):
   of the union is sparse. With S the sampled vertex copies and U the others,
   the block inverse identity K[U,S] K[S,S]^-1 = -A[U,U]^-1 A[U,S] gives every
   local interpolant from one sparse LU: f[S] = y[S], A[U,U] f[U] = -A[U,S] y[S].
-- any other s, the kernel route: `local_interpolant` on each subdomain's
-  induced subgraph, which solves K[W,W] a = y[W] on the kernel columns K[:, W].
+- any other s, the kernel route: `local_interpolant` on each connected piece
+  of the union, which solves K[W,W] a = y[W] on the kernel columns K[:, W].
+  K is block diagonal over the pieces, so a subdomain's interpolant is its
+  pieces' interpolants side by side, and the dense eigendecomposition only
+  ever sees one piece.
 
 Both routes then share one blend (`assemble_global`, weight 1/multiplicity),
 one write-back of y at the samples, and one diagnostics record per community.
@@ -54,8 +57,8 @@ class CommunityDiagnostics:
     community_id: int
     subdomain_size: int
     sample_count: int
-    # relative residual of the solved system: K[W,W] on the kernel route,
-    # A[U,U] on the native one
+    # relative residual of the community's block of the solved system:
+    # K[W,W] (block diagonal over its pieces) on the kernel route, A[U,U] on the native one
     solve_residual: float
     # connected pieces of the subdomain and the fewest samples in any of them
     pieces: int
@@ -104,15 +107,14 @@ def local_interpolant(
     Solves K[W,W] a = y[W] (W = nodes) and evaluates s(v) = sum_i a_i K[v, w_i]
     at every vertex of g, so s reproduces y at W up to the solve's rounding.
     The kernel enters only through its columns K[:, W] (`kernel_columns`).
-    Also returns the relative residual of the K[W,W] system.
+    Also returns the residual norm ||K[W,W] a - y[W]||.
     """
     if len(nodes) == 0:
         raise NoSamplesError(0)
     Kw = kernel_columns(g, nodes, p)
     Kww = Kw[nodes]
     a = spd_solve(Kww, y_nodes)
-    resid = float(np.linalg.norm(Kww @ a - y_nodes) / max(np.linalg.norm(y_nodes), 1.0))
-    return Kw @ a, resid
+    return Kw @ a, float(np.linalg.norm(Kww @ a - y_nodes))
 
 
 def assemble_global(
@@ -139,8 +141,8 @@ def rrmse(truth: np.ndarray, approx: np.ndarray) -> float:
 
 def _piece_health(
     g: Graph, part: np.ndarray, sampled: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Connected pieces per part of a disjoint union, and the fewest samples in any piece.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pieces per part of a disjoint union, fewest samples per piece, each vertex's piece.
 
     Vertex i of g belongs to part[i] (0 <= part < k) and is an interpolation
     node where sampled[i]. A piece without one would get the zero
@@ -156,15 +158,16 @@ def _piece_health(
         raise SampleFreePieceError(int(piece_part[worst]), int(np.sum(piece == worst)))
     fewest = np.full(k, np.iinfo(np.int64).max)
     np.minimum.at(fewest, piece_part, samples)
-    return np.bincount(piece_part, minlength=k), fewest
+    return np.bincount(piece_part, minlength=k), fewest, piece
 
 
 def _native_solve(
     union: Graph, part: np.ndarray, sampled: np.ndarray, y_s: np.ndarray, kp: KernelParams
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """f = y on the sampled copies and -A[U,U]^-1 A[U,S] y[S] on the others.
 
-    Also returns each part's relative residual of the A[U,U] system.
+    Also returns each part's squared norms of the residual and of the
+    right-hand side of the A[U,U] system.
     """
     A = precision_matrix(union, kp)
     U = np.flatnonzero(~sampled)
@@ -178,21 +181,50 @@ def _native_solve(
     k = int(part.max()) + 1
     resid2 = np.bincount(part[U], weights=(A_uu @ f[U] - b) ** 2, minlength=k)
     rhs2 = np.bincount(part[U], weights=b**2, minlength=k)
-    return f, np.sqrt(resid2) / np.maximum(np.sqrt(rhs2), 1.0)
+    return f, resid2, rhs2
+
+
+def _kernel_solve(
+    union: Graph,
+    part: np.ndarray,
+    piece: np.ndarray,
+    sampled: np.ndarray,
+    y_s: np.ndarray,
+    kp: KernelParams,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """f from one `local_interpolant` per connected piece (label `piece`) of the union.
+
+    Also returns each part's squared norms of the residual and of the
+    right-hand side of its K[W,W] system, summed over its pieces.
+    """
+    y = np.zeros(union.n)
+    y[sampled] = y_s
+    k = int(part.max()) + 1
+    f = np.empty(union.n)
+    resid2 = np.zeros(k)
+    by_piece = np.argsort(piece, kind="stable")  # each piece's copies in ascending order
+    for vs in np.split(by_piece, np.cumsum(np.bincount(piece))[:-1]):
+        sub, vs = union.induced_subgraph(vs)
+        hit = sampled[vs]
+        f[vs], resid = local_interpolant(sub, np.flatnonzero(hit), y[vs[hit]], kp)
+        resid2[part[vs[0]]] += resid**2
+    return f, resid2, np.bincount(part[sampled], weights=y_s**2, minlength=k)
 
 
 def interpolate_cover(
     g: Graph, cover: Cover, y: np.ndarray, kp: KernelParams
-) -> tuple[np.ndarray, list[CommunityDiagnostics]]:
+) -> tuple[np.ndarray, list[CommunityDiagnostics], dict[str, float]]:
     """Partition-of-unity approximant of y from its values at the cover's interpolation nodes.
 
     Every community's local interpolant, native route for integer s and
-    kernel route otherwise (see the module docstring), fills its block of
-    one vector over the subdomains' vertex copies; `assemble_global` blends
-    the blocks with weight 1/multiplicity and y is written back at the
-    samples. Before any solve, one connected-components pass over the
-    subdomains' disjoint union counts each subdomain's pieces; a piece with
-    no interpolation node raises SampleFreePieceError.
+    kernel route per connected piece otherwise (see the module docstring),
+    fills its block of one vector over the subdomains' vertex copies;
+    `assemble_global` blends the blocks with weight 1/multiplicity and y is
+    written back at the samples. Before any solve, one connected-components
+    pass over the subdomains' disjoint union labels its pieces and counts
+    them per subdomain; a piece with no interpolation node raises
+    SampleFreePieceError. Also returns the wall seconds of the solves
+    (`solve_s`) and of the blend and write-back (`assemble_s`).
     """
     pu = build_pu(cover, g.n)
     comms = cover.communities
@@ -209,27 +241,26 @@ def interpolate_cover(
     for off, sub, c in zip(starts, subs, comms):
         sampled[off + np.searchsorted(sub, c.interpolation_nodes)] = True
     union = g.disjoint_union(subs)
-    pieces, fewest = _piece_health(union, part, sampled, len(comms))
+    pieces, fewest, piece = _piece_health(union, part, sampled, len(comms))
     y_s = y[copies[sampled]]
 
+    t0 = time.perf_counter()
     if float(kp.s).is_integer():
-        f, resid = _native_solve(union, part, sampled, y_s, kp)
+        f, resid2, rhs2 = _native_solve(union, part, sampled, y_s, kp)
     else:
-        solved = [
-            local_interpolant(g.induced_subgraph(sub)[0], np.flatnonzero(hit), y[sub[hit]], kp)
-            for sub, hit in zip(subs, np.split(sampled, offsets))
-        ]
-        f = np.concatenate([values for values, _ in solved])
-        resid = [r for _, r in solved]
+        f, resid2, rhs2 = _kernel_solve(union, part, piece, sampled, y_s, kp)
+    resid = np.sqrt(resid2) / np.maximum(np.sqrt(rhs2), 1.0)
+    t1 = time.perf_counter()
     approx = assemble_global(cover, pu, np.split(f, offsets), g.n)
     approx[copies[sampled]] = y_s  # the solves and the weighted sums hold y only to rounding
+    t2 = time.perf_counter()
     diags = [
         CommunityDiagnostics(
             cid, len(sub), len(c.interpolation_nodes), float(r), int(count), int(least)
         )
         for cid, (sub, c, r, count, least) in enumerate(zip(subs, comms, resid, pieces, fewest))
     ]
-    return approx, diags
+    return approx, diags, {"solve_s": t1 - t0, "assemble_s": t2 - t1}
 
 
 def run_pipeline(
@@ -244,7 +275,7 @@ def run_pipeline(
     t0 = time.perf_counter()
     cover = detect_communities(g, W, dp)
     t1 = time.perf_counter()
-    approx, diags = interpolate_cover(g, cover, y_full, kp)
+    approx, diags, times = interpolate_cover(g, cover, y_full, kp)
     t2 = time.perf_counter()
     result = PumResult(
         approximant=approx,
@@ -252,6 +283,7 @@ def run_pipeline(
         per_community=diags,
         wall_times={
             **cover.stage_times,
+            **times,
             "partition_s": t1 - t0,
             "interpolate_s": t2 - t1,
             "total_s": t2 - t0,
@@ -280,11 +312,12 @@ def global_gbf_baseline(
     t0 = time.perf_counter()
     sampled = np.zeros(g.n, dtype=bool)
     sampled[W] = True
-    pieces, fewest = _piece_health(g, np.zeros(g.n, dtype=np.int64), sampled, 1)
+    pieces, fewest, _ = _piece_health(g, np.zeros(g.n, dtype=np.int64), sampled, 1)
     s, resid = local_interpolant(g, W, y_full[W], kp)
     s[W] = y_full[W]
     t1 = time.perf_counter()
-    diag = CommunityDiagnostics(0, g.n, len(W), resid, int(pieces[0]), int(fewest[0]))
+    rel = float(resid / max(np.linalg.norm(y_full[W]), 1.0))
+    diag = CommunityDiagnostics(0, g.n, len(W), rel, int(pieces[0]), int(fewest[0]))
     return PumResult(
         approximant=s,
         rrmse=rrmse(y_full, s),

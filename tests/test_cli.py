@@ -88,7 +88,9 @@ class TestInterpolate:
         assert doc["rrmse"] <= 1e-6
         assert doc["n_communities"] >= 1
         assert {"epsilon", "s", "alpha", "seed"} <= set(doc["params"])
-        assert {"katz_s", "split_s", "merge_s", "expand_s"} <= set(doc["wall_times"])
+        assert {"katz_s", "split_s", "merge_s", "expand_s", "solve_s", "assemble_s"} <= set(
+            doc["wall_times"]
+        )
         rows = list(csv.DictReader(open(out.with_suffix(".csv"))))
         assert len(rows) == 6
         assert {"vertex", "truth", "approximant", "abs_error"} == set(rows[0])

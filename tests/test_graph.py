@@ -101,6 +101,16 @@ class TestLaplacian:
         assert np.array_equal(np.diag(L), [2, 2, 2])
         assert (L[~np.eye(3, dtype=bool)] == -1).all()
 
+    @given(st.integers(0, 10**6))
+    def test_dense_equals_sparse_without_negative_zeros(self, seed):
+        g = random_connected_graph(seed)
+        # an induced subgraph with isolated vertices and empty rows
+        sub, _ = g.induced_subgraph(np.arange(0, g.n, 3))
+        for graph in (g, sub):
+            L = graph.laplacian()
+            assert np.array_equal(L, graph.sparse_laplacian().toarray())
+            assert not np.signbit(L[L == 0]).any()
+
 
 @given(st.integers(0, 10**6))
 def test_graph_invariants(seed):

@@ -17,10 +17,13 @@ from gbfpum import (
     assemble_global,
     build_pu,
     detect_communities,
+    gbf_kernel,
     global_gbf_baseline,
     interpolate_cover,
+    load_graph,
     run_pipeline,
     sample_nodes,
+    spd_solve,
 )
 from gbfpum.cli import EXIT_NUMERICAL, main
 from gbfpum.community import Community, Cover
@@ -34,13 +37,46 @@ from gbfpum.errors import (
 from conftest import DATA, community_interpolant, path_graph, random_connected_graph
 
 
-def kernel_route(g: Graph, cover: Cover, y: np.ndarray, kp: KernelParams) -> np.ndarray:
-    """Per-community kernel interpolants blended by 1/multiplicity, y kept at the samples."""
-    locals_ = [community_interpolant(g, c, y, kp)[0] for c in cover.communities]
+def blend(g: Graph, cover: Cover, y: np.ndarray, locals_: list[np.ndarray]) -> np.ndarray:
+    """Local interpolants blended by 1/multiplicity, y kept at the samples."""
     approx = assemble_global(cover, build_pu(cover, g.n), locals_, g.n)
     W = np.concatenate([c.interpolation_nodes for c in cover.communities])
     approx[W] = y[W]
     return approx
+
+
+def piecewise_interpolant(
+    g: Graph, c: Community, y: np.ndarray, kp: KernelParams
+) -> tuple[np.ndarray, list[float]]:
+    """`local_interpolant` on each piece of c's subdomain, indexed like it, and the residuals."""
+    out = np.empty(len(c.subdomain))
+    resid = []
+    for vs in piece_sets(g, c.subdomain):
+        piece = Community(vs, np.array([], int), np.intersect1d(vs, c.interpolation_nodes))
+        out[np.searchsorted(c.subdomain, vs)], r = community_interpolant(g, piece, y, kp)
+        resid.append(r)
+    return out, resid
+
+
+def community_residual(piece_residuals: list[float], y_nodes: np.ndarray) -> float:
+    """Relative residual of a community's K[W,W] system, block diagonal over its pieces."""
+    return float(np.linalg.norm(piece_residuals) / max(np.linalg.norm(y_nodes), 1.0))
+
+
+def kernel_route(g: Graph, cover: Cover, y: np.ndarray, kp: KernelParams) -> np.ndarray:
+    """Per-piece kernel interpolants of every community, blended."""
+    return blend(g, cover, y, [piecewise_interpolant(g, c, y, kp)[0] for c in cover.communities])
+
+
+def whole_subdomain_route(g: Graph, cover: Cover, y: np.ndarray, kp: KernelParams) -> np.ndarray:
+    """One dense kernel and one Cholesky solve per whole subdomain, however many pieces, blended."""
+    locals_ = []
+    for c in cover.communities:
+        sub, vs = g.induced_subgraph(c.subdomain)
+        nodes = np.searchsorted(vs, c.interpolation_nodes)
+        Kw = gbf_kernel(sub.laplacian(), kp, nodes)
+        locals_.append(Kw @ spd_solve(Kw[nodes], y[c.interpolation_nodes]))
+    return blend(g, cover, y, locals_)
 
 
 def community(core, nodes, overlap=()):
@@ -51,12 +87,19 @@ def community(core, nodes, overlap=()):
     )
 
 
+def piece_sets(g: Graph, subdomain: np.ndarray) -> list[np.ndarray]:
+    """Vertex sets of the connected pieces of the subgraph induced by `subdomain`."""
+    sub, vs = g.induced_subgraph(subdomain)
+    count, label = csgraph.connected_components(sub.adjacency(), directed=False)
+    return [vs[label == p] for p in range(count)]
+
+
 def independent_pieces(g: Graph, c: Community) -> list[tuple[int, int]]:
     """(size, sample count) of each connected piece of c's subdomain."""
-    sub, vs = g.induced_subgraph(c.subdomain)
-    count, label = csgraph.connected_components(sub.adjacency(), directed=False)
-    sampled = np.isin(vs, c.interpolation_nodes)
-    return [(int(np.sum(label == p)), int(np.sum(sampled[label == p]))) for p in range(count)]
+    return [
+        (len(vs), int(np.isin(vs, c.interpolation_nodes).sum()))
+        for vs in piece_sets(g, c.subdomain)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +119,7 @@ class TestNativeRoute:
         kp = KernelParams(epsilon=eps, s=float(s))
         scale = np.abs(minnesota_signal).max()
         for count, cover in road_covers.items():
-            native, _ = interpolate_cover(minnesota, cover, minnesota_signal, kp)
+            native, _, _ = interpolate_cover(minnesota, cover, minnesota_signal, kp)
             ref = kernel_route(minnesota, cover, minnesota_signal, kp)
             assert np.abs(native - ref).max() <= 1e-10 * scale, count
 
@@ -91,7 +134,7 @@ class TestNativeRoute:
         y = rng.standard_normal(g.n)
         cover = detect_communities(g, W, DetectionParams())
         kp = KernelParams(epsilon=0.5, s=s)
-        native, _ = interpolate_cover(g, cover, y, kp)
+        native, _, _ = interpolate_cover(g, cover, y, kp)
         ref = kernel_route(g, cover, y, kp)
         assert np.abs(native - ref).max() <= 1e-10 * np.abs(y).max()
 
@@ -100,8 +143,8 @@ class TestNativeRoute:
         W = sample_nodes(minnesota.n, 400, 0)
         y = minnesota_signal
         for s in (2.0, 1.5):
-            a, diags = interpolate_cover(minnesota, road_covers[400], y, KernelParams(s=s))
-            b, _ = interpolate_cover(minnesota, road_covers[400], y, KernelParams(s=s))
+            a, diags, _ = interpolate_cover(minnesota, road_covers[400], y, KernelParams(s=s))
+            b, _, _ = interpolate_cover(minnesota, road_covers[400], y, KernelParams(s=s))
             assert np.array_equal(a[W], y[W]), s
             assert np.array_equal(a, b)
             assert all(d.solve_residual <= 1e-10 for d in diags)
@@ -113,7 +156,7 @@ class TestNativeRoute:
         assert np.array_equal(base.approximant[W], y[W])
         assert np.array_equal(base.approximant, again.approximant)
 
-    def test_one_sparse_lu_per_integer_pipeline(self, monkeypatch, geometric200):
+    def test_one_sparse_lu_per_integer_pipeline(self, monkeypatch):
         calls = {}
         for module in (gbfpum.metrics, gbfpum.kernel, gbfpum.pum):
             name = module.__name__.split(".")[-1]
@@ -124,24 +167,30 @@ class TestNativeRoute:
                 return original(M)
 
             monkeypatch.setattr(module, "sparse_lu", counted)
-        y = np.cos(np.arange(geometric200.n))
-        run_pipeline(geometric200, y, sample_nodes(200, 40, 1), DetectionParams(), KernelParams())
+        with open(DATA / "geometric_200.edges") as fh:
+            g = load_graph(fh)  # a fresh graph: no Katz vector memoised yet
+        y = np.cos(np.arange(g.n))
+        run_pipeline(g, y, sample_nodes(200, 40, 1), DetectionParams(), KernelParams())
         # Katz centrality in detection, then one factor for every community
         assert calls == {"metrics": 1, "pum": 1}
+        calls.clear()
+        run_pipeline(g, y, sample_nodes(200, 40, 2), DetectionParams(), KernelParams())
+        # the same graph again: Katz comes from its memo, only the communities are factored
+        assert calls == {"pum": 1}
 
     def test_fractional_s_keeps_kernel_route(self, geometric200):
         W = sample_nodes(200, 40, 2)
         y = np.sin(np.arange(200) / 7.0)
         cover = detect_communities(geometric200, W, DetectionParams())
         kp = KernelParams(s=1.5)
-        got, diags = interpolate_cover(geometric200, cover, y, kp)
+        got, diags, _ = interpolate_cover(geometric200, cover, y, kp)
         assert np.array_equal(got, kernel_route(geometric200, cover, y, kp))
         assert [d.community_id for d in diags] == list(range(len(cover.communities)))
 
     def test_all_sampled_community(self, path10):
         # no unsampled copy: nothing to factor, the samples are the answer
         y = np.arange(10.0)
-        got, diags = interpolate_cover(path10, Cover([community(range(10), range(10))]), y, KernelParams())
+        got, diags, _ = interpolate_cover(path10, Cover([community(range(10), range(10))]), y, KernelParams())
         assert np.array_equal(got, y)
         assert diags[0].solve_residual == 0.0
 
@@ -176,11 +225,61 @@ class TestPieces:
     def test_pieces_reported(self, path10, s):
         cover = self.split_cover([5, 9])
         y = np.cos(np.arange(10.0))
-        got, diags = interpolate_cover(path10, cover, y, KernelParams(s=s))
+        got, diags, _ = interpolate_cover(path10, cover, y, KernelParams(s=s))
         assert [(d.pieces, d.min_piece_samples) for d in diags] == [(1, 1), (2, 1), (1, 1)]
         assert np.abs(got - kernel_route(path10, cover, y, KernelParams(s=s))).max() <= 1e-12
         doc = diags[1].to_json_dict()
         assert (doc["pieces"], doc["min_piece_samples"]) == (2, 1)
+
+    def test_per_piece_route_by_hand(self, path10):
+        # on the path 0-...-11 both subdomains fall into three pieces, one a single vertex
+        g = path_graph(12)
+        three = Cover(
+            [community([0, 1, 2, 4, 5, 8, 9, 10], [1, 4, 9, 10]), community([3, 6, 7, 11], [3, 6, 11])]
+        )
+        kp = KernelParams(s=1.5)
+        for graph, cover, pieces in (
+            (g, three, [(3, 1), (3, 1)]),
+            (path10, self.split_cover([5, 9]), [(1, 1), (2, 1), (1, 1)]),
+        ):
+            y = 5.0 * np.cos(np.arange(graph.n) / 3.0)
+            got, diags, _ = interpolate_cover(graph, cover, y, kp)
+            assert [(d.pieces, d.min_piece_samples) for d in diags] == pieces
+            whole = whole_subdomain_route(graph, cover, y, kp)
+            assert np.abs(got - whole).max() <= 1e-10 * np.abs(y).max()
+            for c, d in zip(cover.communities, diags):
+                resid = piecewise_interpolant(graph, c, y, kp)[1]
+                expect = community_residual(resid, y[c.interpolation_nodes])
+                assert d.solve_residual == pytest.approx(expect, rel=1e-12, abs=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 4))
+    def test_per_piece_route_on_random_covers(self, seed, k):
+        # cores are random vertex sets, so subdomains often fall into several pieces
+        g = random_connected_graph(seed)
+        rng = np.random.default_rng(seed)
+        label = rng.permutation(np.arange(g.n) % k)
+        extra = rng.random(g.n) < 0.15
+        parts = [(np.flatnonzero(label == j), np.flatnonzero(extra & (label != j))) for j in range(k)]
+        # one sample in every piece of every subdomain, plus a few more
+        W = np.flatnonzero(rng.random(g.n) < 0.1)
+        for core, ov in parts:
+            for vs in piece_sets(g, np.union1d(core, ov)):
+                W = np.union1d(W, [rng.choice(vs)])
+        cover = Cover([Community.of(core, ov, W) for core, ov in parts])
+        y = rng.standard_normal(g.n)
+        kp = KernelParams(s=1.5)
+        got, diags, _ = interpolate_cover(g, cover, y, kp)
+        pieces = [independent_pieces(g, c) for c in cover.communities]
+        assert [(d.pieces, d.min_piece_samples) for d in diags] == [
+            (len(ps), min(n for _, n in ps)) for ps in pieces
+        ]
+        assert np.abs(got - whole_subdomain_route(g, cover, y, kp)).max() <= 1e-10 * np.abs(y).max()
+        per_piece = [piecewise_interpolant(g, c, y, kp) for c in cover.communities]
+        assert np.array_equal(got, blend(g, cover, y, [values for values, _ in per_piece]))
+        for c, d, (_, resid) in zip(cover.communities, diags, per_piece):
+            expect = community_residual(resid, y[c.interpolation_nodes])
+            assert d.solve_residual == pytest.approx(expect, rel=1e-12, abs=0)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**6), st.floats(0.05, 0.5))
@@ -196,7 +295,7 @@ class TestPieces:
                 interpolate_cover(g, cover, np.ones(g.n), KernelParams())
             assert (exc.value.community_id, exc.value.piece_size) == free[0]
             return
-        _, diags = interpolate_cover(g, cover, np.ones(g.n), KernelParams())
+        _, diags, _ = interpolate_cover(g, cover, np.ones(g.n), KernelParams())
         assert [(d.pieces, d.min_piece_samples) for d in diags] == [
             (len(ps), min(k for _, k in ps)) for ps in pieces
         ]

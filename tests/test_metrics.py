@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gbfpum.metrics
 from gbfpum import (
+    DetectionParams,
     Graph,
     default_alpha,
+    detect_communities,
     jaccard_communities,
     katz_centrality,
     modularity,
@@ -87,6 +90,56 @@ class TestKatz:
         for alpha in (-1.0, np.nan):
             with pytest.raises(ValueError):
                 katz_centrality(path3, alpha)
+
+
+class TestKatzMemo:
+    """One sparse solve per graph and alpha; the vector is shared read-only."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        original = gbfpum.metrics.sparse_lu
+
+        def counted(M):
+            calls.append(M.shape[0])
+            return original(M)
+
+        monkeypatch.setattr(gbfpum.metrics, "sparse_lu", counted)
+        return calls
+
+    def test_same_alpha_solves_once(self, solves):
+        g = random_connected_graph(7, n_max=50)
+        alpha = 0.3 / g.degrees().max()
+        first = katz_centrality(g, alpha)
+        assert katz_centrality(g, alpha) is first
+        assert len(solves) == 1
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+        with pytest.raises(AlphaDivergesError):  # a memo hit still checks its alpha
+            katz_centrality(g, 1.0)
+
+    def test_other_alpha_recomputes(self, solves):
+        g = random_connected_graph(7, n_max=50)
+        alpha = 0.3 / g.degrees().max()
+        first = katz_centrality(g, alpha)
+        other = katz_centrality(g, alpha / 2)
+        assert len(solves) == 2
+        assert np.array_equal(other, katz_centrality(random_connected_graph(7, n_max=50), alpha / 2))
+        again = katz_centrality(g, alpha)  # the memo holds the last alpha only
+        assert len(solves) == 4
+        assert again is not first and np.array_equal(again, first)
+
+    def test_covers_identical_with_memo(self, geometric200, solves):
+        def fresh() -> Graph:
+            g = geometric200
+            return Graph(g.n, g.indptr, g.indices, g.m)
+
+        W = np.arange(0, 200, 7)
+        g = fresh()
+        reused = [detect_communities(g, W, DetectionParams()).to_json() for _ in range(2)]
+        assert reused == [detect_communities(fresh(), W, DetectionParams()).to_json()] * 2
+        assert len(solves) == 2  # once per graph
 
 
 class TestModularity:

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gbfpum import KernelParams, gbf_kernel, spd_solve, sym_eigen
+import gbfpum.numerics
+
+from gbfpum import Graph, KernelParams, gbf_kernel, spd_solve, sym_eigen
 from gbfpum.errors import (
     NonFiniteMatrixError,
     NotPositiveDefiniteError,
     NotSymmetricError,
     SparseSolverError,
 )
-from gbfpum.numerics import SYM_TOL, check_symmetric, low_eigen, sparse_lu
+from gbfpum.numerics import EVD_MAX_ORDER, SYM_TOL, check_symmetric, low_eigen, sparse_lu
 
 from conftest import random_connected_graph
 
@@ -54,6 +56,56 @@ class TestSymEigen:
             eig = sym_eigen(g.laplacian())
             assert abs(eig.values[0]) <= 1e-9
             assert eig.values[-1] >= -1e-9
+
+
+def star(m: int) -> Graph:
+    """K_{1,m}: Laplacian spectrum 0, 1 (multiplicity m - 1), m + 1."""
+    return Graph.from_edges(m + 1, [(0, i) for i in range(1, m + 1)])
+
+
+def caterpillar(spine: int, legs: int) -> Graph:
+    """A path of `spine` vertices with `legs` leaves on each: eigenvalue 1 repeats."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(i, spine + legs * i + j) for i in range(spine) for j in range(legs)]
+    return Graph.from_edges(spine * (legs + 1), edges)
+
+
+class TestClusteredSpectra:
+    """Both LAPACK routines keep their accuracy where eigenvalues repeat many times."""
+
+    def test_routine_by_order(self, monkeypatch):
+        routines = []
+        original = gbfpum.numerics.eigh
+
+        def spy(*args, **kwargs):
+            routines.append(kwargs["driver"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gbfpum.numerics, "eigh", spy)
+        for order in (EVD_MAX_ORDER, EVD_MAX_ORDER + 1):
+            sym_eigen(star(order - 1).laplacian())
+        assert routines == ["evd", "evr"]
+
+    # divide and conquer below EVD_MAX_ORDER, MRRR above it
+    @pytest.mark.parametrize(
+        "g",
+        [star(150), star(400), caterpillar(60, 2), caterpillar(100, 3), star(600), caterpillar(200, 2)],
+    )
+    def test_orthonormal_residual_and_values(self, g):
+        L = g.laplacian()
+        n = g.n
+        eig = sym_eigen(L)
+        V, lam = eig.vectors, eig.values
+        scale = n * 1e-14
+        assert np.abs(V.T @ V - np.eye(n)).max() <= scale
+        assert np.abs(L @ V - V * lam).max() <= scale * lam[-1]
+        assert np.abs(lam - np.linalg.eigh(L)[0]).max() <= scale * lam[-1]
+
+    def test_star_multiplicity(self):
+        m = 150
+        lam = sym_eigen(star(m).laplacian()).values
+        expect = np.concatenate([[0.0], np.ones(m - 1), [m + 1.0]])
+        assert np.abs(lam - expect).max() <= (m + 1) * 1e-14 * (m + 1)
 
 
 class TestOwnership:

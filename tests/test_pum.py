@@ -163,6 +163,8 @@ class TestPipeline:
             "merge_s",
             "expand_s",
             "partition_s",
+            "solve_s",
+            "assemble_s",
             "interpolate_s",
             "total_s",
         }
@@ -174,6 +176,9 @@ class TestPipeline:
         stages = [res.wall_times[k] for k in ("katz_s", "split_s", "merge_s", "expand_s")]
         assert all(t >= 0.0 for t in stages)
         assert sum(stages) <= res.wall_times["partition_s"]
+        inside = [res.wall_times[k] for k in ("solve_s", "assemble_s")]
+        assert all(t >= 0.0 for t in inside)
+        assert sum(inside) <= res.wall_times["interpolate_s"]
         assert "stage_times" not in cover.to_json_dict()
 
     def test_exactness_at_samples(self, geometric200):
