@@ -5,8 +5,9 @@ Builds `generate_datasets.road_surrogate` (seed 1, m = 1.25 n) at n = 10,000
 and 20,000, samples N = n/10 vertices (sample seed 0) and runs
 `detect_communities` with default parameters. Prints one JSON line per graph:
 the stage times of `Cover.stage_times`, their total, the community count, the
-largest subdomain and the sha256 of the cover JSON. Run it with each
-checkout's sources first on the path and diff the digests:
+largest subdomain, the provenance entries of scored splits (`split_entries`),
+the provenance's JSON size in bytes and the sha256 of the cover JSON. Run it
+with each checkout's sources first on the path and diff the digests:
 
     PYTHONPATH=src python3 scripts/detect_scaling.py
 """
@@ -36,6 +37,8 @@ def main() -> None:
             "detect_s": round(total, 4),
             "communities": len(cover.communities),
             "max_subdomain": max(len(c.subdomain) for c in cover.communities),
+            "split_entries": sum(e["action"].startswith("split") for e in cover.provenance),
+            "provenance_bytes": len(json.dumps(cover.provenance, sort_keys=True, indent=2)),
             "cover_sha256": hashlib.sha256(cover.to_json().encode()).hexdigest(),
         }
         print(json.dumps(line), flush=True)

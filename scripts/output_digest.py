@@ -13,9 +13,10 @@ epsilon 0.01:
   s = 1 and s = 3 for N = 200 and 800;
 - `global_gbf_baseline` at N = 200 and 800, sample seed 0, s = 2.
 
-Each line holds the sha256 of the cover JSON, of the approximant's bytes off
-the samples W and at W, and of the diagnostics JSON; the `repr` of rrmse; and
-how many sample values the approximant misses.
+Each line holds the sha256 of the cover JSON, of its core and overlap lists
+alone (`cores`, which a change of the provenance format leaves as it is), of
+the approximant's bytes off the samples W and at W, and of the diagnostics
+JSON; the `repr` of rrmse; and how many sample values the approximant misses.
 """
 
 import hashlib
@@ -48,14 +49,19 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest(case: str, y, W, result, cover_json) -> dict:
+def digest(case: str, y, W, result, cover) -> dict:
     at_w = np.zeros(len(y), dtype=bool)
     at_w[W] = True
     approx = result.approximant
     diags = json.dumps([d.to_json_dict() for d in result.per_community], sort_keys=True)
+    cover_sha = cores_sha = None
+    if cover is not None:
+        pairs = [[c.core.tolist(), c.overlap.tolist()] for c in cover.communities]
+        cover_sha, cores_sha = sha(cover.to_json().encode()), sha(json.dumps(pairs).encode())
     return {
         "case": case,
-        "cover": None if cover_json is None else sha(cover_json.encode()),
+        "cover": cover_sha,
+        "cores": cores_sha,
         "approx_off_w": sha(approx[~at_w].tobytes()),
         "approx_at_w": sha(approx[at_w].tobytes()),
         "w_misses": int(np.sum(approx[W] != y[W])),
@@ -72,7 +78,7 @@ def main() -> None:
         W = sample_nodes(g.n, count, seed)
         result, cover = run_pipeline(g, y, W, DetectionParams(), KernelParams(s=s))
         case = f"run_pipeline N={count} sample_seed={seed} s={s:g}"
-        print(json.dumps(digest(case, y, W, result, cover.to_json())), flush=True)
+        print(json.dumps(digest(case, y, W, result, cover)), flush=True)
     for count in GLOBAL_COUNTS:
         W = sample_nodes(g.n, count, 0)
         result = global_gbf_baseline(g, y, W, KernelParams())
