@@ -18,10 +18,10 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from .graph import Graph, as_vertex_set, csr_gather
-from .metrics import default_alpha, katz_centrality, modularity, modularity_from_counts
+from .metrics import default_alpha, katz_centrality, modularity
 from .numerics import check_positive
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass
@@ -102,11 +102,14 @@ def split_community(
     """Bipartition a sorted core at its two most central sample nodes.
 
     Seeds are the top two Katz-ranked members of the sorted sample set W
-    inside the core (ties to the lower vertex id); every core vertex joins the
-    seed it reaches in fewer hops within the induced core subgraph. The first
-    seed takes ties and the vertices neither seed reaches. Returns None when
-    the core holds fewer than two sample nodes. This is the one-core call of
-    `_bipartition`, which splits many cores at once.
+    inside the core; every core vertex joins the seed it reaches in fewer hops
+    within the induced core subgraph. The first seed takes ties and the
+    vertices neither seed reaches. The ranking reads the Katz floats as they
+    are, so its tie-break (the lower vertex id) applies only to exactly equal
+    floats: two automorphic vertices whose Katz values differ in the last bit
+    rank by that rounding. Returns None when the core holds fewer than two
+    sample nodes. This is the one-core call of `_bipartition`, which splits
+    many cores at once.
     """
     label = np.full(g.n, -1, dtype=np.int64)
     label[core] = 0
@@ -187,7 +190,7 @@ def _side_counts(
     k2 = 2 * (int(label.max()) + 1)
     intra = np.bincount(side, weights=np.diff(adj.indptr), minlength=k2)
     deg = np.bincount(side, weights=g.degrees()[vs], minlength=k2)
-    return intra.reshape(-1, 2), deg.reshape(-1, 2)
+    return intra.astype(np.int64).reshape(-1, 2), deg.astype(np.int64).reshape(-1, 2)
 
 
 def _owners(n: int, cores: list[np.ndarray]) -> np.ndarray:
@@ -218,67 +221,54 @@ def core_membership(n: int, cores: list[np.ndarray]) -> np.ndarray:
 def _split_phase(
     g: Graph, W: np.ndarray, katz: np.ndarray, provenance: list[dict]
 ) -> list[np.ndarray]:
-    """Greedy divisive loop: accept each split that raises global modularity.
+    """Divisive loop over the bisection tree: split each core whose split raises Q.
 
-    Passes over the cores stop after one that accepts no split (each accepted
-    split strictly raises Q). Core ids index `label`; a split keeps the first
-    side under its id and gives the second the next free one. A candidate is
-    scored from per-core (intra, degree sum) counts. A core's bipartition
-    depends only on the core, W and katz, and cores split off in a pass wait
-    for the next one, so the plans of every core a pass created are made
-    together at its end, and reused by every later pass.
+    Splitting core c into sides a and b changes modularity by
+    dQ = 2*(deg_a*deg_b - 2m*cut)/(2m)^2, where cut counts the edges between
+    the sides; no other core's split alters it. So each core is scored once,
+    when its plan is made, and a rejected core is final. A pass scores the
+    cores planned at the end of the previous one together, from integer
+    (intra, degree sum) counts, and splits those with deg_a*deg_b > 2m*cut.
+    A split core keeps its id; the second sides take the next free ids in
+    ascending core order. Each scored core logs its exact dQ, correctly
+    rounded, whose sign is the decision.
     """
+    two_m = len(g.indices)
     label = np.zeros(g.n, dtype=np.int64)
     k = 1  # cores so far
-    cap = len(W) + 1  # every core holds a sample, so there are at most len(W)
-    intra, deg = np.zeros(cap), np.zeros(cap)
-    intra[0], deg[0] = len(g.indices), g.degrees().sum()
-    # the plan of each core: its sides' counts, and second[v] for its vertices
-    plan_intra, plan_deg = np.zeros((cap, 2)), np.zeros((cap, 2))
-    has_plan = np.zeros(cap, dtype=bool)
-    second = np.zeros(g.n, dtype=bool)
-
-    def store_plans(planned: np.ndarray) -> None:
-        has_plan[planned] = True
-        side_intra, side_deg = _side_counts(g, _restrict(label, planned), second)
-        plan_intra[planned], plan_deg[planned] = side_intra[planned], side_deg[planned]
-
+    # intra half-edges per core; every core holds a sample, so there are at most len(W)
+    intra = np.zeros(len(W), dtype=np.int64)
+    intra[0] = two_m
     # the first pass holds one core, the whole graph
+    second = np.zeros(g.n, dtype=bool)
     sides = split_community(g, np.arange(g.n, dtype=np.int64), W, katz)
     if sides is not None:
         second[sides[1]] = True
-        store_plans(np.array([0]))
-    q_run = modularity_from_counts(intra[:1], deg[:1], g.m)
-    accepted = True
-    while accepted:
-        accepted = False
-        touched = []
-        for cid in range(k):  # cores split off in this pass wait for the next
-            if not has_plan[cid]:
-                continue
-            c_intra, c_deg = intra[: k + 1].copy(), deg[: k + 1].copy()
-            c_intra[[cid, k]], c_deg[[cid, k]] = plan_intra[cid], plan_deg[cid]
-            q_cand = modularity_from_counts(c_intra, c_deg, g.m)
-            if q_cand > q_run:
-                label[(label == cid) & second] = k
-                intra[: k + 1], deg[: k + 1] = c_intra, c_deg
-                touched += [cid, k]
-                k += 1
-                provenance.append(
-                    {"action": "split", "q_before": q_run, "q_after": q_cand}
-                )
-                q_run = q_cand
-                accepted = True
-            else:
-                provenance.append(
-                    {"action": "split_rejected", "q_before": q_run, "q_after": q_cand}
-                )
-        if touched:
-            fresh = _restrict(label, touched)
-            new_second, planned = _bipartition(g, fresh, W, katz)
-            second[fresh >= 0] = new_second[fresh >= 0]
-            has_plan[touched] = False
-            store_plans(planned)
+    planned = np.arange(0 if sides is None else 1)
+    while len(planned):
+        side_intra, side_deg = _side_counts(g, _restrict(label, planned), second)
+        (ia, ib), (da, db) = side_intra[planned].T, side_deg[planned].T
+        gain = da * db - two_m * ((intra[planned] - ia - ib) // 2)
+        for cid, gn in zip(planned.tolist(), gain.tolist()):
+            provenance.append(
+                {
+                    "action": "split" if gn > 0 else "split_rejected",
+                    "core_id": cid,
+                    "dq": 2 * gn / two_m**2,  # Python ints: the quotient is correctly rounded
+                    "q_before": None,
+                    "q_after": None,
+                }
+            )
+        accept = gain > 0
+        split = planned[accept]
+        fresh = np.arange(k, k + len(split))
+        intra[split], intra[fresh] = ia[accept], ib[accept]
+        new = np.arange(k)
+        new[split] = fresh
+        label = np.where(second, new[label], label)
+        k += len(split)
+        touched = _restrict(label, np.concatenate([split, fresh]))
+        second, planned = _bipartition(g, touched, W, katz)
     return _cores_of(label, k)
 
 

@@ -64,18 +64,10 @@ def modularity(g: Graph, membership: np.ndarray) -> float:
         membership[rows][same], minlength=n_comm
     ).astype(np.float64)
     deg_tot = np.bincount(membership, weights=deg, minlength=n_comm)
-    return modularity_from_counts(intra_halfedges, deg_tot, g.m)
-
-
-def modularity_from_counts(intra: np.ndarray, deg: np.ndarray, m: int) -> float:
-    """Q from each community's intra half-edge count and degree sum, in community order.
-
-    The one float recipe for Q: `modularity` and the split scorer both end
-    here, so their values agree bit for bit.
-    """
-    if m == 0:
+    if g.m == 0:
         return 0.0
-    return float(np.sum(intra / (2.0 * m) - (deg / (2.0 * m)) ** 2))
+    two_m = 2.0 * g.m
+    return float(np.sum(intra_halfedges / two_m - (deg_tot / two_m) ** 2))
 
 
 def jaccard_communities(g: Graph, U: np.ndarray, V: np.ndarray) -> float:

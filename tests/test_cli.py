@@ -7,6 +7,7 @@ import pytest
 
 from gbfpum import default_alpha, load_graph
 from gbfpum.cli import main
+from gbfpum.community import FORMAT_VERSION
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -33,7 +34,7 @@ class TestPartition:
         rc = main(["partition", "--graph", str(graph), "--samples", str(samples), "--out", str(out)])
         assert rc == 0
         doc = json.loads(out.read_text())
-        assert doc["format_version"] == 1
+        assert doc["format_version"] == FORMAT_VERSION
         assert len(doc["communities"]) == 2
         assert "params" in doc
         plot = out.with_suffix(".plot.csv")

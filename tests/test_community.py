@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,9 +14,11 @@ from gbfpum import (
     modularity,
 )
 from gbfpum.community import (
+    FORMAT_VERSION,
     Cover,
     _bipartition,
     _side_counts,
+    _split_phase,
     core_membership,
     expand_overlap,
     merge_small,
@@ -73,28 +77,55 @@ def overlap_oracle(g, core, p):
     return sorted(extra - core_set)
 
 
-def replay_split_log(g, W, katz, provenance):
-    """Rebuild the cores each scored split saw, following the log's decisions.
+def exact_modularity(g, membership):
+    """Q as a Fraction: each community's edge count and degree sum, summed exactly."""
+    A = g.adjacency().toarray().astype(np.int64)
+    deg, two_m = A.sum(axis=1), int(A.sum())
+    q = Fraction(0)
+    for c in np.unique(membership):
+        vs = np.flatnonzero(membership == c)
+        intra, deg_c = int(A[np.ix_(vs, vs)].sum()), int(deg[vs].sum())
+        q += Fraction(intra, two_m) - Fraction(deg_c**2, two_m**2)
+    return q
 
-    Yields (entry, membership before, candidate membership) for every `split`
-    and `split_rejected` entry, calling `split_community` afresh each time.
+
+def replay_split_log(g, W, katz, provenance):
+    """Rebuild the bisection tree one scored core at a time, following the log's decisions.
+
+    Each pass plans, with a fresh `split_community` call, every core the
+    previous pass split or created, in ascending id order; an accepted split's
+    second side takes the next id. Yields (entry, core id, exact dQ, membership
+    before, membership after the split) for every `split` and `split_rejected`
+    entry. dQ comes from the sides' own edge and degree counts:
+    2*(deg_a*deg_b - 2m*cut)/(2m)^2.
     """
+    A = g.adjacency().toarray().astype(np.int64)
+    deg, two_m = A.sum(axis=1), int(A.sum())
     log = iter(e for e in provenance if e["action"] in ("split", "split_rejected"))
     cores = [np.arange(g.n)]
-    accepted = True  # a pass runs again only after a pass that accepted a split
-    while len(cores) <= len(W) and accepted:
-        accepted = False
-        for cid in range(len(cores)):
-            if len(cores) + 1 > len(W):
-                break
+    todo = [0]
+    while todo:
+        touched = []
+        for cid in todo:
             parts = split_community(g, cores[cid], W, katz)
             if parts is None:
                 continue
-            candidate = cores[:cid] + [parts[0]] + cores[cid + 1 :] + [parts[1]]
-            entry = next(log)
-            yield entry, core_membership(g.n, cores), core_membership(g.n, candidate)
+            a, b = parts
+            gain = int(deg[a].sum()) * int(deg[b].sum()) - two_m * int(A[np.ix_(a, b)].sum())
+            candidate = cores[:cid] + [a] + cores[cid + 1 :] + [b]
+            entry = next(log, None)
+            assert entry is not None, "log holds fewer scored splits than the replay"
+            yield (
+                entry,
+                cid,
+                Fraction(2 * gain, two_m**2),
+                core_membership(g.n, cores),
+                core_membership(g.n, candidate),
+            )
             if entry["action"] == "split":
-                cores, accepted = candidate, True
+                cores = candidate
+                touched += [cid, len(cores) - 1]
+        todo = sorted(touched)
     assert next(log, None) is None, "log holds more scored splits than the replay"
 
 
@@ -158,9 +189,9 @@ def check_cover_invariants(g, W, cover):
     for c in cover.communities:
         assert len(c.interpolation_nodes) >= 1
         assert len(np.intersect1d(c.core, c.overlap)) == 0
-    accepted = [e for e in cover.provenance if e["action"] == "split"]
-    qs = [e["q_before"] for e in accepted] + [e["q_after"] for e in accepted[-1:]]
-    assert all(a < b for a, b in zip(qs, qs[1:]))
+    for e in cover.provenance:
+        if e["action"] in ("split", "split_rejected"):
+            assert (e["action"] == "split") == (e["dq"] > 0)
 
 
 class TestSplitCommunity:
@@ -235,10 +266,35 @@ class TestDetect:
         rng = np.random.default_rng(seed)
         W = np.flatnonzero(rng.random(g.n) < frac)
         assume(len(W) >= 1)
-        cover = detect_communities(g, W, DetectionParams())
-        for entry, before, after in replay_split_log(g, W, global_katz(g), cover.provenance):
-            assert entry["q_before"].hex() == modularity(g, before).hex()
-            assert entry["q_after"].hex() == modularity(g, after).hex()
+        katz = global_katz(g)
+        log = []
+        cores = _split_phase(g, W, katz, log)
+        final = np.zeros(g.n, dtype=np.int64)
+        for entry, cid, dq, before, after in replay_split_log(g, W, katz, log):
+            assert entry["core_id"] == cid
+            assert entry["dq"].hex() == float(dq).hex()
+            assert (entry["action"] == "split") == (dq > 0)
+            assert dq == exact_modularity(g, after) - exact_modularity(g, before)
+            assert float(exact_modularity(g, after)) == pytest.approx(modularity(g, after), abs=1e-12)
+            if entry["action"] == "split":
+                final = after
+        assert np.array_equal(core_membership(g.n, cores), final)
+
+    @pytest.mark.parametrize("seed", [1115, 1180])
+    def test_zero_gain_split_rejected(self, seed):
+        # summing float Q over every core once rounded these exact-zero gains up
+        # by an ulp and accepted them (1180: 7 communities instead of 1)
+        g = random_connected_graph(seed, n_max=60)
+        rng = np.random.default_rng(seed)
+        W = np.arange(5) if seed == 1115 else np.flatnonzero(rng.random(g.n) < rng.uniform(0.05, 0.9))
+        katz = global_katz(g)
+        log = []
+        _split_phase(g, W, katz, log)
+        dqs = []
+        for entry, _, dq, _, _ in replay_split_log(g, W, katz, log):
+            assert entry["action"] == "split_rejected" or dq > 0
+            dqs.append(dq)
+        assert 0 in dqs  # the case still holds a zero-gain split
 
     def test_single_sample_single_community(self, two_triangle):
         cover = detect_communities(two_triangle, np.array([3]), DetectionParams())
@@ -252,8 +308,7 @@ class TestDetect:
         assert cores == [[0, 1, 2], [3, 4, 5]]
         split = [e for e in cover.provenance if e["action"] == "split"]
         assert len(split) == 1
-        assert split[0]["q_before"] == pytest.approx(0.0, abs=1e-12)
-        assert split[0]["q_after"] == pytest.approx(5 / 14, abs=1e-12)
+        assert split[0]["dq"] == 5 / 14  # 2*(7*7 - 14*1)/14^2
 
     def test_path10_all_samples_monotone_log(self, path10):
         cover = detect_communities(path10, np.arange(10), DetectionParams())
@@ -497,7 +552,7 @@ class TestCoverSerialization:
         W = np.array([0, 4])
         cover = detect_communities(two_triangle, W, DetectionParams())
         doc = cover.to_json_dict()
-        assert doc["format_version"] == 1
+        assert doc["format_version"] == FORMAT_VERSION
         back = Cover.from_json_dict(doc, two_triangle.n, W)
         assert len(back.communities) == len(cover.communities)
         for a, b in zip(back.communities, cover.communities):
@@ -509,6 +564,8 @@ class TestCoverSerialization:
         cover = detect_communities(two_triangle, np.array([0, 4]), DetectionParams())
         for entry in cover.provenance:
             assert {"action", "q_before", "q_after"} <= set(entry)
+            if entry["action"].startswith("split"):
+                assert set(entry) == {"action", "core_id", "dq", "q_before", "q_after"}
 
 
 def test_structural_suite_random_graphs():
