@@ -6,8 +6,10 @@ and 20,000, samples N = n/10 vertices (sample seed 0) and runs
 `detect_communities` with default parameters. Prints one JSON line per graph:
 the stage times of `Cover.stage_times`, their total, the community count, the
 largest subdomain, the provenance entries of scored splits (`split_entries`),
-the provenance's JSON size in bytes and the sha256 of the cover JSON. Run it
-with each checkout's sources first on the path and diff the digests:
+the small cores merged (`merges`) and how many of those merges left a
+disconnected core (`merges_disconnected`), the provenance's JSON size in
+bytes and the sha256 of the cover JSON. Run it with each checkout's sources
+first on the path and diff the digests:
 
     PYTHONPATH=src python3 scripts/detect_scaling.py
 """
@@ -30,6 +32,7 @@ def main() -> None:
         t0 = time.perf_counter()
         cover = detect_communities(g, W, DetectionParams())
         total = time.perf_counter() - t0
+        actions = [e["action"] for e in cover.provenance]
         line = {
             "n": n,
             "N": len(W),
@@ -37,7 +40,9 @@ def main() -> None:
             "detect_s": round(total, 4),
             "communities": len(cover.communities),
             "max_subdomain": max(len(c.subdomain) for c in cover.communities),
-            "split_entries": sum(e["action"].startswith("split") for e in cover.provenance),
+            "split_entries": sum(a.startswith("split") for a in actions),
+            "merges": sum(a.startswith("merge") for a in actions),
+            "merges_disconnected": actions.count("merge_disconnected"),
             "provenance_bytes": len(json.dumps(cover.provenance, sort_keys=True, indent=2)),
             "cover_sha256": hashlib.sha256(cover.to_json().encode()).hexdigest(),
         }

@@ -4,12 +4,7 @@ from .community import Community, Cover, DetectionParams, detect_communities
 from .errors import GbfPumError
 from .graph import Graph, load_graph
 from .kernel import KernelParams, gbf_kernel
-from .metrics import (
-    default_alpha,
-    jaccard_communities,
-    katz_centrality,
-    modularity,
-)
+from .metrics import default_alpha, katz_centrality, modularity
 from .numerics import spd_solve, sym_eigen
 from .pum import (
     PumResult,
@@ -41,7 +36,6 @@ __all__ = [
     "gbf_kernel",
     "global_gbf_baseline",
     "interpolate_cover",
-    "jaccard_communities",
     "katz_centrality",
     "load_graph",
     "local_interpolant",

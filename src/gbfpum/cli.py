@@ -60,9 +60,20 @@ def _param(cls, name: str) -> dict:
     return {"type": parse, "default": getattr(cls, name)}  # the field's default
 
 
+def _seed(text: str) -> int:
+    """A PRNG seed: numpy's generators take no negative one."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser, with_kernel: bool) -> None:
     sub.add_argument("--graph", required=True, help="edge-list file")
-    sub.add_argument("--seed", type=int, default=0, help="PRNG seed for sampling")
+    sub.add_argument("--seed", type=_seed, default=0, help="PRNG seed for sampling")
     alpha = _param(DetectionParams, "alpha")
     sub.add_argument("--alpha", help="Katz attenuation (default: capped)", **alpha)
     sub.add_argument("--small-fraction", **_param(DetectionParams, "small_fraction"))
@@ -258,6 +269,8 @@ def cmd_benchmark(args) -> None:
         raise UsageFailure("--counts must list at least one sample count")
     if counts != sorted(counts):
         raise UsageFailure("--counts must be ascending")
+    if counts[0] < 1:
+        raise UsageFailure("--counts must be positive")
 
     g = _load_graph_file(args.graph)
     if counts[-1] > g.n:

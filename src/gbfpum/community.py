@@ -177,20 +177,24 @@ def _restrict(label: np.ndarray, ids) -> np.ndarray:
     return np.where(keep[label], label, -1)
 
 
-def _side_counts(
-    g: Graph, label: np.ndarray, second: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each labelled core's two sides' (intra, degree sum) counts, by label, shape (k, 2).
+def _split_gains(
+    g: Graph, label: np.ndarray, second: np.ndarray, planned: np.ndarray
+) -> np.ndarray:
+    """`deg_a*deg_b - 2m*cut` of each planned core's split, int64, in `planned` order.
 
-    `intra` counts the ordered vertex pairs inside a side joined by an edge,
-    as `metrics.modularity` does. Vertices labelled -1 are skipped.
+    `second` marks each planned core's second side (a: False, b: True); cut
+    counts the core's edges between its sides and deg_a, deg_b are the
+    sides' degree sums, all read from one gather of the planned cores' edges.
     """
-    vs, adj = _intra_graph(g, np.where(label >= 0, 2 * label + second, -1))
-    side = 2 * label[vs] + second[vs]
-    k2 = 2 * (int(label.max()) + 1)
-    intra = np.bincount(side, weights=np.diff(adj.indptr), minlength=k2)
-    deg = np.bincount(side, weights=g.degrees()[vs], minlength=k2)
-    return intra.astype(np.int64).reshape(-1, 2), deg.astype(np.int64).reshape(-1, 2)
+    label = _restrict(label, planned)
+    vs, adj = _intra_graph(g, label)
+    lv, b = label[vs], second[vs]
+    k = int(label.max()) + 1
+    cross = adj @ b  # each vertex's neighbours on its core's second side
+    cut = np.bincount(lv[~b], weights=cross[~b], minlength=k)
+    deg = np.bincount(2 * lv + b, weights=g.degrees()[vs], minlength=2 * k).reshape(-1, 2)
+    deg, cut = deg.astype(np.int64)[planned], cut.astype(np.int64)[planned]
+    return deg[:, 0] * deg[:, 1] - len(g.indices) * cut
 
 
 def _owners(n: int, cores: list[np.ndarray]) -> np.ndarray:
@@ -227,8 +231,9 @@ def _split_phase(
     dQ = 2*(deg_a*deg_b - 2m*cut)/(2m)^2, where cut counts the edges between
     the sides; no other core's split alters it. So each core is scored once,
     when its plan is made, and a rejected core is final. A pass scores the
-    cores planned at the end of the previous one together, from integer
-    (intra, degree sum) counts, and splits those with deg_a*deg_b > 2m*cut.
+    cores planned at the end of the previous one together, from the integer
+    (cut, degree sum) counts of `_split_gains`, and splits those with
+    deg_a*deg_b > 2m*cut; it reads nothing but the labels and the plans.
     A split core keeps its id; the second sides take the next free ids in
     ascending core order. Each scored core logs its exact dQ, correctly
     rounded, whose sign is the decision.
@@ -236,9 +241,6 @@ def _split_phase(
     two_m = len(g.indices)
     label = np.zeros(g.n, dtype=np.int64)
     k = 1  # cores so far
-    # intra half-edges per core; every core holds a sample, so there are at most len(W)
-    intra = np.zeros(len(W), dtype=np.int64)
-    intra[0] = two_m
     # the first pass holds one core, the whole graph
     second = np.zeros(g.n, dtype=bool)
     sides = split_community(g, np.arange(g.n, dtype=np.int64), W, katz)
@@ -246,9 +248,7 @@ def _split_phase(
         second[sides[1]] = True
     planned = np.arange(0 if sides is None else 1)
     while len(planned):
-        side_intra, side_deg = _side_counts(g, _restrict(label, planned), second)
-        (ia, ib), (da, db) = side_intra[planned].T, side_deg[planned].T
-        gain = da * db - two_m * ((intra[planned] - ia - ib) // 2)
+        gain = _split_gains(g, label, second, planned)
         for cid, gn in zip(planned.tolist(), gain.tolist()):
             provenance.append(
                 {
@@ -259,10 +259,8 @@ def _split_phase(
                     "q_after": None,
                 }
             )
-        accept = gain > 0
-        split = planned[accept]
+        split = planned[gain > 0]
         fresh = np.arange(k, k + len(split))
-        intra[split], intra[fresh] = ia[accept], ib[accept]
         new = np.arange(k)
         new[split] = fresh
         label = np.where(second, new[label], label)
@@ -358,11 +356,6 @@ class _Pieces:
         return joined
 
 
-def _log_merge(provenance: list[dict], pieces: int) -> None:
-    action = "merge" if pieces == 1 else "merge_disconnected"
-    provenance.append({"action": action, "q_before": None, "q_after": None})
-
-
 def merge_small(
     g: Graph,
     cores: list[np.ndarray],
@@ -371,52 +364,37 @@ def merge_small(
 ) -> list[np.ndarray]:
     """Fold cores smaller than ceil(small_fraction*n) into the most similar big one.
 
-    Without any big core, the largest core (lowest id among equals) absorbs
-    the others one at a time, most similar to the growing union first, so a
-    single core remains. Ties on Jaccard similarity go to the lowest
-    community id. Merged cores may be disconnected; that is logged, not
-    rejected. The cores must not overlap; they need not cover every vertex.
+    Small cores merge in id order, each into the big core of highest mean
+    Jaccard similarity as grown so far; ties go to the lowest community id.
+    Without any big core, the largest core (lowest id among equals) counts
+    as the one big core, so a single core remains. Merged cores may be
+    disconnected; that is logged, not rejected. The cores must not overlap;
+    they need not cover every vertex.
     """
     threshold = int(np.ceil(p.small_fraction * g.n))
     owner = _owners(g.n, cores)
     sizes = np.array([len(c) for c in cores])
-    big = np.flatnonzero(sizes >= threshold)
-    small = np.flatnonzero(sizes < threshold)
-    if len(cores) < 2 or len(small) == 0:
+    if len(cores) < 2 or sizes.min() >= threshold:
         return list(cores)
+    is_big = sizes >= threshold
+    is_big[np.argmax(sizes)] = True  # the largest core is big, or promoted to it
+    big, small = np.flatnonzero(is_big), np.flatnonzero(~is_big)
     pieces = _Pieces(g, owner, len(cores))
-    if len(big):
-        # later small cores compare against the big ones grown so far
-        jac = _JaccardRows(g, np.concatenate([cores[i] for i in small]))
-        rank = np.full(len(cores) + 1, -1)  # big index per core id; owner -1 reads -1
-        rank[big] = np.arange(len(big))
-        owner = rank[owner]
-        big_sizes, big_pieces = sizes[big], pieces.of_core[big]
-        for sid in small:
-            U = cores[sid]
-            best = int(np.argmax(jac.mean(U, owner, big_sizes)))
-            joined = pieces.join(U, owner == best)
-            big_pieces[best] += pieces.of_core[sid] - joined
-            owner[U] = best
-            big_sizes[best] += len(U)
-            _log_merge(provenance, big_pieces[best])
-        return _cores_of(owner, len(big))
-
-    # no big core: the largest absorbs the rest
-    src = int(np.argmax(sizes))
-    jac = _JaccardRows(g, np.arange(g.n))
-    others = [i for i in range(len(cores)) if i != src]
-    in_union = owner == src
-    owner[in_union] = -1  # the union's vertices count towards no core's similarity
-    union_pieces = pieces.of_core[src]
-    while others:
-        sim = jac.mean(np.flatnonzero(in_union), owner, sizes)[others]
-        o = others.pop(int(np.argmax(sim)))
-        union_pieces += pieces.of_core[o] - pieces.join(cores[o], in_union)
-        in_union[cores[o]] = True
-        owner[cores[o]] = -1
-        _log_merge(provenance, union_pieces)
-    return [np.flatnonzero(in_union)]
+    jac = _JaccardRows(g, np.concatenate([cores[i] for i in small]))
+    rank = np.full(len(cores) + 1, -1)  # big index per core id; owner -1 reads -1
+    rank[big] = np.arange(len(big))
+    owner = rank[owner]
+    big_sizes, big_pieces = sizes[big], pieces.of_core[big]
+    for sid in small:
+        U = cores[sid]
+        best = int(np.argmax(jac.mean(U, owner, big_sizes)))
+        joined = pieces.join(U, owner == best)
+        big_pieces[best] += pieces.of_core[sid] - joined
+        owner[U] = best
+        big_sizes[best] += len(U)
+        action = "merge" if big_pieces[best] == 1 else "merge_disconnected"
+        provenance.append({"action": action, "q_before": None, "q_after": None})
+    return _cores_of(owner, len(big))
 
 
 def expand_overlap(

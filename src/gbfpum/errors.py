@@ -23,8 +23,8 @@ class SelfLoopError(GraphError):
 
 
 class DisconnectedError(GraphError):
-    def __init__(self, msg: str = "graph is not connected"):
-        super().__init__(msg)
+    def __init__(self):
+        super().__init__("graph is not connected")
 
 
 class OutOfRangeError(GraphError):

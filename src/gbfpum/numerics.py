@@ -54,8 +54,8 @@ def check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be a positive finite number, got {value}")
 
 
-def check_symmetric(M, tol: float = SYM_TOL) -> None:
-    """Raise NotSymmetricError unless max|M - M^T| <= tol * max(1, max|M|).
+def check_symmetric(M) -> None:
+    """Raise NotSymmetricError unless max|M - M^T| <= SYM_TOL * max(1, max|M|).
 
     NaN or inf entries raise NonFiniteMatrixError (NaN passes any tolerance
     test). Accepts dense arrays and scipy sparse matrices; O(nnz) when sparse.
@@ -80,7 +80,7 @@ def check_symmetric(M, tol: float = SYM_TOL) -> None:
             raise NonFiniteMatrixError()
         peak = max(peak, block_peak)
         asym = max(asym, float(abs(rows - rows_t).max()))
-    if asym > tol * max(1.0, peak):
+    if asym > SYM_TOL * max(1.0, peak):
         raise NotSymmetricError(asym)
 
 

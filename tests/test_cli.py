@@ -213,6 +213,15 @@ class TestBenchmark:
         rc = main(["benchmark", "--graph", str(graph), "--signal", str(signal), "--counts", "7", "--out", str(tmp_path / "o.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("counts", ["0", "0,2"])
+    def test_count_below_one_exit_1(self, fixture_files, tmp_path, capsys, counts):
+        graph, _, signal = fixture_files
+        rc = main(["benchmark", "--graph", str(graph), "--signal", str(signal), "--counts", counts, "--out", str(tmp_path / "o.json")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("usage error:") and "--counts" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("flag", [["--samples", "s.txt"], ["--n-samples", "4"]])
     def test_sample_flags_exit_1(self, fixture_files, tmp_path, flag):
         # the sweep draws its samples from --counts and --seed
@@ -234,6 +243,20 @@ def test_params_alpha_is_the_alpha_used(fixture_files, tmp_path):
         for extra, alpha in (([], default), (["--alpha", "0.05"], 0.05)):
             assert main([command, "--graph", str(graph), "--out", str(out), *args, *extra]) == 0
             assert json.loads(out.read_text())["params"]["alpha"] == alpha
+
+
+@pytest.mark.parametrize("command", ["partition", "interpolate", "benchmark"])
+@pytest.mark.parametrize("seed", ["-1", "1.5"])
+def test_bad_seed_exit_1(fixture_files, tmp_path, capsys, command, seed):
+    graph, _, signal = fixture_files
+    extra = ["--counts", "2,4"] if command == "benchmark" else ["--n-samples", "2"]
+    if command != "partition":
+        extra += ["--signal", str(signal)]
+    rc = main([command, "--graph", str(graph), "--seed", seed, *extra, "--out", str(tmp_path / "o.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("usage error:") and "--seed" in err
+    assert "Traceback" not in err
 
 
 def test_unknown_subcommand_exit_1(tmp_path):

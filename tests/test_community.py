@@ -9,7 +9,6 @@ from gbfpum import (
     Graph,
     default_alpha,
     detect_communities,
-    jaccard_communities,
     katz_centrality,
     modularity,
 )
@@ -17,13 +16,14 @@ from gbfpum.community import (
     FORMAT_VERSION,
     Cover,
     _bipartition,
-    _side_counts,
+    _split_gains,
     _split_phase,
     core_membership,
     expand_overlap,
     merge_small,
     split_community,
 )
+from gbfpum.metrics import jaccard_communities
 
 from conftest import neighbors, random_connected_graph
 
@@ -159,24 +159,16 @@ def merge_oracle(g, cores, p, provenance):
         provenance.append({"action": action, "q_before": None, "q_after": None})
 
     big_ids = [i for i, c in enumerate(cores) if len(c) >= threshold]
-    if big_ids:
-        bigs = {i: cores[i] for i in big_ids}
-        for sid, small in enumerate(cores):
-            if sid in bigs:
-                continue
-            best = pick(small, [(b, bigs[b]) for b in big_ids])
-            bigs[best] = np.union1d(bigs[best], small)
-            log(bigs[best])
-        return [bigs[i] for i in big_ids], near_tie
-    while len(cores) > 1 and any(len(c) < threshold for c in cores):
-        src = sorted((-len(c), i) for i, c in enumerate(cores))[0][1]
-        best = pick(cores[src], [(j, c) for j, c in enumerate(cores) if j != src])
-        lo, hi = min(src, best), max(src, best)
-        union = np.union1d(cores[lo], cores[hi])
-        log(union)
-        cores = [c for i, c in enumerate(cores) if i not in (lo, hi)]
-        cores.insert(lo, union)
-    return cores, near_tie
+    if not big_ids:  # the largest core, lowest id among equals, is the one big core
+        big_ids = [min(range(len(cores)), key=lambda i: (-len(cores[i]), i))]
+    bigs = {i: cores[i] for i in big_ids}
+    for sid, small in enumerate(cores):
+        if sid in bigs:
+            continue
+        best = pick(small, [(b, bigs[b]) for b in big_ids])
+        bigs[best] = np.union1d(bigs[best], small)
+        log(bigs[best])
+    return [bigs[i] for i in big_ids], near_tie
 
 
 def check_cover_invariants(g, W, cover):
@@ -356,13 +348,12 @@ class TestMergeSmall:
         assert sorted(c.tolist() for c in got) == [[0, 1, 2, 3, 8], [4, 5, 6, 7]]
 
     def test_no_big_community_fallback(self, path10):
+        # no core reaches 2 vertices: {0} is promoted and the others join it in id order
         cores = [np.array([i]) for i in range(10)]
-        got = merge_small(path10, cores, DetectionParams(small_fraction=0.2), [])
-        assert len(got) >= 1
-        allv = np.concatenate(got)
-        assert np.array_equal(np.sort(allv), np.arange(10))
-        thr = int(np.ceil(0.2 * 10))
-        assert all(len(c) >= thr for c in got) or len(got) == 1
+        prov = []
+        got = merge_small(path10, cores, DetectionParams(small_fraction=0.2), prov)
+        assert [c.tolist() for c in got] == [list(range(10))]
+        assert [e["action"] for e in prov] == ["merge"] * 9
 
     def test_ties_go_to_lowest_id(self):
         # path 0..8: the small core {4} is equally similar to its mirror images
@@ -370,8 +361,8 @@ class TestMergeSmall:
         cores = [np.arange(4), np.array([4]), np.arange(5, 9)]
         got = merge_small(g, cores, DetectionParams(small_fraction=0.3), [])
         assert [c.tolist() for c in got] == [[0, 1, 2, 3, 4], [5, 6, 7, 8]]
-        # no big core, and every pair of singletons shares no neighbour: the
-        # lowest id wins each tie, so only the first union is connected
+        # no big core: the lowest id among the largest, {0}, is promoted, and
+        # only its first union, with {1}, is connected
         g = Graph.from_edges(4, [(0, 1), (2, 3)], require_connected=False)
         prov = []
         merge_small(g, [np.array([v]) for v in range(4)], DetectionParams(small_fraction=0.4), prov)
@@ -397,17 +388,29 @@ class TestMergeSmall:
         assert got_log == expect_log
 
     def test_disconnected_merge_logged(self):
-        # star: small cores {1} and {2} are not adjacent; merging smalls among
-        # themselves can produce a disconnected core
+        # star: the leaves {1} and {2} join the big core {0, 3} through the hub
         g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+        p = DetectionParams(small_fraction=0.5)
         prov = []
-        merge_small(
-            g,
-            [np.array([0, 3]), np.array([1]), np.array([2])],
-            DetectionParams(small_fraction=0.5),
-            prov,
-        )
-        assert any(e["action"].startswith("merge") for e in prov)
+        got = merge_small(g, [np.array([0, 3]), np.array([1]), np.array([2])], p, prov)
+        assert [c.tolist() for c in got] == [[0, 1, 2, 3]]
+        assert [e["action"] for e in prov] == ["merge", "merge"]
+        # without the hub in any core, the promoted leaf {1} gains the others disconnected
+        prov = []
+        got = merge_small(g, [np.array([1]), np.array([2]), np.array([3])], p, prov)
+        assert [c.tolist() for c in got] == [[1, 2, 3]]
+        assert [e["action"] for e in prov] == ["merge_disconnected"] * 2
+
+    def test_no_big_merge_log_follows_id_order(self):
+        # the largest core absorbing the rest in similarity order made the first
+        # two unions disconnected; merged in id order into it, each is connected
+        g = random_connected_graph(1364, n_max=60)
+        rng = np.random.default_rng(1364)
+        W = np.flatnonzero(rng.random(g.n) < rng.uniform(0.05, 0.9))
+        cover = detect_communities(g, W, DetectionParams(small_fraction=0.5))
+        assert [c.core.tolist() for c in cover.communities] == [list(range(g.n))]
+        merges = [e["action"] for e in cover.provenance if e["action"].startswith("merge")]
+        assert merges == ["merge"] * 3
 
 
 class TestExpandOverlap:
@@ -482,7 +485,9 @@ class TestPassFunctions:
         W = np.flatnonzero(rng.random(g.n) < frac)  # cores with 0, 1 or many samples
         katz = global_katz(g)
         second, planned = _bipartition(g, label, W, katz)
-        intra, deg = _side_counts(g, np.where(np.isin(label, planned), label, -1), second)
+        gains = _split_gains(g, label, second, planned)
+        assert gains.dtype == np.int64
+        gain = dict(zip(planned.tolist(), gains.tolist()))
         adj = g.adjacency().toarray()
         for c in range(k):
             core = np.flatnonzero(label == c)
@@ -494,9 +499,9 @@ class TestPassFunctions:
             side1, side2 = core[~second[core]], core[second[core]]
             assert [side1.tolist(), side2.tolist()] == list(expect)
             assert [s.tolist() for s in split_community(g, core, W, katz)] == list(expect)
-            for j, side in enumerate((side1, side2)):
-                assert intra[c, j] == adj[np.ix_(side, side)].sum()
-                assert deg[c, j] == g.degrees()[side].sum()
+            cut = adj[np.ix_(side1, side2)].sum()
+            deg1, deg2 = g.degrees()[side1].sum(), g.degrees()[side2].sum()
+            assert gain[c] == deg1 * deg2 - len(g.indices) * cut
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 10**6), st.integers(2, 8), st.floats(0.0, 0.4), st.booleans())

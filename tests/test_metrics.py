@@ -8,11 +8,11 @@ from gbfpum import (
     Graph,
     default_alpha,
     detect_communities,
-    jaccard_communities,
     katz_centrality,
     modularity,
 )
 from gbfpum.errors import AlphaDivergesError
+from gbfpum.metrics import jaccard_communities
 
 from conftest import neighbors, random_connected_graph
 
