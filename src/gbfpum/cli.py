@@ -128,17 +128,27 @@ def _load_signal(path: str, n: int) -> np.ndarray:
         raise InputFailure(f"signal file not found: {path}")
     values = np.full(n, np.nan)
     with open(p, newline="") as fh:
-        for row in csv.reader(fh):
+        rows = csv.reader(fh)
+        may_be_header = True
+        for row in rows:
             if not row or row[0].strip().startswith("#"):
                 continue
             try:
                 vid = int(row[0])
             except ValueError:
-                continue  # header row
+                if may_be_header:
+                    may_be_header = False
+                    continue
+                raise InputFailure(
+                    f"signal row {rows.line_num}: vertex id is not an integer: {row[0]!r}"
+                ) from None
+            may_be_header = False
             if len(row) < 2:
                 raise InputFailure(f"signal row for vertex {row[0]} has no value")
             if not 0 <= vid < n:
                 raise InputFailure(f"signal vertex {vid} out of range")
+            if not np.isnan(values[vid]):
+                raise InputFailure(f"signal row {rows.line_num}: vertex {vid} is repeated")
             try:
                 value = float(row[1])
             except ValueError:

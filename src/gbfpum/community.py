@@ -4,6 +4,11 @@ Communities are split at the two most central interpolation nodes while the
 split keeps raising global modularity, small cores are merged into the most
 Jaccard-similar big one, and each core grows an overlap ring sized by the
 fraction of its vertices' neighbors that stay inside the core.
+
+`split_community` is the split phase's pass function: one call plans the
+bipartitions of many cores at once and scores each plan's modularity gain
+from the same gather of the cores' edges, so each plan is scored in the call
+that makes it.
 """
 
 from __future__ import annotations
@@ -96,30 +101,6 @@ class DetectionParams:
             raise ValueError("need 0 < t_low < t_high <= 1")
 
 
-def split_community(
-    g: Graph, core: np.ndarray, W: np.ndarray, katz: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Bipartition a sorted core at its two most central sample nodes.
-
-    Seeds are the top two Katz-ranked members of the sorted sample set W
-    inside the core; every core vertex joins the seed it reaches in fewer hops
-    within the induced core subgraph. The first seed takes ties and the
-    vertices neither seed reaches. The ranking reads the Katz floats as they
-    are, so its tie-break (the lower vertex id) applies only to exactly equal
-    floats: two automorphic vertices whose Katz values differ in the last bit
-    rank by that rounding. Returns None when the core holds fewer than two
-    sample nodes. This is the one-core call of `_bipartition`, which splits
-    many cores at once.
-    """
-    label = np.full(g.n, -1, dtype=np.int64)
-    label[core] = 0
-    second, planned = _bipartition(g, label, W, katz)
-    if len(planned) == 0:
-        return None
-    to_second = second[core]
-    return core[~to_second], core[to_second]
-
-
 def _intra_graph(g: Graph, label: np.ndarray) -> tuple[np.ndarray, sp.csr_matrix]:
     """(vs, adjacency): the labelled vertices vs (label >= 0) and the edges among
     them whose two ends share a label, read with one CSR gather.
@@ -139,16 +120,29 @@ def _intra_graph(g: Graph, label: np.ndarray) -> tuple[np.ndarray, sp.csr_matrix
     return vs, adj
 
 
-def _bipartition(
+def split_community(
     g: Graph, label: np.ndarray, W: np.ndarray, katz: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """`split_community` of every core at once; `label` holds the core of each vertex.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One split pass: bipartition and score every core of `label` at once.
 
-    Vertices labelled -1 are in no core to split. Returns (second, planned):
-    `second[v]` is True where v joins the second seed's side, and `planned`
-    lists the cores holding two samples, the only ones split. The cores share
-    no edge of the masked adjacency, so one multi-source BFS from all first
-    seeds and one from all second seeds give every core's own hop counts.
+    `label` holds the core of each vertex; vertices labelled -1 are in no
+    core to split. A core is planned when it holds two sample nodes of the
+    sorted set W. Its seeds are its top two Katz-ranked samples, and every
+    core vertex joins the seed it reaches in fewer hops within the induced
+    core subgraph; the first seed takes ties and the vertices neither seed
+    reaches. The ranking reads the Katz floats as they are, so its tie-break
+    (the lower vertex id) applies only to exactly equal floats: two
+    automorphic vertices whose Katz values differ in the last bit rank by
+    that rounding.
+
+    Returns (second, planned, gain): `second[v]` is True where v joins its
+    core's second side, `planned` lists the planned cores in ascending id
+    order, and `gain` holds each one's `deg_a*deg_b - 2m*cut` (int64), where
+    cut counts the core's edges between its sides a and b and deg_a, deg_b
+    are the sides' degree sums. The planned cores share no edge of the
+    masked adjacency, so one multi-source BFS from all first seeds and one
+    from all second seeds give every core's own hop counts, and the same
+    gather gives the counts.
     """
     w = W[label[W] >= 0]
     lw = label[w]
@@ -162,12 +156,19 @@ def _bipartition(
     planned = lw[first]
     second = np.zeros(g.n, dtype=bool)
     if len(planned) == 0:
-        return second, planned
-    vs, adj = _intra_graph(g, _restrict(label, planned))
+        return second, planned, np.zeros(0, dtype=np.int64)
+    label = _restrict(label, planned)
+    vs, adj = _intra_graph(g, label)
     seeds = np.searchsorted(vs, w[first]), np.searchsorted(vs, w[first + 1])
     d1, d2 = (csgraph.dijkstra(adj, unweighted=True, indices=s, min_only=True) for s in seeds)
-    second[vs] = d2 < d1
-    return second, planned
+    b = d2 < d1
+    second[vs] = b
+    lv, k = label[vs], int(label.max()) + 1
+    cross = adj @ b  # each vertex's neighbours on its core's second side
+    cut = np.bincount(lv[~b], weights=cross[~b], minlength=k)
+    deg = np.bincount(2 * lv + b, weights=g.degrees()[vs], minlength=2 * k).reshape(-1, 2)
+    deg, cut = deg.astype(np.int64)[planned], cut.astype(np.int64)[planned]
+    return second, planned, deg[:, 0] * deg[:, 1] - len(g.indices) * cut
 
 
 def _restrict(label: np.ndarray, ids) -> np.ndarray:
@@ -175,26 +176,6 @@ def _restrict(label: np.ndarray, ids) -> np.ndarray:
     keep = np.zeros(int(label.max()) + 2, dtype=bool)  # keep[-1], read by label -1, stays False
     keep[ids] = True
     return np.where(keep[label], label, -1)
-
-
-def _split_gains(
-    g: Graph, label: np.ndarray, second: np.ndarray, planned: np.ndarray
-) -> np.ndarray:
-    """`deg_a*deg_b - 2m*cut` of each planned core's split, int64, in `planned` order.
-
-    `second` marks each planned core's second side (a: False, b: True); cut
-    counts the core's edges between its sides and deg_a, deg_b are the
-    sides' degree sums, all read from one gather of the planned cores' edges.
-    """
-    label = _restrict(label, planned)
-    vs, adj = _intra_graph(g, label)
-    lv, b = label[vs], second[vs]
-    k = int(label.max()) + 1
-    cross = adj @ b  # each vertex's neighbours on its core's second side
-    cut = np.bincount(lv[~b], weights=cross[~b], minlength=k)
-    deg = np.bincount(2 * lv + b, weights=g.degrees()[vs], minlength=2 * k).reshape(-1, 2)
-    deg, cut = deg.astype(np.int64)[planned], cut.astype(np.int64)[planned]
-    return deg[:, 0] * deg[:, 1] - len(g.indices) * cut
 
 
 def _owners(n: int, cores: list[np.ndarray]) -> np.ndarray:
@@ -230,25 +211,22 @@ def _split_phase(
     Splitting core c into sides a and b changes modularity by
     dQ = 2*(deg_a*deg_b - 2m*cut)/(2m)^2, where cut counts the edges between
     the sides; no other core's split alters it. So each core is scored once,
-    when its plan is made, and a rejected core is final. A pass scores the
-    cores planned at the end of the previous one together, from the integer
-    (cut, degree sum) counts of `_split_gains`, and splits those with
-    deg_a*deg_b > 2m*cut; it reads nothing but the labels and the plans.
-    A split core keeps its id; the second sides take the next free ids in
-    ascending core order. Each scored core logs its exact dQ, correctly
-    rounded, whose sign is the decision.
+    in the `split_community` pass that plans it, and a rejected core is
+    final. The first pass holds one core, the whole graph; each later pass
+    plans and scores together the cores the previous one split or created,
+    and splits those with deg_a*deg_b > 2m*cut. A split core keeps its id;
+    the second sides take the next free ids in ascending core order. Each
+    scored core logs its exact dQ, correctly rounded, whose sign is the
+    decision. The loop ends at the first pass that plans nothing.
     """
     two_m = len(g.indices)
     label = np.zeros(g.n, dtype=np.int64)
     k = 1  # cores so far
-    # the first pass holds one core, the whole graph
-    second = np.zeros(g.n, dtype=bool)
-    sides = split_community(g, np.arange(g.n, dtype=np.int64), W, katz)
-    if sides is not None:
-        second[sides[1]] = True
-    planned = np.arange(0 if sides is None else 1)
-    while len(planned):
-        gain = _split_gains(g, label, second, planned)
+    touched = label
+    while True:
+        second, planned, gain = split_community(g, touched, W, katz)
+        if len(planned) == 0:
+            return _cores_of(label, k)
         for cid, gn in zip(planned.tolist(), gain.tolist()):
             provenance.append(
                 {
@@ -266,8 +244,6 @@ def _split_phase(
         label = np.where(second, new[label], label)
         k += len(split)
         touched = _restrict(label, np.concatenate([split, fresh]))
-        second, planned = _bipartition(g, touched, W, katz)
-    return _cores_of(label, k)
 
 
 def _cores_of(label: np.ndarray, k: int) -> list[np.ndarray]:

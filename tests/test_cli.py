@@ -160,6 +160,25 @@ class TestInterpolate:
         assert rc == 2
         assert f"vertex 3 is {reason}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("5,999", "signal row 8: vertex 5 is repeated"),
+            ("2.0,7", "signal row 8: vertex id is not an integer: '2.0'"),
+        ],
+    )
+    def test_bad_signal_row_exit_2(self, fixture_files, tmp_path, capsys, extra, message):
+        # only the first row may be a header; a later row must name a new vertex
+        graph, samples, signal = fixture_files
+        bad = tmp_path / "bad.csv"
+        bad.write_text(signal.read_text() + "\n" + extra + "\n")
+        rc = main(
+            ["interpolate", "--graph", str(graph), "--signal", str(bad), "--samples", str(samples),
+             "--out", str(tmp_path / "o.json")]
+        )
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
     def test_zero_signal_exit_2(self, fixture_files, tmp_path):
         graph, samples, _ = fixture_files
         signal = tmp_path / "zero.csv"

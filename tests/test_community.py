@@ -12,11 +12,10 @@ from gbfpum import (
     katz_centrality,
     modularity,
 )
+import gbfpum.community
 from gbfpum.community import (
     FORMAT_VERSION,
     Cover,
-    _bipartition,
-    _split_gains,
     _split_phase,
     core_membership,
     expand_overlap,
@@ -59,6 +58,16 @@ def split_oracle(g, core, W, katz):
     return side1, side2
 
 
+def one_core_split(g, core, W, katz):
+    """(side1, side2) of `split_community` run on the single core `core`; None if unplanned."""
+    label = np.full(g.n, -1, dtype=np.int64)
+    label[core] = 0
+    second, planned, _ = split_community(g, label, W, katz)
+    if len(planned) == 0:
+        return None
+    return core[~second[core]], core[second[core]]
+
+
 def overlap_oracle(g, core, p):
     """Per-vertex overlap ring: r(v) picks v's 2-hop or 1-hop neighborhood."""
     core_set = set(core.tolist())
@@ -92,7 +101,7 @@ def exact_modularity(g, membership):
 def replay_split_log(g, W, katz, provenance):
     """Rebuild the bisection tree one scored core at a time, following the log's decisions.
 
-    Each pass plans, with a fresh `split_community` call, every core the
+    Each pass plans, with a fresh `split_oracle` call, every core the
     previous pass split or created, in ascending id order; an accepted split's
     second side takes the next id. Yields (entry, core id, exact dQ, membership
     before, membership after the split) for every `split` and `split_rejected`
@@ -107,10 +116,10 @@ def replay_split_log(g, W, katz, provenance):
     while todo:
         touched = []
         for cid in todo:
-            parts = split_community(g, cores[cid], W, katz)
+            parts = split_oracle(g, cores[cid], W, katz)
             if parts is None:
                 continue
-            a, b = parts
+            a, b = (np.array(side, dtype=np.int64) for side in parts)
             gain = int(deg[a].sum()) * int(deg[b].sum()) - two_m * int(A[np.ix_(a, b)].sum())
             candidate = cores[:cid] + [a] + cores[cid + 1 :] + [b]
             entry = next(log, None)
@@ -190,18 +199,18 @@ class TestSplitCommunity:
     def test_single_edge_core(self):
         g = Graph.from_edges(2, [(0, 1)])
         W = np.array([0, 1])
-        sides = split_community(g, np.arange(2), W, global_katz(g))
+        sides = one_core_split(g, np.arange(2), W, global_katz(g))
         assert sides is not None
         assert sorted(map(tuple, (s.tolist() for s in sides))) == [(0,), (1,)]
 
     def test_too_few_samples_no_split(self, two_triangle):
-        got = split_community(
+        got = one_core_split(
             two_triangle, np.arange(6), np.array([2]), global_katz(two_triangle)
         )
         assert got is None
 
     def test_two_triangle_hand_trace(self, two_triangle):
-        sides = split_community(
+        sides = one_core_split(
             two_triangle, np.arange(6), np.array([0, 4]), global_katz(two_triangle)
         )
         got = sorted(s.tolist() for s in sides)
@@ -212,7 +221,7 @@ class TestSplitCommunity:
             g = random_connected_graph(seed)
             rng = np.random.default_rng(seed)
             W = np.unique(rng.integers(0, g.n, max(2, g.n // 3)))
-            sides = split_community(g, np.arange(g.n), W, global_katz(g))
+            sides = one_core_split(g, np.arange(g.n), W, global_katz(g))
             if sides is None:
                 assert len(np.intersect1d(np.arange(g.n), W)) < 2
                 continue
@@ -229,7 +238,7 @@ class TestSplitCommunity:
         core = np.array([0, 1, 2, 5, 6, 8, 9])
         katz = np.zeros(10)
         katz[1], katz[5] = 2.0, 1.0
-        side1, side2 = split_community(path10, core, np.array([1, 5]), katz)
+        side1, side2 = one_core_split(path10, core, np.array([1, 5]), katz)
         assert side1.tolist() == [0, 1, 2, 8, 9]
         assert side2.tolist() == [5, 6]
 
@@ -242,7 +251,7 @@ class TestSplitCommunity:
         core = np.arange(g.n) if whole_graph else np.flatnonzero(rng.random(g.n) < 0.5)
         W = np.flatnonzero(rng.random(g.n) < 0.3)
         katz = global_katz(g)
-        got = split_community(g, core, W, katz)
+        got = one_core_split(g, core, W, katz)
         expect = split_oracle(g, core, W, katz)
         if expect is None:
             assert got is None
@@ -287,6 +296,29 @@ class TestDetect:
             assert entry["action"] == "split_rejected" or dq > 0
             dqs.append(dq)
         assert 0 in dqs  # the case still holds a zero-gain split
+
+    def test_every_split_pass_goes_through_split_community(self, monkeypatch, path10):
+        # the benchmark's tracer wraps this module attribute to time the split layer
+        calls = []
+        real = gbfpum.community.split_community
+
+        def counting(*args):
+            out = real(*args)
+            calls.append(out[1].tolist())
+            return out
+
+        monkeypatch.setattr(gbfpum.community, "split_community", counting)
+        cases = [(path10, np.arange(10))]
+        for seed in range(20):
+            g = random_connected_graph(seed, n_max=60)
+            rng = np.random.default_rng(seed)
+            cases.append((g, np.unique(rng.integers(0, g.n, max(1, g.n // 3)))))
+        for g, W in cases:
+            calls.clear()
+            cover = detect_communities(g, W, DetectionParams())
+            scored = [e["core_id"] for e in cover.provenance if e["action"] in ("split", "split_rejected")]
+            assert [cid for c in calls for cid in c] == scored
+            assert calls[-1] == [] and all(calls[:-1])
 
     def test_single_sample_single_community(self, two_triangle):
         cover = detect_communities(two_triangle, np.array([3]), DetectionParams())
@@ -484,8 +516,7 @@ class TestPassFunctions:
         label, _ = random_cores(g, rng, k, drop)
         W = np.flatnonzero(rng.random(g.n) < frac)  # cores with 0, 1 or many samples
         katz = global_katz(g)
-        second, planned = _bipartition(g, label, W, katz)
-        gains = _split_gains(g, label, second, planned)
+        second, planned, gains = split_community(g, label, W, katz)
         assert gains.dtype == np.int64
         gain = dict(zip(planned.tolist(), gains.tolist()))
         adj = g.adjacency().toarray()
@@ -498,7 +529,7 @@ class TestPassFunctions:
                 continue
             side1, side2 = core[~second[core]], core[second[core]]
             assert [side1.tolist(), side2.tolist()] == list(expect)
-            assert [s.tolist() for s in split_community(g, core, W, katz)] == list(expect)
+            assert [s.tolist() for s in one_core_split(g, core, W, katz)] == list(expect)
             cut = adj[np.ix_(side1, side2)].sum()
             deg1, deg2 = g.degrees()[side1].sum(), g.degrees()[side2].sum()
             assert gain[c] == deg1 * deg2 - len(g.indices) * cut
