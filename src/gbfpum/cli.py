@@ -144,7 +144,7 @@ def _load_signal(path: str, n: int) -> np.ndarray:
                 ) from None
             may_be_header = False
             if len(row) < 2:
-                raise InputFailure(f"signal row for vertex {row[0]} has no value")
+                raise InputFailure(f"signal row {rows.line_num}: vertex {vid} has no value")
             if not 0 <= vid < n:
                 raise InputFailure(f"signal vertex {vid} out of range")
             if not np.isnan(values[vid]):
@@ -175,10 +175,11 @@ def _resolve_samples(args, n: int) -> np.ndarray:
             raise InputFailure(f"sample file not found: {args.samples}")
         ids = []
         for line_no, line in enumerate(p.read_text().splitlines(), start=1):
-            if not line.strip() or line.startswith("#"):
+            text = line.strip()
+            if not text or text.startswith("#"):
                 continue
             try:
-                ids.append(int(line.strip()))
+                ids.append(int(text))
             except ValueError:
                 raise InputFailure(
                     f"sample file line {line_no} is not a vertex id: {line!r}"
@@ -299,6 +300,7 @@ def cmd_benchmark(args) -> None:
             "rrmse": result.rrmse,
             "time_s": result.wall_times["total_s"],
             "baseline_time_s": None,
+            "baseline_rrmse": None,
         }
         if args.baseline:
             base = global_gbf_baseline(g, y, W, kp)
@@ -315,7 +317,7 @@ def cmd_benchmark(args) -> None:
     csv_path = Path(args.out).with_suffix(".csv")
     with open(csv_path, "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(["N", "communities", "rrmse", "time_s", "baseline_time_s"])
+        wr.writerow(["N", "communities", "rrmse", "time_s", "baseline_time_s", "baseline_rrmse"])
         for r in rows:
             wr.writerow(
                 [
@@ -324,6 +326,7 @@ def cmd_benchmark(args) -> None:
                     repr(r["rrmse"]),
                     repr(r["time_s"]),
                     "" if r["baseline_time_s"] is None else repr(r["baseline_time_s"]),
+                    "" if r["baseline_rrmse"] is None else repr(r["baseline_rrmse"]),
                 ]
             )
 

@@ -3,13 +3,18 @@
 K = (eps I + L)^(-s). The two interpolation routes of `pum` reach it
 differently:
 
-- the kernel route (`kernel_columns`) forms the columns K[:, cols] the
-  interpolant needs. For integer s they come from one sparse LU of
-  M = eps I + L and s solve passes, with no dense n x n matrix; for any
-  other s from the spectral expansion of a dense eigendecomposition
-  (`gbf_kernel`), which the tests also use as the oracle for the sparse one.
-  `pum` asks for them per connected piece, so the dense order is a piece's.
-  The eigendecomposition works in the storage of L; with divide and conquer
+- the kernel route (`kernel_block`) forms the block K[W,W] at the nodes W
+  and a function that evaluates K[:, W] a. For integer s it uses one sparse
+  LU of M = eps I + L and no dense n x n matrix: with s = 2h + r and
+  X = M^(-h) E_W (E_W the columns of the identity at W), K[W,W] is the Gram
+  product X^T X for even s and X^T M^(-1) X for odd s, so ceil(s/2)
+  multi-column solve passes form it, and K[:, W] a = M^(-h) (Z a), with Z
+  the last n x |W| array formed, takes h single-vector solves. The route
+  holds one n x |W| array for even s and two for odd s > 1. Any other s
+  takes the spectral expansion of a dense eigendecomposition (`gbf_kernel`),
+  which the tests also use as the oracle for the sparse one. `pum` asks for
+  it per connected piece, so the dense order is a piece's. The
+  eigendecomposition works in the storage of L; with divide and conquer
   (orders up to `numerics.EVD_MAX_ORDER`) it adds two n x n of workspace,
   with MRRR (above) one n x n for the eigenvectors.
 - the native route never forms K: for integer s the precision matrix
@@ -18,6 +23,7 @@ differently:
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +31,7 @@ import scipy.sparse as sp
 
 from .errors import NonPositiveShiftError
 from .graph import Graph
-from .numerics import check_positive, sparse_lu, sym_eigen
+from .numerics import check_positive, lu_solve_columns, sparse_lu, sym_eigen
 
 SHIFT_TOL = 1e-12
 
@@ -78,22 +84,40 @@ def precision_matrix(g: Graph, p: KernelParams) -> sp.csr_matrix:
     return A.tocsr()
 
 
-def kernel_columns(g: Graph, cols: np.ndarray, p: KernelParams) -> np.ndarray:
-    """Columns `cols` (distinct local ids) of K = (eps I + L)^(-s), L the Laplacian of g.
+def kernel_block(
+    g: Graph, cols: np.ndarray, p: KernelParams
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """K[cols, cols] and a -> K[:, cols] a for K = (eps I + L)^(-s), L the Laplacian of g.
 
-    Returns an (n, len(cols)) array whose rows `cols` form the exactly
-    symmetric block K[cols, cols]. Integer s takes the sparse
-    factor-and-solve route, any other s the dense spectral one.
+    `cols` are distinct local ids. The block is exactly symmetric. Integer s
+    takes the sparse factor-and-solve route (see the module docstring), any
+    other s the dense spectral one.
     """
     if not float(p.s).is_integer():
         # L is exactly symmetric, so L.T is L in Fortran order: the eigensolver
         # works in its storage, with the same result as on a copy
-        return gbf_kernel(g.laplacian().T, p, cols, overwrite=True)
+        Kw = gbf_kernel(g.laplacian().T, p, cols, overwrite=True)
+        return Kw[cols], lambda a: Kw @ a
     lu = sparse_lu(_shifted_laplacian(g, p))
+    h, odd = divmod(int(p.s), 2)
     X = np.zeros((g.n, len(cols)), order="F")
     X[cols, np.arange(len(cols))] = 1.0
-    for _ in range(int(p.s)):
-        X = lu.solve(X)
-    block = X[cols]
-    X[cols] = (block + block.T) / 2.0
-    return X
+    for _ in range(h):
+        lu_solve_columns(lu, X, out=X)
+    if not odd:
+        Z = X
+        block = X.T @ X
+    elif h == 0:
+        Z = lu_solve_columns(lu, X, out=X)
+        block = Z[cols]
+    else:
+        Z = lu_solve_columns(lu, X)
+        block = X.T @ Z
+
+    def evaluate(a: np.ndarray) -> np.ndarray:
+        v = Z @ a
+        for _ in range(h):
+            v = lu.solve(v)
+        return v
+
+    return (block + block.T) / 2.0, evaluate

@@ -4,9 +4,10 @@ Thin contract layer over LAPACK, SuperLU and ARPACK (via scipy); callers
 rely on the error types and tolerances here, not on the backend. Dense
 matrices get a full eigendecomposition (`sym_eigen`: LAPACK's divide and
 conquer up to order EVD_MAX_ORDER, MRRR above) and Cholesky solves
-(`spd_solve`); sparse ones get an LU factorisation (`sparse_lu`) and their
-lowest eigenpairs by shift-invert Lanczos (`low_eigen`), so that no dense
-n x n matrix is formed for them.
+(`spd_solve`); sparse ones get an LU factorisation (`sparse_lu`), blocked
+multi-column solves with it (`lu_solve_columns`) and their lowest eigenpairs
+by shift-invert Lanczos (`low_eigen`), so that no dense n x n matrix is
+formed for them.
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ SYM_BLOCK = 1 << 16
 # (`syevr`) writes the n x n eigenvectors beside it and needs O(n) more; above
 # this order that extra n x n is what sets a pipeline's peak memory.
 EVD_MAX_ORDER = 512
+# Right-hand-side columns per SuperLU solve in `lu_solve_columns`. On the
+# 2642-vertex road graph, 800 columns took 0.061 s in blocks of 32 and
+# 0.090 s in one call (median of 15, one BLAS thread), with bit-identical
+# output: each column is solved on its own, and a block stays in cache.
+SOLVE_BLOCK = 32
 # Shift-invert pole for `low_eigen`: below the spectrum of a positive
 # semidefinite matrix, so M - sigma I stays positive definite.
 LOW_EIGEN_SIGMA = -1e-3
@@ -132,6 +138,20 @@ def sparse_lu(M: sp.spmatrix) -> SuperLU:
         return splu(M.tocsc())
     except RuntimeError as exc:  # SuperLU's report of an exactly singular factor
         raise SparseSolverError("sparse LU", str(exc)) from None
+
+
+def lu_solve_columns(lu: SuperLU, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """M^-1 B for the factors `lu = sparse_lu(M)`, SOLVE_BLOCK columns per solve.
+
+    B is an (n, k) Fortran-ordered array. Each block's solution is written
+    into `out`, a new Fortran array by default; `out=B` solves in place, with
+    no second n x k array. Equal bit for bit to `lu.solve(B)`.
+    """
+    if out is None:
+        out = np.empty_like(B, order="F")
+    for j in range(0, B.shape[1], SOLVE_BLOCK):
+        out[:, j : j + SOLVE_BLOCK] = lu.solve(B[:, j : j + SOLVE_BLOCK])
+    return out
 
 
 def low_eigen(M: sp.spmatrix, k: int) -> EigenDecomposition:

@@ -165,6 +165,7 @@ class TestInterpolate:
         [
             ("5,999", "signal row 8: vertex 5 is repeated"),
             ("2.0,7", "signal row 8: vertex id is not an integer: '2.0'"),
+            ("5", "signal row 8: vertex 5 has no value"),
         ],
     )
     def test_bad_signal_row_exit_2(self, fixture_files, tmp_path, capsys, extra, message):
@@ -200,6 +201,19 @@ class TestInterpolate:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_indented_comment_in_samples(self, fixture_files, tmp_path):
+        # as in the signal file, a line is a comment when its first non-blank character is '#'
+        graph, _, signal = fixture_files
+        samples = tmp_path / "w_note.txt"
+        samples.write_text("0\n  # note\n4\n")
+        out = tmp_path / "o.json"
+        rc = main(
+            ["interpolate", "--graph", str(graph), "--signal", str(signal), "--samples", str(samples),
+             "--out", str(out)]
+        )
+        assert rc == 0
+        assert sum(r["sample_count"] for r in json.loads(out.read_text())["per_community"]) >= 2
+
 
 class TestBenchmark:
     def test_small_sweep(self, fixture_files, tmp_path):
@@ -213,9 +227,23 @@ class TestBenchmark:
         assert [r["n_samples"] for r in doc["rows"]] == [2, 6]
         assert doc["rows"][1]["rrmse"] <= 1e-6  # all vertices sampled
         assert all(r["baseline_time_s"] is not None for r in doc["rows"])
+        assert all(r["baseline_rrmse"] is not None for r in doc["rows"])
         rows = list(csv.reader(open(out.with_suffix(".csv"))))
-        assert rows[0] == ["N", "communities", "rrmse", "time_s", "baseline_time_s"]
+        assert rows[0] == ["N", "communities", "rrmse", "time_s", "baseline_time_s", "baseline_rrmse"]
         assert len(rows) == 3
+        assert [float(r[5]) for r in rows[1:]] == [r["baseline_rrmse"] for r in doc["rows"]]
+
+    def test_rows_without_baseline(self, fixture_files, tmp_path):
+        # every row has the same keys and columns, with or without --baseline
+        graph, _, signal = fixture_files
+        out = tmp_path / "bench.json"
+        rc = main(["benchmark", "--graph", str(graph), "--signal", str(signal), "--counts", "2,6", "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert all(r["baseline_time_s"] is None and r["baseline_rrmse"] is None for r in doc["rows"])
+        rows = list(csv.reader(open(out.with_suffix(".csv"))))
+        assert rows[0][-2:] == ["baseline_time_s", "baseline_rrmse"]
+        assert all(r[-2:] == ["", ""] for r in rows[1:])
 
     def test_empty_counts_exit_1(self, fixture_files, tmp_path):
         graph, _, signal = fixture_files

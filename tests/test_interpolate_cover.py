@@ -310,17 +310,19 @@ class TestPieces:
 
     def test_baseline_counts_pieces_before_solving(self, monkeypatch):
         calls = []
-        original = gbfpum.pum.kernel_columns
+        original = gbfpum.pum.kernel_block
 
         def counted(*args):
             calls.append(1)
             return original(*args)
 
-        monkeypatch.setattr(gbfpum.pum, "kernel_columns", counted)
+        monkeypatch.setattr(gbfpum.pum, "kernel_block", counted)
         g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)], require_connected=False)
         with pytest.raises(SampleFreePieceError):
             global_gbf_baseline(g, np.ones(5), np.array([0]), KernelParams())
         assert calls == []
+        global_gbf_baseline(g, np.ones(5), np.array([0, 4]), KernelParams())
+        assert calls == [1]  # the wrapper sits on the baseline's kernel route
 
     def test_cli_exit_code_and_json_keys(self, monkeypatch, tmp_path):
         out = tmp_path / "res.json"

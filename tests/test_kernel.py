@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import gbfpum.kernel
+import gbfpum.numerics
 from gbfpum import Graph, KernelParams, gbf_kernel, local_interpolant, spd_solve, sym_eigen
 from gbfpum.errors import NonPositiveShiftError, NotSymmetricError
-from gbfpum.kernel import kernel_columns
+from gbfpum.kernel import kernel_block
 
 from conftest import random_connected_graph
 
@@ -69,25 +71,40 @@ class TestGbfKernel:
                 KernelParams(**bad)
 
 
+class CountingLU:
+    """A SuperLU stand-in that records the width of every right-hand side it solves."""
+
+    def __init__(self, lu, widths: list):
+        self._lu, self._widths = lu, widths
+
+    def solve(self, b):
+        self._widths.append(b.shape[1] if b.ndim == 2 else 0)  # 0: one vector
+        return self._lu.solve(b)
+
+
 class TestKernelColumns:
-    """The sparse factor-and-solve route against the dense spectral oracle."""
+    """`kernel_block`'s K[W,W] and K[:, W] a against the dense spectral oracle."""
 
     @staticmethod
-    def _gap(g: Graph, cols: np.ndarray, p: KernelParams) -> tuple[float, float]:
+    def _gaps(g: Graph, cols: np.ndarray, p: KernelParams) -> tuple[float, float, float]:
+        """Max errors of K[W,W] and of K[:, W] a for a seeded a, and max|K|."""
         K = gbf_kernel(g.laplacian(), p, np.arange(g.n))
-        got = kernel_columns(g, cols, p)
-        return float(np.abs(got - K[:, cols]).max()), float(np.abs(K).max())
+        a = np.random.default_rng(len(cols)).standard_normal(len(cols))
+        Kww, evaluate = kernel_block(g, cols, p)
+        block_gap = np.abs(Kww - K[np.ix_(cols, cols)]).max()
+        eval_gap = np.abs(evaluate(a) - K[:, cols] @ a).max() / np.abs(a).sum()
+        return float(block_gap), float(eval_gap), float(np.abs(K).max())
 
-    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
     @pytest.mark.parametrize("seed", [3, 17, 42])
     def test_matches_dense_kernel(self, seed, s):
         g = random_connected_graph(seed, n_min=20, n_max=60)
         rng = np.random.default_rng(seed)
         cols = np.sort(rng.choice(g.n, size=int(rng.integers(1, g.n)), replace=False))
-        gap, scale = self._gap(g, cols, KernelParams(epsilon=0.05, s=float(s)))
-        assert gap <= 1e-10 * scale
+        block_gap, eval_gap, scale = self._gaps(g, cols, KernelParams(epsilon=0.05, s=float(s)))
+        assert block_gap <= 1e-10 * scale and eval_gap <= 1e-10 * scale
 
-    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
     def test_disconnected_subgraph_block_diagonal(self, s):
         # two triangles joined by the bridge 2-3; dropping 2 leaves {0,1} and {3,4,5}
         g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
@@ -95,20 +112,42 @@ class TestKernelColumns:
         assert not sub.is_connected()
         cols = np.array([0, 3])  # one sample per piece: global vertices 0 and 4
         p = KernelParams(epsilon=0.01, s=float(s))
-        gap, scale = self._gap(sub, cols, p)
-        assert gap <= 1e-10 * scale
-        got = kernel_columns(sub, cols, p)
-        assert np.all(got[2:, 0] == 0.0) and np.all(got[:2, 1] == 0.0)
+        block_gap, eval_gap, scale = self._gaps(sub, cols, p)
+        assert block_gap <= 1e-10 * scale and eval_gap <= 1e-10 * scale
+        Kww, evaluate = kernel_block(sub, cols, p)
+        assert Kww[0, 1] == 0.0 and Kww[1, 0] == 0.0
+        assert np.all(evaluate(np.array([1.0, 0.0]))[2:] == 0.0)
+        assert np.all(evaluate(np.array([0.0, 1.0]))[:2] == 0.0)
 
     def test_sample_block_exactly_symmetric(self, geometric200):
         cols = np.arange(0, 200, 7)
-        Kw = kernel_columns(geometric200, cols, KernelParams(epsilon=0.01, s=3.0))
-        assert np.array_equal(Kw[cols], Kw[cols].T)
+        for s in (1.0, 1.5, 2.0, 3.0, 4.0):
+            Kww, _ = kernel_block(geometric200, cols, KernelParams(epsilon=0.01, s=s))
+            assert np.array_equal(Kww, Kww.T), s
 
     def test_fractional_s_is_dense_route(self, path10):
         p = KernelParams(epsilon=0.3, s=1.5)
         cols = np.array([1, 4, 8])
-        assert np.array_equal(kernel_columns(path10, cols, p), gbf_kernel(path10.laplacian(), p, cols))
+        a = np.array([0.5, -2.0, 1.25])
+        Kw = gbf_kernel(path10.laplacian(), p, cols)
+        Kww, evaluate = kernel_block(path10, cols, p)
+        assert np.array_equal(Kww, Kw[cols])
+        assert np.array_equal(evaluate(a), Kw @ a)
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_ceil_half_s_multi_column_passes(self, monkeypatch, geometric200, s):
+        widths = []
+        monkeypatch.setattr(
+            gbfpum.kernel, "sparse_lu", lambda M: CountingLU(gbfpum.numerics.sparse_lu(M), widths)
+        )
+        cols = np.arange(0, 200, 3)  # 67 columns: three blocks per pass
+        _, evaluate = kernel_block(geometric200, cols, KernelParams(s=float(s)))
+        blocks = [w for w in widths if w]
+        assert sum(blocks) == (s + 1) // 2 * len(cols)  # ceil(s/2) passes
+        assert max(blocks) == gbfpum.numerics.SOLVE_BLOCK and 0 not in widths
+        widths.clear()
+        evaluate(np.ones(len(cols)))
+        assert widths == [0] * (s // 2)  # h = floor(s/2) single-vector solves
 
     @pytest.mark.parametrize("s", [2.0, 1.5])
     def test_nonpositive_shift_through_local_interpolant(self, path10, s):

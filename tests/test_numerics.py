@@ -11,7 +11,14 @@ from gbfpum.errors import (
     NotSymmetricError,
     SparseSolverError,
 )
-from gbfpum.numerics import EVD_MAX_ORDER, SYM_TOL, check_symmetric, low_eigen, sparse_lu
+from gbfpum.numerics import (
+    EVD_MAX_ORDER,
+    SYM_TOL,
+    check_symmetric,
+    low_eigen,
+    lu_solve_columns,
+    sparse_lu,
+)
 
 from conftest import random_connected_graph
 
@@ -221,6 +228,15 @@ class TestSparse:
         b = np.random.default_rng(0).standard_normal(g.n)
         x = sparse_lu(M).solve(b)
         assert np.linalg.norm(M @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("width", [1, 31, 32, 33, 800])
+    def test_lu_solve_columns_equals_one_solve(self, minnesota, width):
+        lu = sparse_lu(minnesota.sparse_laplacian() + 0.01 * sp.identity(minnesota.n))
+        B = np.asfortranarray(np.random.default_rng(width).standard_normal((minnesota.n, width)))
+        expect = lu.solve(B)
+        assert np.array_equal(lu_solve_columns(lu, B), expect)
+        assert lu_solve_columns(lu, B, out=B) is B  # in place
+        assert np.array_equal(B, expect)
 
     def test_sparse_lu_singular_is_numerical_error(self, path3):
         with pytest.raises(SparseSolverError):

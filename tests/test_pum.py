@@ -229,6 +229,15 @@ class TestBaseline:
         base = global_gbf_baseline(two_triangle, y, np.arange(6), KernelParams())
         assert base.rrmse <= 1e-6
 
+    def test_wall_times_split_like_pipeline(self, geometric200):
+        y = synthetic_signal(geometric200)
+        W = sample_nodes(geometric200.n, 60, seed=5)
+        times = global_gbf_baseline(geometric200, y, W, KernelParams()).wall_times
+        assert set(times) == {"solve_s", "assemble_s", "partition_s", "interpolate_s", "total_s"}
+        inside = [times["solve_s"], times["assemble_s"]]
+        assert all(t >= 0.0 for t in inside)
+        assert sum(inside) <= times["interpolate_s"] == times["total_s"]
+
     def test_no_samples(self, path3):
         with pytest.raises((NoSamplesError, ValueError)):
             global_gbf_baseline(path3, np.ones(3), np.array([], dtype=np.int64), KernelParams())
