@@ -8,12 +8,14 @@ Run with the checkout's sources first on the path and diff the outputs:
 Cases, all on data/minnesota_surrogate.edges with the reference signal and
 epsilon 0.01:
 
+- the reference signal `synthetic_signal(g)` itself, whose line holds only
+  the sha256 of its bytes, so a change to it shows on its own line;
 - 28 `run_pipeline` calls at N = 200, 400, 600, 800: the benchmark sweep's 24
   (sample seeds 0-4 at s = 2, sample seed 5 at s = 1.5), plus sample seed 0 at
   s = 1 and s = 3 for N = 200 and 800;
 - `global_gbf_baseline` at N = 200 and 800, sample seed 0, s = 2.
 
-Each line holds the sha256 of the cover JSON, of its core and overlap lists
+Each other line holds the sha256 of the cover JSON, of its core and overlap lists
 alone (`cores`, which a change of the provenance format leaves as it is), of
 the approximant's bytes off the samples W and at W, and of the diagnostics
 JSON; the `repr` of rrmse; and how many sample values the approximant misses.
@@ -74,6 +76,7 @@ def main() -> None:
     with open(GRAPH) as fh:
         g = load_graph(fh)
     y = synthetic_signal(g)
+    print(json.dumps({"case": "synthetic_signal", "signal": sha(y.tobytes())}), flush=True)
     for count, seed, s in PIPELINES:
         W = sample_nodes(g.n, count, seed)
         result, cover = run_pipeline(g, y, W, DetectionParams(), KernelParams(s=s))

@@ -146,18 +146,23 @@ def _load_signal(path: str, n: int) -> np.ndarray:
             if len(row) < 2:
                 raise InputFailure(f"signal row {rows.line_num}: vertex {vid} has no value")
             if not 0 <= vid < n:
-                raise InputFailure(f"signal vertex {vid} out of range")
+                raise InputFailure(
+                    f"signal row {rows.line_num}: vertex {vid} out of range "
+                    f"for graph of order {n}"
+                )
             if not np.isnan(values[vid]):
                 raise InputFailure(f"signal row {rows.line_num}: vertex {vid} is repeated")
             try:
                 value = float(row[1])
             except ValueError:
                 raise InputFailure(
-                    f"signal value for vertex {vid} is not a number: {row[1]!r}"
+                    f"signal row {rows.line_num}: value for vertex {vid} is not a number: "
+                    f"{row[1]!r}"
                 ) from None
             if not math.isfinite(value):
                 raise InputFailure(
-                    f"signal value for vertex {vid} is not finite: {row[1]!r}"
+                    f"signal row {rows.line_num}: value for vertex {vid} is not finite: "
+                    f"{row[1]!r}"
                 )
             values[vid] = value
     missing = np.flatnonzero(np.isnan(values))

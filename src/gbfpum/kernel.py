@@ -5,7 +5,8 @@ differently:
 
 - the kernel route (`kernel_block`) forms the block K[W,W] at the nodes W
   and a function that evaluates K[:, W] a. For integer s it uses one sparse
-  LU of M = eps I + L and no dense n x n matrix: with s = 2h + r and
+  LDL^T factor (`numerics.sparse_lu`) of M = eps I + L and no dense n x n
+  matrix: with s = 2h + r and
   X = M^(-h) E_W (E_W the columns of the identity at W), K[W,W] is the Gram
   product X^T X for even s and X^T M^(-1) X for odd s, so ceil(s/2)
   multi-column solve passes form it, and K[:, W] a = M^(-h) (Z a), with Z

@@ -4,10 +4,14 @@ Thin contract layer over LAPACK, SuperLU and ARPACK (via scipy); callers
 rely on the error types and tolerances here, not on the backend. Dense
 matrices get a full eigendecomposition (`sym_eigen`: LAPACK's divide and
 conquer up to order EVD_MAX_ORDER, MRRR above) and Cholesky solves
-(`spd_solve`); sparse ones get an LU factorisation (`sparse_lu`), blocked
-multi-column solves with it (`lu_solve_columns`) and their lowest eigenpairs
-by shift-invert Lanczos (`low_eigen`), so that no dense n x n matrix is
-formed for them.
+(`spd_solve`); sparse ones get a symmetric-mode LDL^T factorisation with a
+pivot check (`sparse_lu`), blocked multi-column solves with it
+(`lu_solve_columns`) and their lowest eigenpairs by shift-invert Lanczos
+(`low_eigen`, which inverts through the same factorisation), so that no
+dense n x n matrix is formed for them. Every sparse factor in the package
+comes from `sparse_lu`, and a sparse matrix that is not positive definite
+raises NotPositiveDefiniteError there, as a failed Cholesky does on the
+dense route.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh
 from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.sparse.linalg import SuperLU, eigsh, splu
+from scipy.sparse.linalg import LinearOperator, SuperLU, eigsh, splu
 
 from .errors import (
     NonFiniteMatrixError,
@@ -36,10 +40,11 @@ SYM_BLOCK = 1 << 16
 # (`syevr`) writes the n x n eigenvectors beside it and needs O(n) more; above
 # this order that extra n x n is what sets a pipeline's peak memory.
 EVD_MAX_ORDER = 512
-# Right-hand-side columns per SuperLU solve in `lu_solve_columns`. On the
-# 2642-vertex road graph, 800 columns took 0.061 s in blocks of 32 and
-# 0.090 s in one call (median of 15, one BLAS thread), with bit-identical
-# output: each column is solved on its own, and a block stays in cache.
+# Right-hand-side columns per SuperLU solve in `lu_solve_columns`. With the
+# factor of eps I + L on the 2642-vertex road graph, 800 columns took 0.031 s
+# in blocks of 32 and 0.108 s in one call (median of 15, one BLAS thread),
+# with bit-identical output: each column is solved on its own, and a block
+# stays in cache.
 SOLVE_BLOCK = 32
 # Shift-invert pole for `low_eigen`: below the spectrum of a positive
 # semidefinite matrix, so M - sigma I stays positive definite.
@@ -129,15 +134,33 @@ def spd_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def sparse_lu(M: sp.spmatrix) -> SuperLU:
-    """Sparse LU factors of a symmetric nonsingular matrix; `.solve(b)` applies M^-1.
+    """Sparse factors of a symmetric positive definite matrix; `.solve(b)` applies M^-1.
 
-    Pass right-hand sides in Fortran order: SuperLU copies C-ordered ones.
+    SuperLU in symmetric mode: a minimum-degree ordering of M + M^T (Liu,
+    ACM TOMS 1985) applied to rows and columns alike, and diagonal pivots
+    only, so L U = P M P^T is an LDL^T with D the diagonal of U. An
+    off-diagonal pivot (taken only where a diagonal is exactly zero) or a
+    pivot that is not positive raises NotPositiveDefiniteError naming the
+    original index of the first such pivot in elimination order; an exactly
+    singular factor raises SparseSolverError. Pass right-hand sides in
+    Fortran order: SuperLU copies C-ordered ones.
     """
     check_symmetric(M)
     try:
-        return splu(M.tocsc())
+        lu = splu(
+            M.tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
     except RuntimeError as exc:  # SuperLU's report of an exactly singular factor
         raise SparseSolverError("sparse LU", str(exc)) from None
+    # perm_c[i] is the elimination position of original index i
+    original = np.argsort(lu.perm_c)
+    bad = ~(lu.U.diagonal() > 0) | (lu.perm_r[original] != np.arange(len(original)))
+    if bad.any():
+        raise NotPositiveDefiniteError(pivot=int(original[np.argmax(bad)]))
+    return lu
 
 
 def lu_solve_columns(lu: SuperLU, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -158,20 +181,24 @@ def low_eigen(M: sp.spmatrix, k: int) -> EigenDecomposition:
     """The k smallest eigenpairs of a sparse symmetric positive semidefinite matrix.
 
     Shift-invert Lanczos (ARPACK) about LOW_EIGEN_SIGMA to full precision,
-    started from a fixed seeded vector: ARPACK's default random start would
-    change the eigenvectors in their last bits from call to call. Needs
-    1 <= k < order of M.
+    with (M - sigma I)^-1 applied by one `sparse_lu` factor, so a shifted
+    matrix that is not positive definite raises NotPositiveDefiniteError.
+    It starts from a fixed seeded vector: ARPACK's default random start
+    would change the eigenvectors in their last bits from call to call.
+    Needs 1 <= k < order of M.
     """
     check_symmetric(M)
     n = M.shape[0]
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < {n}, got k = {k}")
+    lu = sparse_lu(M - LOW_EIGEN_SIGMA * sp.identity(n, format="csr"))
+    OPinv = LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
     v0 = np.random.default_rng(0).standard_normal(n)
     try:
         values, vectors = eigsh(
-            M.tocsc(), k=k, sigma=LOW_EIGEN_SIGMA, which="LM", tol=0, v0=v0
+            M, k=k, sigma=LOW_EIGEN_SIGMA, which="LM", tol=0, v0=v0, OPinv=OPinv
         )
-    except RuntimeError as exc:  # ARPACK non-convergence or a singular shifted factor
+    except RuntimeError as exc:  # ARPACK non-convergence
         raise SparseSolverError("shift-invert Lanczos", str(exc)) from None
     order = np.argsort(values)
     return EigenDecomposition(values=values[order], vectors=vectors[:, order])

@@ -8,7 +8,8 @@ kernel interpolants of K = (eps I + L)^(-s):
 - integer s, the native route: the precision matrix A = (eps I + L)^s = K^-1
   of the union is sparse. With S the sampled vertex copies and U the others,
   the block inverse identity K[U,S] K[S,S]^-1 = -A[U,U]^-1 A[U,S] gives every
-  local interpolant from one sparse LU: f[S] = y[S], A[U,U] f[U] = -A[U,S] y[S].
+  local interpolant from one sparse LDL^T factor (`numerics.sparse_lu`):
+  f[S] = y[S], A[U,U] f[U] = -A[U,S] y[S].
 - any other s, the kernel route: `local_interpolant` on each connected piece
   of the union, which solves K[W,W] a = y[W] and evaluates K[:, W] a.
   K is block diagonal over the pieces, so a subdomain's interpolant is its

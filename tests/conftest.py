@@ -20,6 +20,17 @@ def community_interpolant(g: Graph, c, y: np.ndarray, p) -> tuple[np.ndarray, fl
     return local_interpolant(sub, np.searchsorted(vs, nodes), y[nodes], p)
 
 
+class CountingLU:
+    """A SuperLU stand-in that records the width of every right-hand side it solves."""
+
+    def __init__(self, lu, widths: list):
+        self._lu, self._widths = lu, widths
+
+    def solve(self, b):
+        self._widths.append(b.shape[1] if b.ndim == 2 else 0)  # 0: one vector
+        return self._lu.solve(b)
+
+
 def path_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 

@@ -158,7 +158,7 @@ class TestInterpolate:
              "--out", str(tmp_path / "o.json")]
         )
         assert rc == 2
-        assert f"vertex 3 is {reason}" in capsys.readouterr().err
+        assert f"signal row 4: value for vertex 3 is {reason}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "extra, message",
@@ -166,6 +166,7 @@ class TestInterpolate:
             ("5,999", "signal row 8: vertex 5 is repeated"),
             ("2.0,7", "signal row 8: vertex id is not an integer: '2.0'"),
             ("5", "signal row 8: vertex 5 has no value"),
+            ("99,4", "signal row 8: vertex 99 out of range for graph of order 6"),
         ],
     )
     def test_bad_signal_row_exit_2(self, fixture_files, tmp_path, capsys, extra, message):

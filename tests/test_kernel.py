@@ -7,7 +7,7 @@ from gbfpum import Graph, KernelParams, gbf_kernel, local_interpolant, spd_solve
 from gbfpum.errors import NonPositiveShiftError, NotSymmetricError
 from gbfpum.kernel import kernel_block
 
-from conftest import random_connected_graph
+from conftest import CountingLU, random_connected_graph
 
 
 def inverse_power_oracle(L: np.ndarray, eps: float, s: int) -> np.ndarray:
@@ -69,17 +69,6 @@ class TestGbfKernel:
         for bad in ({"s": np.nan}, {"s": np.inf}, {"epsilon": np.inf}):
             with pytest.raises(ValueError):
                 KernelParams(**bad)
-
-
-class CountingLU:
-    """A SuperLU stand-in that records the width of every right-hand side it solves."""
-
-    def __init__(self, lu, widths: list):
-        self._lu, self._widths = lu, widths
-
-    def solve(self, b):
-        self._widths.append(b.shape[1] if b.ndim == 2 else 0)  # 0: one vector
-        return self._lu.solve(b)
 
 
 class TestKernelColumns:

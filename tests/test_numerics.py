@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 import gbfpum.numerics
 
-from gbfpum import Graph, KernelParams, gbf_kernel, spd_solve, sym_eigen
+from gbfpum import Graph, KernelParams, gbf_kernel, spd_solve, sym_eigen, synthetic_signal
 from gbfpum.errors import (
     NonFiniteMatrixError,
     NotPositiveDefiniteError,
@@ -20,7 +20,7 @@ from gbfpum.numerics import (
     sparse_lu,
 )
 
-from conftest import random_connected_graph
+from conftest import CountingLU, random_connected_graph
 
 
 class TestSymEigen:
@@ -242,6 +242,37 @@ class TestSparse:
         with pytest.raises(SparseSolverError):
             sparse_lu(path3.sparse_laplacian())
 
+    def test_sparse_lu_indefinite_raises(self, path10):
+        M = sp.identity(path10.n, format="csr") - 0.9 * path10.adjacency()
+        with pytest.raises(NotPositiveDefiniteError):
+            sparse_lu(M)
+
+    def test_sparse_lu_names_original_index_of_bad_pivot(self):
+        # eliminating the other rows only lowers A[7,7], and eliminating row 7
+        # (a negative pivot) only raises its neighbours': whatever the
+        # ordering, 7 is the one bad pivot
+        d = np.full(12, 4.0)
+        d[7] = -4.0
+        M = sp.diags([np.full(11, -1.0), d, np.full(11, -1.0)], [-1, 0, 1], format="csr")
+        with pytest.raises(NotPositiveDefiniteError, match=r"\(pivot 7\)") as info:
+            sparse_lu(M)
+        assert info.value.pivot == 7
+
+    def test_sparse_lu_off_diagonal_pivot_raises(self):
+        # a zero diagonal makes SuperLU swap rows; both pivots of the swap are +1
+        with pytest.raises(NotPositiveDefiniteError):
+            sparse_lu(sp.csr_matrix([[0.0, 1.0], [1.0, 0.0]]))
+
+    def test_road_factor_is_ldlt(self, minnesota):
+        M = minnesota.sparse_laplacian() + 0.01 * sp.identity(minnesota.n, format="csr")
+        lu = sparse_lu(M)
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        assert (lu.U.diagonal() > 0).all()
+        # L U = P M P^T with the one permutation, L unit lower triangular
+        assert np.array_equal(lu.L.diagonal(), np.ones(minnesota.n))
+        P = sp.csr_matrix((np.ones(minnesota.n), (lu.perm_c, np.arange(minnesota.n))))
+        assert abs(lu.L @ lu.U - P @ M @ P.T).max() <= 1e-12
+
     def test_sparse_lu_not_symmetric(self):
         with pytest.raises(NotSymmetricError):
             sparse_lu(sp.csr_matrix([[2.0, -1.0], [0.0, 2.0]]))
@@ -255,6 +286,25 @@ class TestSparse:
         assert np.diff(dense.values[:6]).min() > 1e-3
         overlap = np.abs(np.sum(low.vectors * dense.vectors[:, :5], axis=0))
         assert np.abs(overlap - 1.0).max() <= 1e-10
+
+    def test_low_eigen_factors_once(self, monkeypatch, minnesota):
+        shifted, widths = [], []
+        original = gbfpum.numerics.sparse_lu
+
+        def counted(M):
+            shifted.append(M)
+            return CountingLU(original(M), widths)
+
+        monkeypatch.setattr(gbfpum.numerics, "sparse_lu", counted)
+        L = minnesota.sparse_laplacian()
+        low_eigen(L, 11)
+        assert len(shifted) == 1
+        assert widths and set(widths) == {0}  # Lanczos applies the factor, a vector at a time
+        sigma = gbfpum.numerics.LOW_EIGEN_SIGMA
+        assert abs(shifted[0] - (L - sigma * sp.identity(minnesota.n))).max() == 0.0
+
+    def test_synthetic_signal_is_bit_reproducible(self, minnesota, minnesota_signal):
+        assert np.array_equal(synthetic_signal(minnesota), minnesota_signal)
 
     def test_low_eigen_needs_k_below_order(self, path3):
         with pytest.raises(ValueError):
