@@ -5,6 +5,12 @@ split keeps raising global modularity, small cores are merged into the most
 Jaccard-similar big one, and each core grows an overlap ring sized by the
 fraction of its vertices' neighbors that stay inside the core.
 
+The stages hand on one core label per vertex, ids 0..k-1: `_split_phase`
+returns it, `merge_small` maps it to the merged cores and `expand_overlap`
+reads each vertex's core from it. `detect_communities` turns it into vertex
+lists once, for the `Community` objects. Only inside the split phase does a
+vertex carry the label -1, for a core that a pass leaves alone.
+
 `split_community` is the split phase's pass function: one call plans the
 bipartitions of many cores at once and scores each plan's modularity gain
 from the same gather of the cores' edges, so each plan is scored in the call
@@ -26,7 +32,7 @@ from .graph import Graph, as_vertex_set, csr_gather
 from .metrics import default_alpha, katz_centrality, modularity
 from .numerics import check_positive
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 @dataclass
@@ -178,34 +184,27 @@ def _restrict(label: np.ndarray, ids) -> np.ndarray:
     return np.where(keep[label], label, -1)
 
 
-def _owners(n: int, cores: list[np.ndarray]) -> np.ndarray:
-    """Index of the core holding each vertex, -1 where none does.
+def core_membership(n: int, cores: list[np.ndarray]) -> np.ndarray:
+    """Core id per vertex: the index of the one core in `cores` that holds it.
 
-    Raises ValueError when two cores share a vertex.
+    The cores must partition 0..n-1; a ValueError names the first vertex
+    that two cores share, else the first that no core holds.
     """
-    owner = np.full(n, -1, dtype=np.int64)
-    if not cores:
-        return owner
-    members = np.concatenate(cores)
+    members = np.concatenate([np.zeros(0, dtype=np.int64), *cores])
     hits = np.bincount(members, minlength=n)
     if (hits > 1).any():
         v = int(np.argmax(hits > 1))
         raise ValueError(f"cores overlap: vertex {v} lies in {int(hits[v])} cores")
-    owner[members] = np.repeat(np.arange(len(cores)), [len(c) for c in cores])
-    return owner
-
-
-def core_membership(n: int, cores: list[np.ndarray]) -> np.ndarray:
-    """Core id per vertex; the cores must partition 0..n-1."""
-    member = _owners(n, cores)
-    if (member < 0).any():
-        raise ValueError("cores do not cover every vertex")
+    if (hits == 0).any():
+        raise ValueError(f"vertex {int(np.argmax(hits == 0))} lies in no core")
+    member = np.empty(n, dtype=np.int64)
+    member[members] = np.repeat(np.arange(len(cores)), [len(c) for c in cores])
     return member
 
 
 def _split_phase(
     g: Graph, W: np.ndarray, katz: np.ndarray, provenance: list[dict]
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Divisive loop over the bisection tree: split each core whose split raises Q.
 
     Splitting core c into sides a and b changes modularity by
@@ -217,7 +216,8 @@ def _split_phase(
     and splits those with deg_a*deg_b > 2m*cut. A split core keeps its id;
     the second sides take the next free ids in ascending core order. Each
     scored core logs its exact dQ, correctly rounded, whose sign is the
-    decision. The loop ends at the first pass that plans nothing.
+    decision. The loop ends at the first pass that plans nothing, and the
+    core label of every vertex, ids 0..k-1, is returned.
     """
     two_m = len(g.indices)
     label = np.zeros(g.n, dtype=np.int64)
@@ -226,15 +226,13 @@ def _split_phase(
     while True:
         second, planned, gain = split_community(g, touched, W, katz)
         if len(planned) == 0:
-            return _cores_of(label, k)
+            return label
         for cid, gn in zip(planned.tolist(), gain.tolist()):
             provenance.append(
                 {
                     "action": "split" if gn > 0 else "split_rejected",
                     "core_id": cid,
                     "dq": 2 * gn / two_m**2,  # Python ints: the quotient is correctly rounded
-                    "q_before": None,
-                    "q_after": None,
                 }
             )
         split = planned[gain > 0]
@@ -246,10 +244,10 @@ def _split_phase(
         touched = _restrict(label, np.concatenate([split, fresh]))
 
 
-def _cores_of(label: np.ndarray, k: int) -> list[np.ndarray]:
-    """Sorted vertex set of each label 0..k-1; vertices labelled -1 join none."""
+def _cores_of(label: np.ndarray) -> list[np.ndarray]:
+    """Sorted vertex set of each core id 0..max(label)."""
     order = np.argsort(label, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(label + 1, minlength=k + 1))[:-1])[1:]
+    return np.split(order, np.cumsum(np.bincount(label))[:-1])
 
 
 class _JaccardRows:
@@ -276,7 +274,7 @@ class _JaccardRows:
     def mean(self, U: np.ndarray, owner: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         """`jaccard_communities(g, U, V)` for every core V.
 
-        `owner[v]` is the index of the core holding v (negative: none) and
+        `owner[v]` is the index of the core holding v (negative: none yet) and
         `sizes` the core sizes; the sum per owning core over |U|·|V| is the
         mean over all pairs. U must be sorted and among `rows`.
         """
@@ -296,16 +294,13 @@ class _Pieces:
     the pieces of X and of Y, less the unions that joined two roots, leave one.
     """
 
-    def __init__(self, g: Graph, owner: np.ndarray, n_cores: int):
+    def __init__(self, g: Graph, label: np.ndarray):
         self.g = g
-        vs, adj = _intra_graph(g, owner)
-        n_comp, comp = csgraph.connected_components(adj, directed=False)
-        self.comp = np.full(g.n, -1, dtype=np.int64)  # vertices in no core are in no piece
-        self.comp[vs] = comp
+        n_comp, self.comp = csgraph.connected_components(_intra_graph(g, label)[1], directed=False)
         self.parent = list(range(n_comp))
-        comp_owner = np.zeros(n_comp, dtype=np.int64)
-        comp_owner[comp] = owner[vs]
-        self.of_core = np.bincount(comp_owner, minlength=n_cores)  # pieces per input core
+        comp_core = np.zeros(n_comp, dtype=np.int64)
+        comp_core[self.comp] = label
+        self.of_core = np.bincount(comp_core)  # pieces per input core
 
     def _root(self, x: int) -> int:
         parent = self.parent
@@ -333,33 +328,31 @@ class _Pieces:
 
 
 def merge_small(
-    g: Graph,
-    cores: list[np.ndarray],
-    p: DetectionParams,
-    provenance: list[dict],
-) -> list[np.ndarray]:
+    g: Graph, label: np.ndarray, p: DetectionParams, provenance: list[dict]
+) -> np.ndarray:
     """Fold cores smaller than ceil(small_fraction*n) into the most similar big one.
 
-    Small cores merge in id order, each into the big core of highest mean
-    Jaccard similarity as grown so far; ties go to the lowest community id.
-    Without any big core, the largest core (lowest id among equals) counts
-    as the one big core, so a single core remains. Merged cores may be
-    disconnected; that is logged, not rejected. The cores must not overlap;
-    they need not cover every vertex.
+    `label` holds the core id 0..k-1 of every vertex. Small cores merge in id
+    order, each into the big core of highest mean Jaccard similarity as grown
+    so far; ties go to the lowest community id. Without any big core, the
+    largest core (lowest id among equals) counts as the one big core, so a
+    single core remains. Merged cores may be disconnected; that is logged,
+    not rejected. Returns the merged label, the big cores renumbered 0.. in
+    ascending id order.
     """
     threshold = int(np.ceil(p.small_fraction * g.n))
-    owner = _owners(g.n, cores)
-    sizes = np.array([len(c) for c in cores])
-    if len(cores) < 2 or sizes.min() >= threshold:
-        return list(cores)
+    sizes = np.bincount(label)
+    if len(sizes) < 2 or sizes.min() >= threshold:
+        return label
     is_big = sizes >= threshold
     is_big[np.argmax(sizes)] = True  # the largest core is big, or promoted to it
     big, small = np.flatnonzero(is_big), np.flatnonzero(~is_big)
-    pieces = _Pieces(g, owner, len(cores))
+    pieces = _Pieces(g, label)
+    cores = _cores_of(label)
     jac = _JaccardRows(g, np.concatenate([cores[i] for i in small]))
-    rank = np.full(len(cores) + 1, -1)  # big index per core id; owner -1 reads -1
+    rank = np.full(len(sizes), -1)  # big index per core id; a small core reads -1 until it merges
     rank[big] = np.arange(len(big))
-    owner = rank[owner]
+    owner = rank[label]
     big_sizes, big_pieces = sizes[big], pieces.of_core[big]
     for sid in small:
         U = cores[sid]
@@ -369,30 +362,24 @@ def merge_small(
         owner[U] = best
         big_sizes[best] += len(U)
         action = "merge" if big_pieces[best] == 1 else "merge_disconnected"
-        provenance.append({"action": action, "q_before": None, "q_after": None})
-    return _cores_of(owner, len(big))
+        provenance.append({"action": action})
+    return owner
 
 
-def expand_overlap(
-    g: Graph, cores: list[np.ndarray], p: DetectionParams
-) -> list[np.ndarray]:
+def expand_overlap(g: Graph, label: np.ndarray, p: DetectionParams) -> list[np.ndarray]:
     """Overlap ring per core from the internal-neighbor ratio r(v).
 
-    r(v) <= t_low pulls in v's 2-hop neighborhood, t_low < r(v) <= t_high the
-    1-hop one; boundary-free vertices add nothing. Cores are untouched, so a
-    second application is a no-op. The cores must not overlap; they need not
-    cover every vertex.
+    `label` holds the core id 0..k-1 of every vertex. r(v) <= t_low pulls in
+    v's 2-hop neighborhood, t_low < r(v) <= t_high the 1-hop one;
+    boundary-free vertices add nothing. Cores are untouched, so a second
+    application is a no-op.
 
     Every core at once: r(v) from the row counts of the intra-core graph, and
     each ring as (core, vertex) keys, the 2-hop ones from one product A[far] @ A.
     """
-    owner = _owners(g.n, cores)
     deg = g.degrees()
-    vs, adj = _intra_graph(g, owner)
-    inside = np.zeros(g.n, dtype=np.int64)
-    inside[vs] = np.diff(adj.indptr)
-    r = inside / np.maximum(deg, 1)
-    has_nb = (owner >= 0) & (deg > 0)
+    r = np.diff(_intra_graph(g, label)[1].indptr) / np.maximum(deg, 1)
+    has_nb = deg > 0
     far = np.flatnonzero(has_nb & (r <= p.t_low))
     ring = np.flatnonzero(has_nb & (r <= p.t_high))
     at, row = csr_gather(g.indptr, ring)
@@ -400,15 +387,15 @@ def expand_overlap(
     keys = np.unique(
         np.concatenate(
             [
-                owner[ring][row] * g.n + g.indices[at],
-                np.repeat(owner[far], np.diff(two_hop.indptr)) * g.n + two_hop.indices,
+                label[ring][row] * g.n + g.indices[at],
+                np.repeat(label[far], np.diff(two_hop.indptr)) * g.n + two_hop.indices,
             ]
         )
     )
     cid, v = np.divmod(keys, g.n)
-    keep = owner[v] != cid
+    keep = label[v] != cid
     cid, v = cid[keep], v[keep]
-    bounds = np.searchsorted(cid, np.arange(len(cores) + 1))
+    bounds = np.searchsorted(cid, np.arange(int(label.max()) + 2))
     return [v[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
@@ -422,25 +409,17 @@ def detect_communities(g: Graph, W: np.ndarray, p: DetectionParams) -> Cover:
     katz = katz_centrality(g, alpha)
     t1 = time.perf_counter()
 
-    provenance: list[dict] = [
-        {
-            "action": "katz",
-            "q_before": None,
-            "q_after": None,
-            "alpha": alpha,
-            "mode": "closed-form",
-        }
-    ]
-    cores = _split_phase(g, W, katz, provenance)
+    provenance: list[dict] = [{"action": "katz", "alpha": alpha}]
+    label = _split_phase(g, W, katz, provenance)
     t2 = time.perf_counter()
-    cores = merge_small(g, cores, p, provenance)
-    q_final = modularity(g, core_membership(g.n, cores))
+    label = merge_small(g, label, p, provenance)
+    q_final = modularity(g, label)
     t3 = time.perf_counter()
-    overlaps = expand_overlap(g, cores, p)
+    overlaps = expand_overlap(g, label, p)
     t4 = time.perf_counter()
-    provenance.append({"action": "expand", "q_before": q_final, "q_after": q_final})
+    provenance.append({"action": "expand", "q_after": q_final})
 
-    communities = [Community.of(c, o, W) for c, o in zip(cores, overlaps)]
+    communities = [Community.of(c, o, W) for c, o in zip(_cores_of(label), overlaps)]
     stage_times = {
         "katz_s": t1 - t0,
         "split_s": t2 - t1,

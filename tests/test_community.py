@@ -11,6 +11,7 @@ from gbfpum import (
     detect_communities,
     katz_centrality,
     modularity,
+    sample_nodes,
 )
 import gbfpum.community
 from gbfpum.community import (
@@ -56,6 +57,11 @@ def split_oracle(g, core, W, katz):
     side2 = [v for v in core.tolist() if v in d2 and (v not in d1 or d2[v] < d1[v])]
     side1 = [v for v in core.tolist() if v not in side2]
     return side1, side2
+
+
+def cores_of(label):
+    """Vertex list of each core id 0..max(label)."""
+    return [np.flatnonzero(label == c).tolist() for c in range(label.max() + 1)]
 
 
 def one_core_split(g, core, W, katz):
@@ -165,7 +171,7 @@ def merge_oracle(g, cores, p, provenance):
     def log(union):
         connected = g.induced_subgraph(union)[0].is_connected()
         action = "merge" if connected else "merge_disconnected"
-        provenance.append({"action": action, "q_before": None, "q_after": None})
+        provenance.append({"action": action})
 
     big_ids = [i for i, c in enumerate(cores) if len(c) >= threshold]
     if not big_ids:  # the largest core, lowest id among equals, is the one big core
@@ -269,7 +275,7 @@ class TestDetect:
         assume(len(W) >= 1)
         katz = global_katz(g)
         log = []
-        cores = _split_phase(g, W, katz, log)
+        label = _split_phase(g, W, katz, log)
         final = np.zeros(g.n, dtype=np.int64)
         for entry, cid, dq, before, after in replay_split_log(g, W, katz, log):
             assert entry["core_id"] == cid
@@ -279,7 +285,7 @@ class TestDetect:
             assert float(exact_modularity(g, after)) == pytest.approx(modularity(g, after), abs=1e-12)
             if entry["action"] == "split":
                 final = after
-        assert np.array_equal(core_membership(g.n, cores), final)
+        assert np.array_equal(label, final)
 
     @pytest.mark.parametrize("seed", [1115, 1180])
     def test_zero_gain_split_rejected(self, seed):
@@ -355,18 +361,17 @@ class TestDetect:
 
 class TestMergeSmall:
     def test_all_big_unchanged(self, two_triangle):
-        cores = [np.array([0, 1, 2]), np.array([3, 4, 5])]
-        got = merge_small(two_triangle, cores, DetectionParams(), [])
-        assert [c.tolist() for c in got] == [c.tolist() for c in cores]
+        label = core_membership(6, [np.array([0, 1, 2]), np.array([3, 4, 5])])
+        got = merge_small(two_triangle, label, DetectionParams(), [])
+        assert np.array_equal(got, label)
 
     def test_small_merges_into_most_similar_big(self):
         # lollipop: clique {0..4} with a pendant path 4-5; small core {5}
         edges = [(i, j) for i in range(5) for j in range(i + 1, 5)] + [(4, 5)]
         g = Graph.from_edges(6, edges)
-        cores = [np.arange(5), np.array([5])]
-        got = merge_small(g, cores, DetectionParams(small_fraction=0.3), [])
-        assert len(got) == 1
-        assert got[0].tolist() == [0, 1, 2, 3, 4, 5]
+        label = core_membership(6, [np.arange(5), np.array([5])])
+        got = merge_small(g, label, DetectionParams(small_fraction=0.3), [])
+        assert cores_of(got) == [[0, 1, 2, 3, 4, 5]]
 
     def test_most_similar_wins(self):
         # two cliques bridged by vertex 8; the singleton {8} is adjacent to both,
@@ -375,29 +380,28 @@ class TestMergeSmall:
         edges += [(i, j) for i in range(4, 8) for j in range(i + 1, 8)]
         edges += [(8, 0), (8, 1), (8, 2), (8, 4)]
         g = Graph.from_edges(9, edges)
-        cores = [np.arange(4), np.arange(4, 8), np.array([8])]
-        got = merge_small(g, cores, DetectionParams(small_fraction=0.3), [])
-        assert sorted(c.tolist() for c in got) == [[0, 1, 2, 3, 8], [4, 5, 6, 7]]
+        label = core_membership(9, [np.arange(4), np.arange(4, 8), np.array([8])])
+        got = merge_small(g, label, DetectionParams(small_fraction=0.3), [])
+        assert cores_of(got) == [[0, 1, 2, 3, 8], [4, 5, 6, 7]]
 
     def test_no_big_community_fallback(self, path10):
         # no core reaches 2 vertices: {0} is promoted and the others join it in id order
-        cores = [np.array([i]) for i in range(10)]
         prov = []
-        got = merge_small(path10, cores, DetectionParams(small_fraction=0.2), prov)
-        assert [c.tolist() for c in got] == [list(range(10))]
+        got = merge_small(path10, np.arange(10), DetectionParams(small_fraction=0.2), prov)
+        assert cores_of(got) == [list(range(10))]
         assert [e["action"] for e in prov] == ["merge"] * 9
 
     def test_ties_go_to_lowest_id(self):
         # path 0..8: the small core {4} is equally similar to its mirror images
         g = Graph.from_edges(9, [(i, i + 1) for i in range(8)])
-        cores = [np.arange(4), np.array([4]), np.arange(5, 9)]
-        got = merge_small(g, cores, DetectionParams(small_fraction=0.3), [])
-        assert [c.tolist() for c in got] == [[0, 1, 2, 3, 4], [5, 6, 7, 8]]
+        label = core_membership(9, [np.arange(4), np.array([4]), np.arange(5, 9)])
+        got = merge_small(g, label, DetectionParams(small_fraction=0.3), [])
+        assert cores_of(got) == [[0, 1, 2, 3, 4], [5, 6, 7, 8]]
         # no big core: the lowest id among the largest, {0}, is promoted, and
         # only its first union, with {1}, is connected
         g = Graph.from_edges(4, [(0, 1), (2, 3)], require_connected=False)
         prov = []
-        merge_small(g, [np.array([v]) for v in range(4)], DetectionParams(small_fraction=0.4), prov)
+        merge_small(g, np.arange(4), DetectionParams(small_fraction=0.4), prov)
         assert [e["action"] for e in prov] == ["merge"] + ["merge_disconnected"] * 2
 
     @settings(max_examples=100, deadline=None)
@@ -415,8 +419,8 @@ class TestMergeSmall:
         expect_log, got_log = [], []
         expect, near_tie = merge_oracle(g, cores, p, expect_log)
         assume(not near_tie)
-        got = merge_small(g, cores, p, got_log)
-        assert [c.tolist() for c in got] == [c.tolist() for c in expect]
+        got = merge_small(g, core_membership(g.n, cores), p, got_log)
+        assert np.array_equal(got, core_membership(g.n, expect))
         assert got_log == expect_log
 
     def test_disconnected_merge_logged(self):
@@ -424,14 +428,15 @@ class TestMergeSmall:
         g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         p = DetectionParams(small_fraction=0.5)
         prov = []
-        got = merge_small(g, [np.array([0, 3]), np.array([1]), np.array([2])], p, prov)
-        assert [c.tolist() for c in got] == [[0, 1, 2, 3]]
+        got = merge_small(g, core_membership(4, [np.array([0, 3]), np.array([1]), np.array([2])]), p, prov)
+        assert cores_of(got) == [[0, 1, 2, 3]]
         assert [e["action"] for e in prov] == ["merge", "merge"]
-        # without the hub in any core, the promoted leaf {1} gains the others disconnected
+        # with the hub in the last core, the promoted leaf {1} gains the other
+        # leaves disconnected, and the hub joins them up
         prov = []
-        got = merge_small(g, [np.array([1]), np.array([2]), np.array([3])], p, prov)
-        assert [c.tolist() for c in got] == [[1, 2, 3]]
-        assert [e["action"] for e in prov] == ["merge_disconnected"] * 2
+        got = merge_small(g, np.array([3, 0, 1, 2]), p, prov)
+        assert cores_of(got) == [[0, 1, 2, 3]]
+        assert [e["action"] for e in prov] == ["merge_disconnected"] * 2 + ["merge"]
 
     def test_no_big_merge_log_follows_id_order(self):
         # the largest core absorbing the rest in similarity order made the first
@@ -447,15 +452,15 @@ class TestMergeSmall:
 
 class TestExpandOverlap:
     def test_no_boundary_no_overlap(self, two_triangle):
-        overlaps = expand_overlap(two_triangle, [np.arange(6)], DetectionParams())
+        overlaps = expand_overlap(two_triangle, np.zeros(6, dtype=np.int64), DetectionParams())
         assert overlaps[0].tolist() == []
 
     def test_ratio_06_distance1(self):
         # vertex 0 has 5 neighbors, 3 internal -> r = 0.6 -> 1-hop expansion
         edges = [(0, 1), (0, 2), (0, 3), (0, 8), (0, 9), (1, 2), (2, 3), (8, 9), (8, 4), (9, 4)]
         g = Graph.from_edges(10, edges + [(4, 5), (5, 6), (6, 7)])
-        core = np.array([0, 1, 2, 3])
-        overlaps = expand_overlap(g, [core], DetectionParams())
+        label = core_membership(10, [np.array([0, 1, 2, 3]), np.arange(4, 10)])
+        overlaps = expand_overlap(g, label, DetectionParams())
         # r(0)=3/5=0.6; r(1)=r(3)=1? 1's nbrs {0,2} internal -> 1.0; 3's {0,2} -> 1.0
         assert overlaps[0].tolist() == [8, 9]
 
@@ -463,23 +468,22 @@ class TestExpandOverlap:
         # vertex 0: 4 neighbors, 1 internal -> r = 0.25 -> 2-hop expansion
         edges = [(0, 1), (0, 2), (0, 3), (0, 4), (2, 5), (3, 5), (4, 6), (6, 7), (1, 7)]
         g = Graph.from_edges(8, edges)
-        core = np.array([0, 1])
-        overlaps = expand_overlap(g, [core], DetectionParams())
+        label = core_membership(8, [np.array([0, 1]), np.arange(2, 8)])
+        overlaps = expand_overlap(g, label, DetectionParams())
         # N(0) at distance <= 2: {2,3,4} plus their/1's neighbors {5,6,7}
         assert set(overlaps[0].tolist()) >= {2, 3, 4, 5, 6}
 
     def test_idempotent(self, geometric200):
         cover = detect_communities(geometric200, np.arange(0, 200, 11), DetectionParams())
-        cores = [c.core for c in cover.communities]
-        once = expand_overlap(geometric200, cores, DetectionParams())
-        twice = expand_overlap(geometric200, cores, DetectionParams())
+        label = cover.membership(geometric200.n)
+        once = expand_overlap(geometric200, label, DetectionParams())
+        twice = expand_overlap(geometric200, label, DetectionParams())
         assert all(a.tolist() == b.tolist() for a, b in zip(once, twice))
 
     def test_cores_untouched(self, two_triangle):
-        cores = [np.array([0, 1, 2]), np.array([3, 4, 5])]
-        before = [c.copy() for c in cores]
-        expand_overlap(two_triangle, cores, DetectionParams())
-        assert all(a.tolist() == b.tolist() for a, b in zip(cores, before))
+        label = np.array([0, 0, 0, 1, 1, 1])
+        expand_overlap(two_triangle, label, DetectionParams())
+        assert label.tolist() == [0, 0, 0, 1, 1, 1]
 
 
     @settings(max_examples=60, deadline=None)
@@ -494,7 +498,7 @@ class TestExpandOverlap:
         member = rng.integers(0, 4, g.n)
         cores = [np.flatnonzero(member == k) for k in np.unique(member)]
         p = DetectionParams(t_low=t_low, t_high=min(t_low + gap, 1.0))
-        got = expand_overlap(g, cores, p)
+        got = expand_overlap(g, core_membership(g.n, cores), p)
         assert [o.tolist() for o in got] == [overlap_oracle(g, c, p) for c in cores]
 
 
@@ -535,12 +539,12 @@ class TestPassFunctions:
             assert gain[c] == deg1 * deg2 - len(g.indices) * cut
 
     @settings(max_examples=80, deadline=None)
-    @given(st.integers(0, 10**6), st.integers(2, 8), st.floats(0.0, 0.4), st.booleans())
-    def test_merge_log_matches_connectivity(self, seed, k, drop, some_big):
-        # random, often disconnected cores that need not cover the graph, on both branches
+    @given(st.integers(0, 10**6), st.integers(2, 8), st.booleans())
+    def test_merge_log_matches_connectivity(self, seed, k, some_big):
+        # random, often disconnected cores, on both branches
         g = random_connected_graph(seed, n_max=30)
         rng = np.random.default_rng(seed)
-        _, cores = random_cores(g, rng, k, drop)
+        _, cores = random_cores(g, rng, k, 0.0)
         assume(len(cores) >= 2)
         largest = max(len(c) for c in cores)
         assume(largest >= 2 or not some_big)
@@ -549,38 +553,31 @@ class TestPassFunctions:
         expect_log, got_log = [], []
         expect, near_tie = merge_oracle(g, cores, p, expect_log)
         assume(not near_tie)
-        got = merge_small(g, cores, p, got_log)
-        assert [c.tolist() for c in got] == [c.tolist() for c in expect]
+        got = merge_small(g, core_membership(g.n, cores), p, got_log)
+        assert np.array_equal(got, core_membership(g.n, expect))
         assert got_log == expect_log  # the oracle logs `induced_subgraph(...).is_connected()`
 
     @settings(max_examples=80, deadline=None)
-    @given(st.integers(0, 10**6), st.integers(1, 5), st.floats(0.0, 0.6), st.floats(0.05, 0.6))
-    def test_expand_matches_oracle_partial_cores(self, seed, k, drop, t_low):
+    @given(st.integers(0, 10**6), st.integers(1, 5), st.floats(0.05, 0.6))
+    def test_expand_matches_oracle_random_cores(self, seed, k, t_low):
         g = random_connected_graph(seed, n_max=30)
         rng = np.random.default_rng(seed)
-        _, cores = random_cores(g, rng, k, drop)
+        _, cores = random_cores(g, rng, k, 0.0)
         p = DetectionParams(t_low=t_low, t_high=min(t_low + 0.3, 1.0))
-        got = expand_overlap(g, cores, p)
+        got = expand_overlap(g, core_membership(g.n, cores), p)
         assert [o.tolist() for o in got] == [overlap_oracle(g, c, p) for c in cores]
         assert all(o.dtype == np.int64 for o in got)
 
     def test_overlapping_cores_rejected(self, path10):
-        cores = [np.array([0, 1, 2, 3]), np.array([3, 4, 5])]
+        cores = [np.array([0, 1, 2, 3]), np.array([3, 4, 5]), np.arange(6, 10)]
         with pytest.raises(ValueError, match="vertex 3 lies in 2 cores"):
-            expand_overlap(path10, cores, DetectionParams())
-        with pytest.raises(ValueError, match="vertex 3 lies in 2 cores"):
-            merge_small(path10, cores, DetectionParams(small_fraction=0.5), [])
-        with pytest.raises(ValueError, match="vertex 3 lies in 2 cores"):
-            core_membership(10, cores + [np.arange(6, 10)])
+            core_membership(10, cores)
 
-    def test_partial_cores_still_work(self, path10):
-        # vertices 7..9 are in no core: they are not merged and not counted as a core
-        cores = [np.array([0, 1, 2, 3, 4]), np.array([5, 6])]
-        got = merge_small(path10, cores, DetectionParams(small_fraction=0.3), prov := [])
-        assert [c.tolist() for c in got] == [[0, 1, 2, 3, 4, 5, 6]]
-        assert [e["action"] for e in prov] == ["merge"]
-        overlaps = expand_overlap(path10, got, DetectionParams())
-        assert overlaps[0].tolist() == [7]  # r(6) = 1/2: the 1-hop ring
+    def test_uncovered_vertex_named(self):
+        with pytest.raises(ValueError, match="^vertex 4 lies in no core$"):
+            core_membership(10, [np.arange(4), np.arange(7, 10), np.array([5, 6])])
+        with pytest.raises(ValueError, match="^vertex 0 lies in no core$"):
+            core_membership(3, [])
 
 
 class TestCoverSerialization:
@@ -596,12 +593,23 @@ class TestCoverSerialization:
             assert a.overlap.tolist() == b.overlap.tolist()
             assert a.interpolation_nodes.tolist() == b.interpolation_nodes.tolist()
 
-    def test_provenance_schema(self, two_triangle):
-        cover = detect_communities(two_triangle, np.array([0, 4]), DetectionParams())
+    def test_provenance_schema(self, minnesota):
+        # a cover that logs all six actions
+        W = sample_nodes(minnesota.n, 200, 0)
+        cover = detect_communities(minnesota, W, DetectionParams())
+        keys = {
+            "katz": {"action", "alpha"},
+            "split": {"action", "core_id", "dq"},
+            "split_rejected": {"action", "core_id", "dq"},
+            "merge": {"action"},
+            "merge_disconnected": {"action"},
+            "expand": {"action", "q_after"},
+        }
         for entry in cover.provenance:
-            assert {"action", "q_before", "q_after"} <= set(entry)
-            if entry["action"].startswith("split"):
-                assert set(entry) == {"action", "core_id", "dq", "q_before", "q_after"}
+            assert set(entry) == keys[entry["action"]]
+        actions = [e["action"] for e in cover.provenance]
+        assert actions[0] == "katz" and actions[-1] == "expand"
+        assert [actions.count(a) for a in keys] == [1, 52, 43, 24, 11, 1]
 
 
 def test_structural_suite_random_graphs():
