@@ -13,7 +13,9 @@ epsilon 0.01:
 - 28 `run_pipeline` calls at N = 200, 400, 600, 800: the benchmark sweep's 24
   (sample seeds 0-4 at s = 2, sample seed 5 at s = 1.5), plus sample seed 0 at
   s = 1 and s = 3 for N = 200 and 800;
-- `global_gbf_baseline` at N = 200 and 800, sample seed 0, s = 2.
+- `global_gbf_baseline` at N = 200 and 800, sample seed 0, s = 2, then the
+  same two sample sets at s = 1, 3 and 4, so the odd-s and s > 2 solves of
+  the kernel route show too.
 
 Each other line holds the sha256 of the cover JSON, of its core and overlap lists
 alone (`cores`, which a change of the provenance format leaves as it is), of
@@ -45,6 +47,7 @@ PIPELINES = (
     + [(count, 0, s) for s in (1.0, 3.0) for count in (200, 800)]
 )
 GLOBAL_COUNTS = (200, 800)
+GLOBAL_EXPONENTS = (1.0, 3.0, 4.0)
 
 
 def sha(data: bytes) -> str:
@@ -86,6 +89,12 @@ def main() -> None:
         W = sample_nodes(g.n, count, 0)
         result = global_gbf_baseline(g, y, W, KernelParams())
         print(json.dumps(digest(f"global_gbf_baseline N={count}", y, W, result, None)), flush=True)
+    for s in GLOBAL_EXPONENTS:
+        for count in GLOBAL_COUNTS:
+            W = sample_nodes(g.n, count, 0)
+            result = global_gbf_baseline(g, y, W, KernelParams(s=s))
+            case = f"global_gbf_baseline N={count} s={s:g}"
+            print(json.dumps(digest(case, y, W, result, None)), flush=True)
 
 
 if __name__ == "__main__":

@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--counts", required=True, help="comma-separated ascending sample counts"
     )
     sb.add_argument(
-        "--baseline", action="store_true", help="also time the global dense solve"
+        "--baseline", action="store_true", help="also time the whole-graph kernel baseline"
     )
     return p
 
@@ -178,20 +178,23 @@ def _resolve_samples(args, n: int) -> np.ndarray:
         p = Path(args.samples)
         if not p.is_file():
             raise InputFailure(f"sample file not found: {args.samples}")
-        ids = []
+        ids = set()
         for line_no, line in enumerate(p.read_text().splitlines(), start=1):
             text = line.strip()
             if not text or text.startswith("#"):
                 continue
             try:
-                ids.append(int(text))
+                vid = int(text)
             except ValueError:
                 raise InputFailure(
                     f"sample file line {line_no} is not a vertex id: {line!r}"
                 ) from None
+            if vid in ids:
+                raise InputFailure(f"sample file line {line_no} repeats vertex {vid}")
+            ids.add(vid)
         if not ids:
             raise InputFailure("sample file is empty")
-        return as_vertex_set(ids, n)
+        return as_vertex_set(list(ids), n)
     if args.n_samples < 1:
         raise UsageFailure("--n-samples must be positive")
     if args.n_samples > n:

@@ -6,18 +6,16 @@ differently:
 - the kernel route (`kernel_block`) forms the block K[W,W] at the nodes W
   and a function that evaluates K[:, W] a. For integer s it uses one sparse
   LDL^T factor (`numerics.sparse_lu`) of M = eps I + L and no dense n x n
-  matrix: with s = 2h + r and
-  X = M^(-h) E_W (E_W the columns of the identity at W), K[W,W] is the Gram
-  product X^T X for even s and X^T M^(-1) X for odd s, so ceil(s/2)
-  multi-column solve passes form it, and K[:, W] a = M^(-h) (Z a), with Z
-  the last n x |W| array formed, takes h single-vector solves. The route
-  holds one n x |W| array for even s and two for odd s > 1. Any other s
-  takes the spectral expansion of a dense eigendecomposition (`gbf_kernel`),
-  which the tests also use as the oracle for the sparse one. `pum` asks for
-  it per connected piece, so the dense order is a piece's. The
-  eigendecomposition works in the storage of L; with divide and conquer
-  (orders up to `numerics.EVD_MAX_ORDER`) it adds two n x n of workspace,
-  with MRRR (above) one n x n for the eigenvectors.
+  matrix. K[W,W] is built numerics.SOLVE_BLOCK columns at a time: a block
+  of unit columns at W is solved s times and its rows at W are kept, so no
+  n x |W| array is formed. K[:, W] a = M^(-s) a, with a scattered to W,
+  takes s single-vector solves. Any other s takes the spectral expansion
+  of a dense eigendecomposition (`gbf_kernel`), which the tests also use
+  as the oracle for the sparse one. `pum` asks for it per connected piece,
+  so the dense order is a piece's. The eigendecomposition works in the
+  storage of L; with divide and conquer (orders up to
+  `numerics.EVD_MAX_ORDER`) it adds two n x n of workspace, with MRRR
+  (above) one n x n for the eigenvectors.
 - the native route never forms K: for integer s the precision matrix
   A = K^(-1) = M^s (`precision_matrix`) is sparse, and `pum` solves with it.
 """
@@ -32,7 +30,7 @@ import scipy.sparse as sp
 
 from .errors import NonPositiveShiftError
 from .graph import Graph
-from .numerics import check_positive, lu_solve_columns, sparse_lu, sym_eigen
+from .numerics import SOLVE_BLOCK, check_positive, sparse_lu, sym_eigen
 
 SHIFT_TOL = 1e-12
 
@@ -100,25 +98,23 @@ def kernel_block(
         Kw = gbf_kernel(g.laplacian().T, p, cols, overwrite=True)
         return Kw[cols], lambda a: Kw @ a
     lu = sparse_lu(_shifted_laplacian(g, p))
-    h, odd = divmod(int(p.s), 2)
-    X = np.zeros((g.n, len(cols)), order="F")
-    X[cols, np.arange(len(cols))] = 1.0
-    for _ in range(h):
-        lu_solve_columns(lu, X, out=X)
-    if not odd:
-        Z = X
-        block = X.T @ X
-    elif h == 0:
-        Z = lu_solve_columns(lu, X, out=X)
-        block = Z[cols]
-    else:
-        Z = lu_solve_columns(lu, X)
-        block = X.T @ Z
+    s = int(p.s)
+    block = np.empty((len(cols), len(cols)))
+    for j in range(0, len(cols), SOLVE_BLOCK):
+        part = cols[j : j + SOLVE_BLOCK]
+        X = np.zeros((g.n, len(part)), order="F")
+        X[part, np.arange(len(part))] = 1.0
+        for _ in range(s):
+            X = lu.solve(X)
+        block[:, j : j + len(part)] = X[cols]
 
     def evaluate(a: np.ndarray) -> np.ndarray:
-        v = Z @ a
-        for _ in range(h):
+        v = np.zeros(g.n)
+        v[cols] = a
+        for _ in range(s):
             v = lu.solve(v)
         return v
 
-    return (block + block.T) / 2.0, evaluate
+    block += block.T  # numpy buffers the overlapping transpose
+    block /= 2.0
+    return block, evaluate

@@ -5,8 +5,8 @@ rely on the error types and tolerances here, not on the backend. Dense
 matrices get a full eigendecomposition (`sym_eigen`: LAPACK's divide and
 conquer up to order EVD_MAX_ORDER, MRRR above) and Cholesky solves
 (`spd_solve`); sparse ones get a symmetric-mode LDL^T factorisation with a
-pivot check (`sparse_lu`), blocked multi-column solves with it
-(`lu_solve_columns`) and their lowest eigenpairs by shift-invert Lanczos
+pivot check (`sparse_lu`), whose callers solve SOLVE_BLOCK right-hand
+sides at a time, and their lowest eigenpairs by shift-invert Lanczos
 (`low_eigen`, which inverts through the same factorisation), so that no
 dense n x n matrix is formed for them. Every sparse factor in the package
 comes from `sparse_lu`, and a sparse matrix that is not positive definite
@@ -40,11 +40,13 @@ SYM_BLOCK = 1 << 16
 # (`syevr`) writes the n x n eigenvectors beside it and needs O(n) more; above
 # this order that extra n x n is what sets a pipeline's peak memory.
 EVD_MAX_ORDER = 512
-# Right-hand-side columns per SuperLU solve in `lu_solve_columns`. With the
-# factor of eps I + L on the 2642-vertex road graph, 800 columns took 0.031 s
-# in blocks of 32 and 0.108 s in one call (median of 15, one BLAS thread),
-# with bit-identical output: each column is solved on its own, and a block
-# stays in cache.
+# Right-hand-side columns per SuperLU solve in `kernel.kernel_block`. With
+# the factor of eps I + L on the 2642-vertex road graph, K[W,W] at 800 sample
+# columns (each block solved s times) took 0.038 s at s = 2 and 0.062 s at
+# s = 3 in blocks of 32, against 0.087 and 0.135 s in one block of 800 and
+# 0.046 and 0.064 s in blocks of 8 (median of 9, one BLAS thread), with
+# bit-identical output: each column is solved on its own, and a block stays
+# in cache.
 SOLVE_BLOCK = 32
 # Shift-invert pole for `low_eigen`: below the spectrum of a positive
 # semidefinite matrix, so M - sigma I stays positive definite.
@@ -161,20 +163,6 @@ def sparse_lu(M: sp.spmatrix) -> SuperLU:
     if bad.any():
         raise NotPositiveDefiniteError(pivot=int(original[np.argmax(bad)]))
     return lu
-
-
-def lu_solve_columns(lu: SuperLU, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """M^-1 B for the factors `lu = sparse_lu(M)`, SOLVE_BLOCK columns per solve.
-
-    B is an (n, k) Fortran-ordered array. Each block's solution is written
-    into `out`, a new Fortran array by default; `out=B` solves in place, with
-    no second n x k array. Equal bit for bit to `lu.solve(B)`.
-    """
-    if out is None:
-        out = np.empty_like(B, order="F")
-    for j in range(0, B.shape[1], SOLVE_BLOCK):
-        out[:, j : j + SOLVE_BLOCK] = lu.solve(B[:, j : j + SOLVE_BLOCK])
-    return out
 
 
 def low_eigen(M: sp.spmatrix, k: int) -> EigenDecomposition:

@@ -202,6 +202,20 @@ class TestInterpolate:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_repeated_sample_exit_2(self, fixture_files, tmp_path, capsys):
+        # as in the signal file, a vertex id may appear once
+        graph, _, signal = fixture_files
+        samples = tmp_path / "twice_w.txt"
+        samples.write_text("5\n5\n3\n")
+        out = tmp_path / "o.json"
+        rc = main(
+            ["interpolate", "--graph", str(graph), "--signal", str(signal), "--samples", str(samples),
+             "--out", str(out)]
+        )
+        assert rc == 2
+        assert "sample file line 2 repeats vertex 5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_indented_comment_in_samples(self, fixture_files, tmp_path):
         # as in the signal file, a line is a comment when its first non-blank character is '#'
         graph, _, signal = fixture_files

@@ -1,9 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import gbfpum.kernel
 import gbfpum.numerics
-from gbfpum import Graph, KernelParams, gbf_kernel, local_interpolant, spd_solve, sym_eigen
+from gbfpum import (
+    Graph,
+    KernelParams,
+    gbf_kernel,
+    local_interpolant,
+    sample_nodes,
+    spd_solve,
+    sym_eigen,
+)
 from gbfpum.errors import NonPositiveShiftError, NotSymmetricError
 from gbfpum.kernel import kernel_block
 
@@ -124,19 +134,35 @@ class TestKernelColumns:
         assert np.array_equal(evaluate(a), Kw @ a)
 
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
-    def test_ceil_half_s_multi_column_passes(self, monkeypatch, geometric200, s):
+    def test_each_block_solved_s_times(self, monkeypatch, geometric200, s):
         widths = []
         monkeypatch.setattr(
             gbfpum.kernel, "sparse_lu", lambda M: CountingLU(gbfpum.numerics.sparse_lu(M), widths)
         )
-        cols = np.arange(0, 200, 3)  # 67 columns: three blocks per pass
+        cols = np.arange(0, 200, 3)  # 67 columns: blocks of 32, 32 and 3
         _, evaluate = kernel_block(geometric200, cols, KernelParams(s=float(s)))
-        blocks = [w for w in widths if w]
-        assert sum(blocks) == (s + 1) // 2 * len(cols)  # ceil(s/2) passes
-        assert max(blocks) == gbfpum.numerics.SOLVE_BLOCK and 0 not in widths
+        assert gbfpum.numerics.SOLVE_BLOCK == 32
+        assert widths == [32] * s + [32] * s + [3] * s  # s * |W| columns in all
         widths.clear()
         evaluate(np.ones(len(cols)))
-        assert widths == [0] * (s // 2)  # h = floor(s/2) single-vector solves
+        assert widths == [0] * s  # s single-vector solves
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_integer_route_memory(self, minnesota, s):
+        # tracemalloc sees numpy's buffers (not SuperLU's factor): the route
+        # holds K[W,W] and a few n x SOLVE_BLOCK blocks, never an n x |W| array
+        cols = sample_nodes(minnesota.n, 800, 0)
+        block_bytes = len(cols) ** 2 * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            kept = kernel_block(minnesota, cols, KernelParams(s=float(s)))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept[0].shape == (len(cols), len(cols))
+        assert peak - base < 3 * block_bytes
+        assert held - base < block_bytes + 2**20
 
     @pytest.mark.parametrize("s", [2.0, 1.5])
     def test_nonpositive_shift_through_local_interpolant(self, path10, s):

@@ -16,7 +16,6 @@ from gbfpum.numerics import (
     SYM_TOL,
     check_symmetric,
     low_eigen,
-    lu_solve_columns,
     sparse_lu,
 )
 
@@ -228,15 +227,6 @@ class TestSparse:
         b = np.random.default_rng(0).standard_normal(g.n)
         x = sparse_lu(M).solve(b)
         assert np.linalg.norm(M @ x - b) <= 1e-10 * np.linalg.norm(b)
-
-    @pytest.mark.parametrize("width", [1, 31, 32, 33, 800])
-    def test_lu_solve_columns_equals_one_solve(self, minnesota, width):
-        lu = sparse_lu(minnesota.sparse_laplacian() + 0.01 * sp.identity(minnesota.n))
-        B = np.asfortranarray(np.random.default_rng(width).standard_normal((minnesota.n, width)))
-        expect = lu.solve(B)
-        assert np.array_equal(lu_solve_columns(lu, B), expect)
-        assert lu_solve_columns(lu, B, out=B) is B  # in place
-        assert np.array_equal(B, expect)
 
     def test_sparse_lu_singular_is_numerical_error(self, path3):
         with pytest.raises(SparseSolverError):
