@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -114,57 +115,64 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load_graph_file(path: str) -> Graph:
+def _read_text(path: str, what: str) -> str:
+    """The text of input file `path`, which must be UTF-8; `what` names it in errors.
+
+    Line endings are kept as they are, as `open(..., newline="")` keeps them.
+    """
     p = Path(path)
     if not p.is_file():
-        raise InputFailure(f"graph file not found: {path}")
-    with open(p) as fh:
-        return load_graph(fh)
+        raise InputFailure(f"{what} not found: {path}")
+    try:
+        return p.read_bytes().decode("utf-8")
+    except UnicodeDecodeError:
+        raise InputFailure(f"{what} {path} is not UTF-8 text") from None
+
+
+def _load_graph_file(path: str) -> Graph:
+    return load_graph(_read_text(path, "graph file"))
 
 
 def _load_signal(path: str, n: int) -> np.ndarray:
-    p = Path(path)
-    if not p.is_file():
-        raise InputFailure(f"signal file not found: {path}")
+    text = _read_text(path, "signal file")
     values = np.full(n, np.nan)
-    with open(p, newline="") as fh:
-        rows = csv.reader(fh)
-        may_be_header = True
-        for row in rows:
-            if not row or row[0].strip().startswith("#"):
+    rows = csv.reader(io.StringIO(text, newline=""))
+    may_be_header = True
+    for row in rows:
+        if not row or row[0].strip().startswith("#"):
+            continue
+        try:
+            vid = int(row[0])
+        except ValueError:
+            if may_be_header:
+                may_be_header = False
                 continue
-            try:
-                vid = int(row[0])
-            except ValueError:
-                if may_be_header:
-                    may_be_header = False
-                    continue
-                raise InputFailure(
-                    f"signal row {rows.line_num}: vertex id is not an integer: {row[0]!r}"
-                ) from None
-            may_be_header = False
-            if len(row) < 2:
-                raise InputFailure(f"signal row {rows.line_num}: vertex {vid} has no value")
-            if not 0 <= vid < n:
-                raise InputFailure(
-                    f"signal row {rows.line_num}: vertex {vid} out of range "
-                    f"for graph of order {n}"
-                )
-            if not np.isnan(values[vid]):
-                raise InputFailure(f"signal row {rows.line_num}: vertex {vid} is repeated")
-            try:
-                value = float(row[1])
-            except ValueError:
-                raise InputFailure(
-                    f"signal row {rows.line_num}: value for vertex {vid} is not a number: "
-                    f"{row[1]!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise InputFailure(
-                    f"signal row {rows.line_num}: value for vertex {vid} is not finite: "
-                    f"{row[1]!r}"
-                )
-            values[vid] = value
+            raise InputFailure(
+                f"signal row {rows.line_num}: vertex id is not an integer: {row[0]!r}"
+            ) from None
+        may_be_header = False
+        if len(row) < 2:
+            raise InputFailure(f"signal row {rows.line_num}: vertex {vid} has no value")
+        if not 0 <= vid < n:
+            raise InputFailure(
+                f"signal row {rows.line_num}: vertex {vid} out of range "
+                f"for graph of order {n}"
+            )
+        if not np.isnan(values[vid]):
+            raise InputFailure(f"signal row {rows.line_num}: vertex {vid} is repeated")
+        try:
+            value = float(row[1])
+        except ValueError:
+            raise InputFailure(
+                f"signal row {rows.line_num}: value for vertex {vid} is not a number: "
+                f"{row[1]!r}"
+            ) from None
+        if not math.isfinite(value):
+            raise InputFailure(
+                f"signal row {rows.line_num}: value for vertex {vid} is not finite: "
+                f"{row[1]!r}"
+            )
+        values[vid] = value
     missing = np.flatnonzero(np.isnan(values))
     if len(missing):
         raise InputFailure(f"signal file misses vertex {int(missing[0])}")
@@ -175,11 +183,9 @@ def _resolve_samples(args, n: int) -> np.ndarray:
     if (args.samples is None) == (args.n_samples is None):
         raise UsageFailure("provide exactly one of --samples / --n-samples")
     if args.samples is not None:
-        p = Path(args.samples)
-        if not p.is_file():
-            raise InputFailure(f"sample file not found: {args.samples}")
         ids = set()
-        for line_no, line in enumerate(p.read_text().splitlines(), start=1):
+        lines = _read_text(args.samples, "sample file").splitlines()
+        for line_no, line in enumerate(lines, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
                 continue

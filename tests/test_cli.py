@@ -57,6 +57,20 @@ class TestPartition:
         rc = main(["partition", "--graph", str(bad), "--n-samples", "1", "--out", str(tmp_path / "o.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 1\n1 2\n2 1000000000000\n", "graph is not connected"),
+            ("1 99999999999999999999\n", "malformed edge-list line 1: '1 99999999999999999999'"),
+        ],
+    )
+    def test_huge_vertex_id_exit_2(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "huge.edges"
+        bad.write_text(text)
+        rc = main(["partition", "--graph", str(bad), "--n-samples", "1", "--out", str(tmp_path / "o.json")])
+        assert rc == 2
+        assert f"input error: {message}" in capsys.readouterr().err
+
     def test_missing_graph_exit_2(self, tmp_path):
         rc = main(["partition", "--graph", str(tmp_path / "nope"), "--n-samples", "1", "--out", str(tmp_path / "o.json")])
         assert rc == 2
@@ -180,6 +194,18 @@ class TestInterpolate:
         )
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which", ["graph", "signal", "sample"])
+    def test_non_utf8_file_exit_2(self, fixture_files, tmp_path, capsys, which):
+        files = dict(zip(["graph", "sample", "signal"], fixture_files))
+        bad = files[which]
+        bad.write_bytes(b"\xff\xfe" + bad.read_bytes())
+        rc = main(
+            ["interpolate", "--graph", str(files["graph"]), "--signal", str(files["signal"]),
+             "--samples", str(files["sample"]), "--out", str(tmp_path / "o.json")]
+        )
+        assert rc == 2
+        assert f"input error: {which} file {bad} is not UTF-8 text" in capsys.readouterr().err
 
     def test_zero_signal_exit_2(self, fixture_files, tmp_path):
         graph, samples, _ = fixture_files

@@ -1,9 +1,10 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gbfpum import Graph, load_graph
 from gbfpum.errors import (
@@ -15,6 +16,110 @@ from gbfpum.errors import (
 )
 
 from conftest import neighbors, random_connected_graph
+
+
+def reference_load_graph(text: str) -> Graph:
+    """Edge-list parser reading one line at a time: the oracle for `load_graph`."""
+    edges: list[tuple[int, int]] = []
+    max_id = -1
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(line_no, raw)
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(line_no, raw) from None
+        if u < 0 or v < 0:
+            raise ParseError(line_no, raw)
+        if u == v:
+            raise SelfLoopError(u)
+        edges.append((u, v))
+        max_id = max(max_id, u, v)
+    if max_id < 0:
+        raise ParseError(0, "<empty edge list>")
+    return Graph.from_edges(max_id + 1, edges, require_connected=True)
+
+
+DIGITS = ("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+          "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19")
+
+
+def spell(draw, v: int) -> str:
+    """Vertex id v as int() may spell it: sign, leading zeros, '_' and non-ASCII digits."""
+    digits = draw(st.sampled_from(DIGITS))
+    text = "".join(digits[int(c)] for c in "0" * draw(st.integers(0, 2)) + str(abs(v)))
+    if len(text) > 1 and draw(st.booleans()):
+        text = text[0] + "_" + text[1:]
+    return ("-" if v < 0 else draw(st.sampled_from(["", "+"]))) + text
+
+
+MALFORMED = ["x 1", "1", "1.5 2", "1__0 2", "_1 2", "+-1 2", "0x1 2", "1 2 #", "1 2 3"]
+
+
+@st.composite
+def edge_list_text(draw) -> str:
+    """Edge lines on vertices 0-4 mixed with the lines load_graph skips or rejects."""
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.integers(0, 29))
+        u = draw(st.integers(0, 4))
+        if kind < 20:  # an edge
+            ids = [u, (u + draw(st.integers(1, 4))) % 5]
+        elif kind == 20:  # a self-loop, its id spelled twice
+            ids = [u, u]
+        elif kind == 21:  # a negative id
+            ids = [draw(st.integers(-3, -1)), u]
+        elif kind == 22:  # three ids
+            ids = [u, u + 1, u + 2]
+        if kind < 23:
+            sep = draw(st.sampled_from([" ", "\t", "  "]))
+            line = sep.join(spell(draw, v) for v in ids)
+        elif kind < 27:
+            line = draw(st.sampled_from(["# comment", "#", "", "# 0 0", "#0 1", "#x"]))
+        else:
+            line = draw(st.sampled_from(MALFORMED))
+        pad = st.sampled_from(["", " ", "\t", "  "])
+        rows.append(draw(pad) + line + draw(pad))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(rows) + draw(st.sampled_from(["", end]))
+
+
+@given(edge_list_text())
+@example("#0 1\n0 1\n")  # a comment whose '#' touches its first token
+@example("0 1\n1 1\nx\n")  # a self-loop before a malformed line
+@example("x\n0 -1\n1 1\n")  # a malformed line before a negative id
+def test_load_graph_matches_reference_parser(text):
+    try:
+        expect = reference_load_graph(text)
+    except (ParseError, SelfLoopError, DisconnectedError) as exc:
+        with pytest.raises(type(exc)) as got:
+            load_graph(text)
+        assert getattr(got.value, "line_no", None) == getattr(exc, "line_no", None)
+        assert getattr(got.value, "vertex", None) == getattr(exc, "vertex", None)
+        return
+    g = load_graph(text)
+    assert (g.n, g.m) == (expect.n, expect.m)
+    assert np.array_equal(g.indptr, expect.indptr)
+    assert np.array_equal(g.indices, expect.indices)
+
+
+@given(st.integers(1, 8), st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=20))
+def test_from_edges_array_equals_pairs(n, pairs):
+    pairs = [(u % n, v % n) for u, v in pairs if u % n != v % n]
+    from_pairs = Graph.from_edges(n, pairs, require_connected=False)
+    array = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    from_array = Graph.from_edges(n, array, require_connected=False)
+    assert from_pairs.m == from_array.m == len({(min(e), max(e)) for e in pairs})
+    assert np.array_equal(from_pairs.indptr, from_array.indptr)
+    assert np.array_equal(from_pairs.indices, from_array.indices)
+    assert all(
+        set(neighbors(from_array, v)) == {b for a, b in pairs if a == v} | {a for a, b in pairs if b == v}
+        for v in range(n)
+    )
 
 
 class TestLoadGraph:
@@ -46,6 +151,31 @@ class TestLoadGraph:
     def test_stream_input(self):
         g = load_graph(io.StringIO("0 1\n1 2"))
         assert g.n == 3
+
+    def test_huge_id_is_disconnected_in_o_m_memory(self):
+        # a vertex id of 10^12 leaves most ids on no edge; no array of order n is made
+        tracemalloc.start()
+        try:
+            with pytest.raises(DisconnectedError):
+                load_graph("0 1\n1 2\n2 1000000000000\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("big", [2**63 - 1, 10**12])
+    def test_huge_id_from_edges_is_disconnected(self, big):
+        with pytest.raises(DisconnectedError):
+            Graph.from_edges(big + 1, np.array([[0, 1], [1, big]]))
+
+    @pytest.mark.parametrize(
+        "text, line_no",
+        [("1 99999999999999999999", 1), ("0 1\n1 9223372036854775808\n2 2", 2)],
+    )
+    def test_id_past_int64_names_its_line(self, text, line_no):
+        with pytest.raises(ParseError) as exc:
+            load_graph(text)
+        assert exc.value.line_no == line_no
 
 
 class TestDegreeNeighborhood:

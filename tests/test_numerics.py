@@ -19,7 +19,7 @@ from gbfpum.numerics import (
     sparse_lu,
 )
 
-from conftest import CountingLU, random_connected_graph
+from conftest import CountingLU, path_graph, random_connected_graph
 
 
 class TestSymEigen:
@@ -290,8 +290,25 @@ class TestSparse:
         low_eigen(L, 11)
         assert len(shifted) == 1
         assert widths and set(widths) == {0}  # Lanczos applies the factor, a vector at a time
-        sigma = gbfpum.numerics.LOW_EIGEN_SIGMA
-        assert abs(shifted[0] - (L - sigma * sp.identity(minnesota.n))).max() == 0.0
+        # the shift -1/n^2 sits below the spectrum: the factor is of L + I/n^2
+        n = minnesota.n
+        assert abs(shifted[0] - (L + sp.identity(n) / n**2)).max() == 0.0
+
+    @pytest.mark.parametrize("graph", ["road", "path2000"])
+    def test_low_eigen_solve_count_does_not_grow_with_n(self, monkeypatch, minnesota, graph):
+        # the shift -1/n^2 lies inside the low cluster; a fixed -1e-3 took 68 solves
+        # on the road graph and 91 on the path
+        g = minnesota if graph == "road" else path_graph(2000)
+        widths = []
+        original = gbfpum.numerics.sparse_lu
+        monkeypatch.setattr(
+            gbfpum.numerics, "sparse_lu", lambda M: CountingLU(original(M), widths)
+        )
+        low = low_eigen(g.sparse_laplacian(), 11)
+        assert len(widths) <= 50
+        if graph == "path2000":
+            exact = 2 - 2 * np.cos(np.pi * np.arange(11) / g.n)
+            assert np.abs(low.values - exact).max() <= 1e-12
 
     def test_synthetic_signal_is_bit_reproducible(self, minnesota, minnesota_signal):
         assert np.array_equal(synthetic_signal(minnesota), minnesota_signal)
