@@ -233,6 +233,14 @@ def _param_block(args, cover: Cover, with_kernel: bool) -> dict:
     return block
 
 
+def _csv_path(out: str) -> Path:
+    """The CSV written beside the JSON `out`; a usage error when it is `out` itself."""
+    path = Path(out).with_suffix(".csv")
+    if path == Path(out):
+        raise UsageFailure(f"--out {out}: the CSV written beside the JSON would overwrite it")
+    return path
+
+
 def _write_json(path: str, doc: dict) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
@@ -266,6 +274,7 @@ def cmd_partition(args) -> None:
 
 
 def cmd_interpolate(args) -> None:
+    csv_path = _csv_path(args.out)
     g = _load_graph_file(args.graph)
     W = _resolve_samples(args, g.n)
     y = _resolve_signal(args, g)
@@ -274,7 +283,6 @@ def cmd_interpolate(args) -> None:
     doc = result.to_json_dict(params=_param_block(args, cover, with_kernel=True))
     _write_json(args.out, doc)
 
-    csv_path = Path(args.out).with_suffix(".csv")
     with open(csv_path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["vertex", "truth", "approximant", "abs_error"])
@@ -286,6 +294,7 @@ def cmd_interpolate(args) -> None:
 
 
 def cmd_benchmark(args) -> None:
+    csv_path = _csv_path(args.out)
     try:
         counts = [int(c) for c in args.counts.split(",") if c.strip()]
     except ValueError:
@@ -328,7 +337,6 @@ def cmd_benchmark(args) -> None:
         "params": _param_block(args, cover, with_kernel=True),  # every cover records one alpha
     }
     _write_json(args.out, doc)
-    csv_path = Path(args.out).with_suffix(".csv")
     with open(csv_path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["N", "communities", "rrmse", "time_s", "baseline_time_s", "baseline_rrmse"])

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .graph import Graph, as_vertex_set, csr_gather
+from .graph import Graph, as_vertex_set, csr_gather, sorted_unique
 from .metrics import default_alpha, katz_centrality, modularity
 from .numerics import check_positive
 
@@ -51,7 +51,7 @@ class Community:
     @cached_property
     def subdomain(self) -> np.ndarray:
         # computed once: core and overlap are never modified, and no caller writes to it
-        return np.union1d(self.core, self.overlap)
+        return sorted_unique(np.concatenate([self.core, self.overlap]))
 
 
 @dataclass
@@ -317,7 +317,7 @@ class _Pieces:
         nbr = self.g.indices[at]
         hit = in_Y[nbr]
         n_comp = len(self.parent)
-        pairs = np.unique(self.comp[X[row[hit]]] * n_comp + self.comp[nbr[hit]])
+        pairs = sorted_unique(self.comp[X[row[hit]]] * n_comp + self.comp[nbr[hit]])
         joined = 0
         for a, b in zip(*np.divmod(pairs, n_comp)):
             ra, rb = self._root(int(a)), self._root(int(b))
@@ -384,7 +384,7 @@ def expand_overlap(g: Graph, label: np.ndarray, p: DetectionParams) -> list[np.n
     ring = np.flatnonzero(has_nb & (r <= p.t_high))
     at, row = csr_gather(g.indptr, ring)
     two_hop = g.adjacency()[far] @ g.adjacency()
-    keys = np.unique(
+    keys = sorted_unique(
         np.concatenate(
             [
                 label[ring][row] * g.n + g.indices[at],

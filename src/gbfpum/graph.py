@@ -69,14 +69,11 @@ class Graph:
             if loop[i]:
                 raise SelfLoopError(int(u[i]))
             raise OutOfRangeError(int(hi[i]), n)
-        # distinct values by a sort and a diff: np.unique takes 10-20x longer at m = 62,500
-        ids = np.sort(np.concatenate([u, v]))
-        if require_connected and n > 1 and np.count_nonzero(np.diff(ids, prepend=-1)) < n:
+        if require_connected and n > 1 and len(sorted_unique(np.concatenate([u, v]))) < n:
             raise DisconnectedError()  # some vertex has no edge
         # one int64 key per undirected edge, ordered as (lo, hi); n^2 fits below
         # n = 3e9, past which the CSR's row pointers alone would take 24 GB
-        keys = np.sort(lo * n + hi)
-        keys = keys[np.diff(keys, prepend=-1) > 0]
+        keys = sorted_unique(lo * n + hi)
         lo, hi = keys // n, keys % n
         rows = np.concatenate([lo, hi])
         cols = np.concatenate([hi, lo])
@@ -111,7 +108,10 @@ class Graph:
         copies are adjacent when they come from the same part and their
         originals are adjacent. Read with one numpy gather over
         `indptr`/`indices`: each copy keeps the neighbors found in its own part.
+        One part holding every vertex gives the graph itself.
         """
+        if len(parts) == 1 and len(parts[0]) == self.n:
+            return self
         vs = np.concatenate(parts)
         part = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
         key = part * self.n + vs  # strictly increasing: sorted parts, in order
@@ -148,6 +148,19 @@ def csr_gather(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.nda
     counts = indptr[rows + 1] - starts
     row = np.repeat(np.arange(len(rows)), counts)
     return np.arange(len(row)) + (starts - np.cumsum(counts) + counts)[row], row
+
+
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """`np.unique` of integer keys, by a sort and a mask of changes.
+
+    On numpy 2.4 `np.unique` takes a hash route for integers: 5.0-5.2 ms on
+    62,500 keys, where this takes 0.7-1.1 ms, and within 2 us of it on a
+    handful of keys (2-core host).
+    """
+    keys = np.sort(keys)
+    keep = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
 
 
 def as_vertex_set(ids, n: int) -> np.ndarray:

@@ -19,19 +19,21 @@ kernel interpolants of K = (eps I + L)^(-s):
 Both routes then share one blend (`assemble_global`, weight 1/multiplicity),
 one write-back of y at the samples, and one diagnostics record per community.
 
-`global_gbf_baseline` is the paper's single-domain comparison: one
-`local_interpolant` on the whole graph, on the kernel route for every s.
+`global_gbf_baseline` is the paper's single-domain comparison: the same stage
+on the cover of one subdomain, the whole graph with every sample and weight
+1, always on the kernel route.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.sparse import csgraph
 
-from .community import FORMAT_VERSION, Cover, DetectionParams, detect_communities
+from .community import FORMAT_VERSION, Community, Cover, DetectionParams, detect_communities
 from .errors import (
     NoSamplesError,
     SampleFreePieceError,
@@ -91,9 +93,9 @@ class PumResult:
 
 def build_pu(cover: Cover, n: int) -> PartitionOfUnity:
     """Count subdomain multiplicity per vertex; every vertex must be covered."""
-    mult = np.zeros(n, dtype=np.int64)
-    for c in cover.communities:
-        mult[c.subdomain] += 1
+    # from an empty array, so a cover without communities leaves vertex 0 uncovered
+    subs = [np.empty(0, dtype=np.int64)] + [c.subdomain for c in cover.communities]
+    mult = np.bincount(np.concatenate(subs), minlength=n)
     uncovered = np.flatnonzero(mult == 0)
     if len(uncovered):
         raise UncoveredVertexError(int(uncovered[0]))
@@ -164,12 +166,18 @@ def _piece_health(
 
 
 def _native_solve(
-    union: Graph, part: np.ndarray, sampled: np.ndarray, y_s: np.ndarray, kp: KernelParams
+    union: Graph,
+    part: np.ndarray,
+    piece: np.ndarray,
+    sampled: np.ndarray,
+    y_s: np.ndarray,
+    kp: KernelParams,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """f = y on the sampled copies and -A[U,U]^-1 A[U,S] y[S] on the others.
 
     Also returns each part's squared norms of the residual and of the
-    right-hand side of the A[U,U] system.
+    right-hand side of the A[U,U] system. The pieces are not needed: A is
+    sparse, so one factor serves them all.
     """
     A = precision_matrix(union, kp)
     U = np.flatnonzero(~sampled)
@@ -206,28 +214,18 @@ def _kernel_solve(
     resid2 = np.zeros(k)
     by_piece = np.argsort(piece, kind="stable")  # each piece's copies in ascending order
     for vs in np.split(by_piece, np.cumsum(np.bincount(piece))[:-1]):
-        sub, vs = union.induced_subgraph(vs)
+        # a piece that is the whole union is solved on the union, not on a copy of it
+        sub, vs = (union, vs) if len(vs) == union.n else union.induced_subgraph(vs)
         hit = sampled[vs]
         f[vs], resid = local_interpolant(sub, np.flatnonzero(hit), y[vs[hit]], kp)
         resid2[part[vs[0]]] += resid**2
     return f, resid2, np.bincount(part[sampled], weights=y_s**2, minlength=k)
 
 
-def interpolate_cover(
-    g: Graph, cover: Cover, y: np.ndarray, kp: KernelParams
+def _interpolate(
+    g: Graph, cover: Cover, y: np.ndarray, kp: KernelParams, solve: Callable
 ) -> tuple[np.ndarray, list[CommunityDiagnostics], dict[str, float]]:
-    """Partition-of-unity approximant of y from its values at the cover's interpolation nodes.
-
-    Every community's local interpolant, native route for integer s and
-    kernel route per connected piece otherwise (see the module docstring),
-    fills its block of one vector over the subdomains' vertex copies;
-    `assemble_global` blends the blocks with weight 1/multiplicity and y is
-    written back at the samples. Before any solve, one connected-components
-    pass over the subdomains' disjoint union labels its pieces and counts
-    them per subdomain; a piece with no interpolation node raises
-    SampleFreePieceError. Also returns the wall seconds of the solves
-    (`solve_s`) and of the blend and write-back (`assemble_s`).
-    """
+    """The interpolation stage on `cover`, with `_native_solve` or `_kernel_solve` as `solve`."""
     pu = build_pu(cover, g.n)
     comms = cover.communities
     for cid, c in enumerate(comms):
@@ -247,10 +245,7 @@ def interpolate_cover(
     y_s = y[copies[sampled]]
 
     t0 = time.perf_counter()
-    if float(kp.s).is_integer():
-        f, resid2, rhs2 = _native_solve(union, part, sampled, y_s, kp)
-    else:
-        f, resid2, rhs2 = _kernel_solve(union, part, piece, sampled, y_s, kp)
+    f, resid2, rhs2 = solve(union, part, piece, sampled, y_s, kp)
     resid = np.sqrt(resid2) / np.maximum(np.sqrt(rhs2), 1.0)
     t1 = time.perf_counter()
     approx = assemble_global(cover, pu, np.split(f, offsets), g.n)
@@ -265,6 +260,55 @@ def interpolate_cover(
     return approx, diags, {"solve_s": t1 - t0, "assemble_s": t2 - t1}
 
 
+def _solver(kp: KernelParams) -> Callable:
+    """The native route for integer s, the kernel route for any other."""
+    return _native_solve if float(kp.s).is_integer() else _kernel_solve
+
+
+def interpolate_cover(
+    g: Graph, cover: Cover, y: np.ndarray, kp: KernelParams
+) -> tuple[np.ndarray, list[CommunityDiagnostics], dict[str, float]]:
+    """Partition-of-unity approximant of y from its values at the cover's interpolation nodes.
+
+    Every community's local interpolant, native route for integer s and
+    kernel route per connected piece otherwise (see the module docstring),
+    fills its block of one vector over the subdomains' vertex copies;
+    `assemble_global` blends the blocks with weight 1/multiplicity and y is
+    written back at the samples. Before any solve, one connected-components
+    pass over the subdomains' disjoint union labels its pieces and counts
+    them per subdomain; a piece with no interpolation node raises
+    SampleFreePieceError. Also returns the wall seconds of the solves
+    (`solve_s`) and of the blend and write-back (`assemble_s`).
+    """
+    return _interpolate(g, cover, y, kp, _solver(kp))
+
+
+def _scored(
+    g: Graph,
+    y_full: np.ndarray,
+    cover: Cover,
+    kp: KernelParams,
+    solve: Callable,
+    partition_s: float,
+) -> PumResult:
+    """The stage's result on `cover`, scored against y_full, with the cover's times."""
+    t0 = time.perf_counter()
+    approx, diags, times = _interpolate(g, cover, y_full, kp, solve)
+    interpolate_s = time.perf_counter() - t0
+    return PumResult(
+        approximant=approx,
+        rrmse=rrmse(y_full, approx),
+        per_community=diags,
+        wall_times={
+            **cover.stage_times,
+            **times,
+            "partition_s": partition_s,
+            "interpolate_s": interpolate_s,
+            "total_s": partition_s + interpolate_s,
+        },
+    )
+
+
 def run_pipeline(
     g: Graph,
     y_full: np.ndarray,
@@ -276,22 +320,7 @@ def run_pipeline(
     W = as_vertex_set(W, g.n)
     t0 = time.perf_counter()
     cover = detect_communities(g, W, dp)
-    t1 = time.perf_counter()
-    approx, diags, times = interpolate_cover(g, cover, y_full, kp)
-    t2 = time.perf_counter()
-    result = PumResult(
-        approximant=approx,
-        rrmse=rrmse(y_full, approx),
-        per_community=diags,
-        wall_times={
-            **cover.stage_times,
-            **times,
-            "partition_s": t1 - t0,
-            "interpolate_s": t2 - t1,
-            "total_s": t2 - t0,
-        },
-    )
-    return result, cover
+    return _scored(g, y_full, cover, kp, _solver(kp), time.perf_counter() - t0), cover
 
 
 def global_gbf_baseline(
@@ -299,43 +328,20 @@ def global_gbf_baseline(
 ) -> PumResult:
     """Single-domain kernel interpolation over the whole graph: the paper's baseline.
 
-    It stays on the kernel route (the block K[W,W], its Cholesky solve and
-    the product K[:, W] a) for every s, on purpose. On the native route of
-    `interpolate_cover` the global solve costs as much as the partition of
-    unity at the paper's sizes: at N=400 on the 2642-vertex road graph the
-    subdomains hold 2,691 vertex copies, more than the graph itself, and both
-    solves took about 0.009 s (best of seven, one BLAS thread). A piece of g
-    without samples raises SampleFreePieceError before the solve, and y is
-    written back at W after it, as in `interpolate_cover`. `wall_times`
-    reports the solve (`solve_s`) and the write-back (`assemble_s`) as
-    `run_pipeline` does.
+    It is the interpolation stage on the cover of one subdomain, the whole
+    graph, holding every sample with weight 1: its piece check, write-back,
+    diagnostics and `wall_times` (`partition_s` is 0) are those of
+    `run_pipeline`. It stays on the kernel route (the block K[W,W], its
+    Cholesky solve and the product K[:, W] a) for every s, on purpose. On
+    the native route of `interpolate_cover` the global solve costs as much
+    as the partition of unity at the paper's sizes: at N=400 on the
+    2642-vertex road graph the subdomains hold 2,691 vertex copies, more
+    than the graph itself, and both solves took about 0.009 s (best of
+    seven, one BLAS thread).
     """
     W = as_vertex_set(W, g.n)
-    if len(W) == 0:
-        raise NoSamplesError(0)
-    t0 = time.perf_counter()
-    sampled = np.zeros(g.n, dtype=bool)
-    sampled[W] = True
-    pieces, fewest, _ = _piece_health(g, np.zeros(g.n, dtype=np.int64), sampled, 1)
-    t1 = time.perf_counter()
-    s, resid = local_interpolant(g, W, y_full[W], kp)
-    t2 = time.perf_counter()
-    s[W] = y_full[W]
-    t3 = time.perf_counter()
-    rel = float(resid / max(np.linalg.norm(y_full[W]), 1.0))
-    diag = CommunityDiagnostics(0, g.n, len(W), rel, int(pieces[0]), int(fewest[0]))
-    return PumResult(
-        approximant=s,
-        rrmse=rrmse(y_full, s),
-        per_community=[diag],
-        wall_times={
-            "solve_s": t2 - t1,
-            "assemble_s": t3 - t2,
-            "partition_s": 0.0,
-            "interpolate_s": t3 - t0,
-            "total_s": t3 - t0,
-        },
-    )
+    whole = Cover([Community(np.arange(g.n), np.array([], dtype=np.int64), W)])
+    return _scored(g, y_full, whole, kp, _kernel_solve, 0.0)
 
 
 def synthetic_signal(g: Graph, n_modes: int = 10) -> np.ndarray:

@@ -347,5 +347,20 @@ def test_bad_seed_exit_1(fixture_files, tmp_path, capsys, command, seed):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["interpolate", "benchmark"])
+def test_out_ending_in_csv_exit_1(fixture_files, tmp_path, capsys, command):
+    # the CSV beside the JSON is --out with suffix .csv: here --out itself
+    graph, _, signal = fixture_files
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "res.csv"
+    extra = ["--counts", "2,4"] if command == "benchmark" else ["--n-samples", "2"]
+    rc = main([command, "--graph", str(graph), "--signal", str(signal), *extra, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("usage error:") and str(out) in err
+    assert list(out_dir.iterdir()) == []
+
+
 def test_unknown_subcommand_exit_1(tmp_path):
     assert main(["frobnicate"]) == 1

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, strategies as st
 
 from gbfpum import Graph, load_graph
+from gbfpum.graph import sorted_unique
 from gbfpum.errors import (
     DisconnectedError,
     EmptySetError,
@@ -120,6 +121,13 @@ def test_from_edges_array_equals_pairs(n, pairs):
         set(neighbors(from_array, v)) == {b for a, b in pairs if a == v} | {a for a, b in pairs if b == v}
         for v in range(n)
     )
+
+
+@given(st.lists(st.integers(-(2**31), 2**31 - 1), max_size=30), st.sampled_from([np.int64, np.int32]))
+def test_sorted_unique_is_np_unique(keys, dtype):
+    keys = np.array(keys, dtype=dtype)
+    got = sorted_unique(keys)
+    assert got.dtype == keys.dtype and np.array_equal(got, np.unique(keys))
 
 
 class TestLoadGraph:

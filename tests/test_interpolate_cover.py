@@ -322,7 +322,24 @@ class TestPieces:
             global_gbf_baseline(g, np.ones(5), np.array([0]), KernelParams())
         assert calls == []
         global_gbf_baseline(g, np.ones(5), np.array([0, 4]), KernelParams())
-        assert calls == [1]  # the wrapper sits on the baseline's kernel route
+        # the wrapper sits on the baseline's kernel route, one block per piece of g
+        assert calls == [1, 1]
+
+    @pytest.mark.parametrize("s", [1.5, 2.0])
+    def test_baseline_is_the_stage_on_one_subdomain(self, geometric200, s):
+        # the baseline is the stage on the cover of one subdomain, the whole graph, on
+        # the kernel route; interpolate_cover takes the native route at integer s
+        W = sample_nodes(200, 40, 2)
+        y = np.sin(np.arange(200) / 7.0)
+        kp = KernelParams(s=s)
+        base = global_gbf_baseline(geometric200, y, W, kp)
+        whole = Cover([community(range(200), W)])
+        got, diags, _ = interpolate_cover(geometric200, whole, y, kp)
+        if s == 1.5:
+            assert np.array_equal(base.approximant, got)
+            assert base.per_community == diags
+        else:
+            assert np.abs(base.approximant - got).max() <= 1e-10 * np.abs(y).max()
 
     def test_cli_exit_code_and_json_keys(self, monkeypatch, tmp_path):
         out = tmp_path / "res.json"

@@ -49,6 +49,13 @@ class TestPartitionOfUnity:
         with pytest.raises(UncoveredVertexError):
             build_pu(cover, 3)
 
+    @pytest.mark.parametrize("cores, first", [([[0, 1]], 2), ([[3], [1, 4]], 0), ([], 0)])
+    def test_lowest_uncovered_vertex_named(self, cores, first):
+        cover = Cover([_community(core, nodes=core[:1]) for core in cores])
+        with pytest.raises(UncoveredVertexError) as exc:
+            build_pu(cover, 5)
+        assert exc.value.vertex == first
+
     def test_weights_sum_to_one(self, geometric200):
         W = sample_nodes(geometric200.n, 40, seed=3)
         cover = detect_communities(geometric200, W, DetectionParams())
