@@ -45,8 +45,15 @@ class Community:
 
     @classmethod
     def of(cls, core: np.ndarray, overlap: np.ndarray, W: np.ndarray) -> "Community":
-        """Community with the samples W in core ∪ overlap as interpolation nodes."""
-        return cls(core, overlap, np.intersect1d(np.union1d(core, overlap), W))
+        """Community with the samples W in core ∪ overlap as interpolation nodes.
+
+        W need be neither sorted nor duplicate-free.
+        """
+        sub, W = sorted_unique(np.concatenate([core, overlap])), sorted_unique(W)
+        at = np.searchsorted(sub, W)
+        hit = at < len(sub)
+        hit[hit] = sub[at[hit]] == W[hit]
+        return cls(core, overlap, sub[at[hit]])
 
     @cached_property
     def subdomain(self) -> np.ndarray:
@@ -107,11 +114,12 @@ class DetectionParams:
             raise ValueError("need 0 < t_low < t_high <= 1")
 
 
-def _intra_graph(g: Graph, label: np.ndarray) -> tuple[np.ndarray, sp.csr_matrix]:
-    """(vs, adjacency): the labelled vertices vs (label >= 0) and the edges among
+def _intra_edges(g: Graph, label: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(vs, row, col): the labelled vertices vs (label >= 0) and the edges among
     them whose two ends share a label, read with one CSR gather.
 
-    Vertex i of the adjacency is vs[i]; distinct labels share no edge.
+    Edge i joins vs[row[i]] to vs[col[i]]; `row` is ascending, each row's
+    columns in the graph's order. Distinct labels share no edge.
     """
     vs = np.flatnonzero(label >= 0)
     at, row = csr_gather(g.indptr, vs)
@@ -119,11 +127,14 @@ def _intra_graph(g: Graph, label: np.ndarray) -> tuple[np.ndarray, sp.csr_matrix
     keep = label[nbr] == label[vs][row]
     local = np.full(g.n, -1, dtype=np.int64)
     local[vs] = np.arange(len(vs))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(row[keep], minlength=len(vs)))])
-    adj = sp.csr_matrix(
-        (np.ones(int(keep.sum())), local[nbr[keep]], indptr), shape=(len(vs), len(vs))
-    )
-    return vs, adj
+    return vs, row[keep], local[nbr[keep]]
+
+
+def _csr(order: int, row: np.ndarray, col: np.ndarray) -> sp.csr_matrix:
+    """Binary square CSR of the entries (row, col), `row` ascending; each row
+    keeps its columns in the given order."""
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=order))])
+    return sp.csr_matrix((np.ones(len(col)), col, indptr), shape=(order, order))
 
 
 def split_community(
@@ -145,10 +156,18 @@ def split_community(
     core's second side, `planned` lists the planned cores in ascending id
     order, and `gain` holds each one's `deg_a*deg_b - 2m*cut` (int64), where
     cut counts the core's edges between its sides a and b and deg_a, deg_b
-    are the sides' degree sums. The planned cores share no edge of the
-    masked adjacency, so one multi-source BFS from all first seeds and one
-    from all second seeds give every core's own hop counts, and the same
-    gather gives the counts.
+    are the sides' degree sums.
+
+    One breadth-first search serves every planned core: the planned cores
+    share no kept edge, and a super-source, one extra row after the core
+    vertices, lists every first seed before every second seed. The queue is
+    first in, first out, so by induction on the hop count each level holds
+    the first seeds' trees before the second seeds' trees: a vertex with
+    d1 <= d2 is found from a first seed's tree, one with d2 < d1 only from a
+    second seed's. A vertex joins side b exactly when the root of its search
+    tree, found by pointer jumping over the predecessors, is a second seed;
+    unreached vertices root at themselves and stay on side a. The same
+    gather of kept edges gives each core's cut.
     """
     w = W[label[W] >= 0]
     lw = label[w]
@@ -164,16 +183,25 @@ def split_community(
     if len(planned) == 0:
         return second, planned, np.zeros(0, dtype=np.int64)
     label = _restrict(label, planned)
-    vs, adj = _intra_graph(g, label)
-    seeds = np.searchsorted(vs, w[first]), np.searchsorted(vs, w[first + 1])
-    d1, d2 = (csgraph.dijkstra(adj, unweighted=True, indices=s, min_only=True) for s in seeds)
-    b = d2 < d1
+    vs, row, col = _intra_edges(g, label)
+    nv = len(vs)
+    seeds = np.searchsorted(vs, np.concatenate([w[first], w[first + 1]]))
+    adj = _csr(nv + 1, np.append(row, np.full(len(seeds), nv)), np.append(col, seeds))
+    pred = csgraph.breadth_first_order(adj, nv, return_predecessors=True)[1][:nv]
+    root = np.where((pred < 0) | (pred == nv), np.arange(nv), pred)
+    while True:
+        up = root[root]
+        if np.array_equal(up, root):
+            break
+        root = up
+    is_second = np.zeros(nv, dtype=bool)
+    is_second[seeds[len(planned) :]] = True
+    b = is_second[root]
     second[vs] = b
     lv, k = label[vs], int(label.max()) + 1
-    cross = adj @ b  # each vertex's neighbours on its core's second side
-    cut = np.bincount(lv[~b], weights=cross[~b], minlength=k)
+    cut = np.bincount(lv[row[b[row] != b[col]]], minlength=k) // 2  # each cut edge twice
     deg = np.bincount(2 * lv + b, weights=g.degrees()[vs], minlength=2 * k).reshape(-1, 2)
-    deg, cut = deg.astype(np.int64)[planned], cut.astype(np.int64)[planned]
+    deg, cut = deg.astype(np.int64)[planned], cut[planned]
     return second, planned, deg[:, 0] * deg[:, 1] - len(g.indices) * cut
 
 
@@ -296,7 +324,8 @@ class _Pieces:
 
     def __init__(self, g: Graph, label: np.ndarray):
         self.g = g
-        n_comp, self.comp = csgraph.connected_components(_intra_graph(g, label)[1], directed=False)
+        intra = _csr(g.n, *_intra_edges(g, label)[1:])  # every vertex labelled: local = global
+        n_comp, self.comp = csgraph.connected_components(intra, directed=False)
         self.parent = list(range(n_comp))
         comp_core = np.zeros(n_comp, dtype=np.int64)
         comp_core[self.comp] = label
@@ -378,7 +407,7 @@ def expand_overlap(g: Graph, label: np.ndarray, p: DetectionParams) -> list[np.n
     each ring as (core, vertex) keys, the 2-hop ones from one product A[far] @ A.
     """
     deg = g.degrees()
-    r = np.diff(_intra_graph(g, label)[1].indptr) / np.maximum(deg, 1)
+    r = np.bincount(_intra_edges(g, label)[1], minlength=g.n) / np.maximum(deg, 1)
     has_nb = deg > 0
     far = np.flatnonzero(has_nb & (r <= p.t_low))
     ring = np.flatnonzero(has_nb & (r <= p.t_high))

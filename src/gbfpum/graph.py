@@ -164,12 +164,28 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
 
 
 def as_vertex_set(ids, n: int) -> np.ndarray:
-    """Normalize to a sorted, duplicate-free int64 array with ids < n."""
-    vs = np.unique(np.asarray(ids, dtype=np.int64))
-    if len(vs) and (vs[0] < 0 or vs[-1] >= n):
-        bad = vs[0] if vs[0] < 0 else vs[-1]
-        raise OutOfRangeError(int(bad), n)
-    return vs
+    """Normalize vertex ids to a sorted, duplicate-free int64 array of ids < n.
+
+    Integral floats (a JSON reader's 3.0) and empty input are accepted. A
+    boolean array is a mask, not ids, and raises ValueError; so does the first
+    float that is not a finite integer, named with its position. An id below
+    0 (the lowest), else one of n or more (the highest), raises
+    OutOfRangeError.
+    """
+    vs = np.ravel(ids)
+    if vs.dtype == bool:
+        raise ValueError("vertex ids are booleans; pass the ids of a mask, np.flatnonzero(mask)")
+    if vs.dtype.kind == "f":
+        bad = np.flatnonzero(~np.isfinite(vs) | (vs != np.trunc(vs)))
+        if len(bad):
+            i = bad[0]
+            raise ValueError(f"vertex id {float(vs[i])} at position {i} is not an integer")
+    elif vs.dtype.kind in "US":
+        vs = vs.astype(np.int64)  # numeric text converts as numpy converts it, or raises
+    # exact also on an object array of Python ints past 64 bits, before any cast
+    if len(vs) and (vs.min() < 0 or vs.max() >= n):
+        raise OutOfRangeError(int(vs.min() if vs.min() < 0 else vs.max()), n)
+    return sorted_unique(vs.astype(np.int64, copy=False))
 
 
 def load_graph(stream: IO[str] | str) -> Graph:

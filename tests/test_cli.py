@@ -228,6 +228,18 @@ class TestInterpolate:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_sample_past_64_bits_exit_2(self, fixture_files, tmp_path, capsys):
+        # the int64 cast raised OverflowError, which escaped as a traceback
+        graph, _, signal = fixture_files
+        samples = tmp_path / "big_w.txt"
+        samples.write_text(f"0\n{2**64}\n")
+        rc = main(
+            ["interpolate", "--graph", str(graph), "--signal", str(signal), "--samples", str(samples),
+             "--out", str(tmp_path / "o.json")]
+        )
+        assert rc == 2
+        assert f"vertex {2**64} out of range" in capsys.readouterr().err
+
     def test_repeated_sample_exit_2(self, fixture_files, tmp_path, capsys):
         # as in the signal file, a vertex id may appear once
         graph, _, signal = fixture_files

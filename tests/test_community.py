@@ -16,6 +16,7 @@ from gbfpum import (
 import gbfpum.community
 from gbfpum.community import (
     FORMAT_VERSION,
+    Community,
     Cover,
     _split_phase,
     core_membership,
@@ -539,6 +540,52 @@ class TestPassFunctions:
             assert gain[c] == deg1 * deg2 - len(g.indices) * cut
 
     @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(2, 6), st.floats(0.0, 0.4))
+    def test_one_pass_plans_many_cores(self, seed, k, drop):
+        # every core of two or more vertices holds two samples, so one call plans
+        # several disconnected cores at once, between vertices labelled -1; Katz
+        # values from {0, 1, 2} leave many exact ties to the lower vertex id, so
+        # the first seed is often the higher id of the two
+        g = random_connected_graph(seed, n_min=12, n_max=40)
+        rng = np.random.default_rng(seed)
+        label, cores = random_cores(g, rng, k, drop)
+        picks = [rng.choice(c, 2, replace=False) for c in cores if len(c) >= 2]
+        W = np.union1d(np.flatnonzero(rng.random(g.n) < 0.1), np.concatenate([[], *picks]))
+        W = W.astype(np.int64)
+        katz = rng.integers(0, 3, g.n).astype(np.float64)
+        second, planned, _ = split_community(g, label, W, katz)
+        assume(len(planned) >= 2)
+        assert planned.tolist() == [c for c in range(k) if (label == c).sum() >= 2]
+        assert not second[label < 0].any()
+        for c in planned.tolist():
+            core = np.flatnonzero(label == c)
+            expect = split_oracle(g, core, W, katz)
+            assert [core[~second[core]].tolist(), core[second[core]].tolist()] == list(expect)
+
+    def test_ties_go_to_first_seed_in_every_core(self):
+        # core 0 is the path 0-1-2 with seeds 2 (first) and 0; core 1 the even
+        # cycle 3-4-5-6-7-8 with seeds 6 (first) and 4. Vertex 1 is one hop from
+        # both of its seeds, 5 one hop and 8 two hops from both of theirs. Each
+        # first seed has the higher id, so a search that queued the seeds by id
+        # would give these ties to the second seeds.
+        cycle = [(3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (3, 8)]
+        g = Graph.from_edges(9, [(0, 1), (1, 2), (2, 3)] + cycle)
+        label = np.array([0, 0, 0, 1, 1, 1, 1, 1, 1])
+        katz = np.zeros(9)
+        katz[[2, 0, 6, 4]] = [3.0, 1.0, 2.0, 1.0]
+        W = np.array([0, 2, 4, 6])
+        second, planned, gains = split_community(g, label, W, katz)
+        assert planned.tolist() == [0, 1]
+        assert np.flatnonzero(second).tolist() == [0, 3, 4]
+        for c in (0, 1):
+            core = np.flatnonzero(label == c)
+            assert [core[~second[core]].tolist(), core[second[core]].tolist()] == list(
+                split_oracle(g, core, W, katz)
+            )
+        # 2m = 18; degree sums 4 x 1 with 1 cut edge, and 8 x 5 with 2 (4-5, 3-8)
+        assert gains.tolist() == [4 * 1 - 18 * 1, 8 * 5 - 18 * 2]
+
+    @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 10**6), st.integers(2, 8), st.booleans())
     def test_merge_log_matches_connectivity(self, seed, k, some_big):
         # random, often disconnected cores, on both branches
@@ -578,6 +625,21 @@ class TestPassFunctions:
             core_membership(10, [np.arange(4), np.arange(7, 10), np.array([5, 6])])
         with pytest.raises(ValueError, match="^vertex 0 lies in no core$"):
             core_membership(3, [])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(0, 29), max_size=20),
+    st.lists(st.integers(0, 29), max_size=20),
+    st.lists(st.integers(0, 29), max_size=40),
+)
+def test_community_of_matches_set_operations(core, overlap, W):
+    core = np.unique(np.array(core, dtype=np.int64))
+    overlap = np.setdiff1d(np.array(overlap, dtype=np.int64), core)
+    W = np.array(W, dtype=np.int64)  # unsorted, with repeats
+    got = Community.of(core, overlap, W).interpolation_nodes
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.intersect1d(np.union1d(core, overlap), W))
 
 
 class TestCoverSerialization:

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, strategies as st
 
 from gbfpum import Graph, load_graph
-from gbfpum.graph import sorted_unique
+from gbfpum.graph import as_vertex_set, sorted_unique
 from gbfpum.errors import (
     DisconnectedError,
     EmptySetError,
@@ -128,6 +128,46 @@ def test_sorted_unique_is_np_unique(keys, dtype):
     keys = np.array(keys, dtype=dtype)
     got = sorted_unique(keys)
     assert got.dtype == keys.dtype and np.array_equal(got, np.unique(keys))
+
+
+class TestAsVertexSet:
+    def test_non_integral_float_named(self):
+        # both were truncated to [1, 2]
+        with pytest.raises(ValueError, match=r"^vertex id 2\.9 at position 1 is not an integer$"):
+            as_vertex_set([2.0, 2.9, 1.5], 10)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="at position 0 is not an integer"):
+                as_vertex_set([bad, 1.0], 10)
+
+    def test_boolean_mask_rejected(self):
+        # a mask was read as the ids [0, 1]
+        with pytest.raises(ValueError, match="booleans"):
+            as_vertex_set([True, False], 10)
+        with pytest.raises(ValueError, match="booleans"):
+            as_vertex_set(np.zeros(10, dtype=bool), 10)
+
+    def test_integral_floats_and_empty_accepted(self):
+        got = as_vertex_set([3.0, 1.0, 3.0], 10)
+        assert got.dtype == np.int64 and got.tolist() == [1, 3]
+        for empty in ([], np.zeros(0, dtype=np.float64), np.zeros(0, dtype=np.int32)):
+            got = as_vertex_set(empty, 10)
+            assert got.dtype == np.int64 and len(got) == 0
+
+    def test_out_of_range_named(self):
+        with pytest.raises(OutOfRangeError, match="^vertex -2 out of range"):
+            as_vertex_set([5, -1, -2, 12], 10)
+        with pytest.raises(OutOfRangeError, match="^vertex 12 out of range"):
+            as_vertex_set([5, 12, 10.0], 10)
+        with pytest.raises(OutOfRangeError, match="^vertex 1000000000000000019884624838656 out of range"):
+            as_vertex_set([1e30], 10)  # not wrapped by the int64 cast
+        for big in (2**63, 2**64):  # a uint64 array, then an object array that no cast fits
+            with pytest.raises(OutOfRangeError, match=f"^vertex {big} out of range"):
+                as_vertex_set([0, big], 10)
+
+    @given(st.lists(st.integers(0, 19), max_size=30), st.sampled_from([np.int64, np.int32, np.uint8, np.float64]))
+    def test_matches_np_unique(self, ids, dtype):
+        got = as_vertex_set(np.array(ids, dtype=dtype), 20)
+        assert got.dtype == np.int64 and np.array_equal(got, np.unique(np.array(ids, dtype=np.int64)))
 
 
 class TestLoadGraph:

@@ -204,6 +204,20 @@ class TestPipeline:
             errs.append(res.rrmse)
         assert errs[1] < errs[0]
 
+    def test_non_integral_samples_rejected(self, geometric200):
+        # the half-shifted ids were truncated, and the run reported an rrmse
+        y = synthetic_signal(geometric200)
+        W = sample_nodes(geometric200.n, 60, seed=5)
+        with pytest.raises(ValueError, match="is not an integer"):
+            run_pipeline(geometric200, y, W.astype(float) + 0.5, DetectionParams(), KernelParams())
+        mask = np.zeros(geometric200.n, dtype=bool)
+        mask[W] = True
+        with pytest.raises(ValueError, match="booleans"):
+            run_pipeline(geometric200, y, mask, DetectionParams(), KernelParams())
+        res, _ = run_pipeline(geometric200, y, W.astype(float), DetectionParams(), KernelParams())
+        want, _ = run_pipeline(geometric200, y, W, DetectionParams(), KernelParams())
+        assert res.rrmse == want.rrmse
+
     def test_permutation_equivariance_single_community(self, path10):
         y = synthetic_signal(path10)
         res, _ = run_pipeline(path10, y, np.array([4]), DetectionParams(), KernelParams())
