@@ -20,14 +20,20 @@ digests:
     PYTHONPATH=src python3 scripts/detect_scaling.py
 """
 
-import hashlib
-import json
-import statistics
-import time
+import os
 
-from generate_datasets import road_surrogate
+# Pin BLAS/OpenMP to one thread before numpy loads, as bench/run.py does:
+# runs repeat bit for bit only at a fixed thread count.
+os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
 
-from gbfpum import (
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import statistics  # noqa: E402
+import time  # noqa: E402
+
+from generate_datasets import road_surrogate  # noqa: E402
+
+from gbfpum import (  # noqa: E402
     Cover,
     DetectionParams,
     detect_communities,

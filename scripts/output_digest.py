@@ -24,13 +24,19 @@ the approximant's bytes off the samples W and at W, and of the diagnostics
 JSON; the `repr` of rrmse; and how many sample values the approximant misses.
 """
 
-import hashlib
-import json
-from pathlib import Path
+import os
 
-import numpy as np
+# Pin BLAS/OpenMP to one thread before numpy loads, as bench/run.py does:
+# runs repeat bit for bit only at a fixed thread count.
+os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
 
-from gbfpum import (
+import hashlib  # noqa: E402
+import json  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from gbfpum import (  # noqa: E402
     DetectionParams,
     KernelParams,
     global_gbf_baseline,

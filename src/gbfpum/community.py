@@ -5,6 +5,11 @@ split keeps raising global modularity, small cores are merged into the most
 Jaccard-similar big one, and each core grows an overlap ring sized by the
 fraction of its vertices' neighbors that stay inside the core.
 
+The merge loop only picks each target; whether each merge left its core
+connected is read afterwards from one minimum spanning forest, each edge
+weighted by the merge step at which its later end arrived. By Kruskal's
+argument the forest's edges up to step t span the cores as they stood then.
+
 The stages hand on one core label per vertex, ids 0..k-1: `_split_phase`
 returns it, `merge_small` maps it to the merged cores and `expand_overlap`
 reads each vertex's core from it. `detect_communities` turns it into vertex
@@ -130,13 +135,6 @@ def _intra_edges(g: Graph, label: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return vs, row[keep], local[nbr[keep]]
 
 
-def _csr(order: int, row: np.ndarray, col: np.ndarray) -> sp.csr_matrix:
-    """Binary square CSR of the entries (row, col), `row` ascending; each row
-    keeps its columns in the given order."""
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=order))])
-    return sp.csr_matrix((np.ones(len(col)), col, indptr), shape=(order, order))
-
-
 def split_community(
     g: Graph, label: np.ndarray, W: np.ndarray, katz: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -186,7 +184,11 @@ def split_community(
     vs, row, col = _intra_edges(g, label)
     nv = len(vs)
     seeds = np.searchsorted(vs, np.concatenate([w[first], w[first + 1]]))
-    adj = _csr(nv + 1, np.append(row, np.full(len(seeds), nv)), np.append(col, seeds))
+    # the kept edges' rows in order, then the super-source row nv; columns as given
+    indptr = np.append(np.searchsorted(row, np.arange(nv + 1)), len(row) + len(seeds))
+    adj = sp.csr_matrix(
+        (np.ones(indptr[-1]), np.append(col, seeds), indptr), shape=(nv + 1, nv + 1)
+    )
     pred = csgraph.breadth_first_order(adj, nv, return_predecessors=True)[1][:nv]
     root = np.where((pred < 0) | (pred == nv), np.arange(nv), pred)
     while True:
@@ -278,84 +280,6 @@ def _cores_of(label: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.cumsum(np.bincount(label))[:-1])
 
 
-class _JaccardRows:
-    """Vertex Jaccard similarity of the vertices `rows` to every vertex.
-
-    One sparse product A[rows] @ A holds the common-neighbour counts. A vertex
-    pair with no common neighbour has Jaccard 0, so only its nonzeros are
-    evaluated. Sorted column indices make each sum below run in the
-    row-major order of `jaccard_communities`.
-    """
-
-    def __init__(self, g: Graph, rows: np.ndarray):
-        A = g.adjacency()
-        P = A[rows] @ A
-        P.sort_indices()
-        degree = g.degrees().astype(np.float64)
-        r = np.repeat(rows, np.diff(P.indptr))
-        self.jac = P.data / (degree[r] + degree[P.indices] - P.data)
-        self.cols = P.indices
-        self.indptr = P.indptr
-        self.pos = np.full(g.n, -1, dtype=np.int64)
-        self.pos[rows] = np.arange(len(rows))
-
-    def mean(self, U: np.ndarray, owner: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-        """`jaccard_communities(g, U, V)` for every core V.
-
-        `owner[v]` is the index of the core holding v (negative: none yet) and
-        `sizes` the core sizes; the sum per owning core over |U|·|V| is the
-        mean over all pairs. U must be sorted and among `rows`.
-        """
-        at = csr_gather(self.indptr, self.pos[U])[0]
-        own = owner[self.cols[at]]
-        live = own >= 0
-        sums = np.bincount(own[live], weights=self.jac[at][live], minlength=len(sizes))
-        return sums / (len(U) * sizes)
-
-
-class _Pieces:
-    """Connected pieces of merged cores, by union-find over the intra-core components.
-
-    The components of the graph that keeps only edges inside a core come from
-    one `connected_components` call. Merging core X into a vertex set Y unions
-    the components across the edges between them; the union is connected when
-    the pieces of X and of Y, less the unions that joined two roots, leave one.
-    """
-
-    def __init__(self, g: Graph, label: np.ndarray):
-        self.g = g
-        intra = _csr(g.n, *_intra_edges(g, label)[1:])  # every vertex labelled: local = global
-        n_comp, self.comp = csgraph.connected_components(intra, directed=False)
-        self.parent = list(range(n_comp))
-        comp_core = np.zeros(n_comp, dtype=np.int64)
-        comp_core[self.comp] = label
-        self.of_core = np.bincount(comp_core)  # pieces per input core
-
-    def _root(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]  # path halving
-        return x
-
-    def join(self, X: np.ndarray, in_Y: np.ndarray) -> int:
-        """Union the components across the edges from the vertices X into the mask `in_Y`.
-
-        Returns how many unions joined two distinct roots.
-        """
-        at, row = csr_gather(self.g.indptr, X)
-        nbr = self.g.indices[at]
-        hit = in_Y[nbr]
-        n_comp = len(self.parent)
-        pairs = sorted_unique(self.comp[X[row[hit]]] * n_comp + self.comp[nbr[hit]])
-        joined = 0
-        for a, b in zip(*np.divmod(pairs, n_comp)):
-            ra, rb = self._root(int(a)), self._root(int(b))
-            if ra != rb:
-                self.parent[max(ra, rb)] = min(ra, rb)
-                joined += 1
-        return joined
-
-
 def merge_small(
     g: Graph, label: np.ndarray, p: DetectionParams, provenance: list[dict]
 ) -> np.ndarray:
@@ -368,6 +292,15 @@ def merge_small(
     single core remains. Merged cores may be disconnected; that is logged,
     not rejected. Returns the merged label, the big cores renumbered 0.. in
     ascending id order.
+
+    The loop only picks each target, from one product A[smalls] @ A of
+    common-neighbour counts (a pair with none has Jaccard 0). Connectivity
+    is read after it: a vertex arrives at step 0 in a big core or at step t
+    with the t-th small core, and an edge inside a final core weighs the
+    later step of its ends, plus 1. By Kruskal's argument, the edges of
+    weight <= t+1 of a minimum spanning forest span the graph as it stood
+    after step t, so a core then has (its vertices) - (its forest edges)
+    connected pieces.
     """
     threshold = int(np.ceil(p.small_fraction * g.n))
     sizes = np.bincount(label)
@@ -376,22 +309,43 @@ def merge_small(
     is_big = sizes >= threshold
     is_big[np.argmax(sizes)] = True  # the largest core is big, or promoted to it
     big, small = np.flatnonzero(is_big), np.flatnonzero(~is_big)
-    pieces = _Pieces(g, label)
     cores = _cores_of(label)
-    jac = _JaccardRows(g, np.concatenate([cores[i] for i in small]))
+    rows = np.concatenate([cores[i] for i in small])
+    A = g.adjacency()
+    P = A[rows] @ A
+    P.sort_indices()  # each sum below runs in the row-major order of `jaccard_communities`
+    degree = g.degrees().astype(np.float64)
+    jac = P.data / (degree[np.repeat(rows, np.diff(P.indptr))] + degree[P.indices] - P.data)
+    bounds = P.indptr[np.cumsum(np.concatenate([[0], sizes[small]]))]  # each small core's entries
     rank = np.full(len(sizes), -1)  # big index per core id; a small core reads -1 until it merges
     rank[big] = np.arange(len(big))
     owner = rank[label]
-    big_sizes, big_pieces = sizes[big], pieces.of_core[big]
-    for sid in small:
-        U = cores[sid]
-        best = int(np.argmax(jac.mean(U, owner, big_sizes)))
-        joined = pieces.join(U, owner == best)
-        big_pieces[best] += pieces.of_core[sid] - joined
-        owner[U] = best
-        big_sizes[best] += len(U)
-        action = "merge" if big_pieces[best] == 1 else "merge_disconnected"
-        provenance.append({"action": action})
+    big_sizes = sizes[big]
+    into = np.empty(len(small), dtype=np.int64)
+    for t, sid in enumerate(small):
+        at = slice(bounds[t], bounds[t + 1])
+        own = owner[P.indices[at]]
+        live = own >= 0
+        sums = np.bincount(own[live], weights=jac[at][live], minlength=len(big))
+        into[t] = best = np.argmax(sums / (sizes[sid] * big_sizes))
+        owner[cores[sid]] = best
+        big_sizes[best] += sizes[sid]
+
+    arrival = np.zeros(len(sizes), dtype=np.int64)
+    arrival[small] = np.arange(1, len(small) + 1)
+    arrival = arrival[label]
+    _, u, v = _intra_edges(g, owner)  # every vertex labelled: local = global
+    up = u < v
+    u, v = u[up], v[up]
+    weight = np.maximum(arrival[u], arrival[v]) + 1  # >= 1: a zero entry is no edge
+    forest = csgraph.minimum_spanning_tree(sp.csr_matrix((weight, (u, v)), shape=(g.n, g.n)))
+    forest = forest.tocoo()
+    weight = forest.data.astype(np.int64)
+    pieces = sizes[big] - np.bincount(owner[forest.row[weight == 1]], minlength=len(big))
+    joins = np.bincount(weight, minlength=len(small) + 2)  # forest edges added per step, at t+1
+    for t, (sid, best) in enumerate(zip(small, into), start=1):
+        pieces[best] += sizes[sid] - joins[t + 1]
+        provenance.append({"action": "merge" if pieces[best] == 1 else "merge_disconnected"})
     return owner
 
 

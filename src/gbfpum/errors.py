@@ -67,10 +67,12 @@ class SparseSolverError(NumericalError):
 
 
 class NonPositiveShiftError(NumericalError):
-    def __init__(self, shift: float):
+    def __init__(self, shift: float, tol: float):
         self.shift = shift
+        self.tol = tol
         super().__init__(
-            f"epsilon + lambda_min = {shift:g} is not positive; kernel undefined"
+            f"epsilon + lambda_min = {shift:g} is not above the bound {tol:g}; "
+            "kernel undefined or numerically singular"
         )
 
 

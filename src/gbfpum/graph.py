@@ -8,6 +8,7 @@ induced subgraphs need not be.
 from __future__ import annotations
 
 from itertools import chain
+from numbers import Integral, Real
 from typing import IO, Iterable
 
 import numpy as np
@@ -168,9 +169,11 @@ def as_vertex_set(ids, n: int) -> np.ndarray:
 
     Integral floats (a JSON reader's 3.0) and empty input are accepted. A
     boolean array is a mask, not ids, and raises ValueError; so does the first
-    float that is not a finite integer, named with its position. An id below
-    0 (the lowest), else one of n or more (the highest), raises
-    OutOfRangeError.
+    float that is not a finite integer, named with its position. An object
+    array is checked element by element by the same rules: its first boolean
+    or its first element that is not an integer (or an integral float) raises
+    ValueError, named with its position. An id below 0 (the lowest), else one
+    of n or more (the highest), raises OutOfRangeError.
     """
     vs = np.ravel(ids)
     if vs.dtype == bool:
@@ -180,6 +183,12 @@ def as_vertex_set(ids, n: int) -> np.ndarray:
         if len(bad):
             i = bad[0]
             raise ValueError(f"vertex id {float(vs[i])} at position {i} is not an integer")
+    elif vs.dtype == object:
+        for i, x in enumerate(vs):
+            if isinstance(x, (bool, np.bool_)):
+                raise ValueError(f"vertex id {x} at position {i} is a boolean, not an integer")
+            if not isinstance(x, Integral) and not (isinstance(x, Real) and float(x).is_integer()):
+                raise ValueError(f"vertex id {x} at position {i} is not an integer")
     elif vs.dtype.kind in "US":
         vs = vs.astype(np.int64)  # numeric text converts as numpy converts it, or raises
     # exact also on an object array of Python ints past 64 bits, before any cast

@@ -58,7 +58,7 @@ def gbf_kernel(
     eig = sym_eigen(L, overwrite=overwrite)
     shift = p.epsilon + eig.values[0]
     if shift <= SHIFT_TOL:
-        raise NonPositiveShiftError(float(shift))
+        raise NonPositiveShiftError(float(shift), SHIFT_TOL)
     w = (p.epsilon + eig.values) ** (-p.s)
     K = eig.vectors @ (w[:, None] * eig.vectors[cols].T)
     block = K[cols]
@@ -70,7 +70,7 @@ def _shifted_laplacian(g: Graph, p: KernelParams) -> sp.csr_matrix:
     """M = eps I + L as scipy CSR, L the Laplacian of g; K = M^(-s)."""
     shift = p.epsilon  # + lambda_min, which is 0 for every graph Laplacian
     if shift <= SHIFT_TOL:
-        raise NonPositiveShiftError(float(shift))
+        raise NonPositiveShiftError(float(shift), SHIFT_TOL)
     return (g.sparse_laplacian() + p.epsilon * sp.identity(g.n, format="csr")).tocsr()
 
 

@@ -214,8 +214,8 @@ def _kernel_solve(
     resid2 = np.zeros(k)
     by_piece = np.argsort(piece, kind="stable")  # each piece's copies in ascending order
     for vs in np.split(by_piece, np.cumsum(np.bincount(piece))[:-1]):
-        # a piece that is the whole union is solved on the union, not on a copy of it
-        sub, vs = (union, vs) if len(vs) == union.n else union.induced_subgraph(vs)
+        # a piece that is the whole union gets the union itself, not a copy of it
+        sub, vs = union.induced_subgraph(vs)
         hit = sampled[vs]
         f[vs], resid = local_interpolant(sub, np.flatnonzero(hit), y[vs[hit]], kp)
         resid2[part[vs[0]]] += resid**2

@@ -1,9 +1,15 @@
-from pathlib import Path
+import os
 
-import numpy as np
-import pytest
+# Pin BLAS/OpenMP to one thread before numpy loads, as bench/run.py does:
+# runs repeat bit for bit only at a fixed thread count.
+os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
 
-from gbfpum import Graph, local_interpolant, load_graph, synthetic_signal
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from gbfpum import Graph, local_interpolant, load_graph, synthetic_signal  # noqa: E402
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 

@@ -138,6 +138,11 @@ class TestAsVertexSet:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="at position 0 is not an integer"):
                 as_vertex_set([bad, 1.0], 10)
+        # object arrays, element by element: 1.5 was truncated to 1, NaN raised a bare cast error
+        with pytest.raises(ValueError, match=r"^vertex id 1\.5 at position 0 is not an integer$"):
+            as_vertex_set(np.array([1.5, 2], dtype=object), 10)
+        with pytest.raises(ValueError, match=r"^vertex id nan at position 0 is not an integer$"):
+            as_vertex_set(np.array([np.nan, 1], dtype=object), 10)
 
     def test_boolean_mask_rejected(self):
         # a mask was read as the ids [0, 1]
@@ -145,10 +150,14 @@ class TestAsVertexSet:
             as_vertex_set([True, False], 10)
         with pytest.raises(ValueError, match="booleans"):
             as_vertex_set(np.zeros(10, dtype=bool), 10)
+        # was read as [1, 2]
+        with pytest.raises(ValueError, match=r"^vertex id True at position 0 is a boolean, not an integer$"):
+            as_vertex_set(np.array([True, 2], dtype=object), 10)
 
     def test_integral_floats_and_empty_accepted(self):
-        got = as_vertex_set([3.0, 1.0, 3.0], 10)
-        assert got.dtype == np.int64 and got.tolist() == [1, 3]
+        for ids in ([3.0, 1.0, 3.0], np.array([3.0, 1, np.int32(3)], dtype=object)):
+            got = as_vertex_set(ids, 10)
+            assert got.dtype == np.int64 and got.tolist() == [1, 3]
         for empty in ([], np.zeros(0, dtype=np.float64), np.zeros(0, dtype=np.int32)):
             got = as_vertex_set(empty, 10)
             assert got.dtype == np.int64 and len(got) == 0

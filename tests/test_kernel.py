@@ -166,5 +166,8 @@ class TestKernelColumns:
 
     @pytest.mark.parametrize("s", [2.0, 1.5])
     def test_nonpositive_shift_through_local_interpolant(self, path10, s):
-        with pytest.raises(NonPositiveShiftError):
+        # refused for lying at most kernel.SHIFT_TOL above 0, not for being non-positive;
+        # the fractional route adds the computed lambda_min, 0 up to rounding
+        shift = r"^epsilon \+ lambda_min = (1e-13|9\.9\d*e-14) is not above the bound 1e-12;"
+        with pytest.raises(NonPositiveShiftError, match=shift):
             local_interpolant(path10, np.array([0, 5]), np.ones(2), KernelParams(epsilon=1e-13, s=s))
