@@ -1,6 +1,10 @@
 """Command-line front end: partition, interpolate, and benchmark subcommands.
 
 Exit codes: 1 usage error, 2 input data error, 3 numerical failure.
+
+The argument parser is the only source of usage errors: every usage rule is a
+flag's `type`, a required flag or a required group of exclusive flags, so a
+usage error exits 1 before any file is read.
 """
 
 from __future__ import annotations
@@ -61,27 +65,56 @@ def _param(cls, name: str) -> dict:
     return {"type": parse, "default": getattr(cls, name)}  # the field's default
 
 
-def _seed(text: str) -> int:
-    """A PRNG seed: numpy's generators take no negative one."""
+def _int_at_least(low: int, kind: str):
+    """argparse `type`: an integer of at least `low`, described as a `kind` integer."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}")
+        return value
+
+    return parse
+
+
+def _counts(text: str) -> list[int]:
+    """The --counts sweep: ascending positive sample counts, comma-separated."""
     try:
-        value = int(text)
+        counts = [int(c) for c in text.split(",") if c.strip()]
     except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"bad value: {text!r}") from None
+    if not counts:
+        raise argparse.ArgumentTypeError("must list at least one sample count")
+    if counts != sorted(counts):
+        raise argparse.ArgumentTypeError("must be ascending")
+    if counts[0] < 1:
+        raise argparse.ArgumentTypeError("must be positive")
+    return counts
+
+
+def _json_out(text: str) -> str:
+    """An --out path whose CSV, written beside it with the suffix `.csv`, is not itself."""
+    if Path(text).with_suffix(".csv") == Path(text):
+        raise argparse.ArgumentTypeError(f"{text}: the CSV written beside the JSON would overwrite it")
+    return text
 
 
 def _add_common(sub: argparse.ArgumentParser, with_kernel: bool) -> None:
     sub.add_argument("--graph", required=True, help="edge-list file")
-    sub.add_argument("--seed", type=_seed, default=0, help="PRNG seed for sampling")
+    seed = _int_at_least(0, "non-negative")
+    sub.add_argument("--seed", type=seed, default=0, help="PRNG seed for sampling")
     alpha = _param(DetectionParams, "alpha")
     sub.add_argument("--alpha", help="Katz attenuation (default: capped)", **alpha)
     sub.add_argument("--small-fraction", **_param(DetectionParams, "small_fraction"))
-    sub.add_argument("--out", required=True, help="output JSON path")
+    out = _json_out if with_kernel else str
+    sub.add_argument("--out", required=True, type=out, help="output JSON path")
     if with_kernel:
-        sub.add_argument("--signal", help="CSV of vertex_id,value")
-        sub.add_argument(
+        signal = sub.add_mutually_exclusive_group(required=True)
+        signal.add_argument("--signal", help="CSV of vertex_id,value")
+        signal.add_argument(
             "--synthetic",
             action="store_true",
             help="use the built-in smooth reference signal",
@@ -101,13 +134,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(si, with_kernel=True)
 
     for sub in (sp, si):
-        sub.add_argument("--samples", help="file with one sampled vertex id per line")
-        sub.add_argument("--n-samples", type=int, help="draw this many seeded samples")
+        samples = sub.add_mutually_exclusive_group(required=True)
+        samples.add_argument("--samples", help="file with one sampled vertex id per line")
+        samples.add_argument(
+            "--n-samples", type=_int_at_least(1, "positive"), help="draw this many seeded samples"
+        )
 
     sb = subs.add_parser("benchmark", help="sweep sample counts; optional baseline")
     _add_common(sb, with_kernel=True)
     sb.add_argument(
-        "--counts", required=True, help="comma-separated ascending sample counts"
+        "--counts", required=True, type=_counts, help="comma-separated ascending sample counts"
     )
     sb.add_argument(
         "--baseline", action="store_true", help="also time the whole-graph kernel baseline"
@@ -180,8 +216,6 @@ def _load_signal(path: str, n: int) -> np.ndarray:
 
 
 def _resolve_samples(args, n: int) -> np.ndarray:
-    if (args.samples is None) == (args.n_samples is None):
-        raise UsageFailure("provide exactly one of --samples / --n-samples")
     if args.samples is not None:
         ids = set()
         lines = _read_text(args.samples, "sample file").splitlines()
@@ -201,19 +235,13 @@ def _resolve_samples(args, n: int) -> np.ndarray:
         if not ids:
             raise InputFailure("sample file is empty")
         return as_vertex_set(list(ids), n)
-    if args.n_samples < 1:
-        raise UsageFailure("--n-samples must be positive")
     if args.n_samples > n:
         raise InputFailure(f"--n-samples {args.n_samples} exceeds graph order {n}")
     return sample_nodes(n, args.n_samples, args.seed)
 
 
 def _resolve_signal(args, g: Graph) -> np.ndarray:
-    if (args.signal is None) == (not args.synthetic):
-        raise UsageFailure("provide exactly one of --signal / --synthetic")
-    if args.synthetic:
-        return synthetic_signal(g)
-    return _load_signal(args.signal, g.n)
+    return synthetic_signal(g) if args.synthetic else _load_signal(args.signal, g.n)
 
 
 def _detection_params(args) -> DetectionParams:
@@ -233,18 +261,17 @@ def _param_block(args, cover: Cover, with_kernel: bool) -> dict:
     return block
 
 
-def _csv_path(out: str) -> Path:
-    """The CSV written beside the JSON `out`; a usage error when it is `out` itself."""
-    path = Path(out).with_suffix(".csv")
-    if path == Path(out):
-        raise UsageFailure(f"--out {out}: the CSV written beside the JSON would overwrite it")
-    return path
-
-
 def _write_json(path: str, doc: dict) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows(rows)
 
 
 def cmd_partition(args) -> None:
@@ -263,18 +290,14 @@ def cmd_partition(args) -> None:
             over[int(v)].append(cid)
     in_w = np.zeros(g.n, dtype=bool)
     in_w[W] = True
-    plot_path = Path(args.out).with_suffix(".plot.csv")
-    with open(plot_path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["vertex", "community", "overlap_of", "is_sample"])
-        for v in range(g.n):
-            wr.writerow(
-                [v, int(member[v]), ";".join(map(str, over[v])), int(in_w[v])]
-            )
+    _write_csv(
+        Path(args.out).with_suffix(".plot.csv"),
+        ["vertex", "community", "overlap_of", "is_sample"],
+        ([v, int(member[v]), ";".join(map(str, over[v])), int(in_w[v])] for v in range(g.n)),
+    )
 
 
 def cmd_interpolate(args) -> None:
-    csv_path = _csv_path(args.out)
     g = _load_graph_file(args.graph)
     W = _resolve_samples(args, g.n)
     y = _resolve_signal(args, g)
@@ -282,39 +305,24 @@ def cmd_interpolate(args) -> None:
     result, cover = run_pipeline(g, y, W, _detection_params(args), kp)
     doc = result.to_json_dict(params=_param_block(args, cover, with_kernel=True))
     _write_json(args.out, doc)
-
-    with open(csv_path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["vertex", "truth", "approximant", "abs_error"])
-        for v in range(g.n):
-            err = abs(float(y[v]) - float(result.approximant[v]))
-            wr.writerow(
-                [v, repr(float(y[v])), repr(float(result.approximant[v])), repr(err)]
-            )
+    truth, approx = y.tolist(), result.approximant.tolist()
+    _write_csv(
+        Path(args.out).with_suffix(".csv"),
+        ["vertex", "truth", "approximant", "abs_error"],
+        ([v, repr(t), repr(a), repr(abs(t - a))] for v, (t, a) in enumerate(zip(truth, approx))),
+    )
 
 
 def cmd_benchmark(args) -> None:
-    csv_path = _csv_path(args.out)
-    try:
-        counts = [int(c) for c in args.counts.split(",") if c.strip()]
-    except ValueError:
-        raise UsageFailure(f"bad --counts value: {args.counts!r}")
-    if not counts:
-        raise UsageFailure("--counts must list at least one sample count")
-    if counts != sorted(counts):
-        raise UsageFailure("--counts must be ascending")
-    if counts[0] < 1:
-        raise UsageFailure("--counts must be positive")
-
     g = _load_graph_file(args.graph)
-    if counts[-1] > g.n:
-        raise InputFailure(f"count {counts[-1]} exceeds graph order {g.n}")
+    if args.counts[-1] > g.n:
+        raise InputFailure(f"count {args.counts[-1]} exceeds graph order {g.n}")
     y = _resolve_signal(args, g)
     kp = KernelParams(epsilon=args.epsilon, s=args.exponent)
     dp = _detection_params(args)
 
     rows = []
-    for count in counts:
+    for count in args.counts:
         W = sample_nodes(g.n, count, args.seed)  # prefixes of one permutation: nested
         result, cover = run_pipeline(g, y, W, dp, kp)
         row = {
@@ -337,32 +345,23 @@ def cmd_benchmark(args) -> None:
         "params": _param_block(args, cover, with_kernel=True),  # every cover records one alpha
     }
     _write_json(args.out, doc)
-    with open(csv_path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["N", "communities", "rrmse", "time_s", "baseline_time_s", "baseline_rrmse"])
-        for r in rows:
-            wr.writerow(
-                [
-                    r["n_samples"],
-                    r["communities"],
-                    repr(r["rrmse"]),
-                    repr(r["time_s"]),
-                    "" if r["baseline_time_s"] is None else repr(r["baseline_time_s"]),
-                    "" if r["baseline_rrmse"] is None else repr(r["baseline_rrmse"]),
-                ]
-            )
+    scored = ("rrmse", "time_s", "baseline_time_s", "baseline_rrmse")
+    _write_csv(
+        Path(args.out).with_suffix(".csv"),
+        ["N", "communities", *scored],
+        ([r["n_samples"], r["communities"], *("" if r[k] is None else repr(r[k]) for k in scored)]
+         for r in rows),
+    )
+
+
+COMMANDS = {"partition": cmd_partition, "interpolate": cmd_interpolate, "benchmark": cmd_benchmark}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "partition":
-            cmd_partition(args)
-        elif args.command == "interpolate":
-            cmd_interpolate(args)
-        else:
-            cmd_benchmark(args)
+        COMMANDS[args.command](args)
     except UsageFailure as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

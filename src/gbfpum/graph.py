@@ -168,15 +168,19 @@ def as_vertex_set(ids, n: int) -> np.ndarray:
     """Normalize vertex ids to a sorted, duplicate-free int64 array of ids < n.
 
     Integral floats (a JSON reader's 3.0) and empty input are accepted. A
-    boolean array is a mask, not ids, and raises ValueError; so does the first
-    float that is not a finite integer, named with its position. An object
-    array is checked element by element by the same rules: its first boolean
-    or its first element that is not an integer (or an integral float) raises
-    ValueError, named with its position. An id below 0 (the lowest), else one
-    of n or more (the highest), raises OutOfRangeError.
+    boolean array, or an object array, list or tuple of booleans only, is a
+    mask, not ids, and raises ValueError; so does the first float that is not
+    a finite integer, named with its position. An object array, a list and a
+    tuple are checked element by element by the same rules, so numpy never
+    coerces [True, 2] to [1, 2]: the first boolean or the first element that
+    is not an integer (or an integral float) raises ValueError, named with
+    its position. An id below 0 (the lowest), else one of n or more (the
+    highest), raises OutOfRangeError.
     """
-    vs = np.ravel(ids)
-    if vs.dtype == bool:
+    vs = np.ravel(np.array(ids, dtype=object) if isinstance(ids, (list, tuple)) else ids)
+    if vs.dtype == bool or (
+        vs.dtype == object and len(vs) and all(isinstance(x, (bool, np.bool_)) for x in vs)
+    ):
         raise ValueError("vertex ids are booleans; pass the ids of a mask, np.flatnonzero(mask)")
     if vs.dtype.kind == "f":
         bad = np.flatnonzero(~np.isfinite(vs) | (vs != np.trunc(vs)))

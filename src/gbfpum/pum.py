@@ -317,7 +317,6 @@ def run_pipeline(
     kp: KernelParams,
 ) -> tuple[PumResult, Cover]:
     """Detect communities, interpolate locally, assemble, score against y_full."""
-    W = as_vertex_set(W, g.n)
     t0 = time.perf_counter()
     cover = detect_communities(g, W, dp)
     return _scored(g, y_full, cover, kp, _solver(kp), time.perf_counter() - t0), cover

@@ -75,6 +75,12 @@ class TestPartition:
         rc = main(["partition", "--graph", str(tmp_path / "nope"), "--n-samples", "1", "--out", str(tmp_path / "o.json")])
         assert rc == 2
 
+    def test_n_samples_above_order_exit_2(self, fixture_files, tmp_path, capsys):
+        graph, _, _ = fixture_files
+        rc = main(["partition", "--graph", str(graph), "--n-samples", "7", "--out", str(tmp_path / "o.json")])
+        assert rc == 2
+        assert "input error: --n-samples 7 exceeds graph order 6" in capsys.readouterr().err
+
     def test_sample_conflict_exit_1(self, fixture_files, tmp_path):
         graph, samples, _ = fixture_files
         rc = main(
@@ -254,6 +260,31 @@ class TestInterpolate:
         assert "sample file line 2 repeats vertex 5" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_sample_file_exit_2(self, fixture_files, tmp_path, capsys):
+        graph, _, signal = fixture_files
+        samples = tmp_path / "empty_w.txt"
+        samples.write_text("# no ids\n\n")
+        rc = main(
+            ["interpolate", "--graph", str(graph), "--signal", str(signal), "--samples", str(samples),
+             "--out", str(tmp_path / "o.json")]
+        )
+        assert rc == 2
+        assert "input error: sample file is empty" in capsys.readouterr().err
+
+    def test_comment_row_in_signal(self, fixture_files, tmp_path):
+        graph, samples, signal = fixture_files
+        header, *rows = signal.read_text().splitlines()
+        noted = tmp_path / "y_note.csv"
+        noted.write_text("\n".join([header, *rows[:3], "# measured again below", *rows[3:]]) + "\n")
+        outs = [tmp_path / "plain.json", tmp_path / "noted.json"]
+        for y, out in zip((signal, noted), outs):
+            rc = main(
+                ["interpolate", "--graph", str(graph), "--signal", str(y), "--samples", str(samples),
+                 "--out", str(out)]
+            )
+            assert rc == 0
+        assert outs[0].with_suffix(".csv").read_bytes() == outs[1].with_suffix(".csv").read_bytes()
+
     def test_indented_comment_in_samples(self, fixture_files, tmp_path):
         # as in the signal file, a line is a comment when its first non-blank character is '#'
         graph, _, signal = fixture_files
@@ -372,6 +403,30 @@ def test_out_ending_in_csv_exit_1(fixture_files, tmp_path, capsys, command):
     assert rc == 1
     assert err.startswith("usage error:") and str(out) in err
     assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["interpolate", "--synthetic"], "r.json"),
+        (["interpolate", "--synthetic", "--samples", "w.txt", "--n-samples", "2"], "r.json"),
+        (["interpolate", "--n-samples", "2"], "r.json"),
+        (["interpolate", "--n-samples", "2", "--synthetic", "--signal", "y.csv"], "r.json"),
+        (["interpolate", "--synthetic", "--n-samples", "0"], "r.json"),
+        (["benchmark", "--synthetic", "--counts", "6,2"], "r.json"),
+        (["benchmark", "--synthetic", "--counts", "a,b"], "r.json"),
+        (["interpolate", "--synthetic", "--n-samples", "2"], "r.csv"),
+    ],
+    ids=["no sample flag", "both sample flags", "no signal flag", "both signal flags",
+         "n-samples 0", "counts 6,2", "counts a,b", "out r.csv"],
+)
+def test_usage_error_before_any_file_is_read(tmp_path, capsys, argv, out):
+    # the graph file is missing, so a check made after reading it would exit 2
+    rc = main([*argv, "--graph", str(tmp_path / "missing.edges"), "--out", str(tmp_path / out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("usage error:")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_subcommand_exit_1(tmp_path):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+import json
 
 import numpy as np
 import pytest
@@ -654,6 +655,15 @@ class TestCoverSerialization:
             assert a.core.tolist() == b.core.tolist()
             assert a.overlap.tolist() == b.overlap.tolist()
             assert a.interpolation_nodes.tolist() == b.interpolation_nodes.tolist()
+
+    def test_boolean_in_core_rejected(self, two_triangle):
+        # the JSON core [true, 2, 0, 3] was read as [0, 1, 2, 3]
+        doc = json.loads(
+            '{"communities": [{"id": 0, "core": [true, 2, 0, 3], "overlap": []},'
+            ' {"id": 1, "core": [4, 5], "overlap": []}]}'
+        )
+        with pytest.raises(ValueError, match=r"^vertex id True at position 0 is a boolean"):
+            Cover.from_json_dict(doc, two_triangle.n, np.array([0, 4]))
 
     def test_provenance_schema(self, minnesota):
         # a cover that logs all six actions

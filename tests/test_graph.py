@@ -150,9 +150,13 @@ class TestAsVertexSet:
             as_vertex_set([True, False], 10)
         with pytest.raises(ValueError, match="booleans"):
             as_vertex_set(np.zeros(10, dtype=bool), 10)
-        # was read as [1, 2]
+        # each was read as [1, 2]: a list or tuple is checked as an object array is
         with pytest.raises(ValueError, match=r"^vertex id True at position 0 is a boolean, not an integer$"):
             as_vertex_set(np.array([True, 2], dtype=object), 10)
+        with pytest.raises(ValueError, match=r"^vertex id True at position 0 is a boolean, not an integer$"):
+            as_vertex_set([True, 2], 10)
+        with pytest.raises(ValueError, match=r"^vertex id True at position 1 is a boolean, not an integer$"):
+            as_vertex_set((2, True), 10)
 
     def test_integral_floats_and_empty_accepted(self):
         for ids in ([3.0, 1.0, 3.0], np.array([3.0, 1, np.int32(3)], dtype=object)):
