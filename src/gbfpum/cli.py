@@ -4,7 +4,9 @@ Exit codes: 1 usage error, 2 input data error, 3 numerical failure.
 
 The argument parser is the only source of usage errors: every usage rule is a
 flag's `type`, a required flag or a required group of exclusive flags, so a
-usage error exits 1 before any file is read.
+usage error exits 1 before any file is read. Each field of the params
+dataclasses a subcommand builds is one of its flags, stored under the
+field's name, and one key of its JSON `params` block.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _param(cls, name: str) -> dict:
-    """argparse `type` and `default` from field `name` of a params dataclass.
+    """argparse `dest`, `type` and `default` from field `name` of a params dataclass.
 
     A value the dataclass rejects becomes a usage error that names the flag.
     """
@@ -62,7 +65,7 @@ def _param(cls, name: str) -> dict:
             raise argparse.ArgumentTypeError(str(exc)) from None
         return value
 
-    return {"type": parse, "default": getattr(cls, name)}  # the field's default
+    return {"dest": name, "type": parse, "default": getattr(cls, name)}  # the field's default
 
 
 def _int_at_least(low: int, kind: str):
@@ -109,6 +112,8 @@ def _add_common(sub: argparse.ArgumentParser, with_kernel: bool) -> None:
     alpha = _param(DetectionParams, "alpha")
     sub.add_argument("--alpha", help="Katz attenuation (default: capped)", **alpha)
     sub.add_argument("--small-fraction", **_param(DetectionParams, "small_fraction"))
+    settings = (DetectionParams, KernelParams) if with_kernel else (DetectionParams,)
+    sub.set_defaults(settings=settings)  # the params dataclasses it builds, in `_settings`
     out = _json_out if with_kernel else str
     sub.add_argument("--out", required=True, type=out, help="output JSON path")
     if with_kernel:
@@ -244,20 +249,17 @@ def _resolve_signal(args, g: Graph) -> np.ndarray:
     return synthetic_signal(g) if args.synthetic else _load_signal(args.signal, g.n)
 
 
-def _detection_params(args) -> DetectionParams:
-    return DetectionParams(small_fraction=args.small_fraction, alpha=args.alpha)
+def _settings(args) -> list:
+    """The run's params objects, one per dataclass of the subcommand, each field from its flag."""
+    return [cls(**{f.name: getattr(args, f.name) for f in fields(cls)}) for cls in args.settings]
 
 
-def _param_block(args, cover: Cover, with_kernel: bool) -> dict:
-    block = {
-        "alpha": cover.provenance[0]["alpha"],  # the Katz entry: the alpha used
-        "small_fraction": args.small_fraction,
-        # seeded samples unless a sample file was given; benchmark always draws
-        "seed": args.seed if getattr(args, "samples", None) is None else None,
-    }
-    if with_kernel:
-        block["epsilon"] = args.epsilon
-        block["s"] = args.exponent
+def _param_block(args, settings: list, cover: Cover) -> dict:
+    """Every field of the run's params objects, the seed, and the alpha the run used."""
+    block = {name: value for p in settings for name, value in asdict(p).items()}
+    block["alpha"] = cover.provenance[0]["alpha"]  # the Katz entry: the alpha used
+    # seeded samples unless a sample file was given; benchmark always draws
+    block["seed"] = args.seed if getattr(args, "samples", None) is None else None
     return block
 
 
@@ -277,9 +279,10 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 def cmd_partition(args) -> None:
     g = _load_graph_file(args.graph)
     W = _resolve_samples(args, g.n)
-    cover = detect_communities(g, W, _detection_params(args))
+    settings = _settings(args)
+    cover = detect_communities(g, W, *settings)
     doc = cover.to_json_dict()
-    doc["params"] = _param_block(args, cover, with_kernel=False)
+    doc["params"] = _param_block(args, settings, cover)
     _write_json(args.out, doc)
 
     # plot data: one row per vertex with core id, overlap memberships, sample flag
@@ -301,9 +304,9 @@ def cmd_interpolate(args) -> None:
     g = _load_graph_file(args.graph)
     W = _resolve_samples(args, g.n)
     y = _resolve_signal(args, g)
-    kp = KernelParams(epsilon=args.epsilon, s=args.exponent)
-    result, cover = run_pipeline(g, y, W, _detection_params(args), kp)
-    doc = result.to_json_dict(params=_param_block(args, cover, with_kernel=True))
+    settings = _settings(args)
+    result, cover = run_pipeline(g, y, W, *settings)
+    doc = result.to_json_dict(params=_param_block(args, settings, cover))
     _write_json(args.out, doc)
     truth, approx = y.tolist(), result.approximant.tolist()
     _write_csv(
@@ -318,8 +321,7 @@ def cmd_benchmark(args) -> None:
     if args.counts[-1] > g.n:
         raise InputFailure(f"count {args.counts[-1]} exceeds graph order {g.n}")
     y = _resolve_signal(args, g)
-    kp = KernelParams(epsilon=args.epsilon, s=args.exponent)
-    dp = _detection_params(args)
+    settings = dp, kp = _settings(args)
 
     rows = []
     for count in args.counts:
@@ -342,7 +344,7 @@ def cmd_benchmark(args) -> None:
     doc = {
         "format_version": FORMAT_VERSION,
         "rows": rows,
-        "params": _param_block(args, cover, with_kernel=True),  # every cover records one alpha
+        "params": _param_block(args, settings, cover),  # every cover records one alpha
     }
     _write_json(args.out, doc)
     scored = ("rrmse", "time_s", "baseline_time_s", "baseline_rrmse")
@@ -362,6 +364,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         COMMANDS[args.command](args)
+    except SystemExit as exc:  # argparse's exit after --help
+        return exc.code
     except UsageFailure as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

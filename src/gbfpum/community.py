@@ -38,6 +38,7 @@ from .metrics import default_alpha, katz_centrality, modularity
 from .numerics import check_positive
 
 FORMAT_VERSION = 3
+T_LOW, T_HIGH = 0.4, 0.8  # overlap thresholds on the internal-neighbor ratio (`expand_overlap`)
 
 
 @dataclass
@@ -107,16 +108,12 @@ class Cover:
 class DetectionParams:
     small_fraction: float = 0.02
     alpha: float | None = None  # Katz attenuation; None -> metrics.default_alpha
-    t_low: float = 0.4
-    t_high: float = 0.8
 
     def __post_init__(self):
         if not 0 < self.small_fraction < 1:
             raise ValueError(f"small_fraction = {self.small_fraction} is not in (0, 1)")
         if self.alpha is not None:
             check_positive("alpha", self.alpha)
-        if not 0 < self.t_low < self.t_high <= 1:
-            raise ValueError("need 0 < t_low < t_high <= 1")
 
 
 def _intra_edges(g: Graph, label: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -349,11 +346,11 @@ def merge_small(
     return owner
 
 
-def expand_overlap(g: Graph, label: np.ndarray, p: DetectionParams) -> list[np.ndarray]:
+def expand_overlap(g: Graph, label: np.ndarray) -> list[np.ndarray]:
     """Overlap ring per core from the internal-neighbor ratio r(v).
 
-    `label` holds the core id 0..k-1 of every vertex. r(v) <= t_low pulls in
-    v's 2-hop neighborhood, t_low < r(v) <= t_high the 1-hop one;
+    `label` holds the core id 0..k-1 of every vertex. r(v) <= T_LOW pulls in
+    v's 2-hop neighborhood, T_LOW < r(v) <= T_HIGH the 1-hop one;
     boundary-free vertices add nothing. Cores are untouched, so a second
     application is a no-op.
 
@@ -363,8 +360,8 @@ def expand_overlap(g: Graph, label: np.ndarray, p: DetectionParams) -> list[np.n
     deg = g.degrees()
     r = np.bincount(_intra_edges(g, label)[1], minlength=g.n) / np.maximum(deg, 1)
     has_nb = deg > 0
-    far = np.flatnonzero(has_nb & (r <= p.t_low))
-    ring = np.flatnonzero(has_nb & (r <= p.t_high))
+    far = np.flatnonzero(has_nb & (r <= T_LOW))
+    ring = np.flatnonzero(has_nb & (r <= T_HIGH))
     at, row = csr_gather(g.indptr, ring)
     two_hop = g.adjacency()[far] @ g.adjacency()
     keys = sorted_unique(
@@ -398,7 +395,7 @@ def detect_communities(g: Graph, W: np.ndarray, p: DetectionParams) -> Cover:
     label = merge_small(g, label, p, provenance)
     q_final = modularity(g, label)
     t3 = time.perf_counter()
-    overlaps = expand_overlap(g, label, p)
+    overlaps = expand_overlap(g, label)
     t4 = time.perf_counter()
     provenance.append({"action": "expand", "q_after": q_final})
 

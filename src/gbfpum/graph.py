@@ -170,12 +170,12 @@ def as_vertex_set(ids, n: int) -> np.ndarray:
     Integral floats (a JSON reader's 3.0) and empty input are accepted. A
     boolean array, or an object array, list or tuple of booleans only, is a
     mask, not ids, and raises ValueError; so does the first float that is not
-    a finite integer, named with its position. An object array, a list and a
-    tuple are checked element by element by the same rules, so numpy never
-    coerces [True, 2] to [1, 2]: the first boolean or the first element that
-    is not an integer (or an integral float) raises ValueError, named with
-    its position. An id below 0 (the lowest), else one of n or more (the
-    highest), raises OutOfRangeError.
+    a finite integer, named with its position. An object or text array, a
+    list and a tuple are checked element by element by the same rules, so
+    numpy never coerces [True, 2] to [1, 2] nor "3" to 3: the first boolean
+    or the first element that is not an integer (or an integral float)
+    raises ValueError, named by its repr and its position. An id below 0
+    (the lowest), else one of n or more (the highest), raises OutOfRangeError.
     """
     vs = np.ravel(np.array(ids, dtype=object) if isinstance(ids, (list, tuple)) else ids)
     if vs.dtype == bool or (
@@ -187,14 +187,12 @@ def as_vertex_set(ids, n: int) -> np.ndarray:
         if len(bad):
             i = bad[0]
             raise ValueError(f"vertex id {float(vs[i])} at position {i} is not an integer")
-    elif vs.dtype == object:
-        for i, x in enumerate(vs):
+    elif vs.dtype.kind in "OUS":  # objects and text, element by element
+        for i, x in enumerate(vs.tolist()):
             if isinstance(x, (bool, np.bool_)):
-                raise ValueError(f"vertex id {x} at position {i} is a boolean, not an integer")
+                raise ValueError(f"vertex id {x!r} at position {i} is a boolean, not an integer")
             if not isinstance(x, Integral) and not (isinstance(x, Real) and float(x).is_integer()):
-                raise ValueError(f"vertex id {x} at position {i} is not an integer")
-    elif vs.dtype.kind in "US":
-        vs = vs.astype(np.int64)  # numeric text converts as numpy converts it, or raises
+                raise ValueError(f"vertex id {x!r} at position {i} is not an integer")
     # exact also on an object array of Python ints past 64 bits, before any cast
     if len(vs) and (vs.min() < 0 or vs.max() >= n):
         raise OutOfRangeError(int(vs.min() if vs.min() < 0 else vs.max()), n)

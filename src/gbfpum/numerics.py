@@ -118,18 +118,16 @@ def sym_eigen(M: np.ndarray, overwrite: bool = False) -> EigenDecomposition:
 
 
 def spd_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve M x = b for symmetric positive definite M via Cholesky."""
+    """Solve M x = b for symmetric positive definite M and one vector b via Cholesky."""
     M = np.asarray(M, dtype=np.float64)
     check_symmetric(M)
-    b = np.asarray(b, dtype=np.float64)
     c, info = dpotrf(M, lower=1)
     if info != 0:
         raise NotPositiveDefiniteError(pivot=int(info) - 1)
-    b2 = b if b.ndim == 2 else b[:, None]
-    x, info = dpotrs(c, b2, lower=1)
+    x, info = dpotrs(c, np.asarray(b, dtype=np.float64), lower=1)
     if info != 0:
         raise NotPositiveDefiniteError(pivot=int(info) - 1)
-    return x if b.ndim == 2 else x[:, 0]
+    return x
 
 
 def sparse_lu(M: sp.spmatrix) -> SuperLU:

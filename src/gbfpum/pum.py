@@ -44,6 +44,8 @@ from .graph import Graph, as_vertex_set
 from .kernel import KernelParams, kernel_block, precision_matrix
 from .numerics import low_eigen, sparse_lu, spd_solve, sym_eigen
 
+SIGNAL_MODES = 10  # Laplacian modes in `synthetic_signal`
+
 
 @dataclass
 class PartitionOfUnity:
@@ -343,20 +345,20 @@ def global_gbf_baseline(
     return _scored(g, y_full, whole, kp, _kernel_solve, 0.0)
 
 
-def synthetic_signal(g: Graph, n_modes: int = 10) -> np.ndarray:
+def synthetic_signal(g: Graph) -> np.ndarray:
     """Smooth reference signal: sum of the lowest nonzero-frequency Laplacian modes.
 
-    Unit coefficients on the eigenvectors of the `n_modes` smallest nonzero
-    eigenvalues; each eigenvector's sign is fixed by its first nonzero entry.
-    The lowest n_modes + 1 pairs come from shift-invert Lanczos on the sparse
-    Laplacian; only when that asks for every mode (n_modes + 1 >= n) does the
-    dense eigendecomposition run.
+    Unit coefficients on the eigenvectors of the SIGNAL_MODES smallest nonzero
+    eigenvalues (all of them if fewer); each one's sign is fixed by its first
+    nonzero entry. The lowest SIGNAL_MODES + 1 pairs come from shift-invert
+    Lanczos on the sparse Laplacian; only when that asks for every mode
+    (SIGNAL_MODES + 1 >= n) does the dense eigendecomposition run.
     """
-    if n_modes + 1 < g.n:
-        eig = low_eigen(g.sparse_laplacian(), n_modes + 1)
+    if SIGNAL_MODES + 1 < g.n:
+        eig = low_eigen(g.sparse_laplacian(), SIGNAL_MODES + 1)
     else:
         eig = sym_eigen(g.laplacian())
-    vecs = eig.vectors[:, 1 : 1 + n_modes]
+    vecs = eig.vectors[:, 1 : 1 + SIGNAL_MODES]
     y = np.zeros(g.n)
     for j in range(vecs.shape[1]):
         v = vecs[:, j]

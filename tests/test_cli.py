@@ -1,11 +1,12 @@
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gbfpum import default_alpha, load_graph
+from gbfpum import DetectionParams, KernelParams, default_alpha, load_graph
 from gbfpum.cli import main
 from gbfpum.community import FORMAT_VERSION
 
@@ -431,3 +432,38 @@ def test_usage_error_before_any_file_is_read(tmp_path, capsys, argv, out):
 
 def test_unknown_subcommand_exit_1(tmp_path):
     assert main(["frobnicate"]) == 1
+
+
+@pytest.mark.parametrize("argv", [[], ["partition"], ["interpolate"], ["benchmark"]])
+def test_help_exit_0(capsys, argv):
+    # argparse exits after printing the help; main returns its status
+    assert main([*argv, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(" ".join(["usage: gbfpum", *argv]))
+
+
+# The flag of each field of the params dataclasses. A new field must come
+# with a flag, listed here, and a key in the `params` block.
+FLAGS = {"small_fraction": "--small-fraction", "alpha": "--alpha", "epsilon": "--epsilon", "s": "--exponent"}
+
+
+@pytest.mark.parametrize(
+    "command, settings, extra",
+    [
+        ("partition", [DetectionParams], ["--n-samples", "2"]),
+        ("interpolate", [DetectionParams, KernelParams], ["--n-samples", "2", "--synthetic"]),
+        ("benchmark", [DetectionParams, KernelParams], ["--counts", "2,4", "--synthetic"]),
+    ],
+)
+def test_every_params_field_is_a_flag_and_a_params_key(fixture_files, tmp_path, command, settings, extra):
+    graph, _, _ = fixture_files
+    values = {
+        f.name: 0.05 if f.default is None else f.default / 2  # valid, and not the default
+        for cls in settings
+        for f in dataclasses.fields(cls)
+    }
+    flags = [arg for name, value in values.items() for arg in (FLAGS[name], str(value))]
+    out = tmp_path / "o.json"
+    assert main([command, "--graph", str(graph), "--out", str(out), *extra, *flags]) == 0
+    params = json.loads(out.read_text())["params"]
+    assert {name: params[name] for name in values} == values
+    assert set(params) == {*values, "seed"}

@@ -76,8 +76,8 @@ def one_core_split(g, core, W, katz):
     return core[~second[core]], core[second[core]]
 
 
-def overlap_oracle(g, core, p):
-    """Per-vertex overlap ring: r(v) picks v's 2-hop or 1-hop neighborhood."""
+def overlap_oracle(g, core):
+    """Per-vertex overlap ring: r(v) <= 0.4 picks v's 2-hop neighborhood, r(v) <= 0.8 its 1-hop one."""
     core_set = set(core.tolist())
     extra = set()
     for v in core.tolist():
@@ -85,11 +85,11 @@ def overlap_oracle(g, core, p):
         if not nb:
             continue
         r = sum(w in core_set for w in nb) / len(nb)
-        if r <= p.t_low:
+        if r <= 0.4:
             extra.update(nb)
             for u in nb:
                 extra.update(neighbors(g, u))
-        elif r <= p.t_high:
+        elif r <= 0.8:
             extra.update(nb)
     return sorted(extra - core_set)
 
@@ -454,7 +454,7 @@ class TestMergeSmall:
 
 class TestExpandOverlap:
     def test_no_boundary_no_overlap(self, two_triangle):
-        overlaps = expand_overlap(two_triangle, np.zeros(6, dtype=np.int64), DetectionParams())
+        overlaps = expand_overlap(two_triangle, np.zeros(6, dtype=np.int64))
         assert overlaps[0].tolist() == []
 
     def test_ratio_06_distance1(self):
@@ -462,7 +462,7 @@ class TestExpandOverlap:
         edges = [(0, 1), (0, 2), (0, 3), (0, 8), (0, 9), (1, 2), (2, 3), (8, 9), (8, 4), (9, 4)]
         g = Graph.from_edges(10, edges + [(4, 5), (5, 6), (6, 7)])
         label = core_membership(10, [np.array([0, 1, 2, 3]), np.arange(4, 10)])
-        overlaps = expand_overlap(g, label, DetectionParams())
+        overlaps = expand_overlap(g, label)
         # r(0)=3/5=0.6; r(1)=r(3)=1? 1's nbrs {0,2} internal -> 1.0; 3's {0,2} -> 1.0
         assert overlaps[0].tolist() == [8, 9]
 
@@ -471,37 +471,32 @@ class TestExpandOverlap:
         edges = [(0, 1), (0, 2), (0, 3), (0, 4), (2, 5), (3, 5), (4, 6), (6, 7), (1, 7)]
         g = Graph.from_edges(8, edges)
         label = core_membership(8, [np.array([0, 1]), np.arange(2, 8)])
-        overlaps = expand_overlap(g, label, DetectionParams())
+        overlaps = expand_overlap(g, label)
         # N(0) at distance <= 2: {2,3,4} plus their/1's neighbors {5,6,7}
         assert set(overlaps[0].tolist()) >= {2, 3, 4, 5, 6}
 
     def test_idempotent(self, geometric200):
         cover = detect_communities(geometric200, np.arange(0, 200, 11), DetectionParams())
         label = cover.membership(geometric200.n)
-        once = expand_overlap(geometric200, label, DetectionParams())
-        twice = expand_overlap(geometric200, label, DetectionParams())
+        once = expand_overlap(geometric200, label)
+        twice = expand_overlap(geometric200, label)
         assert all(a.tolist() == b.tolist() for a, b in zip(once, twice))
 
     def test_cores_untouched(self, two_triangle):
         label = np.array([0, 0, 0, 1, 1, 1])
-        expand_overlap(two_triangle, label, DetectionParams())
+        expand_overlap(two_triangle, label)
         assert label.tolist() == [0, 0, 0, 1, 1, 1]
 
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(0, 10**6),
-        st.floats(0.05, 0.6),
-        st.floats(0.05, 0.4),
-    )
-    def test_matches_per_vertex_oracle(self, seed, t_low, gap):
+    @given(st.integers(0, 10**6))
+    def test_matches_per_vertex_oracle(self, seed):
         g = random_connected_graph(seed, n_max=30)
         rng = np.random.default_rng(seed)
         member = rng.integers(0, 4, g.n)
         cores = [np.flatnonzero(member == k) for k in np.unique(member)]
-        p = DetectionParams(t_low=t_low, t_high=min(t_low + gap, 1.0))
-        got = expand_overlap(g, core_membership(g.n, cores), p)
-        assert [o.tolist() for o in got] == [overlap_oracle(g, c, p) for c in cores]
+        got = expand_overlap(g, core_membership(g.n, cores))
+        assert [o.tolist() for o in got] == [overlap_oracle(g, c) for c in cores]
 
 
 def random_cores(g, rng, k, drop):
@@ -606,14 +601,13 @@ class TestPassFunctions:
         assert got_log == expect_log  # the oracle logs `induced_subgraph(...).is_connected()`
 
     @settings(max_examples=80, deadline=None)
-    @given(st.integers(0, 10**6), st.integers(1, 5), st.floats(0.05, 0.6))
-    def test_expand_matches_oracle_random_cores(self, seed, k, t_low):
+    @given(st.integers(0, 10**6), st.integers(1, 5))
+    def test_expand_matches_oracle_random_cores(self, seed, k):
         g = random_connected_graph(seed, n_max=30)
         rng = np.random.default_rng(seed)
         _, cores = random_cores(g, rng, k, 0.0)
-        p = DetectionParams(t_low=t_low, t_high=min(t_low + 0.3, 1.0))
-        got = expand_overlap(g, core_membership(g.n, cores), p)
-        assert [o.tolist() for o in got] == [overlap_oracle(g, c, p) for c in cores]
+        got = expand_overlap(g, core_membership(g.n, cores))
+        assert [o.tolist() for o in got] == [overlap_oracle(g, c) for c in cores]
         assert all(o.dtype == np.int64 for o in got)
 
     def test_overlapping_cores_rejected(self, path10):

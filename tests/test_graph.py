@@ -144,6 +144,19 @@ class TestAsVertexSet:
         with pytest.raises(ValueError, match=r"^vertex id nan at position 0 is not an integer$"):
             as_vertex_set(np.array([np.nan, 1], dtype=object), 10)
 
+    @pytest.mark.parametrize(
+        "ids, shown",
+        [
+            (["1", "2"], "'1'"),  # read "vertex id 1", like an integer
+            (np.array(["3", "1"]), "'3'"),  # a text array was converted to [1, 3]
+            (np.array(["a"]), "'a'"),  # leaked numpy's "invalid literal for int()"
+            (np.array([b"2"]), "b'2'"),
+        ],
+    )
+    def test_text_named_by_repr(self, ids, shown):
+        with pytest.raises(ValueError, match=f"^vertex id {shown} at position 0 is not an integer$"):
+            as_vertex_set(ids, 10)
+
     def test_boolean_mask_rejected(self):
         # a mask was read as the ids [0, 1]
         with pytest.raises(ValueError, match="booleans"):

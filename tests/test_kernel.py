@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 import gbfpum.kernel
 import gbfpum.numerics
@@ -21,12 +22,12 @@ from conftest import CountingLU, random_connected_graph
 
 
 def inverse_power_oracle(L: np.ndarray, eps: float, s: int) -> np.ndarray:
-    """(eps I + L)^(-s) for integer s via repeated columnwise SPD solves."""
+    """(eps I + L)^(-s) for integer s via s Cholesky solves of the identity's columns."""
     n = L.shape[0]
-    M = eps * np.eye(n) + L
+    factor = cho_factor(eps * np.eye(n) + L)
     K = np.eye(n)
     for _ in range(s):
-        K = spd_solve(M, K)
+        K = cho_solve(factor, K)
     return K
 
 

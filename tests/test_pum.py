@@ -151,14 +151,14 @@ class TestAssembleAndRrmse:
 
 class TestPipeline:
     def test_all_vertices_sampled_exact(self, two_triangle):
-        y = synthetic_signal(two_triangle, n_modes=3)
+        y = synthetic_signal(two_triangle)
         res, _ = run_pipeline(
             two_triangle, y, np.arange(6), DetectionParams(), KernelParams()
         )
         assert res.rrmse <= 1e-6
 
     def test_two_triangle_end_to_end(self, two_triangle):
-        y = synthetic_signal(two_triangle, n_modes=3)
+        y = synthetic_signal(two_triangle)
         res, cover = run_pipeline(
             two_triangle, y, np.array([0, 4]), DetectionParams(), KernelParams()
         )
@@ -246,7 +246,7 @@ class TestBaseline:
         assert np.abs(base.approximant - assembled).max() <= 1e-8
 
     def test_all_sampled_exact(self, two_triangle):
-        y = synthetic_signal(two_triangle, n_modes=3)
+        y = synthetic_signal(two_triangle)
         base = global_gbf_baseline(two_triangle, y, np.arange(6), KernelParams())
         assert base.rrmse <= 1e-6
 
@@ -291,17 +291,16 @@ def test_synthetic_signal_is_smooth_and_deterministic(geometric200):
     assert rq < np.median(lam)
 
 
-def dense_signal_oracle(g: Graph, n_modes: int = 10) -> tuple[np.ndarray, np.ndarray]:
-    """(reference signal, lowest n_modes + 2 eigenvalues) from a dense LAPACK eigh.
+def dense_signal_oracle(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(reference signal, lowest 12 eigenvalues) from a dense LAPACK eigh.
 
     Same definition as `synthetic_signal`: unit sum of the eigenvectors of
-    the n_modes smallest nonzero eigenvalues, each signed by its first
-    nonzero entry.
+    the 10 smallest nonzero eigenvalues (all of them if fewer), each signed
+    by its first nonzero entry.
     """
-    last = min(n_modes + 1, g.n - 1)
-    values, vectors = eigh(g.laplacian(), subset_by_index=[0, last])
+    values, vectors = eigh(g.laplacian(), subset_by_index=[0, min(11, g.n - 1)])
     y = np.zeros(g.n)
-    for v in vectors[:, 1 : 1 + n_modes].T:
+    for v in vectors[:, 1:11].T:
         nz = np.flatnonzero(np.abs(v) > 1e-12)
         y += -v if v[nz[0]] < 0 else v
     return y, values
@@ -322,7 +321,7 @@ class TestSyntheticSignalRoute:
         assert np.array_equal(synthetic_signal(minnesota), minnesota_signal)
 
     def test_dense_fallback_all_modes(self, path10):
-        # n_modes + 1 >= n leaves no room for Lanczos: the dense route runs
-        y = synthetic_signal(path10, n_modes=10)
-        y_ref, _ = dense_signal_oracle(path10, n_modes=10)
+        # 10 modes + 1 >= n leaves no room for Lanczos: the dense route runs
+        y = synthetic_signal(path10)
+        y_ref, _ = dense_signal_oracle(path10)
         assert np.abs(y - y_ref).max() <= 1e-12
