@@ -86,6 +86,15 @@ class SampleFreePieceError(NumericalError):
         )
 
 
+class NonFiniteResidualError(NumericalError):
+    def __init__(self, community_id: int):
+        self.community_id = community_id
+        super().__init__(
+            f"community {community_id}: the residual or right-hand-side norm of its solve "
+            "is not finite; the kernel's entries (about epsilon^s) or the signal overflow"
+        )
+
+
 class AlphaDivergesError(NumericalError):
     def __init__(self, alpha: float, bound: float):
         self.alpha = alpha

@@ -33,6 +33,10 @@ from .graph import Graph
 from .numerics import SOLVE_BLOCK, check_positive, sparse_lu, sym_eigen
 
 SHIFT_TOL = 1e-12
+# Largest exponent s. The native route makes int(s) - 1 sparse products, so a
+# huge s would run for hours; and at eps = 0.01 or 1 both committed graphs are
+# already not positive definite in floating point by s = 32.
+S_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -43,6 +47,8 @@ class KernelParams:
     def __post_init__(self):
         check_positive("epsilon", self.epsilon)
         check_positive("s", self.s)
+        if self.s > S_MAX:
+            raise ValueError(f"s must be at most {S_MAX}, got {self.s}")
 
 
 def gbf_kernel(

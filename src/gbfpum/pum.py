@@ -16,8 +16,9 @@ kernel interpolants of K = (eps I + L)^(-s):
   pieces' interpolants side by side, and the dense eigendecomposition only
   ever sees one piece.
 
-Both routes then share one blend (`assemble_global`, weight 1/multiplicity),
-one write-back of y at the samples, and one diagnostics record per community.
+Both solvers return vectors over the copies, which only `_interpolate` reduces:
+into the blend (`assemble_global`, weight 1/multiplicity) with y written back
+at the samples, and into one diagnostics record per community.
 
 `global_gbf_baseline` is the paper's single-domain comparison: the same stage
 on the cover of one subdomain, the whole graph with every sample and weight
@@ -36,6 +37,7 @@ from scipy.sparse import csgraph
 from .community import FORMAT_VERSION, Community, Cover, DetectionParams, detect_communities
 from .errors import (
     NoSamplesError,
+    NonFiniteResidualError,
     SampleFreePieceError,
     UncoveredVertexError,
     ZeroSignalError,
@@ -123,14 +125,12 @@ def local_interpolant(
     return evaluate(a), float(np.linalg.norm(Kww @ a - y_nodes))
 
 
-def assemble_global(
-    cover: Cover, pu: PartitionOfUnity, locals_: list[np.ndarray], n: int
-) -> np.ndarray:
-    """Blend local interpolants with the partition-of-unity weights, summed in community order."""
-    if len(locals_) != len(cover.communities):
-        raise ValueError("need one local vector per community")
+def assemble_global(cover: Cover, pu: PartitionOfUnity, f: np.ndarray, n: int) -> np.ndarray:
+    """Blend f, one value per vertex copy, by the PU weights, summed in community order."""
     copies = np.concatenate([c.subdomain for c in cover.communities])
-    return np.bincount(copies, weights=pu.weights(copies) * np.concatenate(locals_), minlength=n)
+    if len(f) != len(copies):
+        raise ValueError(f"need one value per vertex copy ({len(copies)}), got {len(f)}")
+    return np.bincount(copies, weights=pu.weights(copies) * f, minlength=n)
 
 
 def rrmse(truth: np.ndarray, approx: np.ndarray) -> float:
@@ -168,60 +168,46 @@ def _piece_health(
 
 
 def _native_solve(
-    union: Graph,
-    part: np.ndarray,
-    piece: np.ndarray,
-    sampled: np.ndarray,
-    y_s: np.ndarray,
-    kp: KernelParams,
+    union: Graph, piece: np.ndarray, sampled: np.ndarray, y: np.ndarray, kp: KernelParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """f = y on the sampled copies and -A[U,U]^-1 A[U,S] y[S] on the others.
 
-    Also returns each part's squared norms of the residual and of the
-    right-hand side of the A[U,U] system. The pieces are not needed: A is
-    sparse, so one factor serves them all.
+    Also returns the squared entries of the residual and of the right-hand
+    side of the A[U,U] system, 0 at the samples. The pieces are not needed:
+    A is sparse, so one factor serves them all.
     """
     A = precision_matrix(union, kp)
     U = np.flatnonzero(~sampled)
-    f = np.empty(union.n)
-    f[sampled] = y_s
+    f = y.copy()
     rows = A[U]
     A_uu = rows[:, U]
-    b = -(rows[:, np.flatnonzero(sampled)] @ y_s)
+    b = -(rows[:, np.flatnonzero(sampled)] @ y[sampled])
     if len(U):
         f[U] = sparse_lu(A_uu).solve(b)
-    k = int(part.max()) + 1
-    resid2 = np.bincount(part[U], weights=(A_uu @ f[U] - b) ** 2, minlength=k)
-    rhs2 = np.bincount(part[U], weights=b**2, minlength=k)
-    return f, resid2, rhs2
+    r2, b2 = np.zeros(union.n), np.zeros(union.n)
+    r2[U] = (A_uu @ f[U] - b) ** 2
+    b2[U] = b**2
+    return f, r2, b2
 
 
 def _kernel_solve(
-    union: Graph,
-    part: np.ndarray,
-    piece: np.ndarray,
-    sampled: np.ndarray,
-    y_s: np.ndarray,
-    kp: KernelParams,
+    union: Graph, piece: np.ndarray, sampled: np.ndarray, y: np.ndarray, kp: KernelParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """f from one `local_interpolant` per connected piece (label `piece`) of the union.
 
-    Also returns each part's squared norms of the residual and of the
-    right-hand side of its K[W,W] system, summed over its pieces.
+    Also returns each piece's squared residual norm of its K[W,W] system,
+    at the piece's first copy, and the squared right-hand side y**2.
     """
-    y = np.zeros(union.n)
-    y[sampled] = y_s
-    k = int(part.max()) + 1
     f = np.empty(union.n)
-    resid2 = np.zeros(k)
+    r2 = np.zeros(union.n)
     by_piece = np.argsort(piece, kind="stable")  # each piece's copies in ascending order
     for vs in np.split(by_piece, np.cumsum(np.bincount(piece))[:-1]):
         # a piece that is the whole union gets the union itself, not a copy of it
         sub, vs = union.induced_subgraph(vs)
         hit = sampled[vs]
         f[vs], resid = local_interpolant(sub, np.flatnonzero(hit), y[vs[hit]], kp)
-        resid2[part[vs[0]]] += resid**2
-    return f, resid2, np.bincount(part[sampled], weights=y_s**2, minlength=k)
+        r2[vs[0]] = resid**2
+    return f, r2, y**2
 
 
 def _interpolate(
@@ -236,7 +222,6 @@ def _interpolate(
     subs = [c.subdomain for c in comms]
     sizes = np.array([len(sub) for sub in subs])
     starts = np.cumsum(sizes) - sizes
-    offsets = starts[1:]
     part = np.repeat(np.arange(len(comms)), sizes)
     copies = np.concatenate(subs)
     sampled = np.zeros(len(copies), dtype=bool)
@@ -244,14 +229,19 @@ def _interpolate(
         sampled[off + np.searchsorted(sub, c.interpolation_nodes)] = True
     union = g.disjoint_union(subs)
     pieces, fewest, piece = _piece_health(union, part, sampled, len(comms))
-    y_s = y[copies[sampled]]
+    y_copies = np.where(sampled, y[copies], 0.0)
 
     t0 = time.perf_counter()
-    f, resid2, rhs2 = solve(union, part, piece, sampled, y_s, kp)
+    with np.errstate(over="ignore"):  # an overflowing square is raised below as an inf norm
+        f, r2, b2 = solve(union, piece, sampled, y_copies, kp)
+    resid2, rhs2 = (np.bincount(part, weights=w, minlength=len(comms)) for w in (r2, b2))
+    bad = np.flatnonzero(~np.isfinite(resid2 + rhs2))
+    if len(bad):
+        raise NonFiniteResidualError(int(bad[0]))
     resid = np.sqrt(resid2) / np.maximum(np.sqrt(rhs2), 1.0)
     t1 = time.perf_counter()
-    approx = assemble_global(cover, pu, np.split(f, offsets), g.n)
-    approx[copies[sampled]] = y_s  # the solves and the weighted sums hold y only to rounding
+    approx = assemble_global(cover, pu, f, g.n)
+    approx[copies[sampled]] = y_copies[sampled]  # the solves and the sums hold y only to rounding
     t2 = time.perf_counter()
     diags = [
         CommunityDiagnostics(

@@ -255,7 +255,7 @@ def test_baseline_equivalence(geometric200):
         )
         pu = build_pu(cover, g.n)
         s, _ = local_interpolant(g, W, y[W], kp)
-        assembled = assemble_global(cover, pu, [s], g.n)
+        assembled = assemble_global(cover, pu, s, g.n)
         base = global_gbf_baseline(g, y, W, kp)
         worst = max(worst, float(np.abs(assembled - base.approximant).max()))
     report(

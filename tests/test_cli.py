@@ -149,6 +149,7 @@ class TestInterpolate:
             ("--epsilon", "nan"),
             ("--exponent", "0"),
             ("--exponent", "inf"),
+            ("--exponent", "65"),
             ("--alpha", "-0.1"),
             ("--alpha", "nan"),
             ("--small-fraction", "2"),
@@ -417,9 +418,10 @@ def test_out_ending_in_csv_exit_1(fixture_files, tmp_path, capsys, command):
         (["benchmark", "--synthetic", "--counts", "6,2"], "r.json"),
         (["benchmark", "--synthetic", "--counts", "a,b"], "r.json"),
         (["interpolate", "--synthetic", "--n-samples", "2"], "r.csv"),
+        (["interpolate", "--synthetic", "--n-samples", "2", "--exponent", "1e300"], "r.json"),
     ],
     ids=["no sample flag", "both sample flags", "no signal flag", "both signal flags",
-         "n-samples 0", "counts 6,2", "counts a,b", "out r.csv"],
+         "n-samples 0", "counts 6,2", "counts a,b", "out r.csv", "exponent 1e300"],
 )
 def test_usage_error_before_any_file_is_read(tmp_path, capsys, argv, out):
     # the graph file is missing, so a check made after reading it would exit 2
@@ -427,6 +429,16 @@ def test_usage_error_before_any_file_is_read(tmp_path, capsys, argv, out):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("usage error:")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_overflowing_residual_exit_3(tmp_path, capsys):
+    # the squared entries of A = (eps I + L)^s overflow; no JSON holding NaN is written
+    out = tmp_path / "r.json"
+    rc = main(["interpolate", "--graph", str(DATA / "geometric_200.edges"), "--synthetic",
+               "--n-samples", "30", "--epsilon", "1e6", "--exponent", "30", "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("numerical error: community 0: ")
     assert list(tmp_path.iterdir()) == []
 
 

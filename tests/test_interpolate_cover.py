@@ -24,11 +24,13 @@ from gbfpum import (
     run_pipeline,
     sample_nodes,
     spd_solve,
+    synthetic_signal,
 )
 from gbfpum.cli import EXIT_NUMERICAL, main
 from gbfpum.community import Community, Cover
 from gbfpum.errors import (
     NoSamplesError,
+    NonFiniteResidualError,
     NonPositiveShiftError,
     NumericalError,
     SampleFreePieceError,
@@ -39,7 +41,7 @@ from conftest import DATA, community_interpolant, path_graph, random_connected_g
 
 def blend(g: Graph, cover: Cover, y: np.ndarray, locals_: list[np.ndarray]) -> np.ndarray:
     """Local interpolants blended by 1/multiplicity, y kept at the samples."""
-    approx = assemble_global(cover, build_pu(cover, g.n), locals_, g.n)
+    approx = assemble_global(cover, build_pu(cover, g.n), np.concatenate(locals_), g.n)
     W = np.concatenate([c.interpolation_nodes for c in cover.communities])
     approx[W] = y[W]
     return approx
@@ -202,6 +204,32 @@ class TestNativeRoute:
         shift = r"^epsilon \+ lambda_min = (1e-13|9\.9\d*e-14) is not above the bound 1e-12;"
         with pytest.raises(NonPositiveShiftError, match=shift):
             interpolate_cover(path10, cover, np.ones(10), KernelParams(epsilon=1e-13, s=s))
+
+    def test_overflowing_residual_names_the_community(self, path10):
+        # entries of A = (eps I + L)^s near eps^s overflow when squared. Community 0's
+        # samples hold y = 0, so its right-hand side and residual are 0 and finite.
+        cover = Cover([community(range(5), [2]), community(range(5, 10), [7])])
+        y = np.where(np.arange(10) < 5, 0.0, 1.0)
+        with pytest.raises(NonFiniteResidualError) as exc:
+            interpolate_cover(path10, cover, y, KernelParams(epsilon=1e6, s=30))
+        assert exc.value.community_id == 1
+        assert isinstance(exc.value, NumericalError)
+
+    @pytest.mark.parametrize("s", [2.0, 1.5])
+    def test_overflowing_signal_raises(self, path10, s):
+        # the squares of signal values above about 1e154 overflow on either route
+        cover = Cover([community(range(10), [0, 5])])
+        with pytest.raises(NonFiniteResidualError, match="^community 0: "):
+            interpolate_cover(path10, cover, np.full(10, 1e200), KernelParams(s=s))
+
+    def test_overflow_raises_rather_than_reporting_nan(self, geometric200):
+        y = synthetic_signal(geometric200)
+        W = sample_nodes(200, 30, 0)
+        with pytest.raises(NonFiniteResidualError, match="^community 0: "):
+            run_pipeline(geometric200, y, W, DetectionParams(), KernelParams(epsilon=1e6, s=30))
+        # the kernel route at the same scale keeps its residuals finite
+        res, _ = run_pipeline(geometric200, y, W, DetectionParams(), KernelParams(epsilon=1e6, s=30.5))
+        assert all(0 <= d.solve_residual <= 1e-12 for d in res.per_community)
 
     def test_community_without_samples(self, path10):
         cover = Cover([community(range(5), [2]), community(range(5, 10), [])])

@@ -16,7 +16,7 @@ from gbfpum import (
     sym_eigen,
 )
 from gbfpum.errors import NonPositiveShiftError, NotSymmetricError
-from gbfpum.kernel import kernel_block
+from gbfpum.kernel import S_MAX, kernel_block
 
 from conftest import CountingLU, random_connected_graph
 
@@ -77,9 +77,10 @@ class TestGbfKernel:
             KernelParams(epsilon=0.0)
         with pytest.raises(ValueError):
             KernelParams(s=-1.0)
-        for bad in ({"s": np.nan}, {"s": np.inf}, {"epsilon": np.inf}):
+        for bad in ({"s": np.nan}, {"s": np.inf}, {"epsilon": np.inf}, {"s": S_MAX + 1}):
             with pytest.raises(ValueError):
                 KernelParams(**bad)
+        assert KernelParams(s=S_MAX).s == 64  # the bound itself is allowed
 
 
 class TestKernelColumns:

@@ -124,15 +124,22 @@ class TestAssembleAndRrmse:
         cover = Cover([_community([0, 1, 2], nodes=[0])])
         pu = build_pu(cover, 3)
         s = np.array([1.0, 2.0, 3.0])
-        assert assemble_global(cover, pu, [s], 3).tolist() == [1.0, 2.0, 3.0]
+        assert assemble_global(cover, pu, s, 3).tolist() == [1.0, 2.0, 3.0]
 
     def test_two_subdomain_average(self):
         cover = Cover(
             [_community([0], [1], nodes=[0]), _community([1], [0], nodes=[1])]
         )
         pu = build_pu(cover, 2)
-        out = assemble_global(cover, pu, [np.array([2.0, 2.0]), np.array([4.0, 4.0])], 2)
+        out = assemble_global(cover, pu, np.array([2.0, 2.0, 4.0, 4.0]), 2)
         assert out.tolist() == [3.0, 3.0]
+
+    @pytest.mark.parametrize("length", [0, 3, 5])
+    def test_one_value_per_copy(self, length):
+        # two subdomains of two vertices each: four copies
+        cover = Cover([_community([0], [1], nodes=[0]), _community([1], [0], nodes=[1])])
+        with pytest.raises(ValueError, match="one value per vertex copy"):
+            assemble_global(cover, build_pu(cover, 2), np.ones(length), 2)
 
     def test_rrmse_zero_when_equal(self):
         y = np.array([1.0, -2.0])
@@ -242,7 +249,7 @@ class TestBaseline:
         cover = Cover([_community(range(10), nodes=W)])
         pu = build_pu(cover, 10)
         s, _ = community_interpolant(path10, cover.communities[0], y, KernelParams())
-        assembled = assemble_global(cover, pu, [s], 10)
+        assembled = assemble_global(cover, pu, s, 10)
         assert np.abs(base.approximant - assembled).max() <= 1e-8
 
     def test_all_sampled_exact(self, two_triangle):
