@@ -159,13 +159,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_text(path: str, what: str) -> str:
     """The text of input file `path`, which must be UTF-8; `what` names it in errors.
 
+    A leading byte-order mark, as spreadsheet programs write, is dropped.
     Line endings are kept as they are, as `open(..., newline="")` keeps them.
     """
     p = Path(path)
     if not p.is_file():
         raise InputFailure(f"{what} not found: {path}")
     try:
-        return p.read_bytes().decode("utf-8")
+        return p.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError:
         raise InputFailure(f"{what} {path} is not UTF-8 text") from None
 

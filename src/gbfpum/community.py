@@ -47,19 +47,6 @@ class Community:
 
     core: np.ndarray
     overlap: np.ndarray
-    interpolation_nodes: np.ndarray
-
-    @classmethod
-    def of(cls, core: np.ndarray, overlap: np.ndarray, W: np.ndarray) -> "Community":
-        """Community with the samples W in core ∪ overlap as interpolation nodes.
-
-        W need be neither sorted nor duplicate-free.
-        """
-        sub, W = sorted_unique(np.concatenate([core, overlap])), sorted_unique(W)
-        at = np.searchsorted(sub, W)
-        hit = at < len(sub)
-        hit[hit] = sub[at[hit]] == W[hit]
-        return cls(core, overlap, sub[at[hit]])
 
     @cached_property
     def subdomain(self) -> np.ndarray:
@@ -69,7 +56,10 @@ class Community:
 
 @dataclass
 class Cover:
+    """Communities and the sample set W; each community interpolates at W ∩ its subdomain."""
+
     communities: list[Community]
+    samples: np.ndarray  # W: sorted, duplicate-free int64; not serialised
     provenance: list[dict] = field(default_factory=list)
     # wall seconds per detection stage; not serialised, so the JSON stays deterministic
     stage_times: dict[str, float] = field(default_factory=dict, compare=False)
@@ -98,10 +88,10 @@ class Cover:
     @classmethod
     def from_json_dict(cls, doc: dict, n: int, W: np.ndarray) -> "Cover":
         comms = [
-            Community.of(as_vertex_set(e["core"], n), as_vertex_set(e["overlap"], n), W)
+            Community(as_vertex_set(e["core"], n), as_vertex_set(e["overlap"], n))
             for e in sorted(doc["communities"], key=lambda e: e["id"])
         ]
-        return cls(communities=comms, provenance=list(doc.get("provenance", [])))
+        return cls(comms, as_vertex_set(W, n), list(doc.get("provenance", [])))
 
 
 @dataclass(frozen=True)
@@ -399,11 +389,11 @@ def detect_communities(g: Graph, W: np.ndarray, p: DetectionParams) -> Cover:
     t4 = time.perf_counter()
     provenance.append({"action": "expand", "q_after": q_final})
 
-    communities = [Community.of(c, o, W) for c, o in zip(_cores_of(label), overlaps)]
+    communities = [Community(c, o) for c, o in zip(_cores_of(label), overlaps)]
     stage_times = {
         "katz_s": t1 - t0,
         "split_s": t2 - t1,
         "merge_s": t3 - t2,
         "expand_s": t4 - t3,
     }
-    return Cover(communities, provenance, stage_times)
+    return Cover(communities, W, provenance, stage_times)

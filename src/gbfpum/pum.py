@@ -213,28 +213,35 @@ def _kernel_solve(
 def _interpolate(
     g: Graph, cover: Cover, y: np.ndarray, kp: KernelParams, solve: Callable
 ) -> tuple[np.ndarray, list[CommunityDiagnostics], dict[str, float]]:
-    """The interpolation stage on `cover`, with `_native_solve` or `_kernel_solve` as `solve`."""
+    """The interpolation stage on `cover`, with `_native_solve` or `_kernel_solve` as `solve`.
+
+    Each community interpolates at the cover's samples in its subdomain; one
+    mask of the samples over the graph marks the sampled copies.
+    """
+    if len(y) != g.n:
+        raise ValueError(f"need one signal value per vertex ({g.n}), got {len(y)}")
+    mask = np.zeros(g.n, dtype=bool)
+    mask[cover.samples] = True
+    bad = np.flatnonzero(mask & ~np.isfinite(y))
+    if len(bad):
+        raise ValueError(f"signal value {y[bad[0]]} at sampled vertex {bad[0]} is not finite")
     pu = build_pu(cover, g.n)
-    comms = cover.communities
-    for cid, c in enumerate(comms):
-        if len(c.interpolation_nodes) == 0:
-            raise NoSamplesError(cid)
-    subs = [c.subdomain for c in comms]
-    sizes = np.array([len(sub) for sub in subs])
-    starts = np.cumsum(sizes) - sizes
-    part = np.repeat(np.arange(len(comms)), sizes)
+    subs = [c.subdomain for c in cover.communities]
+    k = len(subs)
+    part = np.repeat(np.arange(k), [len(sub) for sub in subs])
     copies = np.concatenate(subs)
-    sampled = np.zeros(len(copies), dtype=bool)
-    for off, sub, c in zip(starts, subs, comms):
-        sampled[off + np.searchsorted(sub, c.interpolation_nodes)] = True
+    sampled = mask[copies]
+    sample_count = np.bincount(part[sampled], minlength=k)
+    if (sample_count == 0).any():
+        raise NoSamplesError(int(np.argmax(sample_count == 0)))
     union = g.disjoint_union(subs)
-    pieces, fewest, piece = _piece_health(union, part, sampled, len(comms))
+    pieces, fewest, piece = _piece_health(union, part, sampled, k)
     y_copies = np.where(sampled, y[copies], 0.0)
 
     t0 = time.perf_counter()
     with np.errstate(over="ignore"):  # an overflowing square is raised below as an inf norm
         f, r2, b2 = solve(union, piece, sampled, y_copies, kp)
-    resid2, rhs2 = (np.bincount(part, weights=w, minlength=len(comms)) for w in (r2, b2))
+    resid2, rhs2 = (np.bincount(part, weights=w, minlength=k) for w in (r2, b2))
     bad = np.flatnonzero(~np.isfinite(resid2 + rhs2))
     if len(bad):
         raise NonFiniteResidualError(int(bad[0]))
@@ -243,12 +250,8 @@ def _interpolate(
     approx = assemble_global(cover, pu, f, g.n)
     approx[copies[sampled]] = y_copies[sampled]  # the solves and the sums hold y only to rounding
     t2 = time.perf_counter()
-    diags = [
-        CommunityDiagnostics(
-            cid, len(sub), len(c.interpolation_nodes), float(r), int(count), int(least)
-        )
-        for cid, (sub, c, r, count, least) in enumerate(zip(subs, comms, resid, pieces, fewest))
-    ]
+    rows = zip(map(len, subs), *(a.tolist() for a in (sample_count, resid, pieces, fewest)))
+    diags = [CommunityDiagnostics(cid, *row) for cid, row in enumerate(rows)]
     return approx, diags, {"solve_s": t1 - t0, "assemble_s": t2 - t1}
 
 
@@ -260,7 +263,7 @@ def _solver(kp: KernelParams) -> Callable:
 def interpolate_cover(
     g: Graph, cover: Cover, y: np.ndarray, kp: KernelParams
 ) -> tuple[np.ndarray, list[CommunityDiagnostics], dict[str, float]]:
-    """Partition-of-unity approximant of y from its values at the cover's interpolation nodes.
+    """Partition-of-unity approximant of y from its values at the cover's samples.
 
     Every community's local interpolant, native route for integer s and
     kernel route per connected piece otherwise (see the module docstring),
@@ -268,8 +271,9 @@ def interpolate_cover(
     `assemble_global` blends the blocks with weight 1/multiplicity and y is
     written back at the samples. Before any solve, one connected-components
     pass over the subdomains' disjoint union labels its pieces and counts
-    them per subdomain; a piece with no interpolation node raises
-    SampleFreePieceError. Also returns the wall seconds of the solves
+    them per subdomain; a piece with no sample raises SampleFreePieceError.
+    A signal without one value per vertex, or not finite at a sample, raises
+    ValueError first. Also returns the wall seconds of the solves
     (`solve_s`) and of the blend and write-back (`assemble_s`).
     """
     return _interpolate(g, cover, y, kp, _solver(kp))
@@ -330,8 +334,7 @@ def global_gbf_baseline(
     than the graph itself, and both solves took about 0.009 s (best of
     seven, one BLAS thread).
     """
-    W = as_vertex_set(W, g.n)
-    whole = Cover([Community(np.arange(g.n), np.array([], dtype=np.int64), W)])
+    whole = Cover([Community(np.arange(g.n), np.array([], dtype=np.int64))], as_vertex_set(W, g.n))
     return _scored(g, y_full, whole, kp, _kernel_solve, 0.0)
 
 

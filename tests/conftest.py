@@ -19,10 +19,10 @@ def neighbors(g: Graph, v: int) -> list[int]:
     return g.indices[g.indptr[v] : g.indptr[v + 1]].tolist()
 
 
-def community_interpolant(g: Graph, c, y: np.ndarray, p) -> tuple[np.ndarray, float]:
-    """`local_interpolant` of community c on its induced subgraph, indexed like c.subdomain."""
+def community_interpolant(g: Graph, c, W, y: np.ndarray, p) -> tuple[np.ndarray, float]:
+    """`local_interpolant` of community c at the samples W in it, indexed like c.subdomain."""
     sub, vs = g.induced_subgraph(c.subdomain)
-    nodes = c.interpolation_nodes
+    nodes = np.intersect1d(vs, W)
     return local_interpolant(sub, np.searchsorted(vs, nodes), y[nodes], p)
 
 

@@ -244,15 +244,7 @@ def test_baseline_equivalence(geometric200):
         (geometric200, sample_nodes(200, 25, seed=6)),
     ]:
         y = synthetic_signal(g)
-        cover = Cover(
-            [
-                Community(
-                    core=np.arange(g.n),
-                    overlap=np.empty(0, dtype=np.int64),
-                    interpolation_nodes=W,
-                )
-            ]
-        )
+        cover = Cover([Community(core=np.arange(g.n), overlap=np.empty(0, dtype=np.int64))], W)
         pu = build_pu(cover, g.n)
         s, _ = local_interpolant(g, W, y[W], kp)
         assembled = assemble_global(cover, pu, s, g.n)

@@ -215,6 +215,27 @@ class TestInterpolate:
         assert rc == 2
         assert f"input error: {which} file {bad} is not UTF-8 text" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("which", ["graph", "signal", "sample"])
+    def test_byte_order_mark_is_dropped(self, fixture_files, tmp_path, which):
+        # spreadsheet programs start UTF-8 files with one; a leading comment line and a
+        # header-free signal are the first lines it could break
+        graph, samples, signal = fixture_files
+        graph.write_text("# two triangles\n" + TWO_TRIANGLE_EDGES)
+        signal.write_text("".join(f"{v},{val}\n" for v, val in enumerate([1.0, 2.0, 3.0, 3.0, 2.0, 1.0])))
+
+        def run(out):
+            argv = ["interpolate", "--graph", str(graph), "--signal", str(signal),
+                    "--samples", str(samples), "--out", str(out)]
+            assert main(argv) == 0
+            doc = json.loads(out.read_text())
+            del doc["wall_times"]
+            return doc, out.with_suffix(".csv").read_bytes()
+
+        plain = run(tmp_path / "plain.json")
+        marked = dict(zip(["graph", "sample", "signal"], fixture_files))[which]
+        marked.write_bytes(b"\xef\xbb\xbf" + marked.read_bytes())
+        assert run(tmp_path / "marked.json") == plain
+
     def test_zero_signal_exit_2(self, fixture_files, tmp_path):
         graph, samples, _ = fixture_files
         signal = tmp_path / "zero.csv"

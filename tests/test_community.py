@@ -17,7 +17,6 @@ from gbfpum import (
 import gbfpum.community
 from gbfpum.community import (
     FORMAT_VERSION,
-    Community,
     Cover,
     _split_phase,
     core_membership,
@@ -25,6 +24,7 @@ from gbfpum.community import (
     merge_small,
     split_community,
 )
+from gbfpum.errors import OutOfRangeError
 from gbfpum.metrics import jaccard_communities
 
 from conftest import neighbors, random_connected_graph
@@ -195,8 +195,9 @@ def check_cover_invariants(g, W, cover):
     union = np.unique(np.concatenate([c.subdomain for c in cover.communities]))
     assert np.array_equal(union, np.arange(g.n))
     assert len(cover.communities) <= len(W)
+    assert np.array_equal(cover.samples, np.unique(W)) and cover.samples.dtype == np.int64
     for c in cover.communities:
-        assert len(c.interpolation_nodes) >= 1
+        assert len(np.intersect1d(c.subdomain, W)) >= 1
         assert len(np.intersect1d(c.core, c.overlap)) == 0
     for e in cover.provenance:
         if e["action"] in ("split", "split_rejected"):
@@ -622,21 +623,6 @@ class TestPassFunctions:
             core_membership(3, [])
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(st.integers(0, 29), max_size=20),
-    st.lists(st.integers(0, 29), max_size=20),
-    st.lists(st.integers(0, 29), max_size=40),
-)
-def test_community_of_matches_set_operations(core, overlap, W):
-    core = np.unique(np.array(core, dtype=np.int64))
-    overlap = np.setdiff1d(np.array(overlap, dtype=np.int64), core)
-    W = np.array(W, dtype=np.int64)  # unsorted, with repeats
-    got = Community.of(core, overlap, W).interpolation_nodes
-    assert got.dtype == np.int64
-    assert np.array_equal(got, np.intersect1d(np.union1d(core, overlap), W))
-
-
 class TestCoverSerialization:
     def test_roundtrip(self, two_triangle):
         W = np.array([0, 4])
@@ -644,11 +630,18 @@ class TestCoverSerialization:
         doc = cover.to_json_dict()
         assert doc["format_version"] == FORMAT_VERSION
         back = Cover.from_json_dict(doc, two_triangle.n, W)
+        assert back.samples.tolist() == W.tolist()
+        assert back.samples.dtype == np.int64
         assert len(back.communities) == len(cover.communities)
         for a, b in zip(back.communities, cover.communities):
             assert a.core.tolist() == b.core.tolist()
             assert a.overlap.tolist() == b.overlap.tolist()
-            assert a.interpolation_nodes.tolist() == b.interpolation_nodes.tolist()
+
+    def test_out_of_range_sample_rejected(self, two_triangle):
+        # W is read as the graph's vertex set, so an id past the graph is not dropped
+        doc = detect_communities(two_triangle, np.array([0, 4]), DetectionParams()).to_json_dict()
+        with pytest.raises(OutOfRangeError):
+            Cover.from_json_dict(doc, two_triangle.n, np.array([0, 4, 6]))
 
     def test_boolean_in_core_rejected(self, two_triangle):
         # the JSON core [true, 2, 0, 3] was read as [0, 1, 2, 3]

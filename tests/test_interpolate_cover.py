@@ -42,20 +42,19 @@ from conftest import DATA, community_interpolant, path_graph, random_connected_g
 def blend(g: Graph, cover: Cover, y: np.ndarray, locals_: list[np.ndarray]) -> np.ndarray:
     """Local interpolants blended by 1/multiplicity, y kept at the samples."""
     approx = assemble_global(cover, build_pu(cover, g.n), np.concatenate(locals_), g.n)
-    W = np.concatenate([c.interpolation_nodes for c in cover.communities])
-    approx[W] = y[W]
+    approx[cover.samples] = y[cover.samples]
     return approx
 
 
 def piecewise_interpolant(
-    g: Graph, c: Community, y: np.ndarray, kp: KernelParams
+    g: Graph, c: Community, W: np.ndarray, y: np.ndarray, kp: KernelParams
 ) -> tuple[np.ndarray, list[float]]:
-    """`local_interpolant` on each piece of c's subdomain, indexed like it, and the residuals."""
+    """`local_interpolant` at W on each piece of c's subdomain, indexed like it; the residuals."""
     out = np.empty(len(c.subdomain))
     resid = []
     for vs in piece_sets(g, c.subdomain):
-        piece = Community(vs, np.array([], int), np.intersect1d(vs, c.interpolation_nodes))
-        out[np.searchsorted(c.subdomain, vs)], r = community_interpolant(g, piece, y, kp)
+        piece = Community(vs, np.array([], int))
+        out[np.searchsorted(c.subdomain, vs)], r = community_interpolant(g, piece, W, y, kp)
         resid.append(r)
     return out, resid
 
@@ -67,7 +66,8 @@ def community_residual(piece_residuals: list[float], y_nodes: np.ndarray) -> flo
 
 def kernel_route(g: Graph, cover: Cover, y: np.ndarray, kp: KernelParams) -> np.ndarray:
     """Per-piece kernel interpolants of every community, blended."""
-    return blend(g, cover, y, [piecewise_interpolant(g, c, y, kp)[0] for c in cover.communities])
+    locals_ = [piecewise_interpolant(g, c, cover.samples, y, kp)[0] for c in cover.communities]
+    return blend(g, cover, y, locals_)
 
 
 def whole_subdomain_route(g: Graph, cover: Cover, y: np.ndarray, kp: KernelParams) -> np.ndarray:
@@ -75,18 +75,17 @@ def whole_subdomain_route(g: Graph, cover: Cover, y: np.ndarray, kp: KernelParam
     locals_ = []
     for c in cover.communities:
         sub, vs = g.induced_subgraph(c.subdomain)
-        nodes = np.searchsorted(vs, c.interpolation_nodes)
+        W = np.intersect1d(vs, cover.samples)
+        nodes = np.searchsorted(vs, W)
         Kw = gbf_kernel(sub.laplacian(), kp, nodes)
-        locals_.append(Kw @ spd_solve(Kw[nodes], y[c.interpolation_nodes]))
+        locals_.append(Kw @ spd_solve(Kw[nodes], y[W]))
     return blend(g, cover, y, locals_)
 
 
-def community(core, nodes, overlap=()):
-    return Community(
-        core=np.array(core, dtype=np.int64),
-        overlap=np.array(overlap, dtype=np.int64),
-        interpolation_nodes=np.array(nodes, dtype=np.int64),
-    )
+def cover_of(*parts) -> Cover:
+    """Cover of the (core, samples) pairs `parts`, with W the union of their samples."""
+    comms = [Community(np.array(core, dtype=np.int64), np.array([], int)) for core, _ in parts]
+    return Cover(comms, np.unique(np.concatenate([np.array(w, dtype=np.int64) for _, w in parts])))
 
 
 def piece_sets(g: Graph, subdomain: np.ndarray) -> list[np.ndarray]:
@@ -96,12 +95,9 @@ def piece_sets(g: Graph, subdomain: np.ndarray) -> list[np.ndarray]:
     return [vs[label == p] for p in range(count)]
 
 
-def independent_pieces(g: Graph, c: Community) -> list[tuple[int, int]]:
-    """(size, sample count) of each connected piece of c's subdomain."""
-    return [
-        (len(vs), int(np.isin(vs, c.interpolation_nodes).sum()))
-        for vs in piece_sets(g, c.subdomain)
-    ]
+def independent_pieces(g: Graph, c: Community, W: np.ndarray) -> list[tuple[int, int]]:
+    """(size, sample count in W) of each connected piece of c's subdomain."""
+    return [(len(vs), int(np.isin(vs, W).sum())) for vs in piece_sets(g, c.subdomain)]
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +148,9 @@ class TestNativeRoute:
             assert all(d.solve_residual <= 1e-10 for d in diags)
             comms = road_covers[400].communities
             assert [d.subdomain_size for d in diags] == [len(c.subdomain) for c in comms]
-            assert [d.sample_count for d in diags] == [len(c.interpolation_nodes) for c in comms]
+            assert [d.sample_count for d in diags] == [
+                len(np.intersect1d(c.subdomain, W)) for c in comms
+            ]
         base = global_gbf_baseline(minnesota, y, W, KernelParams())
         again = global_gbf_baseline(minnesota, y, W, KernelParams())
         assert np.array_equal(base.approximant[W], y[W])
@@ -192,13 +190,13 @@ class TestNativeRoute:
     def test_all_sampled_community(self, path10):
         # no unsampled copy: nothing to factor, the samples are the answer
         y = np.arange(10.0)
-        got, diags, _ = interpolate_cover(path10, Cover([community(range(10), range(10))]), y, KernelParams())
+        got, diags, _ = interpolate_cover(path10, cover_of((range(10), range(10))), y, KernelParams())
         assert np.array_equal(got, y)
         assert diags[0].solve_residual == 0.0
 
     @pytest.mark.parametrize("s", [2.0, 1.5])
     def test_nonpositive_shift(self, path10, s):
-        cover = Cover([community(range(10), [0, 5])])
+        cover = cover_of((range(10), [0, 5]))
         # refused for lying at most kernel.SHIFT_TOL above 0, not for being non-positive;
         # the fractional route adds the computed lambda_min, 0 up to rounding
         shift = r"^epsilon \+ lambda_min = (1e-13|9\.9\d*e-14) is not above the bound 1e-12;"
@@ -208,7 +206,7 @@ class TestNativeRoute:
     def test_overflowing_residual_names_the_community(self, path10):
         # entries of A = (eps I + L)^s near eps^s overflow when squared. Community 0's
         # samples hold y = 0, so its right-hand side and residual are 0 and finite.
-        cover = Cover([community(range(5), [2]), community(range(5, 10), [7])])
+        cover = cover_of((range(5), [2]), (range(5, 10), [7]))
         y = np.where(np.arange(10) < 5, 0.0, 1.0)
         with pytest.raises(NonFiniteResidualError) as exc:
             interpolate_cover(path10, cover, y, KernelParams(epsilon=1e6, s=30))
@@ -218,7 +216,7 @@ class TestNativeRoute:
     @pytest.mark.parametrize("s", [2.0, 1.5])
     def test_overflowing_signal_raises(self, path10, s):
         # the squares of signal values above about 1e154 overflow on either route
-        cover = Cover([community(range(10), [0, 5])])
+        cover = cover_of((range(10), [0, 5]))
         with pytest.raises(NonFiniteResidualError, match="^community 0: "):
             interpolate_cover(path10, cover, np.full(10, 1e200), KernelParams(s=s))
 
@@ -232,18 +230,49 @@ class TestNativeRoute:
         assert all(0 <= d.solve_residual <= 1e-12 for d in res.per_community)
 
     def test_community_without_samples(self, path10):
-        cover = Cover([community(range(5), [2]), community(range(5, 10), [])])
-        with pytest.raises(NoSamplesError):
+        # the lowest community without a sample is named
+        cover = cover_of((range(4), [2]), (range(4, 7), []), (range(7, 10), []))
+        with pytest.raises(NoSamplesError) as exc:
             interpolate_cover(path10, cover, np.ones(10), KernelParams())
+        assert exc.value.community_id == 1
+
+
+class TestSignalCheck:
+    # the stage checks the signal once, for interpolate_cover, run_pipeline and the baseline
+    @staticmethod
+    def stages(g, W):
+        cover = detect_communities(g, W, DetectionParams())
+        return [
+            lambda y: interpolate_cover(g, cover, y, KernelParams()),
+            lambda y: interpolate_cover(g, cover, y, KernelParams(s=1.5)),
+            lambda y: run_pipeline(g, y, W, DetectionParams(), KernelParams()),
+            lambda y: global_gbf_baseline(g, y, W, KernelParams()),
+        ]
+
+    @pytest.mark.parametrize("length", [199, 205])
+    def test_wrong_length(self, geometric200, length):
+        for stage in self.stages(geometric200, sample_nodes(200, 30, 0)):
+            message = rf"^need one signal value per vertex \(200\), got {length}$"
+            with pytest.raises(ValueError, match=message):
+                stage(np.ones(length))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_named(self, geometric200, bad):
+        W = sample_nodes(200, 30, 0)
+        y = np.ones(200)
+        y[W[[3, 5]]] = bad
+        y[np.setdiff1d(np.arange(W[3]), W)] = np.nan  # off the samples: never read
+        message = rf"^signal value {bad} at sampled vertex {W[3]} is not finite$"
+        for stage in self.stages(geometric200, W):
+            with pytest.raises(ValueError, match=message):
+                stage(y)
 
 
 class TestPieces:
     @staticmethod
     def split_cover(nodes_b):
         # on the path 0-...-9, community 1 = {5, 6} + {8, 9}: two pieces
-        return Cover(
-            [community(range(5), [2]), community([5, 6, 8, 9], nodes_b), community([7], [7])]
-        )
+        return cover_of((range(5), [2]), ([5, 6, 8, 9], nodes_b), ([7], [7]))
 
     @pytest.mark.parametrize("s", [2.0, 1.5])
     def test_sample_free_piece_raises(self, path10, s):
@@ -265,9 +294,7 @@ class TestPieces:
     def test_per_piece_route_by_hand(self, path10):
         # on the path 0-...-11 both subdomains fall into three pieces, one a single vertex
         g = path_graph(12)
-        three = Cover(
-            [community([0, 1, 2, 4, 5, 8, 9, 10], [1, 4, 9, 10]), community([3, 6, 7, 11], [3, 6, 11])]
-        )
+        three = cover_of(([0, 1, 2, 4, 5, 8, 9, 10], [1, 4, 9, 10]), ([3, 6, 7, 11], [3, 6, 11]))
         kp = KernelParams(s=1.5)
         for graph, cover, pieces in (
             (g, three, [(3, 1), (3, 1)]),
@@ -279,8 +306,8 @@ class TestPieces:
             whole = whole_subdomain_route(graph, cover, y, kp)
             assert np.abs(got - whole).max() <= 1e-10 * np.abs(y).max()
             for c, d in zip(cover.communities, diags):
-                resid = piecewise_interpolant(graph, c, y, kp)[1]
-                expect = community_residual(resid, y[c.interpolation_nodes])
+                resid = piecewise_interpolant(graph, c, cover.samples, y, kp)[1]
+                expect = community_residual(resid, y[np.intersect1d(c.subdomain, cover.samples)])
                 assert d.solve_residual == pytest.approx(expect, rel=1e-12, abs=0)
 
     @settings(max_examples=40, deadline=None)
@@ -297,19 +324,21 @@ class TestPieces:
         for core, ov in parts:
             for vs in piece_sets(g, np.union1d(core, ov)):
                 W = np.union1d(W, [rng.choice(vs)])
-        cover = Cover([Community.of(core, ov, W) for core, ov in parts])
+        cover = Cover([Community(core, ov) for core, ov in parts], W)
         y = rng.standard_normal(g.n)
         kp = KernelParams(s=1.5)
         got, diags, _ = interpolate_cover(g, cover, y, kp)
-        pieces = [independent_pieces(g, c) for c in cover.communities]
+        nodes = [np.intersect1d(c.subdomain, W) for c in cover.communities]
+        assert [d.sample_count for d in diags] == [len(w) for w in nodes]
+        pieces = [independent_pieces(g, c, W) for c in cover.communities]
         assert [(d.pieces, d.min_piece_samples) for d in diags] == [
             (len(ps), min(n for _, n in ps)) for ps in pieces
         ]
         assert np.abs(got - whole_subdomain_route(g, cover, y, kp)).max() <= 1e-10 * np.abs(y).max()
-        per_piece = [piecewise_interpolant(g, c, y, kp) for c in cover.communities]
+        per_piece = [piecewise_interpolant(g, c, W, y, kp) for c in cover.communities]
         assert np.array_equal(got, blend(g, cover, y, [values for values, _ in per_piece]))
-        for c, d, (_, resid) in zip(cover.communities, diags, per_piece):
-            expect = community_residual(resid, y[c.interpolation_nodes])
+        for w, d, (_, resid) in zip(nodes, diags, per_piece):
+            expect = community_residual(resid, y[w])
             assert d.solve_residual == pytest.approx(expect, rel=1e-12, abs=0)
 
     @settings(max_examples=60, deadline=None)
@@ -319,7 +348,7 @@ class TestPieces:
         rng = np.random.default_rng(seed)
         W = np.unique(rng.integers(0, g.n, int(rng.integers(1, max(2, g.n // 4)))))
         cover = detect_communities(g, W, DetectionParams(small_fraction=small_fraction))
-        pieces = [independent_pieces(g, c) for c in cover.communities]
+        pieces = [independent_pieces(g, c, W) for c in cover.communities]
         free = [(cid, size) for cid, ps in enumerate(pieces) for size, k in ps if k == 0]
         if free:
             with pytest.raises(SampleFreePieceError) as exc:
@@ -364,7 +393,7 @@ class TestPieces:
         y = np.sin(np.arange(200) / 7.0)
         kp = KernelParams(s=s)
         base = global_gbf_baseline(geometric200, y, W, kp)
-        whole = Cover([community(range(200), W)])
+        whole = cover_of((range(200), W))
         got, diags, _ = interpolate_cover(geometric200, whole, y, kp)
         if s == 1.5:
             assert np.array_equal(base.approximant, got)

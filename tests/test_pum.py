@@ -22,36 +22,34 @@ from conftest import community_interpolant
 
 
 
-def _community(core, overlap=(), nodes=()):
-    return Community(
-        core=np.array(core, dtype=np.int64),
-        overlap=np.array(overlap, dtype=np.int64),
-        interpolation_nodes=np.array(nodes, dtype=np.int64),
-    )
+def _community(core, overlap=()):
+    return Community(core=np.array(core, dtype=np.int64), overlap=np.array(overlap, dtype=np.int64))
+
+
+def _samples(*ids):
+    return np.array(ids, dtype=np.int64)
 
 
 class TestPartitionOfUnity:
     def test_single_membership_weight_one(self):
-        cover = Cover([_community([0, 1, 2], nodes=[0])])
+        cover = Cover([_community([0, 1, 2])], _samples(0))
         pu = build_pu(cover, 3)
         assert pu.weights(np.array([0, 1, 2])).tolist() == [1.0, 1.0, 1.0]
 
     def test_double_membership_half(self):
-        cover = Cover(
-            [_community([0, 1], [2], nodes=[0]), _community([2], [1], nodes=[2])]
-        )
+        cover = Cover([_community([0, 1], [2]), _community([2], [1])], _samples(0, 2))
         pu = build_pu(cover, 3)
         assert pu.multiplicity.tolist() == [1, 2, 2]
         assert pu.weights(np.array([1, 2])).tolist() == [0.5, 0.5]
 
     def test_uncovered_vertex(self):
-        cover = Cover([_community([0, 1], nodes=[0])])
+        cover = Cover([_community([0, 1])], _samples(0))
         with pytest.raises(UncoveredVertexError):
             build_pu(cover, 3)
 
     @pytest.mark.parametrize("cores, first", [([[0, 1]], 2), ([[3], [1, 4]], 0), ([], 0)])
     def test_lowest_uncovered_vertex_named(self, cores, first):
-        cover = Cover([_community(core, nodes=core[:1]) for core in cores])
+        cover = Cover([_community(core) for core in cores], _samples(*(core[0] for core in cores)))
         with pytest.raises(UncoveredVertexError) as exc:
             build_pu(cover, 5)
         assert exc.value.vertex == first
@@ -69,23 +67,23 @@ class TestPartitionOfUnity:
 
 class TestLocalInterpolant:
     def test_single_vertex_subdomain(self, path3):
-        c = _community([1], nodes=[1])
+        c = _community([1])
         y = np.array([0.0, 5.0, 0.0])
-        s, _ = community_interpolant(path3, c, y, KernelParams())
+        s, _ = community_interpolant(path3, c, _samples(1), y, KernelParams())
         assert s[0] == pytest.approx(5.0, rel=1e-12)
         assert len(s) == 1
 
     def test_all_nodes_constant_signal(self, two_triangle):
-        c = _community(range(6), nodes=range(6))
+        c = _community(range(6))
         y = np.ones(6)
-        s, _ = community_interpolant(two_triangle, c, y, KernelParams())
+        s, _ = community_interpolant(two_triangle, c, np.arange(6), y, KernelParams())
         assert np.abs(s - 1.0).max() <= 1e-7
 
     def test_single_edge_hand_solution(self):
         g = Graph.from_edges(2, [(0, 1)])
-        c = _community([0, 1], nodes=[0])
+        c = _community([0, 1])
         y = np.array([1.0, 0.0])
-        s, _ = community_interpolant(g, c, y, KernelParams(epsilon=1.0, s=1.0))
+        s, _ = community_interpolant(g, c, _samples(0), y, KernelParams(epsilon=1.0, s=1.0))
         # K = [[2/3,1/3],[1/3,2/3]], a = 1.5, s = (1, 0.5)
         assert np.allclose(s, [1.0, 0.5], atol=1e-12)
 
@@ -94,42 +92,39 @@ class TestLocalInterpolant:
         y = synthetic_signal(geometric200)
         cover = detect_communities(geometric200, W, DetectionParams())
         for cid, c in enumerate(cover.communities):
-            s, resid = community_interpolant(geometric200, c, y, KernelParams())
+            s, resid = community_interpolant(geometric200, c, W, y, KernelParams())
             sub = c.subdomain
-            pos = np.searchsorted(sub, c.interpolation_nodes)
-            rel = np.abs(s[pos] - y[c.interpolation_nodes]) / np.maximum(
-                np.abs(y[c.interpolation_nodes]), 1e-30
-            )
+            nodes = np.intersect1d(sub, W)
+            pos = np.searchsorted(sub, nodes)
+            rel = np.abs(s[pos] - y[nodes]) / np.maximum(np.abs(y[nodes]), 1e-30)
             assert rel.max() <= 1e-7
             assert resid <= 1e-6
 
     def test_no_samples(self, path3):
-        c = _community([0, 1], nodes=[])
+        c = _community([0, 1])
         with pytest.raises(NoSamplesError):
-            community_interpolant(path3, c, np.zeros(3), KernelParams())
+            community_interpolant(path3, c, _samples(2), np.zeros(3), KernelParams())
 
     def test_locality(self, path10):
         # changing the signal outside the subdomain leaves the local solution alone
-        c = _community([0, 1, 2], [3], nodes=[0, 2])
+        c = _community([0, 1, 2], [3])
         y1 = synthetic_signal(path10)
         y2 = y1.copy()
         y2[7] += 100.0
-        s1, _ = community_interpolant(path10, c, y1, KernelParams())
-        s2, _ = community_interpolant(path10, c, y2, KernelParams())
+        s1, _ = community_interpolant(path10, c, _samples(0, 2), y1, KernelParams())
+        s2, _ = community_interpolant(path10, c, _samples(0, 2), y2, KernelParams())
         assert np.array_equal(s1, s2)
 
 
 class TestAssembleAndRrmse:
     def test_single_community_identity(self, path3):
-        cover = Cover([_community([0, 1, 2], nodes=[0])])
+        cover = Cover([_community([0, 1, 2])], _samples(0))
         pu = build_pu(cover, 3)
         s = np.array([1.0, 2.0, 3.0])
         assert assemble_global(cover, pu, s, 3).tolist() == [1.0, 2.0, 3.0]
 
     def test_two_subdomain_average(self):
-        cover = Cover(
-            [_community([0], [1], nodes=[0]), _community([1], [0], nodes=[1])]
-        )
+        cover = Cover([_community([0], [1]), _community([1], [0])], _samples(0, 1))
         pu = build_pu(cover, 2)
         out = assemble_global(cover, pu, np.array([2.0, 2.0, 4.0, 4.0]), 2)
         assert out.tolist() == [3.0, 3.0]
@@ -137,7 +132,7 @@ class TestAssembleAndRrmse:
     @pytest.mark.parametrize("length", [0, 3, 5])
     def test_one_value_per_copy(self, length):
         # two subdomains of two vertices each: four copies
-        cover = Cover([_community([0], [1], nodes=[0]), _community([1], [0], nodes=[1])])
+        cover = Cover([_community([0], [1]), _community([1], [0])], _samples(0, 1))
         with pytest.raises(ValueError, match="one value per vertex copy"):
             assemble_global(cover, build_pu(cover, 2), np.ones(length), 2)
 
@@ -246,9 +241,9 @@ class TestBaseline:
         y = synthetic_signal(path10)
         W = np.array([0, 5, 9])
         base = global_gbf_baseline(path10, y, W, KernelParams())
-        cover = Cover([_community(range(10), nodes=W)])
+        cover = Cover([_community(range(10))], W)
         pu = build_pu(cover, 10)
-        s, _ = community_interpolant(path10, cover.communities[0], y, KernelParams())
+        s, _ = community_interpolant(path10, cover.communities[0], W, y, KernelParams())
         assembled = assemble_global(cover, pu, s, 10)
         assert np.abs(base.approximant - assembled).max() <= 1e-8
 
