@@ -32,6 +32,7 @@ os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM
 
 import hashlib  # noqa: E402
 import json  # noqa: E402
+from dataclasses import asdict  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -65,7 +66,7 @@ def digest(case: str, y, W, result, cover) -> dict:
     at_w = np.zeros(len(y), dtype=bool)
     at_w[W] = True
     approx = result.approximant
-    diags = json.dumps([d.to_json_dict() for d in result.per_community], sort_keys=True)
+    diags = json.dumps([asdict(d) for d in result.per_community], sort_keys=True)
     cover_sha = cores_sha = None
     if cover is not None:
         pairs = [[c.core.tolist(), c.overlap.tolist()] for c in cover.communities]

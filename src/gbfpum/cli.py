@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .community import FORMAT_VERSION, Cover, DetectionParams, detect_communities
+from .community import FORMAT_VERSION, Cover, DetectionParams, core_membership, detect_communities
 from .errors import GraphError, NumericalError, ZeroSignalError
 from .graph import Graph, as_vertex_set, load_graph
 from .kernel import KernelParams
@@ -287,7 +287,7 @@ def cmd_partition(args) -> None:
     _write_json(args.out, doc)
 
     # plot data: one row per vertex with core id, overlap memberships, sample flag
-    member = cover.membership(g.n)
+    member = core_membership(g.n, [c.core for c in cover.communities])
     over = [[] for _ in range(g.n)]
     for cid, c in enumerate(cover.communities):
         for v in c.overlap:

@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .graph import Graph, as_vertex_set, csr_gather, sorted_unique
+from .graph import Graph, as_vertex_set, csr_gather, groups, sorted_unique
 from .metrics import default_alpha, katz_centrality, modularity
 from .numerics import check_positive
 
@@ -59,14 +59,10 @@ class Cover:
     """Communities and the sample set W; each community interpolates at W ∩ its subdomain."""
 
     communities: list[Community]
-    samples: np.ndarray  # W: sorted, duplicate-free int64; not serialised
+    samples: np.ndarray  # W: vertex ids, which the interpolation stage checks; not serialised
     provenance: list[dict] = field(default_factory=list)
     # wall seconds per detection stage; not serialised, so the JSON stays deterministic
     stage_times: dict[str, float] = field(default_factory=dict, compare=False)
-
-    def membership(self, n: int) -> np.ndarray:
-        """Core assignment per vertex; cores must partition 0..n-1."""
-        return core_membership(n, [c.core for c in self.communities])
 
     def to_json_dict(self) -> dict:
         return {
@@ -261,12 +257,6 @@ def _split_phase(
         touched = _restrict(label, np.concatenate([split, fresh]))
 
 
-def _cores_of(label: np.ndarray) -> list[np.ndarray]:
-    """Sorted vertex set of each core id 0..max(label)."""
-    order = np.argsort(label, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(label))[:-1])
-
-
 def merge_small(
     g: Graph, label: np.ndarray, p: DetectionParams, provenance: list[dict]
 ) -> np.ndarray:
@@ -296,7 +286,7 @@ def merge_small(
     is_big = sizes >= threshold
     is_big[np.argmax(sizes)] = True  # the largest core is big, or promoted to it
     big, small = np.flatnonzero(is_big), np.flatnonzero(~is_big)
-    cores = _cores_of(label)
+    cores = groups(label)
     rows = np.concatenate([cores[i] for i in small])
     A = g.adjacency()
     P = A[rows] @ A
@@ -389,7 +379,7 @@ def detect_communities(g: Graph, W: np.ndarray, p: DetectionParams) -> Cover:
     t4 = time.perf_counter()
     provenance.append({"action": "expand", "q_after": q_final})
 
-    communities = [Community(c, o) for c, o in zip(_cores_of(label), overlaps)]
+    communities = [Community(c, o) for c, o in zip(groups(label), overlaps)]
     stage_times = {
         "katz_s": t1 - t0,
         "split_s": t2 - t1,

@@ -151,6 +151,11 @@ def csr_gather(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.arange(len(row)) + (starts - np.cumsum(counts) + counts)[row], row
 
 
+def groups(label: np.ndarray) -> list[np.ndarray]:
+    """Ascending ids i with label[i] == j, for each label j in 0..max(label)."""
+    return np.split(np.argsort(label, kind="stable"), np.cumsum(np.bincount(label))[:-1])
+
+
 def sorted_unique(keys: np.ndarray) -> np.ndarray:
     """`np.unique` of integer keys, by a sort and a mask of changes.
 

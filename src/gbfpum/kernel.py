@@ -1,7 +1,7 @@
 """Polyharmonic-spline kernels on graph Laplacians and their precision matrices.
 
-K = (eps I + L)^(-s). The two interpolation routes of `pum` reach it
-differently:
+K = (eps I + L)^(-s), where `KernelParams` holds eps above SHIFT_TOL, as a graph
+Laplacian's lambda_min is 0. The two interpolation routes of `pum` reach it differently:
 
 - the kernel route (`kernel_block`) forms the block K[W,W] at the nodes W
   and a function that evaluates K[:, W] a. For integer s it uses one sparse
@@ -47,6 +47,8 @@ class KernelParams:
     def __post_init__(self):
         check_positive("epsilon", self.epsilon)
         check_positive("s", self.s)
+        if self.epsilon <= SHIFT_TOL:
+            raise ValueError(f"epsilon must exceed {SHIFT_TOL}, got {self.epsilon}")
         if self.s > S_MAX:
             raise ValueError(f"s must be at most {S_MAX}, got {self.s}")
 
@@ -74,9 +76,6 @@ def gbf_kernel(
 
 def _shifted_laplacian(g: Graph, p: KernelParams) -> sp.csr_matrix:
     """M = eps I + L as scipy CSR, L the Laplacian of g; K = M^(-s)."""
-    shift = p.epsilon  # + lambda_min, which is 0 for every graph Laplacian
-    if shift <= SHIFT_TOL:
-        raise NonPositiveShiftError(float(shift), SHIFT_TOL)
     return (g.sparse_laplacian() + p.epsilon * sp.identity(g.n, format="csr")).tocsr()
 
 

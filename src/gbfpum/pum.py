@@ -36,13 +36,14 @@ from scipy.sparse import csgraph
 
 from .community import FORMAT_VERSION, Community, Cover, DetectionParams, detect_communities
 from .errors import (
+    EmptySetError,
     NoSamplesError,
     NonFiniteResidualError,
     SampleFreePieceError,
     UncoveredVertexError,
     ZeroSignalError,
 )
-from .graph import Graph, as_vertex_set
+from .graph import Graph, as_vertex_set, groups
 from .kernel import KernelParams, kernel_block, precision_matrix
 from .numerics import low_eigen, sparse_lu, spd_solve, sym_eigen
 
@@ -71,9 +72,6 @@ class CommunityDiagnostics:
     pieces: int
     min_piece_samples: int
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class PumResult:
@@ -82,17 +80,15 @@ class PumResult:
     per_community: list[CommunityDiagnostics]
     wall_times: dict[str, float] = field(default_factory=dict)
 
-    def to_json_dict(self, params: dict | None = None) -> dict:
-        doc = {
+    def to_json_dict(self, params: dict) -> dict:
+        return {
             "format_version": FORMAT_VERSION,
             "rrmse": self.rrmse,
             "n_communities": len(self.per_community),
-            "per_community": [d.to_json_dict() for d in self.per_community],
+            "per_community": [asdict(d) for d in self.per_community],
             "wall_times": self.wall_times,
+            "params": params,
         }
-        if params is not None:
-            doc["params"] = params
-        return doc
 
 
 def build_pu(cover: Cover, n: int) -> PartitionOfUnity:
@@ -119,7 +115,7 @@ def local_interpolant(
     ||K[W,W] a - y[W]||.
     """
     if len(nodes) == 0:
-        raise NoSamplesError(0)
+        raise EmptySetError("interpolation node set")
     Kww, evaluate = kernel_block(g, nodes, p)
     a = spd_solve(Kww, y_nodes)
     return evaluate(a), float(np.linalg.norm(Kww @ a - y_nodes))
@@ -200,8 +196,7 @@ def _kernel_solve(
     """
     f = np.empty(union.n)
     r2 = np.zeros(union.n)
-    by_piece = np.argsort(piece, kind="stable")  # each piece's copies in ascending order
-    for vs in np.split(by_piece, np.cumsum(np.bincount(piece))[:-1]):
+    for vs in groups(piece):
         # a piece that is the whole union gets the union itself, not a copy of it
         sub, vs = union.induced_subgraph(vs)
         hit = sampled[vs]
@@ -216,12 +211,12 @@ def _interpolate(
     """The interpolation stage on `cover`, with `_native_solve` or `_kernel_solve` as `solve`.
 
     Each community interpolates at the cover's samples in its subdomain; one
-    mask of the samples over the graph marks the sampled copies.
+    mask over the graph, set at the checked sample ids, marks the sampled copies.
     """
     if len(y) != g.n:
         raise ValueError(f"need one signal value per vertex ({g.n}), got {len(y)}")
     mask = np.zeros(g.n, dtype=bool)
-    mask[cover.samples] = True
+    mask[as_vertex_set(cover.samples, g.n)] = True
     bad = np.flatnonzero(mask & ~np.isfinite(y))
     if len(bad):
         raise ValueError(f"signal value {y[bad[0]]} at sampled vertex {bad[0]} is not finite")
@@ -272,9 +267,10 @@ def interpolate_cover(
     written back at the samples. Before any solve, one connected-components
     pass over the subdomains' disjoint union labels its pieces and counts
     them per subdomain; a piece with no sample raises SampleFreePieceError.
-    A signal without one value per vertex, or not finite at a sample, raises
-    ValueError first. Also returns the wall seconds of the solves
-    (`solve_s`) and of the blend and write-back (`assemble_s`).
+    A signal without one value per vertex raises ValueError first, then a
+    sample id out of 0..n-1 OutOfRangeError (order and repeats do not matter)
+    and a signal not finite at a sample ValueError. Also returns the wall
+    seconds of the solves (`solve_s`) and of the blend and write-back (`assemble_s`).
     """
     return _interpolate(g, cover, y, kp, _solver(kp))
 
@@ -334,7 +330,7 @@ def global_gbf_baseline(
     than the graph itself, and both solves took about 0.009 s (best of
     seven, one BLAS thread).
     """
-    whole = Cover([Community(np.arange(g.n), np.array([], dtype=np.int64))], as_vertex_set(W, g.n))
+    whole = Cover([Community(np.arange(g.n), np.array([], dtype=np.int64))], W)
     return _scored(g, y_full, whole, kp, _kernel_solve, 0.0)
 
 

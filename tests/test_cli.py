@@ -147,6 +147,7 @@ class TestInterpolate:
         [
             ("--epsilon", "-1"),
             ("--epsilon", "nan"),
+            ("--epsilon", "1e-13"),
             ("--exponent", "0"),
             ("--exponent", "inf"),
             ("--exponent", "65"),
@@ -440,9 +441,10 @@ def test_out_ending_in_csv_exit_1(fixture_files, tmp_path, capsys, command):
         (["benchmark", "--synthetic", "--counts", "a,b"], "r.json"),
         (["interpolate", "--synthetic", "--n-samples", "2"], "r.csv"),
         (["interpolate", "--synthetic", "--n-samples", "2", "--exponent", "1e300"], "r.json"),
+        (["interpolate", "--synthetic", "--n-samples", "2", "--epsilon", "1e-13"], "r.json"),
     ],
     ids=["no sample flag", "both sample flags", "no signal flag", "both signal flags",
-         "n-samples 0", "counts 6,2", "counts a,b", "out r.csv", "exponent 1e300"],
+         "n-samples 0", "counts 6,2", "counts a,b", "out r.csv", "exponent 1e300", "epsilon 1e-13"],
 )
 def test_usage_error_before_any_file_is_read(tmp_path, capsys, argv, out):
     # the graph file is missing, so a check made after reading it would exit 2

@@ -354,6 +354,10 @@ class TestDetect:
             with pytest.raises(ValueError):
                 DetectionParams(alpha=alpha)
 
+    def test_no_samples(self, path10):
+        with pytest.raises(ValueError, match="^need at least one interpolation node$"):
+            detect_communities(path10, [], DetectionParams())
+
     def test_determinism(self, geometric200):
         W = np.arange(0, 200, 7)
         p = DetectionParams()
@@ -478,7 +482,7 @@ class TestExpandOverlap:
 
     def test_idempotent(self, geometric200):
         cover = detect_communities(geometric200, np.arange(0, 200, 11), DetectionParams())
-        label = cover.membership(geometric200.n)
+        label = core_membership(geometric200.n, [c.core for c in cover.communities])
         once = expand_overlap(geometric200, label)
         twice = expand_overlap(geometric200, label)
         assert all(a.tolist() == b.tolist() for a, b in zip(once, twice))

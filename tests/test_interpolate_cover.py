@@ -1,6 +1,7 @@
 """The interpolation stage `interpolate_cover`: native route, kernel route, pieces."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -31,8 +32,8 @@ from gbfpum.community import Community, Cover
 from gbfpum.errors import (
     NoSamplesError,
     NonFiniteResidualError,
-    NonPositiveShiftError,
     NumericalError,
+    OutOfRangeError,
     SampleFreePieceError,
 )
 
@@ -194,15 +195,6 @@ class TestNativeRoute:
         assert np.array_equal(got, y)
         assert diags[0].solve_residual == 0.0
 
-    @pytest.mark.parametrize("s", [2.0, 1.5])
-    def test_nonpositive_shift(self, path10, s):
-        cover = cover_of((range(10), [0, 5]))
-        # refused for lying at most kernel.SHIFT_TOL above 0, not for being non-positive;
-        # the fractional route adds the computed lambda_min, 0 up to rounding
-        shift = r"^epsilon \+ lambda_min = (1e-13|9\.9\d*e-14) is not above the bound 1e-12;"
-        with pytest.raises(NonPositiveShiftError, match=shift):
-            interpolate_cover(path10, cover, np.ones(10), KernelParams(epsilon=1e-13, s=s))
-
     def test_overflowing_residual_names_the_community(self, path10):
         # entries of A = (eps I + L)^s near eps^s overflow when squared. Community 0's
         # samples hold y = 0, so its right-hand side and residual are 0 and finite.
@@ -268,6 +260,27 @@ class TestSignalCheck:
                 stage(y)
 
 
+class TestSampleIds:
+    # the stage checks the ids of a hand-built cover's samples before it indexes with them
+    @staticmethod
+    def whole(samples):
+        return Cover([Community(np.arange(10), np.array([], int))], np.array(samples))
+
+    @pytest.mark.parametrize("s", [2.0, 1.5])
+    @pytest.mark.parametrize("samples, vertex", [([-1, 3], -1), ([3, 10], 10)], ids=["-1", "n"])
+    def test_out_of_range(self, path10, s, samples, vertex):
+        message = rf"^vertex {vertex} out of range for graph of order 10$"
+        with pytest.raises(OutOfRangeError, match=message):
+            interpolate_cover(path10, self.whole(samples), np.arange(10.0), KernelParams(s=s))
+
+    @pytest.mark.parametrize("s", [2.0, 1.5])
+    def test_order_and_repeats_ignored(self, path10, s):
+        y = np.cos(np.arange(10.0))
+        got = interpolate_cover(path10, self.whole([3, 3, 1]), y, KernelParams(s=s))[0]
+        expect = interpolate_cover(path10, self.whole([1, 3]), y, KernelParams(s=s))[0]
+        assert np.array_equal(got, expect)
+
+
 class TestPieces:
     @staticmethod
     def split_cover(nodes_b):
@@ -288,7 +301,7 @@ class TestPieces:
         got, diags, _ = interpolate_cover(path10, cover, y, KernelParams(s=s))
         assert [(d.pieces, d.min_piece_samples) for d in diags] == [(1, 1), (2, 1), (1, 1)]
         assert np.abs(got - kernel_route(path10, cover, y, KernelParams(s=s))).max() <= 1e-12
-        doc = diags[1].to_json_dict()
+        doc = asdict(diags[1])
         assert (doc["pieces"], doc["min_piece_samples"]) == (2, 1)
 
     def test_per_piece_route_by_hand(self, path10):

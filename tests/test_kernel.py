@@ -10,7 +10,6 @@ from gbfpum import (
     Graph,
     KernelParams,
     gbf_kernel,
-    local_interpolant,
     sample_nodes,
     spd_solve,
     sym_eigen,
@@ -81,6 +80,18 @@ class TestGbfKernel:
             with pytest.raises(ValueError):
                 KernelParams(**bad)
         assert KernelParams(s=S_MAX).s == 64  # the bound itself is allowed
+        # eps + lambda_min must exceed kernel.SHIFT_TOL, and a Laplacian's lambda_min is 0
+        for eps in (1e-13, 1e-12):
+            with pytest.raises(ValueError, match=rf"^epsilon must exceed 1e-12, got {eps}$"):
+                KernelParams(epsilon=eps)
+
+    def test_nonpositive_shift(self, path10):
+        # L - 0.02 I is no Laplacian: its lambda_min is -0.02, so eps + lambda_min = -0.01
+        L = path10.laplacian() - 0.02 * np.eye(10)
+        with pytest.raises(NonPositiveShiftError) as exc:
+            gbf_kernel(L, KernelParams(epsilon=0.01), np.arange(10))
+        assert exc.value.shift == pytest.approx(-0.01, abs=1e-12)
+        assert exc.value.tol == gbfpum.kernel.SHIFT_TOL
 
 
 class TestKernelColumns:
@@ -165,11 +176,3 @@ class TestKernelColumns:
         assert kept[0].shape == (len(cols), len(cols))
         assert peak - base < 3 * block_bytes
         assert held - base < block_bytes + 2**20
-
-    @pytest.mark.parametrize("s", [2.0, 1.5])
-    def test_nonpositive_shift_through_local_interpolant(self, path10, s):
-        # refused for lying at most kernel.SHIFT_TOL above 0, not for being non-positive;
-        # the fractional route adds the computed lambda_min, 0 up to rounding
-        shift = r"^epsilon \+ lambda_min = (1e-13|9\.9\d*e-14) is not above the bound 1e-12;"
-        with pytest.raises(NonPositiveShiftError, match=shift):
-            local_interpolant(path10, np.array([0, 5]), np.ones(2), KernelParams(epsilon=1e-13, s=s))

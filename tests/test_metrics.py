@@ -11,7 +11,7 @@ from gbfpum import (
     katz_centrality,
     modularity,
 )
-from gbfpum.errors import AlphaDivergesError
+from gbfpum.errors import AlphaDivergesError, EmptySetError
 from gbfpum.metrics import jaccard_communities
 
 from conftest import neighbors, random_connected_graph
@@ -154,6 +154,13 @@ class TestModularity:
         g = Graph.from_edges(2, [(0, 1)])
         assert modularity(g, np.array([0, 1])) == pytest.approx(-0.5, abs=1e-12)
 
+    def test_edgeless_graph_zero(self):
+        assert modularity(Graph.from_edges(1, []), [0]) == 0.0
+
+    def test_label_per_vertex(self, two_triangle):
+        with pytest.raises(ValueError, match="^membership must assign every vertex$"):
+            modularity(two_triangle, np.zeros(5, dtype=int))
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6))
     def test_matches_double_sum_oracle(self, seed):
@@ -186,6 +193,10 @@ class TestJaccard:
 
     def test_endpoint_communities(self, path3):
         assert jaccard_communities(path3, np.array([0]), np.array([2])) == 1.0
+
+    def test_empty_community(self, path3):
+        with pytest.raises(EmptySetError, match="^empty community$"):
+            jaccard_communities(path3, [], [1])
 
     def test_two_triangle_pairs_mean(self, two_triangle):
         U, V = np.array([0, 1]), np.array([4, 5])

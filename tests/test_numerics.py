@@ -162,6 +162,11 @@ class TestCheckSymmetricBlocks:
         with pytest.raises(NonFiniteMatrixError):
             check_symmetric(M)
 
+    def test_shapes(self):
+        with pytest.raises(NotSymmetricError):
+            check_symmetric(np.ones((2, 3)))  # not square
+        check_symmetric(np.zeros((0, 0)))  # the empty matrix is symmetric
+
 
 class TestSpdSolve:
     def test_identity(self):

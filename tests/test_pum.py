@@ -16,7 +16,7 @@ from gbfpum import (
     synthetic_signal,
 )
 from gbfpum.community import Community, Cover
-from gbfpum.errors import NoSamplesError, UncoveredVertexError, ZeroSignalError
+from gbfpum.errors import EmptySetError, NoSamplesError, UncoveredVertexError, ZeroSignalError
 
 from conftest import community_interpolant
 
@@ -102,7 +102,7 @@ class TestLocalInterpolant:
 
     def test_no_samples(self, path3):
         c = _community([0, 1])
-        with pytest.raises(NoSamplesError):
+        with pytest.raises(EmptySetError, match="^empty interpolation node set$"):
             community_interpolant(path3, c, _samples(2), np.zeros(3), KernelParams())
 
     def test_locality(self, path10):
@@ -149,6 +149,10 @@ class TestAssembleAndRrmse:
     def test_rrmse_zero_signal(self):
         with pytest.raises(ZeroSignalError):
             rrmse(np.zeros(3), np.ones(3))
+
+    def test_rrmse_unequal_lengths(self):
+        with pytest.raises(ValueError, match="^signals must have equal length$"):
+            rrmse(np.ones(3), np.ones(2))
 
 
 class TestPipeline:
