@@ -8,14 +8,18 @@ Laplacian's lambda_min is 0. The two interpolation routes of `pum` reach it diff
   LDL^T factor (`numerics.sparse_lu`) of M = eps I + L and no dense n x n
   matrix. K[W,W] is built numerics.SOLVE_BLOCK columns at a time: a block
   of unit columns at W is solved s times and its rows at W are kept, so no
-  n x |W| array is formed. K[:, W] a = M^(-s) a, with a scattered to W,
-  takes s single-vector solves. Any other s takes the spectral expansion
-  of a dense eigendecomposition (`gbf_kernel`), which the tests also use
-  as the oracle for the sparse one. `pum` asks for it per connected piece,
-  so the dense order is a piece's. The eigendecomposition works in the
-  storage of L; with divide and conquer (orders up to
-  `numerics.EVD_MAX_ORDER`) it adds two n x n of workspace, with MRRR
-  (above) one n x n for the eigenvectors.
+  n x |W| array is formed. The block is then averaged with its transpose
+  in place, one panel of SOLVE_BLOCK columns at a time, and
+  `numerics.spd_solve` factors it in its own storage, so one |W| x |W|
+  buffer serves from the block to the solve. K[:, W] a = M^(-s) a, with a
+  scattered to W, takes s single-vector solves. Any other s takes the
+  spectral expansion of a dense eigendecomposition (`gbf_kernel`), which
+  the tests also use as the oracle for the sparse one; its block K[W,W] is
+  a fresh copy, which `spd_solve` factors in place as well. `pum` asks for
+  it per connected piece, so the dense order is a piece's. The
+  eigendecomposition works in the storage of L; with divide and conquer
+  (orders up to `numerics.EVD_MAX_ORDER`) it adds two n x n of workspace,
+  with MRRR (above) one n x n for the eigenvectors.
 - the native route never forms K: for integer s the precision matrix
   A = K^(-1) = M^s (`precision_matrix`) is sparse, and `pum` solves with it.
 """
@@ -120,6 +124,12 @@ def kernel_block(
             v = lu.solve(v)
         return v
 
-    block += block.T  # numpy buffers the overlapping transpose
-    block /= 2.0
+    # (B + B^T) / 2 in place, one panel of SOLVE_BLOCK columns and the same
+    # rows at a time: panel i reads and writes only rows and columns from i on
+    for i in range(0, len(cols), SOLVE_BLOCK):
+        lo = block[i:, i : i + SOLVE_BLOCK]
+        hi = block[i : i + SOLVE_BLOCK, i:]
+        avg = (lo + hi.T) / 2.0
+        lo[...] = avg
+        hi[...] = avg.T
     return block, evaluate

@@ -46,7 +46,9 @@ EVD_MAX_ORDER = 512
 # s = 3 in blocks of 32, against 0.087 and 0.135 s in one block of 800 and
 # 0.046 and 0.064 s in blocks of 8 (median of 9, one BLAS thread), with
 # bit-identical output: each column is solved on its own, and a block stays
-# in cache.
+# in cache. It is also the panel width of the in-place passes over a dense
+# block: the symmetrisation of K[W,W] there, and the rebuild of the triangle
+# that `spd_solve` factors in the caller's storage.
 SOLVE_BLOCK = 32
 
 
@@ -64,12 +66,13 @@ def check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be a positive finite number, got {value}")
 
 
-def check_symmetric(M) -> None:
-    """Raise NotSymmetricError unless max|M - M^T| <= SYM_TOL * max(1, max|M|).
+def check_symmetric(M) -> float:
+    """max|M - M^T|, raising NotSymmetricError unless it is <= SYM_TOL * max(1, max|M|).
 
     NaN or inf entries raise NonFiniteMatrixError (NaN passes any tolerance
     test). Accepts dense arrays and scipy sparse matrices; O(nnz) when sparse.
-    A dense M is read in row blocks of about SYM_BLOCK entries.
+    A dense M is read in row blocks of about SYM_BLOCK entries. 0.0 means M
+    is exactly symmetric.
     """
     if not sp.issparse(M):
         M = np.asarray(M, dtype=np.float64)
@@ -77,7 +80,7 @@ def check_symmetric(M) -> None:
         raise NotSymmetricError(float("inf"))
     n = M.shape[0]
     if n == 0:
-        return
+        return 0.0
     if sp.issparse(M):
         blocks = [(M, M.T)]
     else:
@@ -92,6 +95,7 @@ def check_symmetric(M) -> None:
         asym = max(asym, float(abs(rows - rows_t).max()))
     if asym > SYM_TOL * max(1.0, peak):
         raise NotSymmetricError(asym)
+    return asym
 
 
 def sym_eigen(M: np.ndarray, overwrite: bool = False) -> EigenDecomposition:
@@ -118,15 +122,46 @@ def sym_eigen(M: np.ndarray, overwrite: bool = False) -> EigenDecomposition:
 
 
 def spd_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve M x = b for symmetric positive definite M and one vector b via Cholesky."""
+    """Solve M x = b for symmetric positive definite M and one vector b via Cholesky.
+
+    M is handed back unchanged. When it is a writeable, C-ordered float64
+    array that `check_symmetric` measures as exactly symmetric, the factor
+    is made in M's own storage, over its upper triangle, which is then
+    rebuilt from the untouched strict lower triangle and a saved diagonal,
+    also when NotPositiveDefiniteError is raised: no second n x n is held,
+    but M must not be read elsewhere during the call. Any other M is
+    factored from a copy. Both give the same bits.
+    """
     M = np.asarray(M, dtype=np.float64)
-    check_symmetric(M)
-    c, info = dpotrf(M, lower=1)
-    if info != 0:
-        raise NotPositiveDefiniteError(pivot=int(info) - 1)
-    # dpotrs fails only on an illegal argument, and f2py rejects a mis-sized b first
-    x, _ = dpotrs(c, np.asarray(b, dtype=np.float64), lower=1)
-    return x
+    in_place = check_symmetric(M) == 0.0 and M.flags.writeable and M.flags.c_contiguous
+    if in_place:
+        diag = M.diagonal().copy()
+    try:
+        # M.T is M in Fortran order: LAPACK's lower triangle is M's upper one
+        c, info = dpotrf(M.T if in_place else M, lower=1, clean=0, overwrite_a=in_place)
+        if info != 0:
+            raise NotPositiveDefiniteError(pivot=int(info) - 1)
+        # dpotrs fails only on an illegal argument, and f2py rejects a mis-sized b first
+        x, _ = dpotrs(c, np.asarray(b, dtype=np.float64), lower=1)
+        return x
+    finally:
+        if in_place:
+            _mirror_lower(M, diag)
+
+
+def _mirror_lower(M: np.ndarray, diag: np.ndarray) -> None:
+    """Copy M's strict lower triangle over its upper one and write `diag` on its diagonal.
+
+    One panel of SOLVE_BLOCK rows at a time, so no n x n temporary is formed.
+    """
+    n = len(M)
+    k = np.arange(SOLVE_BLOCK)
+    upper = k[:, None] < k  # the strict upper triangle of a diagonal square
+    for i in range(0, n, SOLVE_BLOCK):
+        j = min(i + SOLVE_BLOCK, n)
+        M[i:j, j:] = M[j:, i:j].T
+        np.copyto(M[i:j, i:j], M[i:j, i:j].T, where=upper[: j - i, : j - i])
+    np.fill_diagonal(M, diag)
 
 
 def sparse_lu(M: sp.spmatrix) -> SuperLU:

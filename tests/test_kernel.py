@@ -10,6 +10,7 @@ from gbfpum import (
     Graph,
     KernelParams,
     gbf_kernel,
+    local_interpolant,
     sample_nodes,
     spd_solve,
     sym_eigen,
@@ -160,19 +161,57 @@ class TestKernelColumns:
         evaluate(np.ones(len(cols)))
         assert widths == [0] * s  # s single-vector solves
 
-    @pytest.mark.parametrize("s", [2, 3])
-    def test_integer_route_memory(self, minnesota, s):
-        # tracemalloc sees numpy's buffers (not SuperLU's factor): the route
-        # holds K[W,W] and a few n x SOLVE_BLOCK blocks, never an n x |W| array
-        cols = sample_nodes(minnesota.n, 800, 0)
-        block_bytes = len(cols) ** 2 * 8
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_block_is_reference_average(self, geometric200, s):
+        # the in-place panels give (B + B^T) / 2 bit for bit, B the block as
+        # solved; 67 columns make panels of 32, 32 and 3
+        cols = np.arange(0, 200, 3)
+        p = KernelParams(s=float(s))
+        X = np.zeros((geometric200.n, len(cols)), order="F")
+        X[cols, np.arange(len(cols))] = 1.0
+        lu = gbfpum.numerics.sparse_lu(gbfpum.kernel._shifted_laplacian(geometric200, p))
+        for _ in range(s):
+            X = lu.solve(X)
+        B = X[cols]
+        assert not np.array_equal(B, B.T)  # the average has work to do
+        Kww, _ = kernel_block(geometric200, cols, p)
+        assert np.array_equal(Kww, (B + B.T) / 2.0)
+
+    @staticmethod
+    def _traced(call):
+        """call()'s result, and the numpy bytes it held at its peak and at its return."""
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            kept = kernel_block(minnesota, cols, KernelParams(s=float(s)))
+            kept = call()
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return kept, peak - base, held - base
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_integer_route_memory(self, minnesota, s):
+        # tracemalloc sees numpy's buffers (not SuperLU's factor): the route
+        # holds K[W,W] and a few n x SOLVE_BLOCK blocks, never an n x |W|
+        # array, and symmetrises K[W,W] in its own storage
+        cols = sample_nodes(minnesota.n, 800, 0)
+        block_bytes = len(cols) ** 2 * 8
+        kept, peak, held = self._traced(
+            lambda: kernel_block(minnesota, cols, KernelParams(s=float(s)))
+        )
         assert kept[0].shape == (len(cols), len(cols))
-        assert peak - base < 3 * block_bytes
-        assert held - base < block_bytes + 2**20
+        assert peak < 1.5 * block_bytes
+        assert held < block_bytes + 2**20
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_local_interpolant_memory(self, minnesota, minnesota_signal, s):
+        # the Cholesky factor of K[W,W] is made in the block's own storage
+        cols = sample_nodes(minnesota.n, 800, 0)
+        block_bytes = len(cols) ** 2 * 8
+        y = minnesota_signal[cols]
+        kept, peak, held = self._traced(
+            lambda: local_interpolant(minnesota, cols, y, KernelParams(s=float(s)))
+        )
+        assert kept[0].shape == (minnesota.n,)
+        assert peak < 1.5 * block_bytes
+        assert held < 2**20

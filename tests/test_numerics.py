@@ -139,21 +139,23 @@ class TestCheckSymmetricBlocks:
     """The dense check runs in row blocks; verdict and reported maximum are the whole-matrix ones."""
 
     @pytest.mark.parametrize("order", [1, 2, 300, 700])  # 300 and 700 take 2 and 8 blocks
-    @pytest.mark.parametrize("where", ["first", "last", "none"])
+    @pytest.mark.parametrize("where", ["first", "last", "none", "within"])
     def test_matches_whole_matrix(self, order, where):
         rng = np.random.default_rng(order)
         M = rng.standard_normal((order, order))
         M = (M + M.T) / 2
         if where != "none" and order > 1:
             i = 0 if where == "first" else order - 1
-            M[i, (i + 1) % order] += 1e-3 * (1 + i)
+            M[i, (i + 1) % order] += 1e-14 if where == "within" else 1e-3 * (1 + i)
         asym = float(np.abs(M - M.T).max())
         if asym > SYM_TOL * max(1.0, float(np.abs(M).max())):
             with pytest.raises(NotSymmetricError) as exc:
                 check_symmetric(M)
             assert exc.value.max_asym == asym
         else:
-            check_symmetric(M)
+            # the reported maximum: 0.0 exactly when M is exactly symmetric
+            assert check_symmetric(M) == asym
+            assert (asym > 0) == (where == "within" and order > 1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_in_a_late_block(self, bad):
@@ -165,7 +167,24 @@ class TestCheckSymmetricBlocks:
     def test_shapes(self):
         with pytest.raises(NotSymmetricError):
             check_symmetric(np.ones((2, 3)))  # not square
-        check_symmetric(np.zeros((0, 0)))  # the empty matrix is symmetric
+        assert check_symmetric(np.zeros((0, 0))) == 0.0  # the empty matrix is symmetric
+
+
+def random_spd(order: int, seed: int) -> np.ndarray:
+    """An exactly symmetric, positive definite C-ordered matrix."""
+    R = np.random.default_rng(seed).standard_normal((order, order))
+    return R.T @ R + np.eye(order)
+
+
+def recording_dpotrf(overwrite: list):
+    """LAPACK's dpotrf, recording each call's `overwrite_a` in `overwrite`."""
+    dpotrf = gbfpum.numerics.dpotrf
+
+    def call(a, **kwargs):
+        overwrite.append(bool(kwargs.get("overwrite_a", False)))
+        return dpotrf(a, **kwargs)
+
+    return call
 
 
 class TestSpdSolve:
@@ -178,9 +197,49 @@ class TestSpdSolve:
         assert np.allclose(x, [1.0, 1.0], atol=1e-12)
 
     def test_singular_rejected(self):
-        with pytest.raises(NotPositiveDefiniteError) as exc:
-            spd_solve(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.array([1.0, 0.0]))
-        assert exc.value.pivot == 1
+        # the factor fails at the same pivot in M's storage as in a copy's, and
+        # M is rebuilt; pivot 40 lies in the second panel of 32 rows
+        wide = random_spd(70, 4)
+        wide[40, 40] = 0.0  # the Schur complement's pivot there is negative
+        for M, bad in ((np.array([[1.0, -1.0], [-1.0, 1.0]]), 1), (wide, 40)):
+            before = M.copy()
+            for A in (np.asfortranarray(M.copy()), M):
+                with pytest.raises(NotPositiveDefiniteError) as exc:
+                    spd_solve(A, np.ones(len(M)))
+                assert exc.value.pivot == bad
+            assert np.array_equal(M, before)
+
+    @pytest.mark.parametrize("order", [1, 31, 32, 33, 70])  # around the panel edges
+    def test_in_place_matches_copy(self, monkeypatch, order):
+        M = random_spd(order, order)
+        b = np.random.default_rng(0).standard_normal(order)
+        before = M.copy()
+        expect = spd_solve(np.asfortranarray(M.copy()), b)
+        overwrite = []
+        monkeypatch.setattr(gbfpum.numerics, "dpotrf", recording_dpotrf(overwrite))
+        x = spd_solve(M, b)
+        assert overwrite == [True]
+        assert np.array_equal(x, expect)
+        assert np.array_equal(M, before)
+
+    @pytest.mark.parametrize("kind", ["read-only", "fortran", "asymmetric"])
+    def test_copy_path_inputs_kept(self, monkeypatch, kind):
+        M = random_spd(40, 5)
+        if kind == "read-only":
+            M.flags.writeable = False
+        elif kind == "fortran":
+            M = np.asfortranarray(M)
+        else:
+            M[3, 7] += 1e-14  # within SYM_TOL: accepted, but not exactly symmetric
+            assert check_symmetric(M) > 0
+        before = M.copy()
+        b = np.ones(40)
+        overwrite = []
+        monkeypatch.setattr(gbfpum.numerics, "dpotrf", recording_dpotrf(overwrite))
+        x = spd_solve(M, b)
+        assert overwrite == [False]
+        assert np.linalg.norm(before @ x - b) <= 1e-8 * np.linalg.norm(b)
+        assert np.array_equal(M, before)
 
     def test_random_spd_roundtrip(self):
         rng = np.random.default_rng(1)
@@ -214,7 +273,7 @@ def test_non_finite_matrix_rejected(factor, bad):
 
 class TestSparse:
     def test_check_symmetric_sparse(self):
-        check_symmetric(sp.csr_matrix([[2.0, -1.0], [-1.0, 2.0]]))
+        assert check_symmetric(sp.csr_matrix([[2.0, -1.0], [-1.0, 2.0]])) == 0.0
         with pytest.raises(NotSymmetricError):
             check_symmetric(sp.csr_matrix([[2.0, -1.0], [0.0, 2.0]]))
 
