@@ -13,9 +13,11 @@ total `detect_s`, each as the median of the runs with a `<name>_range`
 count, the largest subdomain, the provenance entries of scored splits
 (`split_entries`), the small cores merged (`merges`) and how many of those
 merges left a disconnected core (`merges_disconnected`), the provenance's
-JSON size in bytes and the sha256 of the cover JSON, which every run must
-repeat. Run it with each checkout's sources first on the path and diff the
-digests:
+JSON size in bytes and the sha256 of the cover JSON. Every run must repeat
+that digest, and it must equal the pinned `COVER_SHA256` of its size; either
+mismatch raises, so a change to any cover at scale fails the script. A change
+that moves a cover on purpose re-pins the digest it prints. Run it with the
+sources first on the path:
 
     PYTHONPATH=src python3 scripts/detect_scaling.py
 """
@@ -42,8 +44,13 @@ from gbfpum import (  # noqa: E402
     synthetic_signal,
 )
 
-SIZES = (10_000, 20_000, 50_000)
 REPEATS = 3
+# sha256 of the default cover's JSON per graph order n
+COVER_SHA256 = {
+    10_000: "79282aedcfb51cc74d2dca1e995b543081963fb44c9a147189919fb5a35b248a",
+    20_000: "30c57f0f578078149a31038b2cf33bc6a3a2b22fcde13600c94dec697b914c19",
+    50_000: "02b00af0cf37540516d6d967cc2ce55430bff85bc3f9938e82c69839936e448c",
+}
 
 
 def timed_run(text: str, N: int) -> tuple[dict[str, float], Cover]:
@@ -62,13 +69,15 @@ def timed_run(text: str, N: int) -> tuple[dict[str, float], Cover]:
 
 
 def main() -> None:
-    for n in SIZES:
+    for n, pinned in COVER_SHA256.items():
         edges = road_surrogate(n=n, m_target=int(1.25 * n), seed=1)
         text = "".join(f"{u} {v}\n" for u, v in edges)
         runs = [timed_run(text, n // 10) for _ in range(REPEATS)]
         digests = {hashlib.sha256(cover.to_json().encode()).hexdigest() for _, cover in runs}
         if len(digests) != 1:
             raise RuntimeError(f"n = {n}: the {REPEATS} runs gave {len(digests)} different covers")
+        if digests != {pinned}:
+            raise RuntimeError(f"n = {n}: cover sha256 {digests.pop()} is not the pinned {pinned}")
         cover = runs[0][1]
         line = {"n": n, "N": n // 10, "repeats": REPEATS}
         for key in runs[0][0]:

@@ -3,8 +3,10 @@
 Exit codes: 1 usage error, 2 input data error, 3 numerical failure.
 
 The argument parser is the only source of usage errors: every usage rule is a
-flag's `type`, a required flag or a required group of exclusive flags, so a
-usage error exits 1 before any file is read. Each field of the params
+flag's `type`, a required flag, a required group of exclusive flags or the
+one rule across flags, that neither output (the JSON and the CSV beside it)
+is the other or resolves to the `--graph`, `--signal` or `--samples` file;
+so a usage error exits 1 before any file is read. Each field of the params
 dataclasses a subcommand builds is one of its flags, stored under the
 field's name, and one key of its JSON `params` block.
 """
@@ -50,6 +52,25 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageFailure(message)
 
+    def parse_args(self, args=None, namespace=None):
+        """The flags, with `csv_path`: --out with the subcommand's CSV suffix.
+
+        A usage error when an output would overwrite the other or an input file.
+        """
+        a = super().parse_args(args, namespace)
+        try:
+            a.csv_path = Path(a.out).with_suffix(a.csv_suffix)
+        except ValueError:  # a path with no file name: "", "/"
+            self.error(f"--out {a.out!r} is not a file path")
+        written = {Path(a.out).resolve(), a.csv_path.resolve()}
+        if len(written) == 1:
+            self.error(f"--out {a.out}: the CSV written beside the JSON would overwrite it")
+        for name in ("graph", "signal", "samples"):
+            path = getattr(a, name, None)
+            if path is not None and Path(path).resolve() in written:
+                self.error(f"--out {a.out}: an output would overwrite the --{name} file {path}")
+        return a
+
 
 def _param(cls, name: str) -> dict:
     """argparse `dest`, `type` and `default` from field `name` of a params dataclass.
@@ -84,25 +105,16 @@ def _int_at_least(low: int, kind: str):
 
 
 def _counts(text: str) -> list[int]:
-    """The --counts sweep: ascending positive sample counts, comma-separated."""
+    """The --counts sweep: strictly ascending positive sample counts, comma-separated."""
     try:
-        counts = [int(c) for c in text.split(",") if c.strip()]
+        counts = [int(c) for c in text.split(",")]  # an empty field is no integer
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad value: {text!r}") from None
-    if not counts:
-        raise argparse.ArgumentTypeError("must list at least one sample count")
-    if counts != sorted(counts):
-        raise argparse.ArgumentTypeError("must be ascending")
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text!r}") from None
+    if any(a >= b for a, b in zip(counts, counts[1:])):
+        raise argparse.ArgumentTypeError(f"must be strictly ascending, got {text!r}")
     if counts[0] < 1:
         raise argparse.ArgumentTypeError("must be positive")
     return counts
-
-
-def _json_out(text: str) -> str:
-    """An --out path whose CSV, written beside it with the suffix `.csv`, is not itself."""
-    if Path(text).with_suffix(".csv") == Path(text):
-        raise argparse.ArgumentTypeError(f"{text}: the CSV written beside the JSON would overwrite it")
-    return text
 
 
 def _add_common(sub: argparse.ArgumentParser, with_kernel: bool) -> None:
@@ -113,9 +125,9 @@ def _add_common(sub: argparse.ArgumentParser, with_kernel: bool) -> None:
     sub.add_argument("--alpha", help="Katz attenuation (default: capped)", **alpha)
     sub.add_argument("--small-fraction", **_param(DetectionParams, "small_fraction"))
     settings = (DetectionParams, KernelParams) if with_kernel else (DetectionParams,)
-    sub.set_defaults(settings=settings)  # the params dataclasses it builds, in `_settings`
-    out = _json_out if with_kernel else str
-    sub.add_argument("--out", required=True, type=out, help="output JSON path")
+    # the params dataclasses it builds, in `_settings`, and the suffix of its CSV
+    sub.set_defaults(settings=settings, csv_suffix=".csv" if with_kernel else ".plot.csv")
+    sub.add_argument("--out", required=True, help="output JSON path")
     if with_kernel:
         signal = sub.add_mutually_exclusive_group(required=True)
         signal.add_argument("--signal", help="CSV of vertex_id,value")
@@ -295,7 +307,7 @@ def cmd_partition(args) -> None:
     in_w = np.zeros(g.n, dtype=bool)
     in_w[W] = True
     _write_csv(
-        Path(args.out).with_suffix(".plot.csv"),
+        args.csv_path,
         ["vertex", "community", "overlap_of", "is_sample"],
         ([v, int(member[v]), ";".join(map(str, over[v])), int(in_w[v])] for v in range(g.n)),
     )
@@ -311,7 +323,7 @@ def cmd_interpolate(args) -> None:
     _write_json(args.out, doc)
     truth, approx = y.tolist(), result.approximant.tolist()
     _write_csv(
-        Path(args.out).with_suffix(".csv"),
+        args.csv_path,
         ["vertex", "truth", "approximant", "abs_error"],
         ([v, repr(t), repr(a), repr(abs(t - a))] for v, (t, a) in enumerate(zip(truth, approx))),
     )
@@ -350,7 +362,7 @@ def cmd_benchmark(args) -> None:
     _write_json(args.out, doc)
     scored = ("rrmse", "time_s", "baseline_time_s", "baseline_rrmse")
     _write_csv(
-        Path(args.out).with_suffix(".csv"),
+        args.csv_path,
         ["N", "communities", *scored],
         ([r["n_samples"], r["communities"], *("" if r[k] is None else repr(r[k]) for k in scored)]
          for r in rows),

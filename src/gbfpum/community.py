@@ -18,8 +18,9 @@ vertex carry the label -1, for a core that a pass leaves alone.
 
 `split_community` is the split phase's pass function: one call plans the
 bipartitions of many cores at once and scores each plan's modularity gain
-from the same gather of the cores' edges, so each plan is scored in the call
-that makes it.
+from the same edges, so each plan is scored in the call that makes it. Each
+stage finds the edges inside its cores with one mask over the CSR entries
+(`Graph.heads`, `Graph.indices`), on global vertex ids.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .graph import Graph, as_vertex_set, csr_gather, groups, sorted_unique
+from .graph import Graph, as_vertex_set, groups, sorted_unique
 from .metrics import default_alpha, katz_centrality, modularity
 from .numerics import check_positive
 
@@ -102,20 +103,16 @@ class DetectionParams:
             check_positive("alpha", self.alpha)
 
 
-def _intra_edges(g: Graph, label: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(vs, row, col): the labelled vertices vs (label >= 0) and the edges among
-    them whose two ends share a label, read with one CSR gather.
+def _intra_edges(g: Graph, label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v): the CSR entries whose two ends carry the same label >= 0, on
+    global vertex ids, read with one mask over `Graph.heads`.
 
-    Edge i joins vs[row[i]] to vs[col[i]]; `row` is ascending, each row's
-    columns in the graph's order. Distinct labels share no edge.
+    Each such edge appears twice, once from each end; `u` is ascending, each
+    row's `v` in the graph's order. Distinct labels share no edge.
     """
-    vs = np.flatnonzero(label >= 0)
-    at, row = csr_gather(g.indptr, vs)
-    nbr = g.indices[at]
-    keep = label[nbr] == label[vs][row]
-    local = np.full(g.n, -1, dtype=np.int64)
-    local[vs] = np.arange(len(vs))
-    return vs, row[keep], local[nbr[keep]]
+    head = label[g.heads]
+    keep = (head >= 0) & (head == label[g.indices])
+    return g.heads[keep], g.indices[keep]
 
 
 def split_community(
@@ -139,16 +136,16 @@ def split_community(
     cut counts the core's edges between its sides a and b and deg_a, deg_b
     are the sides' degree sums.
 
-    One breadth-first search serves every planned core: the planned cores
-    share no kept edge, and a super-source, one extra row after the core
-    vertices, lists every first seed before every second seed. The queue is
-    first in, first out, so by induction on the hop count each level holds
-    the first seeds' trees before the second seeds' trees: a vertex with
+    One breadth-first search on global vertex ids serves every planned core:
+    the planned cores share no kept edge, and a super-source, vertex n, lists
+    every first seed before every second seed. The queue is first in, first
+    out, so by induction on the hop count each level holds the first seeds'
+    trees before the second seeds' trees: a vertex with
     d1 <= d2 is found from a first seed's tree, one with d2 < d1 only from a
     second seed's. A vertex joins side b exactly when the root of its search
     tree, found by pointer jumping over the predecessors, is a second seed;
-    unreached vertices root at themselves and stay on side a. The same
-    gather of kept edges gives each core's cut.
+    unreached vertices, among them every vertex of no planned core, root at
+    themselves and stay on side a. The same kept edges give each core's cut.
     """
     w = W[label[W] >= 0]
     lw = label[w]
@@ -160,33 +157,31 @@ def split_community(
     first = first[first + 1 < len(w)]
     first = first[lw[first + 1] == lw[first]]
     planned = lw[first]
-    second = np.zeros(g.n, dtype=bool)
     if len(planned) == 0:
-        return second, planned, np.zeros(0, dtype=np.int64)
+        return np.zeros(g.n, dtype=bool), planned, np.zeros(0, dtype=np.int64)
     label = _restrict(label, planned)
-    vs, row, col = _intra_edges(g, label)
-    nv = len(vs)
-    seeds = np.searchsorted(vs, np.concatenate([w[first], w[first + 1]]))
-    # the kept edges' rows in order, then the super-source row nv; columns as given
-    indptr = np.append(np.searchsorted(row, np.arange(nv + 1)), len(row) + len(seeds))
+    u, v = _intra_edges(g, label)
+    seeds = np.concatenate([w[first], w[first + 1]])
+    # the kept edges' rows in order, then the super-source row n; columns as given
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(u, minlength=g.n)), [len(u) + len(seeds)]])
     adj = sp.csr_matrix(
-        (np.ones(indptr[-1]), np.append(col, seeds), indptr), shape=(nv + 1, nv + 1)
+        (np.ones(indptr[-1]), np.append(v, seeds), indptr), shape=(g.n + 1, g.n + 1)
     )
-    pred = csgraph.breadth_first_order(adj, nv, return_predecessors=True)[1][:nv]
-    root = np.where((pred < 0) | (pred == nv), np.arange(nv), pred)
+    pred = csgraph.breadth_first_order(adj, g.n, return_predecessors=True)[1][: g.n]
+    root = np.where((pred < 0) | (pred == g.n), np.arange(g.n), pred)
     while True:
         up = root[root]
         if np.array_equal(up, root):
             break
         root = up
-    is_second = np.zeros(nv, dtype=bool)
+    is_second = np.zeros(g.n, dtype=bool)
     is_second[seeds[len(planned) :]] = True
-    b = is_second[root]
-    second[vs] = b
-    lv, k = label[vs], int(label.max()) + 1
-    cut = np.bincount(lv[row[b[row] != b[col]]], minlength=k) // 2  # each cut edge twice
-    deg = np.bincount(2 * lv + b, weights=g.degrees()[vs], minlength=2 * k).reshape(-1, 2)
-    deg, cut = deg.astype(np.int64)[planned], cut[planned]
+    second = is_second[root]
+    k = int(label.max()) + 1
+    cut = np.bincount(label[u[second[u] != second[v]]], minlength=k)[planned] // 2  # each twice
+    # the sides' degree sums of core c in row c + 1; the vertices labelled -1 fill row 0
+    deg = np.bincount(2 * label + second + 2, weights=g.degrees(), minlength=2 * k + 2)
+    deg = deg.reshape(-1, 2).astype(np.int64)[planned + 1]
     return second, planned, deg[:, 0] * deg[:, 1] - len(g.indices) * cut
 
 
@@ -311,7 +306,7 @@ def merge_small(
     arrival = np.zeros(len(sizes), dtype=np.int64)
     arrival[small] = np.arange(1, len(small) + 1)
     arrival = arrival[label]
-    _, u, v = _intra_edges(g, owner)  # every vertex labelled: local = global
+    u, v = _intra_edges(g, owner)
     up = u < v
     u, v = u[up], v[up]
     weight = np.maximum(arrival[u], arrival[v]) + 1  # >= 1: a zero entry is no edge
@@ -334,20 +329,18 @@ def expand_overlap(g: Graph, label: np.ndarray) -> list[np.ndarray]:
     boundary-free vertices add nothing. Cores are untouched, so a second
     application is a no-op.
 
-    Every core at once: r(v) from the row counts of the intra-core graph, and
-    each ring as (core, vertex) keys, the 2-hop ones from one product A[far] @ A.
+    Every core at once: r(v) from the row counts of the intra-core edges, and
+    each ring as (core, vertex) keys: the 1-hop ones from the CSR entries of
+    the ring's vertices, the 2-hop ones from one product A[far] @ A.
     """
-    deg = g.degrees()
-    r = np.bincount(_intra_edges(g, label)[1], minlength=g.n) / np.maximum(deg, 1)
-    has_nb = deg > 0
-    far = np.flatnonzero(has_nb & (r <= T_LOW))
-    ring = np.flatnonzero(has_nb & (r <= T_HIGH))
-    at, row = csr_gather(g.indptr, ring)
+    r = np.bincount(_intra_edges(g, label)[0], minlength=g.n) / np.maximum(g.degrees(), 1)
+    far = np.flatnonzero(r <= T_LOW)  # a vertex of no edge reads r = 0 and adds nothing
+    at = (r <= T_HIGH)[g.heads]  # the edges out of every vertex that adds its 1-hop ring
     two_hop = g.adjacency()[far] @ g.adjacency()
     keys = sorted_unique(
         np.concatenate(
             [
-                label[ring][row] * g.n + g.indices[at],
+                label[g.heads[at]] * g.n + g.indices[at],
                 np.repeat(label[far], np.diff(two_hop.indptr)) * g.n + two_hop.indices,
             ]
         )

@@ -28,12 +28,14 @@ class Graph:
     """Undirected simple graph held as one read-only binary CSR adjacency.
 
     `indptr` and `indices` are the adjacency's own arrays (row v lists the
-    sorted neighbors of v); every structural query (degrees, connectivity,
-    subgraphs, Laplacians) reads that matrix. `katz_memo` is the one memo:
-    `metrics.katz_centrality` keeps its last (alpha, read-only vector) there.
+    sorted neighbors of v), and `heads` holds each entry's row, so entry i
+    is the edge end pair (heads[i], indices[i]); every structural query
+    (degrees, connectivity, subgraphs, Laplacians, edges inside a label)
+    reads these. `katz_memo` is the one memo: `metrics.katz_centrality`
+    keeps its last (alpha, read-only vector) there.
     """
 
-    __slots__ = ("n", "m", "indptr", "indices", "_adj", "katz_memo")
+    __slots__ = ("n", "m", "indptr", "indices", "heads", "_adj", "katz_memo")
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray, m: int):
         self.n = n
@@ -45,6 +47,8 @@ class Graph:
             arr.setflags(write=False)
         self.indptr = self._adj.indptr
         self.indices = self._adj.indices
+        self.heads = np.repeat(np.arange(n), self.degrees())
+        self.heads.setflags(write=False)
         self.katz_memo: tuple[float, np.ndarray] | None = None
 
     @classmethod
@@ -107,8 +111,8 @@ class Graph:
 
         Vertex i of the result is a copy of vertex concat(parts)[i]; two
         copies are adjacent when they come from the same part and their
-        originals are adjacent. Read with one numpy gather over
-        `indptr`/`indices`: each copy keeps the neighbors found in its own part.
+        originals are adjacent. Read with one numpy gather of the copies'
+        CSR rows: each copy keeps the neighbors found in its own part.
         One part holding every vertex gives the graph itself.
         """
         if len(parts) == 1 and len(parts[0]) == self.n:
@@ -116,7 +120,10 @@ class Graph:
         vs = np.concatenate(parts)
         part = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
         key = part * self.n + vs  # strictly increasing: sorted parts, in order
-        flat, row = csr_gather(self.indptr, vs)
+        starts = self.indptr[vs]
+        counts = self.indptr[vs + 1] - starts
+        row = np.repeat(np.arange(len(vs)), counts)  # the copy each gathered entry belongs to
+        flat = np.arange(len(row)) + (starts - np.cumsum(counts) + counts)[row]
         nbr_key = part[row] * self.n + self.indices[flat]
         col = np.minimum(np.searchsorted(key, nbr_key), max(len(vs) - 1, 0))
         hit = key[col] == nbr_key
@@ -129,26 +136,14 @@ class Graph:
 
     def laplacian(self) -> np.ndarray:
         """Dense combinatorial Laplacian L = D - A, written from the CSR arrays into one buffer."""
-        deg = self.degrees()
         L = np.zeros((self.n, self.n))
-        L[np.repeat(np.arange(self.n), deg), self.indices] = -1.0
-        np.fill_diagonal(L, deg)
+        L[self.heads, self.indices] = -1.0
+        np.fill_diagonal(L, self.degrees())
         return L
 
     def sparse_laplacian(self) -> sp.csr_matrix:
         """Combinatorial Laplacian L = D - A as scipy CSR."""
         return (sp.diags(self.degrees().astype(np.float64)) - self.adjacency()).tocsr()
-
-
-def csr_gather(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entry positions of the CSR rows `rows`, row after row, and each entry's row.
-
-    The row is an index into `rows`; no sparse object is formed.
-    """
-    starts = indptr[rows]
-    counts = indptr[rows + 1] - starts
-    row = np.repeat(np.arange(len(rows)), counts)
-    return np.arange(len(row)) + (starts - np.cumsum(counts) + counts)[row], row
 
 
 def groups(label: np.ndarray) -> list[np.ndarray]:

@@ -58,10 +58,9 @@ def modularity(g: Graph, membership: np.ndarray) -> float:
         raise ValueError("membership must assign every vertex")
     n_comm = int(membership.max(initial=-1)) + 1
     deg = g.degrees().astype(np.float64)
-    rows = np.repeat(np.arange(g.n), deg.astype(np.int64))
-    same = membership[rows] == membership[g.indices]
+    head = membership[g.heads]
     intra_halfedges = np.bincount(
-        membership[rows][same], minlength=n_comm
+        head[head == membership[g.indices]], minlength=n_comm
     ).astype(np.float64)
     deg_tot = np.bincount(membership, weights=deg, minlength=n_comm)
     if g.m == 0:

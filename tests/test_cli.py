@@ -13,6 +13,9 @@ from gbfpum.community import FORMAT_VERSION
 DATA = Path(__file__).resolve().parent.parent / "data"
 
 TWO_TRIANGLE_EDGES = "0 1\n0 2\n1 2\n2 3\n3 4\n3 5\n4 5\n"
+SIGNAL_CSV = "vertex_id,value\n" + "\n".join(
+    f"{v},{val}" for v, val in enumerate([1.0, 2.0, 3.0, 3.0, 2.0, 1.0])
+)
 
 
 @pytest.fixture
@@ -22,9 +25,7 @@ def fixture_files(tmp_path):
     samples = tmp_path / "w.txt"
     samples.write_text("0\n4\n")
     signal = tmp_path / "y.csv"
-    signal.write_text(
-        "vertex_id,value\n" + "\n".join(f"{v},{val}" for v, val in enumerate([1.0, 2.0, 3.0, 3.0, 2.0, 1.0]))
-    )
+    signal.write_text(SIGNAL_CSV)
     return graph, samples, signal
 
 
@@ -368,7 +369,8 @@ class TestBenchmark:
         rc = main(["benchmark", "--graph", str(graph), "--signal", str(signal), "--counts", "7", "--out", str(tmp_path / "o.json")])
         assert rc == 2
 
-    @pytest.mark.parametrize("counts", ["0", "0,2"])
+    # a repeated count would run one N twice; an empty field is no count
+    @pytest.mark.parametrize("counts", ["0", "0,2", "2,2", "2,,4", "2,", ",2"])
     def test_count_below_one_exit_1(self, fixture_files, tmp_path, capsys, counts):
         graph, _, signal = fixture_files
         rc = main(["benchmark", "--graph", str(graph), "--signal", str(signal), "--counts", counts, "--out", str(tmp_path / "o.json")])
@@ -427,6 +429,53 @@ def test_out_ending_in_csv_exit_1(fixture_files, tmp_path, capsys, command):
     assert rc == 1
     assert err.startswith("usage error:") and str(out) in err
     assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, inputs, out",
+    [
+        # the CSV beside r.json is r.csv, the signal
+        ("interpolate", {"--signal": "r.csv", "--n-samples": "2"}, "r.json"),
+        ("benchmark", {"--signal": "r.csv", "--counts": "2,4"}, "r.json"),
+        # the JSON itself is an input
+        ("partition", {"--n-samples": "2"}, "g.edges"),
+        ("interpolate", {"--signal": "y.csv", "--n-samples": "2"}, "g.edges"),
+        ("partition", {"--samples": "w.txt"}, "w.txt"),
+        ("interpolate", {"--signal": "y.csv", "--samples": "w.txt"}, "y.csv"),
+        # partition's CSV is r.plot.csv, here the sample file
+        ("partition", {"--samples": "r.plot.csv"}, "r.json"),
+        # the same file by another name
+        ("partition", {"--n-samples": "2"}, "sub/../g.edges"),
+    ],
+    ids=["interpolate csv=signal", "benchmark csv=signal", "partition json=graph",
+         "interpolate json=graph", "partition json=samples", "interpolate json=signal",
+         "partition csv=samples", "partition json=graph by another name"],
+)
+def test_output_over_an_input_exit_1(tmp_path, monkeypatch, capsys, command, inputs, out):
+    # every input is valid, so without the check the run succeeds over an input
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    files = {"g.edges": TWO_TRIANGLE_EDGES.encode()}
+    argv = [command, "--graph", str(tmp_path / "g.edges")]  # absolute, --out relative
+    for flag, value in inputs.items():
+        argv += [flag, value]
+        if flag in ("--signal", "--samples"):
+            files[value] = SIGNAL_CSV.encode() if flag == "--signal" else b"0\n4\n"
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    rc = main([*argv, "--out", out])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("usage error:") and "would overwrite" in err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == files
+
+
+@pytest.mark.parametrize("out", ["", "/"])
+def test_out_without_file_name_exit_1(fixture_files, capsys, out):
+    graph, _, _ = fixture_files
+    rc = main(["partition", "--graph", str(graph), "--n-samples", "2", "--out", out])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("usage error:")
 
 
 @pytest.mark.parametrize(

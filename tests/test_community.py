@@ -524,6 +524,7 @@ class TestPassFunctions:
         katz = global_katz(g)
         second, planned, gains = split_community(g, label, W, katz)
         assert gains.dtype == np.int64
+        assert not second[label < 0].any()
         gain = dict(zip(planned.tolist(), gains.tolist()))
         adj = g.adjacency().toarray()
         for c in range(k):
@@ -585,6 +586,27 @@ class TestPassFunctions:
             )
         # 2m = 18; degree sums 4 x 1 with 1 cut edge, and 8 x 5 with 2 (4-5, 3-8)
         assert gains.tolist() == [4 * 1 - 18 * 1, 8 * 5 - 18 * 2]
+
+    def test_search_stays_inside_planned_cores(self):
+        # planned core 0 is the path 0-...-6, seeds 0 (first) and 6; alone it
+        # splits {0..3} | {4, 5, 6}. Vertex 7 (label -1) joins 6 to 3 and the
+        # unplanned core 1 = {8, 9} (one sample) joins 0 to 4: a search that
+        # crossed either would move 3 to side b or 4 to side a
+        path = [(v, v + 1) for v in range(6)]
+        g = Graph.from_edges(10, path + [(6, 7), (7, 3), (0, 8), (8, 4), (8, 9)])
+        label = np.array([0] * 7 + [-1, 1, 1])
+        katz = np.zeros(10)
+        katz[[0, 6]] = [2.0, 1.0]
+        W = np.array([0, 6, 9])
+        second, planned, gains = split_community(g, label, W, katz)
+        assert planned.tolist() == [0]
+        assert np.flatnonzero(second).tolist() == [4, 5, 6]
+        core = np.arange(7)
+        assert [core[~second[core]].tolist(), core[second[core]].tolist()] == list(
+            split_oracle(g, core, W, katz)
+        )
+        # 2m = 22; degree sums 2+2+2+3 and 3+2+2 with the one cut edge 3-4
+        assert gains.tolist() == [9 * 7 - 22 * 1]
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 10**6), st.integers(2, 8), st.booleans())

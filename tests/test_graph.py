@@ -16,7 +16,7 @@ from gbfpum.errors import (
     SelfLoopError,
 )
 
-from conftest import neighbors, random_connected_graph
+from conftest import DATA, neighbors, random_connected_graph
 
 
 def reference_load_graph(text: str) -> Graph:
@@ -380,3 +380,35 @@ def test_disjoint_union_matches_induced_blocks(seed, k):
     assert union.n == sum(map(len, parts)) and 2 * union.m == union.degrees().sum()
     assert (union.adjacency() != expect).nnz == 0
     assert all(neighbors(union, i) == sorted(neighbors(union, i)) for i in range(union.n))
+
+
+class TestHeads:
+    """`heads[i]` is the row of CSR entry i: np.repeat(arange(n), degrees), read-only."""
+
+    @staticmethod
+    def check(g: Graph) -> None:
+        assert np.array_equal(g.heads, np.repeat(np.arange(g.n), g.degrees()))
+        assert not g.heads.flags.writeable
+        with pytest.raises(ValueError):
+            g.heads[:1] = 0
+
+    def test_loaded_graph(self):
+        g = load_graph((DATA / "minnesota_surrogate.edges").read_text())
+        self.check(g)
+        assert len(g.heads) == len(g.indices) == 2 * g.m
+
+    def test_union_with_shared_vertex(self, two_triangle):
+        # vertices 2 and 3 have a copy in each part; copy 4 of 2 keeps one edge
+        union = two_triangle.disjoint_union([np.array([0, 1, 2, 3]), np.array([2, 3, 4, 5])])
+        self.check(union)
+        assert union.heads.tolist() == [0, 0, 1, 1, 2, 2, 2, 3, 4, 5, 5, 5, 6, 6, 7, 7]
+
+    def test_isolated_vertex(self):
+        g = Graph.from_edges(4, [(0, 1), (1, 3)], require_connected=False)
+        self.check(g)
+        assert g.heads.tolist() == [0, 1, 1, 3]
+
+    def test_one_part_is_the_graph(self, two_triangle):
+        union = two_triangle.disjoint_union([np.arange(two_triangle.n)])
+        assert union is two_triangle
+        self.check(union)
