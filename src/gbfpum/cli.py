@@ -3,12 +3,16 @@
 Exit codes: 1 usage error, 2 input data error, 3 numerical failure.
 
 The argument parser is the only source of usage errors: every usage rule is a
-flag's `type`, a required flag, a required group of exclusive flags or the
-one rule across flags, that neither output (the JSON and the CSV beside it)
-is the other or resolves to the `--graph`, `--signal` or `--samples` file;
-so a usage error exits 1 before any file is read. Each field of the params
-dataclasses a subcommand builds is one of its flags, stored under the
-field's name, and one key of its JSON `params` block.
+flag's `type`, a required flag, a required group of exclusive flags or a
+rule on the outputs (the JSON and the CSV beside it): each goes into an
+existing directory and is not one, neither is the other, and neither
+resolves to the `--graph`, `--signal` or `--samples` file; so a usage error
+exits 1 before any file is read. Each field of the params dataclasses a
+subcommand builds is one of its flags, stored under the field's name, and
+one key of its JSON `params` block.
+
+The signal and sample files have one reader, `_vertex_rows`, so one set of
+row rules, and an input error names the bad row as `<file> row N`.
 """
 
 from __future__ import annotations
@@ -26,14 +30,9 @@ import numpy as np
 
 from .community import FORMAT_VERSION, Cover, DetectionParams, core_membership, detect_communities
 from .errors import GraphError, NumericalError, ZeroSignalError
-from .graph import Graph, as_vertex_set, load_graph
+from .graph import Graph, load_graph
 from .kernel import KernelParams
-from .pum import (
-    global_gbf_baseline,
-    run_pipeline,
-    sample_nodes,
-    synthetic_signal,
-)
+from .pum import global_gbf_baseline, run_pipeline, sample_nodes, synthetic_signal
 
 EXIT_USAGE = 1
 EXIT_INPUT = 2
@@ -55,14 +54,21 @@ class _Parser(argparse.ArgumentParser):
     def parse_args(self, args=None, namespace=None):
         """The flags, with `csv_path`: --out with the subcommand's CSV suffix.
 
-        A usage error when an output would overwrite the other or an input file.
+        A usage error when an output is a directory or in none, or would
+        overwrite the other or an input file.
         """
         a = super().parse_args(args, namespace)
+        out = Path(a.out)
         try:
-            a.csv_path = Path(a.out).with_suffix(a.csv_suffix)
+            a.csv_path = out.with_suffix(a.csv_suffix)
         except ValueError:  # a path with no file name: "", "/"
             self.error(f"--out {a.out!r} is not a file path")
-        written = {Path(a.out).resolve(), a.csv_path.resolve()}
+        if not out.parent.is_dir():
+            self.error(f"--out {a.out}: no directory {out.parent}")
+        for path in (out, a.csv_path):
+            if path.is_dir():
+                self.error(f"--out {a.out}: {path} is a directory")
+        written = {out.resolve(), a.csv_path.resolve()}
         if len(written) == 1:
             self.error(f"--out {a.out}: the CSV written beside the JSON would overwrite it")
         for name in ("graph", "signal", "samples"):
@@ -187,45 +193,51 @@ def _load_graph_file(path: str) -> Graph:
     return load_graph(_read_text(path, "graph file"))
 
 
-def _load_signal(path: str, n: int) -> np.ndarray:
-    text = _read_text(path, "signal file")
-    values = np.full(n, np.nan)
-    rows = csv.reader(io.StringIO(text, newline=""))
-    may_be_header = True
+def _vertex_rows(path: str, what: str, n: int, width: int):
+    """(vertex id, the other fields, the row's name) for each data row of a `what` CSV file.
+
+    A blank or whitespace-only row, or one whose first field starts with '#',
+    is a comment. Only a signal file (`width` 2) may open with one header row,
+    whose first field is no integer. Every other row holds `width` fields, the
+    first a vertex id in 0..n-1 that no earlier row holds; the field count is
+    checked before the range and the repeat. Errors name the row: `sample row 2`.
+    """
+    rows = csv.reader(io.StringIO(_read_text(path, f"{what} file"), newline=""))
+    may_be_header, seen = width == 2, set()
     for row in rows:
-        if not row or row[0].strip().startswith("#"):
+        if not "".join(row).strip() or row[0].strip().startswith("#"):
             continue
+        name = f"{what} row {rows.line_num}"
+        header, may_be_header = may_be_header, False
         try:
             vid = int(row[0])
         except ValueError:
-            if may_be_header:
-                may_be_header = False
+            if header:
                 continue
-            raise InputFailure(
-                f"signal row {rows.line_num}: vertex id is not an integer: {row[0]!r}"
-            ) from None
-        may_be_header = False
-        if len(row) < 2:
-            raise InputFailure(f"signal row {rows.line_num}: vertex {vid} has no value")
+            raise InputFailure(f"{name}: vertex id is not an integer: {row[0]!r}") from None
+        if len(row) < width:
+            raise InputFailure(f"{name}: vertex {vid} has no value")
+        if len(row) > width:
+            held = "one vertex id" if width == 1 else "a vertex id and a value"
+            raise InputFailure(f"{name}: holds more than {held}")
         if not 0 <= vid < n:
-            raise InputFailure(
-                f"signal row {rows.line_num}: vertex {vid} out of range "
-                f"for graph of order {n}"
-            )
-        if not np.isnan(values[vid]):
-            raise InputFailure(f"signal row {rows.line_num}: vertex {vid} is repeated")
+            raise InputFailure(f"{name}: vertex {vid} out of range for graph of order {n}")
+        if vid in seen:
+            raise InputFailure(f"{name}: vertex {vid} is repeated")
+        seen.add(vid)
+        yield vid, row[1:], name
+
+
+def _load_signal(path: str, n: int) -> np.ndarray:
+    values = np.full(n, np.nan)
+    for vid, (text,), name in _vertex_rows(path, "signal", n, 2):
         try:
-            value = float(row[1])
+            value = float(text)
         except ValueError:
-            raise InputFailure(
-                f"signal row {rows.line_num}: value for vertex {vid} is not a number: "
-                f"{row[1]!r}"
-            ) from None
-        if not math.isfinite(value):
-            raise InputFailure(
-                f"signal row {rows.line_num}: value for vertex {vid} is not finite: "
-                f"{row[1]!r}"
-            )
+            value = None
+        if value is None or not math.isfinite(value):
+            reason = "not a number" if value is None else "not finite"
+            raise InputFailure(f"{name}: value for vertex {vid} is {reason}: {text!r}")
         values[vid] = value
     missing = np.flatnonzero(np.isnan(values))
     if len(missing):
@@ -235,24 +247,10 @@ def _load_signal(path: str, n: int) -> np.ndarray:
 
 def _resolve_samples(args, n: int) -> np.ndarray:
     if args.samples is not None:
-        ids = set()
-        lines = _read_text(args.samples, "sample file").splitlines()
-        for line_no, line in enumerate(lines, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                vid = int(text)
-            except ValueError:
-                raise InputFailure(
-                    f"sample file line {line_no} is not a vertex id: {line!r}"
-                ) from None
-            if vid in ids:
-                raise InputFailure(f"sample file line {line_no} repeats vertex {vid}")
-            ids.add(vid)
+        ids = [vid for vid, _, _ in _vertex_rows(args.samples, "sample", n, 1)]
         if not ids:
             raise InputFailure("sample file is empty")
-        return as_vertex_set(list(ids), n)
+        return np.sort(np.array(ids, dtype=np.int64))
     if args.n_samples > n:
         raise InputFailure(f"--n-samples {args.n_samples} exceeds graph order {n}")
     return sample_nodes(n, args.n_samples, args.seed)

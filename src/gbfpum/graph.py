@@ -113,13 +113,20 @@ class Graph:
         copies are adjacent when they come from the same part and their
         originals are adjacent. Read with one numpy gather of the copies'
         CSR rows: each copy keeps the neighbors found in its own part.
-        One part holding every vertex gives the graph itself.
+        One part holding every vertex gives the graph itself. An id outside
+        0..n-1 raises OutOfRangeError (the lowest below 0, else the highest),
+        and the first part that is not strictly increasing ValueError.
         """
-        if len(parts) == 1 and len(parts[0]) == self.n:
-            return self
         vs = np.concatenate(parts)
+        if len(vs) and (vs.min() < 0 or vs.max() >= self.n):
+            raise OutOfRangeError(int(vs.min() if vs.min() < 0 else vs.max()), self.n)
         part = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
-        key = part * self.n + vs  # strictly increasing: sorted parts, in order
+        key = part * self.n + vs  # strictly increasing when every part is
+        bad = np.flatnonzero(np.diff(key) <= 0)
+        if len(bad):
+            raise ValueError(f"part {part[bad[0]]} is not strictly increasing")
+        if len(parts) == 1 and len(vs) == self.n:
+            return self
         starts = self.indptr[vs]
         counts = self.indptr[vs + 1] - starts
         row = np.repeat(np.arange(len(vs)), counts)  # the copy each gathered entry belongs to

@@ -40,7 +40,7 @@ class TestPartition:
         assert len(doc["communities"]) == 2
         assert "params" in doc
         plot = out.with_suffix(".plot.csv")
-        rows = list(csv.DictReader(open(plot)))
+        rows = list(csv.DictReader(plot.read_text().splitlines()))
         assert len(rows) == 6
         assert rows[0]["is_sample"] == "1"  # vertex 0 is sampled
 
@@ -114,7 +114,7 @@ class TestInterpolate:
         assert {"katz_s", "split_s", "merge_s", "expand_s", "solve_s", "assemble_s"} <= set(
             doc["wall_times"]
         )
-        rows = list(csv.DictReader(open(out.with_suffix(".csv"))))
+        rows = list(csv.DictReader(out.with_suffix(".csv").read_text().splitlines()))
         assert len(rows) == 6
         assert {"vertex", "truth", "approximant", "abs_error"} == set(rows[0])
 
@@ -191,6 +191,8 @@ class TestInterpolate:
             ("2.0,7", "signal row 8: vertex id is not an integer: '2.0'"),
             ("5", "signal row 8: vertex 5 has no value"),
             ("99,4", "signal row 8: vertex 99 out of range for graph of order 6"),
+            # the field count comes before the repeat; a third field used to be ignored
+            ("5,999,1", "signal row 8: holds more than a vertex id and a value"),
         ],
     )
     def test_bad_signal_row_exit_2(self, fixture_files, tmp_path, capsys, extra, message):
@@ -257,7 +259,7 @@ class TestInterpolate:
              "--out", str(tmp_path / "o.json")]
         )
         assert rc == 2
-        assert "line 2" in capsys.readouterr().err
+        assert "sample row 2" in capsys.readouterr().err
 
     def test_sample_past_64_bits_exit_2(self, fixture_files, tmp_path, capsys):
         # the int64 cast raised OverflowError, which escaped as a traceback
@@ -282,7 +284,7 @@ class TestInterpolate:
              "--out", str(out)]
         )
         assert rc == 2
-        assert "sample file line 2 repeats vertex 5" in capsys.readouterr().err
+        assert "sample row 2: vertex 5 is repeated" in capsys.readouterr().err
         assert not out.exists()
 
     def test_empty_sample_file_exit_2(self, fixture_files, tmp_path, capsys):
@@ -309,6 +311,51 @@ class TestInterpolate:
             )
             assert rc == 0
         assert outs[0].with_suffix(".csv").read_bytes() == outs[1].with_suffix(".csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # the row used to go unnamed: "vertex 9 out of range for graph of order 6"
+            ("0\n9\n", "sample row 2: vertex 9 out of range for graph of order 6"),
+            ("0\n-1\n", "sample row 2: vertex -1 out of range for graph of order 6"),
+            # used to read "sample file line 2 is not a vertex id: '4,5'"
+            ("0\n4,5\n", "sample row 2: holds more than one vertex id"),
+        ],
+    )
+    def test_bad_sample_row_exit_2(self, fixture_files, tmp_path, capsys, rows, message):
+        graph, _, signal = fixture_files
+        samples = tmp_path / "bad_w.txt"
+        samples.write_text(rows)
+        rc = main(
+            ["interpolate", "--graph", str(graph), "--signal", str(signal), "--samples", str(samples),
+             "--out", str(tmp_path / "o.json")]
+        )
+        assert rc == 2
+        assert f"input error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which", ["signal inside", "signal before header", "sample"])
+    def test_whitespace_row_is_blank(self, fixture_files, tmp_path, which):
+        # a whitespace-only signal row used to exit 2: it was read as a vertex id, or as
+        # the header, so the real header failed
+        graph, samples, signal = fixture_files
+        header, *rows = signal.read_text().splitlines()
+
+        def run(y, w, out):
+            argv = ["interpolate", "--graph", str(graph), "--signal", str(y), "--samples", str(w),
+                    "--out", str(out)]
+            assert main(argv) == 0
+            return out.with_suffix(".csv").read_bytes()
+
+        plain = run(signal, samples, tmp_path / "plain.json")
+        spaced = tmp_path / "spaced.txt"
+        lines = {
+            "signal inside": [header, *rows[:3], "   ", *rows[3:]],
+            "signal before header": [" \t", header, *rows],
+            "sample": ["0", " ", "4"],
+        }[which]
+        spaced.write_text("\n".join(lines) + "\n")
+        y, w = (signal, spaced) if which == "sample" else (spaced, samples)
+        assert run(y, w, tmp_path / "spaced.json") == plain
 
     def test_indented_comment_in_samples(self, fixture_files, tmp_path):
         # as in the signal file, a line is a comment when its first non-blank character is '#'
@@ -337,7 +384,7 @@ class TestBenchmark:
         assert doc["rows"][1]["rrmse"] <= 1e-6  # all vertices sampled
         assert all(r["baseline_time_s"] is not None for r in doc["rows"])
         assert all(r["baseline_rrmse"] is not None for r in doc["rows"])
-        rows = list(csv.reader(open(out.with_suffix(".csv"))))
+        rows = list(csv.reader(out.with_suffix(".csv").read_text().splitlines()))
         assert rows[0] == ["N", "communities", "rrmse", "time_s", "baseline_time_s", "baseline_rrmse"]
         assert len(rows) == 3
         assert [float(r[5]) for r in rows[1:]] == [r["baseline_rrmse"] for r in doc["rows"]]
@@ -350,7 +397,7 @@ class TestBenchmark:
         assert rc == 0
         doc = json.loads(out.read_text())
         assert all(r["baseline_time_s"] is None and r["baseline_rrmse"] is None for r in doc["rows"])
-        rows = list(csv.reader(open(out.with_suffix(".csv"))))
+        rows = list(csv.reader(out.with_suffix(".csv").read_text().splitlines()))
         assert rows[0][-2:] == ["baseline_time_s", "baseline_rrmse"]
         assert all(r[-2:] == ["", ""] for r in rows[1:])
 
@@ -491,9 +538,11 @@ def test_out_without_file_name_exit_1(fixture_files, capsys, out):
         (["interpolate", "--synthetic", "--n-samples", "2"], "r.csv"),
         (["interpolate", "--synthetic", "--n-samples", "2", "--exponent", "1e300"], "r.json"),
         (["interpolate", "--synthetic", "--n-samples", "2", "--epsilon", "1e-13"], "r.json"),
+        (["interpolate", "--synthetic", "--n-samples", "2"], "missing/r.json"),
     ],
     ids=["no sample flag", "both sample flags", "no signal flag", "both signal flags",
-         "n-samples 0", "counts 6,2", "counts a,b", "out r.csv", "exponent 1e300", "epsilon 1e-13"],
+         "n-samples 0", "counts 6,2", "counts a,b", "out r.csv", "exponent 1e300", "epsilon 1e-13",
+         "out in no directory"],
 )
 def test_usage_error_before_any_file_is_read(tmp_path, capsys, argv, out):
     # the graph file is missing, so a check made after reading it would exit 2
@@ -502,6 +551,19 @@ def test_usage_error_before_any_file_is_read(tmp_path, capsys, argv, out):
     assert rc == 1
     assert err.startswith("usage error:")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("directory", ["r.json", "r.csv"], ids=["json", "csv"])
+def test_out_is_a_directory_exit_1(tmp_path, capsys, directory):
+    # this used to run the job and then exit 2 with "[Errno 21] Is a directory"; the
+    # graph file is missing, so exit 1 shows that nothing was read
+    (tmp_path / directory).mkdir()
+    rc = main(["interpolate", "--synthetic", "--n-samples", "2", "--graph",
+               str(tmp_path / "missing.edges"), "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("usage error:") and f"{tmp_path / directory} is a directory" in err
+    assert list(tmp_path.iterdir()) == [tmp_path / directory]
 
 
 def test_overflowing_residual_exit_3(tmp_path, capsys):

@@ -16,7 +16,7 @@ from gbfpum.errors import (
     SelfLoopError,
 )
 
-from conftest import DATA, neighbors, random_connected_graph
+from conftest import DATA, neighbors, path_graph, random_connected_graph
 
 
 def reference_load_graph(text: str) -> Graph:
@@ -380,6 +380,26 @@ def test_disjoint_union_matches_induced_blocks(seed, k):
     assert union.n == sum(map(len, parts)) and 2 * union.m == union.degrees().sum()
     assert (union.adjacency() != expect).nnz == 0
     assert all(neighbors(union, i) == sorted(neighbors(union, i)) for i in range(union.n))
+
+
+@pytest.mark.parametrize(
+    "parts, error, message",
+    [
+        # unchecked, the first two built a wrong graph, the third returned the graph itself
+        # in its own vertex order, and the next two raised numpy's errors
+        ([[2, 1, 0]], ValueError, "part 0 is not strictly increasing"),
+        ([[1, 1, 2]], ValueError, "part 0 is not strictly increasing"),
+        ([np.arange(4)[::-1]], ValueError, "part 0 is not strictly increasing"),
+        ([[0, 4]], OutOfRangeError, "vertex 4 out of range for graph of order 4"),
+        ([[-1, 2]], OutOfRangeError, "vertex -1 out of range for graph of order 4"),
+        ([[0, 1], [3, 2]], ValueError, "part 1 is not strictly increasing"),
+    ],
+    ids=["descending", "repeat", "every vertex reversed", "above n", "negative", "second part"],
+)
+def test_disjoint_union_checks_its_parts(parts, error, message):
+    g = path_graph(4)  # 0-1-2-3
+    with pytest.raises(error, match=message):
+        g.disjoint_union(parts)
 
 
 class TestHeads:
