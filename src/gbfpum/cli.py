@@ -9,7 +9,7 @@ existing directory and is not one, neither is the other, and neither
 resolves to the `--graph`, `--signal` or `--samples` file; so a usage error
 exits 1 before any file is read. Each field of the params dataclasses a
 subcommand builds is one of its flags, stored under the field's name, and
-one key of its JSON `params` block.
+one key of its JSON `params` block; `alpha` there comes from the graph.
 
 The signal and sample files have one reader, `_vertex_rows`, so one set of
 row rules, and an input error names the bad row as `<file> row N`.
@@ -127,8 +127,6 @@ def _add_common(sub: argparse.ArgumentParser, with_kernel: bool) -> None:
     sub.add_argument("--graph", required=True, help="edge-list file")
     seed = _int_at_least(0, "non-negative")
     sub.add_argument("--seed", type=seed, default=0, help="PRNG seed for sampling")
-    alpha = _param(DetectionParams, "alpha")
-    sub.add_argument("--alpha", help="Katz attenuation (default: capped)", **alpha)
     sub.add_argument("--small-fraction", **_param(DetectionParams, "small_fraction"))
     settings = (DetectionParams, KernelParams) if with_kernel else (DetectionParams,)
     # the params dataclasses it builds, in `_settings`, and the suffix of its CSV
@@ -182,7 +180,8 @@ def _read_text(path: str, what: str) -> str:
     """
     p = Path(path)
     if not p.is_file():
-        raise InputFailure(f"{what} not found: {path}")
+        problem = f"{path} is a directory" if p.is_dir() else f"not found: {path}"
+        raise InputFailure(f"{what} {problem}")
     try:
         return p.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError:

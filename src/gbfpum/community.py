@@ -36,7 +36,6 @@ from scipy.sparse import csgraph
 
 from .graph import Graph, as_vertex_set, groups, sorted_unique
 from .metrics import default_alpha, katz_centrality, modularity
-from .numerics import check_positive
 
 FORMAT_VERSION = 3
 T_LOW, T_HIGH = 0.4, 0.8  # overlap thresholds on the internal-neighbor ratio (`expand_overlap`)
@@ -94,13 +93,10 @@ class Cover:
 @dataclass(frozen=True)
 class DetectionParams:
     small_fraction: float = 0.02
-    alpha: float | None = None  # Katz attenuation; None -> metrics.default_alpha
 
     def __post_init__(self):
         if not 0 < self.small_fraction < 1:
             raise ValueError(f"small_fraction = {self.small_fraction} is not in (0, 1)")
-        if self.alpha is not None:
-            check_positive("alpha", self.alpha)
 
 
 def _intra_edges(g: Graph, label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -358,7 +354,7 @@ def detect_communities(g: Graph, W: np.ndarray, p: DetectionParams) -> Cover:
     if len(W) == 0:
         raise ValueError("need at least one interpolation node")
     t0 = time.perf_counter()
-    alpha = default_alpha(g) if p.alpha is None else p.alpha
+    alpha = default_alpha(g)  # from the graph alone; the Katz entry records it
     katz = katz_centrality(g, alpha)
     t1 = time.perf_counter()
 

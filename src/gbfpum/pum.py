@@ -342,6 +342,10 @@ def synthetic_signal(g: Graph) -> np.ndarray:
     nonzero entry. The lowest SIGNAL_MODES + 1 pairs come from shift-invert
     Lanczos on the sparse Laplacian; only when that asks for every mode
     (SIGNAL_MODES + 1 >= n) does the dense eigendecomposition run.
+
+    It depends on the graph alone only when those SIGNAL_MODES eigenvalues are
+    simple and lie below the next; otherwise it sums whichever eigenbasis the
+    solver returns, as Lanczos does from its fixed start on K_n for n >= 12.
     """
     if SIGNAL_MODES + 1 < g.n:
         eig = low_eigen(g.sparse_laplacian(), SIGNAL_MODES + 1)

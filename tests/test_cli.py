@@ -152,8 +152,6 @@ class TestInterpolate:
             ("--exponent", "0"),
             ("--exponent", "inf"),
             ("--exponent", "65"),
-            ("--alpha", "-0.1"),
-            ("--alpha", "nan"),
             ("--small-fraction", "2"),
             ("--small-fraction", "0"),
         ],
@@ -218,6 +216,18 @@ class TestInterpolate:
         )
         assert rc == 2
         assert f"input error: {which} file {bad} is not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which", ["graph", "signal", "sample"])
+    def test_input_is_a_directory_exit_2(self, fixture_files, tmp_path, capsys, which):
+        files = dict(zip(["graph", "sample", "signal"], fixture_files))
+        files[which] = tmp_path / "dir"
+        files[which].mkdir()
+        rc = main(
+            ["interpolate", "--graph", str(files["graph"]), "--signal", str(files["signal"]),
+             "--samples", str(files["sample"]), "--out", str(tmp_path / "o.json")]
+        )
+        assert rc == 2
+        assert f"input error: {which} file {files[which]} is a directory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("which", ["graph", "signal", "sample"])
     def test_byte_order_mark_is_dropped(self, fixture_files, tmp_path, which):
@@ -434,19 +444,19 @@ class TestBenchmark:
         assert rc == 1
 
 
-def test_params_alpha_is_the_alpha_used(fixture_files, tmp_path):
-    graph, samples, signal = fixture_files
-    default = default_alpha(load_graph(graph.read_text()))
+def test_params_alpha_is_the_alpha_used(tmp_path):
+    # detection takes alpha from the graph; the block records the value it used
     runs = {
-        "partition": ["--samples", str(samples)],
-        "interpolate": ["--samples", str(samples), "--signal", str(signal)],
-        "benchmark": ["--counts", "2,4", "--signal", str(signal)],
+        "partition": ["--n-samples", "40"],
+        "interpolate": ["--n-samples", "40", "--synthetic"],
+        "benchmark": ["--counts", "20,40", "--synthetic"],
     }
     out = tmp_path / "o.json"
-    for command, args in runs.items():
-        for extra, alpha in (([], default), (["--alpha", "0.05"], 0.05)):
-            assert main([command, "--graph", str(graph), "--out", str(out), *args, *extra]) == 0
-            assert json.loads(out.read_text())["params"]["alpha"] == alpha
+    for graph in (DATA / "geometric_200.edges", DATA / "minnesota_surrogate.edges"):
+        default = default_alpha(load_graph(graph.read_text()))
+        for command, args in runs.items():
+            assert main([command, "--graph", str(graph), "--out", str(out), *args]) == 0
+            assert json.loads(out.read_text())["params"]["alpha"] == default
 
 
 @pytest.mark.parametrize("command", ["partition", "interpolate", "benchmark"])
@@ -539,10 +549,11 @@ def test_out_without_file_name_exit_1(fixture_files, capsys, out):
         (["interpolate", "--synthetic", "--n-samples", "2", "--exponent", "1e300"], "r.json"),
         (["interpolate", "--synthetic", "--n-samples", "2", "--epsilon", "1e-13"], "r.json"),
         (["interpolate", "--synthetic", "--n-samples", "2"], "missing/r.json"),
+        (["partition", "--n-samples", "2", "--alpha", "0.1"], "r.json"),
     ],
     ids=["no sample flag", "both sample flags", "no signal flag", "both signal flags",
          "n-samples 0", "counts 6,2", "counts a,b", "out r.csv", "exponent 1e300", "epsilon 1e-13",
-         "out in no directory"],
+         "out in no directory", "alpha is no flag"],
 )
 def test_usage_error_before_any_file_is_read(tmp_path, capsys, argv, out):
     # the graph file is missing, so a check made after reading it would exit 2
@@ -589,7 +600,7 @@ def test_help_exit_0(capsys, argv):
 
 # The flag of each field of the params dataclasses. A new field must come
 # with a flag, listed here, and a key in the `params` block.
-FLAGS = {"small_fraction": "--small-fraction", "alpha": "--alpha", "epsilon": "--epsilon", "s": "--exponent"}
+FLAGS = {"small_fraction": "--small-fraction", "epsilon": "--epsilon", "s": "--exponent"}
 
 
 @pytest.mark.parametrize(
@@ -602,14 +613,11 @@ FLAGS = {"small_fraction": "--small-fraction", "alpha": "--alpha", "epsilon": "-
 )
 def test_every_params_field_is_a_flag_and_a_params_key(fixture_files, tmp_path, command, settings, extra):
     graph, _, _ = fixture_files
-    values = {
-        f.name: 0.05 if f.default is None else f.default / 2  # valid, and not the default
-        for cls in settings
-        for f in dataclasses.fields(cls)
-    }
+    # valid, and not the default
+    values = {f.name: f.default / 2 for cls in settings for f in dataclasses.fields(cls)}
     flags = [arg for name, value in values.items() for arg in (FLAGS[name], str(value))]
     out = tmp_path / "o.json"
     assert main([command, "--graph", str(graph), "--out", str(out), *extra, *flags]) == 0
     params = json.loads(out.read_text())["params"]
     assert {name: params[name] for name in values} == values
-    assert set(params) == {*values, "seed"}
+    assert set(params) == {*values, "seed", "alpha"}  # alpha has no flag: detection reads the graph

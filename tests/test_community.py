@@ -350,9 +350,16 @@ class TestDetect:
         assert accepted, "a path should admit at least one modularity-raising split"
 
     def test_bad_params(self):
-        for alpha in (0.0, np.nan, np.inf):
-            with pytest.raises(ValueError):
-                DetectionParams(alpha=alpha)
+        for small_fraction in (0.0, 1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="is not in \\(0, 1\\)$"):
+                DetectionParams(small_fraction=small_fraction)
+
+    @pytest.mark.parametrize("name", ["geometric200", "minnesota"])
+    def test_katz_entry_holds_default_alpha(self, request, name):
+        # the attenuation comes from the graph alone
+        g = request.getfixturevalue(name)
+        cover = detect_communities(g, sample_nodes(g.n, 40, 0), DetectionParams())
+        assert cover.provenance[0] == {"action": "katz", "alpha": default_alpha(g)}
 
     def test_no_samples(self, path10):
         with pytest.raises(ValueError, match="^need at least one interpolation node$"):

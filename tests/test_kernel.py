@@ -203,6 +203,18 @@ class TestKernelColumns:
         assert peak < 1.5 * block_bytes
         assert held < block_bytes + 2**20
 
+    @pytest.mark.parametrize("order, bound", [(400, 3.2), (600, 2.3)])
+    def test_fractional_route_memory(self, minnesota, order, bound):
+        # the reason for numerics.EVD_MAX_ORDER: divide and conquer holds about
+        # three n x n at its peak, MRRR above the constant about two (3.03 and
+        # 2.18 here, 2.16 at order 1,200)
+        assert 400 <= gbfpum.numerics.EVD_MAX_ORDER < 600
+        sub, _ = minnesota.induced_subgraph(np.arange(order))
+        cols = np.arange(0, order, 13)
+        kept, peak, _ = self._traced(lambda: kernel_block(sub, cols, KernelParams(s=1.5)))
+        assert kept[0].shape == (len(cols), len(cols))
+        assert peak < bound * order**2 * 8
+
     @pytest.mark.parametrize("s", [2, 3])
     def test_local_interpolant_memory(self, minnesota, minnesota_signal, s):
         # the Cholesky factor of K[W,W] is made in the block's own storage

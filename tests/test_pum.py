@@ -317,9 +317,10 @@ class TestSyntheticSignalRoute:
     def test_lanczos_matches_dense_oracle(self, request, fixture):
         g = request.getfixturevalue(fixture)
         y_ref, lam = dense_signal_oracle(g)
-        # the 10 lowest nonzero modes span a well-defined space only when
-        # lambda_10 < lambda_11 by far more than rounding (8.3e-5 on minnesota)
-        assert lam[11] - lam[10] > 1e-5
+        # the signal depends on the graph alone only when lambda_1 .. lambda_10 are
+        # simple and below lambda_11, each by far more than rounding; the closest
+        # pair differs by 1.5e-5 on minnesota, lambda_11 - lambda_10 is 8.3e-5
+        assert np.diff(lam[1:12]).min() > 1e-5
         y = synthetic_signal(g)
         assert np.linalg.norm(y - y_ref) <= 1e-9 * np.linalg.norm(y_ref)
 
