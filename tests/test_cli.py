@@ -154,6 +154,8 @@ class TestInterpolate:
             ("--exponent", "65"),
             ("--small-fraction", "2"),
             ("--small-fraction", "0"),
+            ("--alpha", "-0.1"),
+            ("--alpha", "nan"),
         ],
     )
     def test_invalid_parameter_exit_1(self, fixture_files, tmp_path, capsys, flag, value):
