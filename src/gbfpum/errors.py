@@ -110,12 +110,6 @@ class ZeroSignalError(GbfPumError):
         super().__init__("reference signal has zero norm; relative error undefined")
 
 
-class NoSamplesError(GbfPumError):
-    def __init__(self, community_id: int):
-        self.community_id = community_id
-        super().__init__(f"community {community_id} contains no interpolation node")
-
-
 class UncoveredVertexError(GbfPumError):
     def __init__(self, vertex: int):
         self.vertex = vertex

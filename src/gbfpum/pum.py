@@ -37,8 +37,8 @@ from scipy.sparse import csgraph
 from .community import FORMAT_VERSION, Community, Cover, DetectionParams, detect_communities
 from .errors import (
     EmptySetError,
-    NoSamplesError,
     NonFiniteResidualError,
+    OutOfRangeError,
     SampleFreePieceError,
     UncoveredVertexError,
     ZeroSignalError,
@@ -92,10 +92,16 @@ class PumResult:
 
 
 def build_pu(cover: Cover, n: int) -> PartitionOfUnity:
-    """Count subdomain multiplicity per vertex; every vertex must be covered."""
+    """Subdomain multiplicity per vertex; the subdomains' ids must lie in 0..n-1 and cover it."""
+    subs = [c.subdomain for c in cover.communities]
     # from an empty array, so a cover without communities leaves vertex 0 uncovered
-    subs = [np.empty(0, dtype=np.int64)] + [c.subdomain for c in cover.communities]
-    mult = np.bincount(np.concatenate(subs), minlength=n)
+    copies = np.concatenate([np.empty(0, dtype=np.int64)] + subs)
+    if len(copies) and (copies.min() < 0 or copies.max() >= n):
+        raise OutOfRangeError(int(copies.min() if copies.min() < 0 else copies.max()), n)
+    empty = [cid for cid, sub in enumerate(subs) if len(sub) == 0]
+    if empty:
+        raise EmptySetError(f"subdomain of community {empty[0]}")
+    mult = np.bincount(copies, minlength=n)
     uncovered = np.flatnonzero(mult == 0)
     if len(uncovered):
         raise UncoveredVertexError(int(uncovered[0]))
@@ -227,8 +233,6 @@ def _interpolate(
     copies = np.concatenate(subs)
     sampled = mask[copies]
     sample_count = np.bincount(part[sampled], minlength=k)
-    if (sample_count == 0).any():
-        raise NoSamplesError(int(np.argmax(sample_count == 0)))
     union = g.disjoint_union(subs)
     pieces, fewest, piece = _piece_health(union, part, sampled, k)
     y_copies = np.where(sampled, y[copies], 0.0)
@@ -268,9 +272,10 @@ def interpolate_cover(
     pass over the subdomains' disjoint union labels its pieces and counts
     them per subdomain; a piece with no sample raises SampleFreePieceError.
     A signal without one value per vertex raises ValueError first, then a
-    sample id out of 0..n-1 OutOfRangeError (order and repeats do not matter)
-    and a signal not finite at a sample ValueError. Also returns the wall
-    seconds of the solves (`solve_s`) and of the blend and write-back (`assemble_s`).
+    sample id out of 0..n-1 OutOfRangeError (order and repeats do not matter),
+    a signal not finite at a sample ValueError, and then `build_pu` checks the
+    subdomains' ids. Also returns the wall seconds of the solves (`solve_s`)
+    and of the blend and write-back (`assemble_s`).
     """
     return _interpolate(g, cover, y, kp, _solver(kp))
 

@@ -30,7 +30,7 @@ from gbfpum import (
 from gbfpum.cli import EXIT_NUMERICAL, main
 from gbfpum.community import Community, Cover
 from gbfpum.errors import (
-    NoSamplesError,
+    EmptySetError,
     NonFiniteResidualError,
     NumericalError,
     OutOfRangeError,
@@ -222,11 +222,18 @@ class TestNativeRoute:
         assert all(0 <= d.solve_residual <= 1e-12 for d in res.per_community)
 
     def test_community_without_samples(self, path10):
-        # the lowest community without a sample is named
+        # its pieces hold no sample, so the piece check names the lowest such community
         cover = cover_of((range(4), [2]), (range(4, 7), []), (range(7, 10), []))
-        with pytest.raises(NoSamplesError) as exc:
+        with pytest.raises(SampleFreePieceError) as exc:
             interpolate_cover(path10, cover, np.ones(10), KernelParams())
         assert exc.value.community_id == 1
+
+    @pytest.mark.parametrize("s", [2.0, 1.5])
+    def test_empty_subdomain(self, path10, s):
+        # it has no piece to hold a sample, so build_pu refuses it
+        cover = cover_of((range(10), [2]), ([], []), ([], []))
+        with pytest.raises(EmptySetError, match="^empty subdomain of community 1$"):
+            interpolate_cover(path10, cover, np.ones(10), KernelParams(s=s))
 
 
 class TestSignalCheck:
@@ -279,6 +286,17 @@ class TestSampleIds:
         got = interpolate_cover(path10, self.whole([3, 3, 1]), y, KernelParams(s=s))[0]
         expect = interpolate_cover(path10, self.whole([1, 3]), y, KernelParams(s=s))[0]
         assert np.array_equal(got, expect)
+
+
+class TestSubdomainIds:
+    # build_pu checks a hand-built cover's subdomain ids before the stage indexes with them
+    @pytest.mark.parametrize("s", [2.0, 1.5])
+    @pytest.mark.parametrize("vertex", [-1, 10, 13], ids=["-1", "n", "n+3"])
+    def test_out_of_range(self, path10, s, vertex):
+        cover = cover_of((range(10), [0, 5]), ([3, vertex], [3]))
+        message = rf"^vertex {vertex} out of range for graph of order 10$"
+        with pytest.raises(OutOfRangeError, match=message):
+            interpolate_cover(path10, cover, np.arange(10.0), KernelParams(s=s))
 
 
 class TestPieces:

@@ -16,7 +16,13 @@ from gbfpum import (
     synthetic_signal,
 )
 from gbfpum.community import Community, Cover
-from gbfpum.errors import EmptySetError, NoSamplesError, UncoveredVertexError, ZeroSignalError
+from gbfpum.errors import (
+    EmptySetError,
+    OutOfRangeError,
+    SampleFreePieceError,
+    UncoveredVertexError,
+    ZeroSignalError,
+)
 
 from conftest import community_interpolant
 
@@ -53,6 +59,20 @@ class TestPartitionOfUnity:
         with pytest.raises(UncoveredVertexError) as exc:
             build_pu(cover, 5)
         assert exc.value.vertex == first
+
+    @pytest.mark.parametrize(
+        "cores, vertex", [([[0, 1, 2], [3]], 3), ([[0, 1, 2, 5], [-2, -1]], -2), ([[0, 1, 2], [7], [4]], 7)]
+    )
+    def test_out_of_range_id_named(self, cores, vertex):
+        # the lowest id below 0, else the highest, before any vertex is counted
+        cover = Cover([_community(core) for core in cores], _samples(0))
+        with pytest.raises(OutOfRangeError, match=rf"^vertex {vertex} out of range for graph of order 3$"):
+            build_pu(cover, 3)
+
+    def test_empty_subdomain_named(self):
+        cover = Cover([_community([0, 1, 2]), _community([]), _community([])], _samples(0))
+        with pytest.raises(EmptySetError, match="^empty subdomain of community 1$"):
+            build_pu(cover, 3)
 
     def test_weights_sum_to_one(self, geometric200):
         W = sample_nodes(geometric200.n, 40, seed=3)
@@ -266,7 +286,7 @@ class TestBaseline:
         assert sum(inside) <= times["interpolate_s"] == times["total_s"]
 
     def test_no_samples(self, path3):
-        with pytest.raises((NoSamplesError, ValueError)):
+        with pytest.raises(SampleFreePieceError):
             global_gbf_baseline(path3, np.ones(3), np.array([], dtype=np.int64), KernelParams())
 
 
