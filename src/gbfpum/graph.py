@@ -118,8 +118,7 @@ class Graph:
         and the first part that is not strictly increasing ValueError.
         """
         vs = np.concatenate(parts)
-        if len(vs) and (vs.min() < 0 or vs.max() >= self.n):
-            raise OutOfRangeError(int(vs.min() if vs.min() < 0 else vs.max()), self.n)
+        check_range(vs, self.n)
         part = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
         key = part * self.n + vs  # strictly increasing when every part is
         bad = np.flatnonzero(np.diff(key) <= 0)
@@ -171,6 +170,21 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[keep]
 
 
+def check_range(vs: np.ndarray, n: int) -> None:
+    """OutOfRangeError for an id of vs outside 0..n-1: the lowest below 0, else the highest."""
+    if len(vs) and (np.min(vs) < 0 or np.max(vs) >= n):
+        raise OutOfRangeError(int(np.min(vs) if np.min(vs) < 0 else np.max(vs)), n)
+
+
+def check_nodes(vs: np.ndarray, n: int) -> None:
+    """`check_range`, then ValueError for the lowest id that vs repeats; vs keeps its order."""
+    check_range(vs, n)
+    ordered = np.sort(vs)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if len(repeated):
+        raise ValueError(f"vertex {repeated[0]} is repeated")
+
+
 def as_vertex_set(ids, n: int) -> np.ndarray:
     """Normalize vertex ids to a sorted, duplicate-free int64 array of ids < n.
 
@@ -201,8 +215,7 @@ def as_vertex_set(ids, n: int) -> np.ndarray:
             if not isinstance(x, Integral) and not (isinstance(x, Real) and float(x).is_integer()):
                 raise ValueError(f"vertex id {x!r} at position {i} is not an integer")
     # exact also on an object array of Python ints past 64 bits, before any cast
-    if len(vs) and (vs.min() < 0 or vs.max() >= n):
-        raise OutOfRangeError(int(vs.min() if vs.min() < 0 else vs.max()), n)
+    check_range(vs, n)
     return sorted_unique(vs.astype(np.int64, copy=False))
 
 

@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NonPositiveShiftError
-from .graph import Graph
+from .graph import Graph, check_nodes
 from .numerics import SOLVE_BLOCK, check_positive, sparse_lu, sym_eigen
 
 SHIFT_TOL = 1e-12
@@ -65,8 +65,10 @@ def gbf_kernel(
     K[:, cols] = U diag(w) U[cols]^T with w = (eps + lambda)^(-s), formed
     without the full n x n matrix; the block K[cols, cols] is made exactly
     symmetric. Pass np.arange(n) for the whole matrix. L is modified only
-    with `overwrite` (see `sym_eigen`).
+    with `overwrite` (see `sym_eigen`). An id of cols outside 0..n-1 or
+    repeated is refused first (`graph.check_nodes`).
     """
+    check_nodes(cols, len(L))
     eig = sym_eigen(L, overwrite=overwrite)
     shift = p.epsilon + eig.values[0]
     if shift <= SHIFT_TOL:

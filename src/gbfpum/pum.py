@@ -38,12 +38,11 @@ from .community import FORMAT_VERSION, Community, Cover, DetectionParams, detect
 from .errors import (
     EmptySetError,
     NonFiniteResidualError,
-    OutOfRangeError,
     SampleFreePieceError,
     UncoveredVertexError,
     ZeroSignalError,
 )
-from .graph import Graph, as_vertex_set, groups
+from .graph import Graph, as_vertex_set, check_nodes, check_range, groups
 from .kernel import KernelParams, kernel_block, precision_matrix
 from .numerics import low_eigen, sparse_lu, spd_solve, sym_eigen
 
@@ -96,8 +95,7 @@ def build_pu(cover: Cover, n: int) -> PartitionOfUnity:
     subs = [c.subdomain for c in cover.communities]
     # from an empty array, so a cover without communities leaves vertex 0 uncovered
     copies = np.concatenate([np.empty(0, dtype=np.int64)] + subs)
-    if len(copies) and (copies.min() < 0 or copies.max() >= n):
-        raise OutOfRangeError(int(copies.min() if copies.min() < 0 else copies.max()), n)
+    check_range(copies, n)
     empty = [cid for cid, sub in enumerate(subs) if len(sub) == 0]
     if empty:
         raise EmptySetError(f"subdomain of community {empty[0]}")
@@ -118,10 +116,14 @@ def local_interpolant(
     up to the solve's rounding. The kernel enters only through the block
     K[W,W] and the product K[:, W] a (`kernel_block`): for integer s neither
     needs the columns K[:, W] themselves. Also returns the residual norm
-    ||K[W,W] a - y[W]||.
+    ||K[W,W] a - y[W]||. Before any of it, the nodes must be distinct ids of
+    g (`check_nodes`), in any order, with one value each in y_nodes.
     """
     if len(nodes) == 0:
         raise EmptySetError("interpolation node set")
+    check_nodes(nodes, g.n)
+    if len(y_nodes) != len(nodes):
+        raise ValueError(f"need one value per node ({len(nodes)}), got {len(y_nodes)}")
     Kww, evaluate = kernel_block(g, nodes, p)
     a = spd_solve(Kww, y_nodes)
     return evaluate(a), float(np.linalg.norm(Kww @ a - y_nodes))

@@ -15,10 +15,10 @@ from gbfpum import (
     spd_solve,
     sym_eigen,
 )
-from gbfpum.errors import NonPositiveShiftError, NotSymmetricError
+from gbfpum.errors import NonPositiveShiftError, NotSymmetricError, OutOfRangeError
 from gbfpum.kernel import S_MAX, kernel_block
 
-from conftest import CountingLU, random_connected_graph
+from conftest import CountingLU, path_graph, random_connected_graph
 
 
 def inverse_power_oracle(L: np.ndarray, eps: float, s: int) -> np.ndarray:
@@ -93,6 +93,49 @@ class TestGbfKernel:
             gbf_kernel(L, KernelParams(epsilon=0.01), np.arange(10))
         assert exc.value.shift == pytest.approx(-0.01, abs=1e-12)
         assert exc.value.tol == gbfpum.kernel.SHIFT_TOL
+
+
+class TestNodeIds:
+    # local_interpolant and gbf_kernel check their ids before they index with them
+    @pytest.mark.parametrize("s", [2.0, 1.5])
+    @pytest.mark.parametrize("nodes, vertex", [([-1, 2], -1), ([1, 9], 9), ([4, 0, -2, -1], -2)])
+    def test_local_interpolant_out_of_range(self, s, nodes, vertex):
+        # -1 once read as vertex n - 1: a plausible, wrong interpolant
+        with pytest.raises(OutOfRangeError, match=rf"^vertex {vertex} out of range for graph of order 4$"):
+            local_interpolant(path_graph(4), np.array(nodes), np.ones(len(nodes)), KernelParams(s=s))
+
+    @pytest.mark.parametrize("s", [2.0, 1.5])
+    def test_local_interpolant_repeated_node(self, s):
+        # an input error, not the singular K[W,W] it would make
+        with pytest.raises(ValueError, match="^vertex 1 is repeated$"):
+            local_interpolant(path_graph(4), np.array([3, 1, 2, 1]), np.ones(4), KernelParams(s=s))
+
+    @pytest.mark.parametrize("s", [2.0, 1.5])
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_local_interpolant_one_value_per_node(self, s, length):
+        with pytest.raises(ValueError, match=rf"^need one value per node \(2\), got {length}$"):
+            local_interpolant(path_graph(4), np.array([0, 2]), np.ones(length), KernelParams(s=s))
+
+    @pytest.mark.parametrize("s", [2.0, 1.5])
+    def test_local_interpolant_keeps_node_order(self, s):
+        g, kp = path_graph(6), KernelParams(s=s)
+        got, _ = local_interpolant(g, np.array([4, 1]), np.array([3.0, -1.0]), kp)
+        expect, _ = local_interpolant(g, np.array([1, 4]), np.array([-1.0, 3.0]), kp)
+        assert np.abs(got - expect).max() <= 1e-9
+        assert np.abs(got[[1, 4]] - [-1.0, 3.0]).max() <= 1e-9
+
+    @pytest.mark.parametrize("s", [2.0, 1.5])
+    @pytest.mark.parametrize("cols, vertex", [([-1], -1), ([0, 4], 4), ([7, 1, -3], -3)])
+    def test_gbf_kernel_out_of_range(self, s, cols, vertex):
+        # cols = [-1] once returned exactly the column of cols = [3]
+        L = path_graph(4).laplacian()
+        with pytest.raises(OutOfRangeError, match=rf"^vertex {vertex} out of range for graph of order 4$"):
+            gbf_kernel(L, KernelParams(s=s), np.array(cols))
+
+    @pytest.mark.parametrize("s", [2.0, 1.5])
+    def test_gbf_kernel_repeated_col(self, s):
+        with pytest.raises(ValueError, match="^vertex 2 is repeated$"):
+            gbf_kernel(path_graph(4).laplacian(), KernelParams(s=s), np.array([2, 0, 2]))
 
 
 class TestKernelColumns:
