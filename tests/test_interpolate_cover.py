@@ -228,13 +228,6 @@ class TestNativeRoute:
             interpolate_cover(path10, cover, np.ones(10), KernelParams())
         assert exc.value.community_id == 1
 
-    @pytest.mark.parametrize("s", [2.0, 1.5])
-    def test_empty_subdomain(self, path10, s):
-        # it has no piece to hold a sample, so build_pu refuses it
-        cover = cover_of((range(10), [2]), ([], []), ([], []))
-        with pytest.raises(EmptySetError, match="^empty subdomain of community 1$"):
-            interpolate_cover(path10, cover, np.ones(10), KernelParams(s=s))
-
 
 class TestSignalCheck:
     # the stage checks the signal once, for interpolate_cover, run_pipeline and the baseline
@@ -297,6 +290,13 @@ class TestSubdomainIds:
         message = rf"^vertex {vertex} out of range for graph of order 10$"
         with pytest.raises(OutOfRangeError, match=message):
             interpolate_cover(path10, cover, np.arange(10.0), KernelParams(s=s))
+
+    @pytest.mark.parametrize("s", [2.0, 1.5])
+    def test_empty_subdomain(self, path10, s):
+        # it has no piece to hold a sample, so build_pu refuses it
+        cover = cover_of((range(10), [2]), ([], []), ([], []))
+        with pytest.raises(EmptySetError, match="^empty subdomain of community 1$"):
+            interpolate_cover(path10, cover, np.ones(10), KernelParams(s=s))
 
 
 class TestPieces:
