@@ -354,11 +354,11 @@ def detect_communities(g: Graph, W: np.ndarray, p: DetectionParams) -> Cover:
     if len(W) == 0:
         raise ValueError("need at least one interpolation node")
     t0 = time.perf_counter()
-    alpha = default_alpha(g)  # from the graph alone; the Katz entry records it
-    katz = katz_centrality(g, alpha)
+    katz = katz_centrality(g)
     t1 = time.perf_counter()
 
-    provenance: list[dict] = [{"action": "katz", "alpha": alpha}]
+    # the Katz entry records the graph's alpha, the one katz_centrality solved at
+    provenance: list[dict] = [{"action": "katz", "alpha": default_alpha(g)}]
     label = _split_phase(g, W, katz, provenance)
     t2 = time.perf_counter()
     label = merge_small(g, label, p, provenance)

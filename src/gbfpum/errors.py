@@ -95,16 +95,6 @@ class NonFiniteResidualError(NumericalError):
         )
 
 
-class AlphaDivergesError(NumericalError):
-    def __init__(self, alpha: float, bound: float):
-        self.alpha = alpha
-        self.bound = bound
-        super().__init__(
-            f"alpha = {alpha:g} >= 1/spectral-radius bound = {bound:g}; "
-            "the Katz series diverges"
-        )
-
-
 class ZeroSignalError(GbfPumError):
     def __init__(self):
         super().__init__("reference signal has zero norm; relative error undefined")

@@ -32,7 +32,7 @@ class Graph:
     is the edge end pair (heads[i], indices[i]); every structural query
     (degrees, connectivity, subgraphs, Laplacians, edges inside a label)
     reads these. `katz_memo` is the one memo: `metrics.katz_centrality`
-    keeps its last (alpha, read-only vector) there.
+    keeps the graph's read-only Katz vector there, solved once per graph.
     """
 
     __slots__ = ("n", "m", "indptr", "indices", "heads", "_adj", "katz_memo")
@@ -49,7 +49,7 @@ class Graph:
         self.indices = self._adj.indices
         self.heads = np.repeat(np.arange(n), self.degrees())
         self.heads.setflags(write=False)
-        self.katz_memo: tuple[float, np.ndarray] | None = None
+        self.katz_memo: np.ndarray | None = None
 
     @classmethod
     def from_edges(
@@ -176,17 +176,23 @@ def check_range(vs: np.ndarray, n: int) -> None:
         raise OutOfRangeError(int(np.min(vs) if np.min(vs) < 0 else np.max(vs)), n)
 
 
-def check_nodes(vs: np.ndarray, n: int) -> None:
-    """`check_range`, then ValueError for the lowest id that vs repeats; vs keeps its order."""
-    check_range(vs, n)
+def check_nodes(ids, n: int) -> np.ndarray:
+    """`vertex_ids`, then ValueError for the lowest id that repeats; the ids keep their order."""
+    vs = vertex_ids(ids, n)
     ordered = np.sort(vs)
     repeated = ordered[1:][ordered[1:] == ordered[:-1]]
     if len(repeated):
         raise ValueError(f"vertex {repeated[0]} is repeated")
+    return vs
 
 
 def as_vertex_set(ids, n: int) -> np.ndarray:
-    """Normalize vertex ids to a sorted, duplicate-free int64 array of ids < n.
+    """Normalize vertex ids (`vertex_ids`) to a sorted, duplicate-free int64 array."""
+    return sorted_unique(vertex_ids(ids, n))
+
+
+def vertex_ids(ids, n: int) -> np.ndarray:
+    """Vertex ids < n as a flat int64 array, in the caller's order, repeats kept.
 
     Integral floats (a JSON reader's 3.0) and empty input are accepted. A
     boolean array, or an object array, list or tuple of booleans only, is a
@@ -216,7 +222,7 @@ def as_vertex_set(ids, n: int) -> np.ndarray:
                 raise ValueError(f"vertex id {x!r} at position {i} is not an integer")
     # exact also on an object array of Python ints past 64 bits, before any cast
     check_range(vs, n)
-    return sorted_unique(vs.astype(np.int64, copy=False))
+    return vs.astype(np.int64, copy=False)
 
 
 def load_graph(stream: IO[str] | str) -> Graph:

@@ -65,10 +65,10 @@ def gbf_kernel(
     K[:, cols] = U diag(w) U[cols]^T with w = (eps + lambda)^(-s), formed
     without the full n x n matrix; the block K[cols, cols] is made exactly
     symmetric. Pass np.arange(n) for the whole matrix. L is modified only
-    with `overwrite` (see `sym_eigen`). An id of cols outside 0..n-1 or
-    repeated is refused first (`graph.check_nodes`).
+    with `overwrite` (see `sym_eigen`). An id of cols that is no integer,
+    lies outside 0..n-1 or repeats is refused first (`graph.check_nodes`).
     """
-    check_nodes(cols, len(L))
+    cols = check_nodes(cols, len(L))
     eig = sym_eigen(L, overwrite=overwrite)
     shift = p.epsilon + eig.values[0]
     if shift <= SHIFT_TOL:

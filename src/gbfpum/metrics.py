@@ -1,50 +1,46 @@
-"""Structural graph measures: Katz centrality, modularity, Jaccard similarity."""
+"""Structural graph measures: Katz centrality, modularity, Jaccard similarity.
+
+Katz centrality is the graph's own: it is solved at `default_alpha(g)`, which
+keeps the series convergent, and memoised once per graph.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import AlphaDivergesError, EmptySetError
+from .errors import EmptySetError
 from .graph import Graph, as_vertex_set
-from .numerics import check_positive, sparse_lu
+from .numerics import sparse_lu
 
 DEFAULT_ALPHA_CAP = 0.5
 DEFAULT_ALPHA_SAFETY = 0.85
 
 
-def spectral_radius_bound(g: Graph) -> float:
-    """Upper bound on the adjacency spectral radius (max degree)."""
-    return float(g.degrees().max())
-
-
 def default_alpha(g: Graph) -> float:
-    """Attenuation factor guaranteed to keep the Katz series convergent.
+    """Katz attenuation factor of g: min(0.5, 0.85 / max degree).
 
-    min(0.5, 0.85 / bound) caps the conventional 0.5 whenever the spectral
-    radius makes it diverge.
+    The max degree bounds the adjacency spectral radius, so alpha * max
+    degree <= 0.85 keeps the Katz series convergent. A graph with no edge
+    takes the cap; its Katz vector is 0 at any alpha.
     """
-    return min(DEFAULT_ALPHA_CAP, DEFAULT_ALPHA_SAFETY / spectral_radius_bound(g))
+    d_max = int(g.degrees().max(initial=0))
+    return min(DEFAULT_ALPHA_CAP, DEFAULT_ALPHA_SAFETY / d_max) if d_max else DEFAULT_ALPHA_CAP
 
 
-def katz_centrality(g: Graph, alpha: float) -> np.ndarray:
-    """Katz centrality: sum over walk lengths k of alpha^k (A^k 1)_i.
+def katz_centrality(g: Graph) -> np.ndarray:
+    """Katz centrality: sum over walk lengths k of alpha^k (A^k 1)_i, alpha = default_alpha(g).
 
     Solves the sparse system (I - alpha A) x = 1 and returns x - 1, read-only.
-    The vector is memoised on g (`Graph.katz_memo`) for its alpha, so pipelines
-    that reuse a graph solve once; another alpha solves again and replaces it.
+    The vector is memoised on g (`Graph.katz_memo`), so pipelines that reuse
+    a graph solve once.
     """
-    check_positive("alpha", alpha)
-    bound = spectral_radius_bound(g)
-    if alpha >= 1.0 / bound:
-        raise AlphaDivergesError(alpha, 1.0 / bound)
-    if g.katz_memo is not None and g.katz_memo[0] == alpha:
-        return g.katz_memo[1]
-    M = sp.identity(g.n, format="csr") - alpha * g.adjacency()
-    x = sparse_lu(M).solve(np.ones(g.n)) - 1.0
-    x.setflags(write=False)
-    g.katz_memo = (alpha, x)
-    return x
+    if g.katz_memo is None:
+        M = sp.identity(g.n, format="csr") - default_alpha(g) * g.adjacency()
+        x = sparse_lu(M).solve(np.ones(g.n)) - 1.0
+        x.setflags(write=False)
+        g.katz_memo = x
+    return g.katz_memo
 
 
 def modularity(g: Graph, membership: np.ndarray) -> float:

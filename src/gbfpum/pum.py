@@ -121,7 +121,7 @@ def local_interpolant(
     """
     if len(nodes) == 0:
         raise EmptySetError("interpolation node set")
-    check_nodes(nodes, g.n)
+    nodes = check_nodes(nodes, g.n)
     if len(y_nodes) != len(nodes):
         raise ValueError(f"need one value per node ({len(nodes)}), got {len(y_nodes)}")
     Kww, evaluate = kernel_block(g, nodes, p)

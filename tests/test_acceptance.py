@@ -13,6 +13,7 @@ from gbfpum import (
     KernelParams,
     assemble_global,
     build_pu,
+    default_alpha,
     detect_communities,
     gbf_kernel,
     global_gbf_baseline,
@@ -30,7 +31,7 @@ from gbfpum import (
 from conftest import path_graph, random_connected_graph, two_triangle_graph
 from test_community import check_cover_invariants
 from test_kernel import inverse_power_oracle
-from test_metrics import katz_series, modularity_double_sum
+from test_metrics import katz_series, katz_terms, modularity_double_sum
 
 PAPER_COMMUNITY_COUNTS = {200: 6, 400: 11, 600: 6, 800: 9}
 
@@ -130,16 +131,14 @@ def test_katz_oracle_equivalence(path3):
     worst = 0.0
     for seed in range(50):
         g = random_connected_graph(seed, n_min=5, n_max=50)
-        alpha = 0.1 / float(g.degrees().max())
-        terms = max(60, int(np.ceil(np.log(1e-12 / g.n) / np.log(alpha))))
-        assert alpha**terms * g.n < 1e-12
-        closed = katz_centrality(g, alpha)
-        trunc = katz_series(g, alpha, terms)
+        closed = katz_centrality(g)
+        trunc = katz_series(g, default_alpha(g), katz_terms(g, 1e-12))
         worst = max(worst, float(np.abs(closed - trunc).max()))
+    # the closed form at the path's alpha 0.425 (tests/test_metrics.py)
     path_gap = float(
         np.abs(
-            katz_centrality(path3, 0.1)
-            - np.array([0.122449, 0.224490, 0.122449])
+            katz_centrality(path3)
+            - np.array([1.230920, 1.896282, 1.230920])
         ).max()
     )
     report(

@@ -30,10 +30,6 @@ from gbfpum.metrics import jaccard_communities
 from conftest import neighbors, random_connected_graph
 
 
-def global_katz(g):
-    return katz_centrality(g, default_alpha(g))
-
-
 def bfs_hops(g, src, allowed):
     """Hop count from src to every vertex it reaches inside `allowed`."""
     dist = {src: 0}
@@ -208,19 +204,19 @@ class TestSplitCommunity:
     def test_single_edge_core(self):
         g = Graph.from_edges(2, [(0, 1)])
         W = np.array([0, 1])
-        sides = one_core_split(g, np.arange(2), W, global_katz(g))
+        sides = one_core_split(g, np.arange(2), W, katz_centrality(g))
         assert sides is not None
         assert sorted(map(tuple, (s.tolist() for s in sides))) == [(0,), (1,)]
 
     def test_too_few_samples_no_split(self, two_triangle):
         got = one_core_split(
-            two_triangle, np.arange(6), np.array([2]), global_katz(two_triangle)
+            two_triangle, np.arange(6), np.array([2]), katz_centrality(two_triangle)
         )
         assert got is None
 
     def test_two_triangle_hand_trace(self, two_triangle):
         sides = one_core_split(
-            two_triangle, np.arange(6), np.array([0, 4]), global_katz(two_triangle)
+            two_triangle, np.arange(6), np.array([0, 4]), katz_centrality(two_triangle)
         )
         got = sorted(s.tolist() for s in sides)
         assert got == [[0, 1, 2], [3, 4, 5]]
@@ -230,7 +226,7 @@ class TestSplitCommunity:
             g = random_connected_graph(seed)
             rng = np.random.default_rng(seed)
             W = np.unique(rng.integers(0, g.n, max(2, g.n // 3)))
-            sides = one_core_split(g, np.arange(g.n), W, global_katz(g))
+            sides = one_core_split(g, np.arange(g.n), W, katz_centrality(g))
             if sides is None:
                 assert len(np.intersect1d(np.arange(g.n), W)) < 2
                 continue
@@ -259,7 +255,7 @@ class TestSplitCommunity:
         # a random vertex subset is often a disconnected core
         core = np.arange(g.n) if whole_graph else np.flatnonzero(rng.random(g.n) < 0.5)
         W = np.flatnonzero(rng.random(g.n) < 0.3)
-        katz = global_katz(g)
+        katz = katz_centrality(g)
         got = one_core_split(g, core, W, katz)
         expect = split_oracle(g, core, W, katz)
         if expect is None:
@@ -276,7 +272,7 @@ class TestDetect:
         rng = np.random.default_rng(seed)
         W = np.flatnonzero(rng.random(g.n) < frac)
         assume(len(W) >= 1)
-        katz = global_katz(g)
+        katz = katz_centrality(g)
         log = []
         label = _split_phase(g, W, katz, log)
         final = np.zeros(g.n, dtype=np.int64)
@@ -297,7 +293,7 @@ class TestDetect:
         g = random_connected_graph(seed, n_max=60)
         rng = np.random.default_rng(seed)
         W = np.arange(5) if seed == 1115 else np.flatnonzero(rng.random(g.n) < rng.uniform(0.05, 0.9))
-        katz = global_katz(g)
+        katz = katz_centrality(g)
         log = []
         _split_phase(g, W, katz, log)
         dqs = []
@@ -528,7 +524,7 @@ class TestPassFunctions:
         rng = np.random.default_rng(seed)
         label, _ = random_cores(g, rng, k, drop)
         W = np.flatnonzero(rng.random(g.n) < frac)  # cores with 0, 1 or many samples
-        katz = global_katz(g)
+        katz = katz_centrality(g)
         second, planned, gains = split_community(g, label, W, katz)
         assert gains.dtype == np.int64
         assert not second[label < 0].any()

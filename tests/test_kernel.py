@@ -123,6 +123,22 @@ class TestNodeIds:
         expect, _ = local_interpolant(g, np.array([1, 4]), np.array([-1.0, 3.0]), kp)
         assert np.abs(got - expect).max() <= 1e-9
         assert np.abs(got[[1, 4]] - [-1.0, 3.0]).max() <= 1e-9
+        # integral floats are ids, as in as_vertex_set
+        floats, _ = local_interpolant(g, np.array([4.0, 1.0]), np.array([3.0, -1.0]), kp)
+        assert np.array_equal(floats, got)
+
+    # numpy once raised IndexError for the first two: no float or boolean indexes an array
+    BAD_IDS = [
+        (np.array([0.0, 2.5]), r"^vertex id 2\.5 at position 1 is not an integer$"),
+        (np.array([False, True]), r"^vertex ids are booleans; pass the ids of a mask"),
+        (np.array([2, True], dtype=object), r"^vertex id True at position 1 is a boolean, not an integer$"),
+    ]
+
+    @pytest.mark.parametrize("s", [2.0, 1.5])
+    @pytest.mark.parametrize("nodes, message", BAD_IDS)
+    def test_local_interpolant_ids_are_integers(self, s, nodes, message):
+        with pytest.raises(ValueError, match=message):
+            local_interpolant(path_graph(4), nodes, np.ones(len(nodes)), KernelParams(s=s))
 
     @pytest.mark.parametrize("s", [2.0, 1.5])
     @pytest.mark.parametrize("cols, vertex", [([-1], -1), ([0, 4], 4), ([7, 1, -3], -3)])
@@ -136,6 +152,17 @@ class TestNodeIds:
     def test_gbf_kernel_repeated_col(self, s):
         with pytest.raises(ValueError, match="^vertex 2 is repeated$"):
             gbf_kernel(path_graph(4).laplacian(), KernelParams(s=s), np.array([2, 0, 2]))
+
+    @pytest.mark.parametrize("s", [2.0, 1.5])
+    @pytest.mark.parametrize("cols, message", BAD_IDS)
+    def test_gbf_kernel_ids_are_integers(self, s, cols, message):
+        with pytest.raises(ValueError, match=message):
+            gbf_kernel(path_graph(4).laplacian(), KernelParams(s=s), cols)
+
+    @pytest.mark.parametrize("s", [2.0, 1.5])
+    def test_gbf_kernel_integral_float_cols(self, s):
+        L, kp = path_graph(4).laplacian(), KernelParams(s=s)
+        assert np.array_equal(gbf_kernel(L, kp, np.array([3.0, 1.0])), gbf_kernel(L, kp, np.array([3, 1])))
 
 
 class TestKernelColumns:

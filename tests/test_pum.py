@@ -202,6 +202,14 @@ class TestPipeline:
             "total_s",
         }
 
+    @pytest.mark.parametrize("s", [2.0, 1.5])
+    def test_one_vertex_graph(self, s):
+        # no edge: Katz takes alpha's cap and is 0; the one community is the graph
+        g = Graph.from_edges(1, [])
+        res, cover = run_pipeline(g, np.array([2.0]), np.array([0]), DetectionParams(), KernelParams(s=s))
+        assert len(cover.communities) == 1
+        assert res.rrmse == 0.0
+
     def test_stage_times_within_partition(self, geometric200):
         y = synthetic_signal(geometric200)
         W = sample_nodes(geometric200.n, 60, seed=5)
