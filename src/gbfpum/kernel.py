@@ -8,18 +8,18 @@ Laplacian's lambda_min is 0. The two interpolation routes of `pum` reach it diff
   LDL^T factor (`numerics.sparse_lu`) of M = eps I + L and no dense n x n
   matrix. K[W,W] is built numerics.SOLVE_BLOCK columns at a time: a block
   of unit columns at W is solved s times and its rows at W are kept, so no
-  n x |W| array is formed. The block is then averaged with its transpose
-  in place, one panel of SOLVE_BLOCK columns at a time, and
-  `numerics.spd_solve` factors it in its own storage, so one |W| x |W|
-  buffer serves from the block to the solve. K[:, W] a = M^(-s) a, with a
-  scattered to W, takes s single-vector solves. Any other s takes the
-  spectral expansion of a dense eigendecomposition (`gbf_kernel`), which
-  the tests also use as the oracle for the sparse one; its block K[W,W] is
-  a fresh copy, which `spd_solve` factors in place as well. `pum` asks for
-  it per connected piece, so the dense order is a piece's. The
-  eigendecomposition works in the storage of L; with divide and conquer
-  (orders up to `numerics.EVD_MAX_ORDER`) it adds two n x n of workspace,
-  with MRRR (above) one n x n for the eigenvectors.
+  n x |W| array is formed. K[:, W] a = M^(-s) a, with a scattered to W,
+  takes s single-vector solves. Any other s takes the spectral expansion
+  of a dense eigendecomposition (`gbf_kernel`), which the tests also use as
+  the oracle for the sparse one; its block K[W,W] is cut from the columns
+  K[:, W]. `pum` asks for it per connected piece, so the dense order is a
+  piece's. The eigendecomposition works in the storage of L; with divide
+  and conquer (orders up to `numerics.EVD_MAX_ORDER`) it adds two n x n of
+  workspace, with MRRR (above) one n x n for the eigenvectors. On either
+  route the block is then averaged with its transpose in place, one panel
+  of SOLVE_BLOCK columns at a time, the one place it is made exactly
+  symmetric, and `numerics.spd_solve` factors it in its own storage, so
+  one |W| x |W| buffer serves from the block to the solve.
 - the native route never forms K: for integer s the precision matrix
   A = K^(-1) = M^s (`precision_matrix`) is sparse, and `pum` solves with it.
 """
@@ -63,8 +63,8 @@ def gbf_kernel(
     """Columns `cols` (distinct) of the kernel (eps I + L)^(-s), from the spectrum of L.
 
     K[:, cols] = U diag(w) U[cols]^T with w = (eps + lambda)^(-s), formed
-    without the full n x n matrix; the block K[cols, cols] is made exactly
-    symmetric. Pass np.arange(n) for the whole matrix. L is modified only
+    without the full n x n matrix, as computed: K[cols, cols] is symmetric
+    to rounding. Pass np.arange(n) for the whole matrix. L is modified only
     with `overwrite` (see `sym_eigen`). An id of cols that is no integer,
     lies outside 0..n-1 or repeats is refused first (`graph.check_nodes`).
     """
@@ -74,10 +74,7 @@ def gbf_kernel(
     if shift <= SHIFT_TOL:
         raise NonPositiveShiftError(float(shift), SHIFT_TOL)
     w = (p.epsilon + eig.values) ** (-p.s)
-    K = eig.vectors @ (w[:, None] * eig.vectors[cols].T)
-    block = K[cols]
-    K[cols] = (block + block.T) / 2.0
-    return K
+    return eig.vectors @ (w[:, None] * eig.vectors[cols].T)
 
 
 def _shifted_laplacian(g: Graph, p: KernelParams) -> sp.csr_matrix:
@@ -99,32 +96,33 @@ def kernel_block(
 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
     """K[cols, cols] and a -> K[:, cols] a for K = (eps I + L)^(-s), L the Laplacian of g.
 
-    `cols` are distinct local ids. The block is exactly symmetric. Integer s
-    takes the sparse factor-and-solve route (see the module docstring), any
-    other s the dense spectral one.
+    `cols` are distinct local ids. Integer s takes the sparse
+    factor-and-solve route (see the module docstring), any other s the dense
+    spectral one. Either block is then made exactly symmetric here.
     """
     if not float(p.s).is_integer():
         # L is exactly symmetric, so L.T is L in Fortran order: the eigensolver
         # works in its storage, with the same result as on a copy
         Kw = gbf_kernel(g.laplacian().T, p, cols, overwrite=True)
-        return Kw[cols], lambda a: Kw @ a
-    lu = sparse_lu(_shifted_laplacian(g, p))
-    s = int(p.s)
-    block = np.empty((len(cols), len(cols)))
-    for j in range(0, len(cols), SOLVE_BLOCK):
-        part = cols[j : j + SOLVE_BLOCK]
-        X = np.zeros((g.n, len(part)), order="F")
-        X[part, np.arange(len(part))] = 1.0
-        for _ in range(s):
-            X = lu.solve(X)
-        block[:, j : j + len(part)] = X[cols]
+        block, evaluate = Kw[cols], lambda a: Kw @ a
+    else:
+        lu = sparse_lu(_shifted_laplacian(g, p))
+        s = int(p.s)
+        block = np.empty((len(cols), len(cols)))
+        for j in range(0, len(cols), SOLVE_BLOCK):
+            part = cols[j : j + SOLVE_BLOCK]
+            X = np.zeros((g.n, len(part)), order="F")
+            X[part, np.arange(len(part))] = 1.0
+            for _ in range(s):
+                X = lu.solve(X)
+            block[:, j : j + len(part)] = X[cols]
 
-    def evaluate(a: np.ndarray) -> np.ndarray:
-        v = np.zeros(g.n)
-        v[cols] = a
-        for _ in range(s):
-            v = lu.solve(v)
-        return v
+        def evaluate(a: np.ndarray) -> np.ndarray:
+            v = np.zeros(g.n)
+            v[cols] = a
+            for _ in range(s):
+                v = lu.solve(v)
+            return v
 
     # (B + B^T) / 2 in place, one panel of SOLVE_BLOCK columns and the same
     # rows at a time: panel i reads and writes only rows and columns from i on

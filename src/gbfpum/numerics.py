@@ -47,8 +47,8 @@ EVD_MAX_ORDER = 512
 # 0.046 and 0.064 s in blocks of 8 (median of 9, one BLAS thread), with
 # bit-identical output: each column is solved on its own, and a block stays
 # in cache. It is also the panel width of the in-place passes over a dense
-# block: the symmetrisation of K[W,W] there, and the rebuild of the triangle
-# that `spd_solve` factors in the caller's storage.
+# block: the one symmetrisation of K[W,W], there on either route, and the
+# rebuild of the triangle that `spd_solve` factors in the caller's storage.
 SOLVE_BLOCK = 32
 
 

@@ -117,13 +117,16 @@ def local_interpolant(
     K[W,W] and the product K[:, W] a (`kernel_block`): for integer s neither
     needs the columns K[:, W] themselves. Also returns the residual norm
     ||K[W,W] a - y[W]||. Before any of it, the nodes must be distinct ids of
-    g (`check_nodes`), in any order, with one value each in y_nodes.
+    g (`check_nodes`), in any order, with one finite value each in y_nodes.
     """
     if len(nodes) == 0:
         raise EmptySetError("interpolation node set")
     nodes = check_nodes(nodes, g.n)
     if len(y_nodes) != len(nodes):
         raise ValueError(f"need one value per node ({len(nodes)}), got {len(y_nodes)}")
+    bad = np.flatnonzero(~np.isfinite(y_nodes))
+    if len(bad):
+        raise ValueError(f"value {y_nodes[bad[0]]} at node {nodes[bad[0]]} is not finite")
     Kww, evaluate = kernel_block(g, nodes, p)
     a = spd_solve(Kww, y_nodes)
     return evaluate(a), float(np.linalg.norm(Kww @ a - y_nodes))
@@ -221,6 +224,8 @@ def _interpolate(
     Each community interpolates at the cover's samples in its subdomain; one
     mask over the graph, set at the checked sample ids, marks the sampled copies.
     """
+    if np.ndim(y) != 1:
+        raise ValueError(f"need a flat signal of {g.n} values, got shape {np.shape(y)}")
     if len(y) != g.n:
         raise ValueError(f"need one signal value per vertex ({g.n}), got {len(y)}")
     mask = np.zeros(g.n, dtype=bool)
@@ -273,11 +278,12 @@ def interpolate_cover(
     written back at the samples. Before any solve, one connected-components
     pass over the subdomains' disjoint union labels its pieces and counts
     them per subdomain; a piece with no sample raises SampleFreePieceError.
-    A signal without one value per vertex raises ValueError first, then a
-    sample id out of 0..n-1 OutOfRangeError (order and repeats do not matter),
-    a signal not finite at a sample ValueError, and then `build_pu` checks the
-    subdomains' ids. Also returns the wall seconds of the solves (`solve_s`)
-    and of the blend and write-back (`assemble_s`).
+    A signal that is not a flat array of one value per vertex raises
+    ValueError first, then a sample id out of 0..n-1 OutOfRangeError (order
+    and repeats do not matter), a signal not finite at a sample ValueError,
+    and then `build_pu` checks the subdomains' ids. Also returns the wall
+    seconds of the solves (`solve_s`) and of the blend and write-back
+    (`assemble_s`).
     """
     return _interpolate(g, cover, y, kp, _solver(kp))
 

@@ -1,6 +1,7 @@
 """The interpolation stage `interpolate_cover`: native route, kernel route, pieces."""
 
 import json
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -247,6 +248,15 @@ class TestSignalCheck:
             message = rf"^need one signal value per vertex \(200\), got {length}$"
             with pytest.raises(ValueError, match=message):
                 stage(np.ones(length))
+
+    @pytest.mark.parametrize("shape", [(200, 1), (1, 200), ()])
+    def test_not_flat(self, geometric200, shape):
+        # a column vector once passed the length check and was broadcast to
+        # an array of copies x copies before numpy raised
+        for stage in self.stages(geometric200, sample_nodes(200, 30, 0)):
+            message = rf"^need a flat signal of 200 values, got shape {re.escape(str(shape))}$"
+            with pytest.raises(ValueError, match=message):
+                stage(np.ones(shape))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_sample_named(self, geometric200, bad):

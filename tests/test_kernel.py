@@ -117,6 +117,14 @@ class TestNodeIds:
             local_interpolant(path_graph(4), np.array([0, 2]), np.ones(length), KernelParams(s=s))
 
     @pytest.mark.parametrize("s", [2.0, 1.5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_local_interpolant_non_finite_value(self, s, bad):
+        # a NaN once came back at every vertex, and as the residual, with no error
+        y = np.array([1.0, bad, 2.0, bad])
+        with pytest.raises(ValueError, match=rf"^value {bad} at node 3 is not finite$"):
+            local_interpolant(path_graph(6), np.array([0, 3, 5, 1]), y, KernelParams(s=s))
+
+    @pytest.mark.parametrize("s", [2.0, 1.5])
     def test_local_interpolant_keeps_node_order(self, s):
         g, kp = path_graph(6), KernelParams(s=s)
         got, _ = local_interpolant(g, np.array([4, 1]), np.array([3.0, -1.0]), kp)
@@ -209,12 +217,15 @@ class TestKernelColumns:
             assert np.array_equal(Kww, Kww.T), s
 
     def test_fractional_s_is_dense_route(self, path10):
+        # gbf_kernel's columns as computed; kernel_block alone averages their block
         p = KernelParams(epsilon=0.3, s=1.5)
         cols = np.array([1, 4, 8])
         a = np.array([0.5, -2.0, 1.25])
         Kw = gbf_kernel(path10.laplacian(), p, cols)
+        B = Kw[cols]
+        assert not np.array_equal(B, B.T)  # symmetric to rounding only
         Kww, evaluate = kernel_block(path10, cols, p)
-        assert np.array_equal(Kww, Kw[cols])
+        assert np.array_equal(Kww, (B + B.T) / 2.0)
         assert np.array_equal(evaluate(a), Kw @ a)
 
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
