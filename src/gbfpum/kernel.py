@@ -13,13 +13,14 @@ Laplacian's lambda_min is 0. The two interpolation routes of `pum` reach it diff
   of a dense eigendecomposition (`gbf_kernel`), which the tests also use as
   the oracle for the sparse one; its block K[W,W] is cut from the columns
   K[:, W]. `pum` asks for it per connected piece, so the dense order is a
-  piece's. The eigendecomposition works in the storage of L; with divide
-  and conquer (orders up to `numerics.EVD_MAX_ORDER`) it adds two n x n of
-  workspace, with MRRR (above) one n x n for the eigenvectors. On either
-  route the block is then averaged with its transpose in place, one panel
-  of SOLVE_BLOCK columns at a time, the one place it is made exactly
-  symmetric, and `numerics.spd_solve` factors it in its own storage, so
-  one |W| x |W| buffer serves from the block to the solve.
+  piece's. The eigendecomposition works in the storage of L, which
+  `kernel_block` hands it in Fortran order; with divide and conquer (orders
+  up to `numerics.EVD_MAX_ORDER`) it adds two n x n of workspace, with MRRR
+  (above) one n x n for the eigenvectors. On either route the block is
+  then averaged with its transpose in place, one panel of SOLVE_BLOCK
+  columns at a time, the one place it is made exactly symmetric, and
+  returned in Fortran order, so `numerics.spd_solve` leaves its Cholesky
+  factor there: one |W| x |W| buffer serves from the block to the solve.
 - the native route never forms K: for integer s the precision matrix
   A = K^(-1) = M^s (`precision_matrix`) is sparse, and `pum` solves with it.
 """
@@ -57,19 +58,18 @@ class KernelParams:
             raise ValueError(f"s must be at most {S_MAX}, got {self.s}")
 
 
-def gbf_kernel(
-    L: np.ndarray, p: KernelParams, cols: np.ndarray, overwrite: bool = False
-) -> np.ndarray:
+def gbf_kernel(L: np.ndarray, p: KernelParams, cols: np.ndarray) -> np.ndarray:
     """Columns `cols` (distinct) of the kernel (eps I + L)^(-s), from the spectrum of L.
 
     K[:, cols] = U diag(w) U[cols]^T with w = (eps + lambda)^(-s), formed
     without the full n x n matrix, as computed: K[cols, cols] is symmetric
-    to rounding. Pass np.arange(n) for the whole matrix. L is modified only
-    with `overwrite` (see `sym_eigen`). An id of cols that is no integer,
+    to rounding. Pass np.arange(n) for the whole matrix. A writeable
+    Fortran-ordered float64 L is the eigensolver's workspace, any other L is
+    left as it was (see `sym_eigen`). An id of cols that is no integer,
     lies outside 0..n-1 or repeats is refused first (`graph.check_nodes`).
     """
     cols = check_nodes(cols, len(L))
-    eig = sym_eigen(L, overwrite=overwrite)
+    eig = sym_eigen(L)
     shift = p.epsilon + eig.values[0]
     if shift <= SHIFT_TOL:
         raise NonPositiveShiftError(float(shift), SHIFT_TOL)
@@ -98,12 +98,13 @@ def kernel_block(
 
     `cols` are distinct local ids. Integer s takes the sparse
     factor-and-solve route (see the module docstring), any other s the dense
-    spectral one. Either block is then made exactly symmetric here.
+    spectral one. Either block is then made exactly symmetric here and
+    returned in Fortran order.
     """
     if not float(p.s).is_integer():
         # L is exactly symmetric, so L.T is L in Fortran order: the eigensolver
         # works in its storage, with the same result as on a copy
-        Kw = gbf_kernel(g.laplacian().T, p, cols, overwrite=True)
+        Kw = gbf_kernel(g.laplacian().T, p, cols)
         block, evaluate = Kw[cols], lambda a: Kw @ a
     else:
         lu = sparse_lu(_shifted_laplacian(g, p))
@@ -132,4 +133,6 @@ def kernel_block(
         avg = (lo + hi.T) / 2.0
         lo[...] = avg
         hi[...] = avg.T
-    return block, evaluate
+    # the block is exactly symmetric, so its transpose is the same block in
+    # Fortran order, which `spd_solve` factors where it was built
+    return block.T, evaluate

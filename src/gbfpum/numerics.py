@@ -4,11 +4,14 @@ Thin contract layer over LAPACK, SuperLU and ARPACK (via scipy); callers
 rely on the error types and tolerances here, not on the backend. Dense
 matrices get a full eigendecomposition (`sym_eigen`: LAPACK's divide and
 conquer up to order EVD_MAX_ORDER, MRRR above) and Cholesky solves
-(`spd_solve`); sparse ones get a symmetric-mode LDL^T factorisation with a
-pivot check (`sparse_lu`), whose callers solve SOLVE_BLOCK right-hand
-sides at a time, and their lowest eigenpairs by shift-invert Lanczos
-about -1/n^2 (`low_eigen`, which inverts through the same factorisation),
-so that no dense n x n matrix is formed for them. Every sparse factor in the package
+(`spd_solve`). Both work in a writeable Fortran-ordered float64 matrix
+as LAPACK's workspace, as scipy's `overwrite_a=True` does, and copy any
+other matrix, which they leave as it was. Sparse ones get a
+symmetric-mode LDL^T factorisation with a pivot check (`sparse_lu`),
+whose callers solve SOLVE_BLOCK right-hand sides at a time, and their
+lowest eigenpairs by shift-invert Lanczos about -1/n^2 (`low_eigen`,
+which inverts through the same factorisation), so that no dense n x n
+matrix is formed for them. Every sparse factor in the package
 comes from `sparse_lu`, and a sparse matrix that is not positive definite
 raises NotPositiveDefiniteError there, as a failed Cholesky does on the
 dense route.
@@ -46,9 +49,8 @@ EVD_MAX_ORDER = 512
 # s = 3 in blocks of 32, against 0.087 and 0.135 s in one block of 800 and
 # 0.046 and 0.064 s in blocks of 8 (median of 9, one BLAS thread), with
 # bit-identical output: each column is solved on its own, and a block stays
-# in cache. It is also the panel width of the in-place passes over a dense
-# block: the one symmetrisation of K[W,W], there on either route, and the
-# rebuild of the triangle that `spd_solve` factors in the caller's storage.
+# in cache. It is also the panel width of the one in-place symmetrisation
+# of a dense block K[W,W], there on either route.
 SOLVE_BLOCK = 32
 
 
@@ -98,7 +100,7 @@ def check_symmetric(M) -> float:
     return asym
 
 
-def sym_eigen(M: np.ndarray, overwrite: bool = False) -> EigenDecomposition:
+def sym_eigen(M: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
 
     Up to order EVD_MAX_ORDER the eigensolver is LAPACK's divide and conquer
@@ -110,58 +112,33 @@ def sym_eigen(M: np.ndarray, overwrite: bool = False) -> EigenDecomposition:
     1,509-vertex piece that extra 18 MB raised the benchmark sweep's peak
     resident memory by 16 %.
 
-    With `overwrite`, M is the caller's to lose: a Fortran-ordered float64 M
-    is LAPACK's workspace (divide and conquer returns the eigenvectors in
-    it), so no n x n copy is made. M is never modified otherwise.
+    A writeable Fortran-ordered float64 M is LAPACK's workspace (divide and
+    conquer returns the eigenvectors in it), so no n x n copy is made; any
+    other M is copied and left as it was.
     """
-    M = np.asarray(M, dtype=np.float64)
+    M = np.require(M, np.float64, "W")
     check_symmetric(M)  # also rejects NaN and inf
     routine = "evd" if len(M) <= EVD_MAX_ORDER else "evr"
-    values, vectors = eigh(M, overwrite_a=overwrite, check_finite=False, driver=routine)
+    values, vectors = eigh(M, overwrite_a=True, check_finite=False, driver=routine)
     return EigenDecomposition(values=values, vectors=vectors)
 
 
 def spd_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve M x = b for symmetric positive definite M and one vector b via Cholesky.
 
-    M is handed back unchanged. When it is a writeable, C-ordered float64
-    array that `check_symmetric` measures as exactly symmetric, the factor
-    is made in M's own storage, over its upper triangle, which is then
-    rebuilt from the untouched strict lower triangle and a saved diagonal,
-    also when NotPositiveDefiniteError is raised: no second n x n is held,
-    but M must not be read elsewhere during the call. Any other M is
-    factored from a copy. Both give the same bits.
+    As in `sym_eigen`, a writeable Fortran-ordered float64 M is LAPACK's
+    workspace: the factor is made over its lower triangle, also when
+    NotPositiveDefiniteError is raised. Any other M is factored from a copy
+    and left as it was. Both give the same bits.
     """
-    M = np.asarray(M, dtype=np.float64)
-    in_place = check_symmetric(M) == 0.0 and M.flags.writeable and M.flags.c_contiguous
-    if in_place:
-        diag = M.diagonal().copy()
-    try:
-        # M.T is M in Fortran order: LAPACK's lower triangle is M's upper one
-        c, info = dpotrf(M.T if in_place else M, lower=1, clean=0, overwrite_a=in_place)
-        if info != 0:
-            raise NotPositiveDefiniteError(pivot=int(info) - 1)
-        # dpotrs fails only on an illegal argument, and f2py rejects a mis-sized b first
-        x, _ = dpotrs(c, np.asarray(b, dtype=np.float64), lower=1)
-        return x
-    finally:
-        if in_place:
-            _mirror_lower(M, diag)
-
-
-def _mirror_lower(M: np.ndarray, diag: np.ndarray) -> None:
-    """Copy M's strict lower triangle over its upper one and write `diag` on its diagonal.
-
-    One panel of SOLVE_BLOCK rows at a time, so no n x n temporary is formed.
-    """
-    n = len(M)
-    k = np.arange(SOLVE_BLOCK)
-    upper = k[:, None] < k  # the strict upper triangle of a diagonal square
-    for i in range(0, n, SOLVE_BLOCK):
-        j = min(i + SOLVE_BLOCK, n)
-        M[i:j, j:] = M[j:, i:j].T
-        np.copyto(M[i:j, i:j], M[i:j, i:j].T, where=upper[: j - i, : j - i])
-    np.fill_diagonal(M, diag)
+    M = np.require(M, np.float64, "W")
+    check_symmetric(M)
+    c, info = dpotrf(M, lower=1, clean=0, overwrite_a=True)
+    if info != 0:
+        raise NotPositiveDefiniteError(pivot=int(info) - 1)
+    # dpotrs fails only on an illegal argument, and f2py rejects a mis-sized b first
+    x, _ = dpotrs(c, np.asarray(b, dtype=np.float64), lower=1)
+    return x
 
 
 def sparse_lu(M: sp.spmatrix) -> SuperLU:

@@ -64,8 +64,8 @@ class CommunityDiagnostics:
     community_id: int
     subdomain_size: int
     sample_count: int
-    # relative residual of the community's block of the solved system:
-    # K[W,W] (block diagonal over its pieces) on the kernel route, A[U,U] on the native one
+    # relative residual of the community's solve: on the kernel route the miss
+    # of its pieces' interpolants at their samples, on the native one of A[U,U]
     solve_residual: float
     # connected pieces of the subdomain and the fewest samples in any of them
     pieces: int
@@ -116,20 +116,24 @@ def local_interpolant(
     up to the solve's rounding. The kernel enters only through the block
     K[W,W] and the product K[:, W] a (`kernel_block`): for integer s neither
     needs the columns K[:, W] themselves. Also returns the residual norm
-    ||K[W,W] a - y[W]||. Before any of it, the nodes must be distinct ids of
-    g (`check_nodes`), in any order, with one finite value each in y_nodes.
+    ||s(W) - y[W]||, which is ||K[W,W] a - y[W]|| in exact arithmetic and
+    needs no second read of K[W,W], whose storage the Cholesky factor takes.
+    Before any of it, the nodes must be distinct ids of g (`check_nodes`), in
+    any order, with one finite value each in the flat array y_nodes.
     """
     if len(nodes) == 0:
         raise EmptySetError("interpolation node set")
     nodes = check_nodes(nodes, g.n)
+    if np.ndim(y_nodes) != 1:
+        raise ValueError(f"need a flat array of node values, got shape {np.shape(y_nodes)}")
     if len(y_nodes) != len(nodes):
         raise ValueError(f"need one value per node ({len(nodes)}), got {len(y_nodes)}")
     bad = np.flatnonzero(~np.isfinite(y_nodes))
     if len(bad):
         raise ValueError(f"value {y_nodes[bad[0]]} at node {nodes[bad[0]]} is not finite")
     Kww, evaluate = kernel_block(g, nodes, p)
-    a = spd_solve(Kww, y_nodes)
-    return evaluate(a), float(np.linalg.norm(Kww @ a - y_nodes))
+    f = evaluate(spd_solve(Kww, y_nodes))
+    return f, float(np.linalg.norm(f[nodes] - y_nodes))
 
 
 def assemble_global(cover: Cover, pu: PartitionOfUnity, f: np.ndarray, n: int) -> np.ndarray:
@@ -202,8 +206,9 @@ def _kernel_solve(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """f from one `local_interpolant` per connected piece (label `piece`) of the union.
 
-    Also returns each piece's squared residual norm of its K[W,W] system,
-    at the piece's first copy, and the squared right-hand side y**2.
+    Also returns each piece's squared residual norm (its interpolant's miss
+    at its samples), at the piece's first copy, and the squared right-hand
+    side y**2.
     """
     f = np.empty(union.n)
     r2 = np.zeros(union.n)

@@ -1,15 +1,9 @@
-import os
+from pathlib import Path
 
-# Pin BLAS/OpenMP to one thread before numpy loads, as bench/run.py does:
-# runs repeat bit for bit only at a fixed thread count.
-os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
+import numpy as np
+import pytest
 
-from pathlib import Path  # noqa: E402
-
-import numpy as np  # noqa: E402
-import pytest  # noqa: E402
-
-from gbfpum import Graph, local_interpolant, load_graph, synthetic_signal  # noqa: E402
+from gbfpum import Graph, local_interpolant, load_graph, synthetic_signal
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 import gbfpum.kernel
 import gbfpum.numerics
+import gbfpum.pum
 from gbfpum import (
     Graph,
     KernelParams,
@@ -115,6 +117,15 @@ class TestNodeIds:
     def test_local_interpolant_one_value_per_node(self, s, length):
         with pytest.raises(ValueError, match=rf"^need one value per node \(2\), got {length}$"):
             local_interpolant(path_graph(4), np.array([0, 2]), np.ones(length), KernelParams(s=s))
+
+    @pytest.mark.parametrize("s", [2.0, 1.5])
+    @pytest.mark.parametrize("shape", [(3, 1), ()])
+    def test_local_interpolant_flat_values(self, monkeypatch, s, shape):
+        # a column once gave a (6, 1) interpolant at s = 1.5 and failed inside numpy at s = 2
+        monkeypatch.setattr(gbfpum.pum, "kernel_block", None)  # refused before any kernel is built
+        message = rf"^need a flat array of node values, got shape {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=message):
+            local_interpolant(path_graph(6), np.array([0, 3, 5]), np.ones(shape), KernelParams(s=s))
 
     @pytest.mark.parametrize("s", [2.0, 1.5])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -1,3 +1,7 @@
+import ctypes
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -114,25 +118,79 @@ class TestClusteredSpectra:
         assert np.abs(lam - expect).max() <= (m + 1) * 1e-14 * (m + 1)
 
 
+def eigen_route(M: np.ndarray) -> tuple[np.ndarray, ...]:
+    eig = sym_eigen(M)
+    return eig.values, eig.vectors
+
+
+def kernel_route(M: np.ndarray) -> tuple[np.ndarray, ...]:
+    return (gbf_kernel(M, KernelParams(s=1.0), np.arange(0, len(M), 9)),)
+
+
+def solve_route(M: np.ndarray) -> tuple[np.ndarray, ...]:
+    return (spd_solve(M, np.ones(len(M))),)
+
+
+DENSE_ROUTES = {"sym_eigen": eigen_route, "gbf_kernel": kernel_route, "spd_solve": solve_route}
+
+
+def route_error(name: str, M: np.ndarray, out: tuple[np.ndarray, ...]) -> float:
+    """Max error of a dense route's result for M, from M alone."""
+    n = len(M)
+    if name == "sym_eigen":
+        values, V = out
+        return float(np.abs(M @ V - V * values).max() / np.abs(values).max())
+    if name == "gbf_kernel":  # s = 1: (eps I + M) K[:, cols] = I[:, cols]
+        return float(np.abs((0.01 * np.eye(n) + M) @ out[0] - np.eye(n)[:, ::9]).max())
+    return float(np.abs(M @ out[0] - 1.0).max())
+
+
+def shifted_laplacian(g: Graph) -> np.ndarray:
+    """L + I, L the Laplacian of g: exactly symmetric, positive definite, C-ordered."""
+    return g.laplacian() + np.eye(g.n)
+
+
 class TestOwnership:
-    """The dense routes leave a caller's matrix alone unless told to overwrite it."""
+    """A writeable Fortran-ordered float64 matrix is LAPACK's workspace; any other is copied and kept."""
 
     def test_sym_eigen_and_gbf_kernel_keep_input(self, geometric200):
-        L = geometric200.laplacian()
-        for M in (L, L.T):  # C and Fortran order
-            before = M.copy()
-            sym_eigen(M)
-            gbf_kernel(M, KernelParams(s=1.5), np.arange(0, 200, 9))
-            assert np.array_equal(M, before)
+        M = shifted_laplacian(geometric200)
+        before = M.copy()
+        for route in (eigen_route, kernel_route):
+            route(M)
+            assert np.array_equal(M, before)  # C order: LAPACK worked on a copy
 
     def test_overwrite_is_bit_identical(self, geometric200):
-        L = geometric200.laplacian()
-        expect = sym_eigen(L)
-        work = L.T.copy(order="F")
-        got = sym_eigen(work, overwrite=True)
-        assert not np.array_equal(work, L)  # LAPACK worked in place: no copy was made
-        assert np.array_equal(got.values, expect.values)
-        assert np.array_equal(got.vectors, expect.vectors)
+        M = shifted_laplacian(geometric200)
+        for name, route in DENSE_ROUTES.items():
+            expect = route(M)
+            work = M.copy(order="F")
+            got = route(work)
+            assert not np.array_equal(work, M), name  # LAPACK worked in place: no copy was made
+            for a, b in zip(got, expect):
+                assert np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("name", DENSE_ROUTES)
+    def test_read_only_never_written(self, geometric200, name, order):
+        # LAPACK's in-place routines once wrote into a read-only Fortran-ordered
+        # matrix, whose flag stayed False
+        M = shifted_laplacian(geometric200).copy(order=order)
+        M.flags.writeable = False
+        before = M.copy()
+        got = DENSE_ROUTES[name](M)
+        assert np.array_equal(M, before) and not M.flags.writeable
+        for a, b in zip(got, DENSE_ROUTES[name](before.copy())):
+            assert np.array_equal(a, b)
+        assert route_error(name, before, got) <= 1e-12
+
+    @pytest.mark.parametrize("name", DENSE_ROUTES)
+    def test_order_one_is_fortran_ordered(self, name):
+        # a 1 x 1 array is C- and Fortran-contiguous alike, so it is the workspace
+        M = np.array([[4.0]])
+        got = DENSE_ROUTES[name](M)
+        assert M[0, 0] != 4.0
+        assert route_error(name, np.array([[4.0]]), got) <= 1e-15
 
 
 class TestCheckSymmetricBlocks:
@@ -176,17 +234,6 @@ def random_spd(order: int, seed: int) -> np.ndarray:
     return R.T @ R + np.eye(order)
 
 
-def recording_dpotrf(overwrite: list):
-    """LAPACK's dpotrf, recording each call's `overwrite_a` in `overwrite`."""
-    dpotrf = gbfpum.numerics.dpotrf
-
-    def call(a, **kwargs):
-        overwrite.append(bool(kwargs.get("overwrite_a", False)))
-        return dpotrf(a, **kwargs)
-
-    return call
-
-
 class TestSpdSolve:
     def test_identity(self):
         b = np.array([3.0, -1.0, 2.0])
@@ -197,8 +244,8 @@ class TestSpdSolve:
         assert np.allclose(x, [1.0, 1.0], atol=1e-12)
 
     def test_singular_rejected(self):
-        # the factor fails at the same pivot in M's storage as in a copy's, and
-        # M is rebuilt; pivot 40 lies in the second panel of 32 rows
+        # the factor fails at the same pivot in a Fortran-ordered M's own storage
+        # as in a C-ordered M's copy, and the C-ordered M is kept
         wide = random_spd(70, 4)
         wide[40, 40] = 0.0  # the Schur complement's pivot there is negative
         for M, bad in ((np.array([[1.0, -1.0], [-1.0, 1.0]]), 1), (wide, 40)):
@@ -209,35 +256,36 @@ class TestSpdSolve:
                 assert exc.value.pivot == bad
             assert np.array_equal(M, before)
 
-    @pytest.mark.parametrize("order", [1, 31, 32, 33, 70])  # around the panel edges
-    def test_in_place_matches_copy(self, monkeypatch, order):
+    @pytest.mark.parametrize("order", [1, 31, 32, 33, 70])
+    def test_in_place_matches_copy(self, order):
+        # a C-ordered M is factored from a copy and kept, a Fortran-ordered one
+        # in its own lower triangle; order 1 is both, so it is factored in place
         M = random_spd(order, order)
         b = np.random.default_rng(0).standard_normal(order)
         before = M.copy()
-        expect = spd_solve(np.asfortranarray(M.copy()), b)
-        overwrite = []
-        monkeypatch.setattr(gbfpum.numerics, "dpotrf", recording_dpotrf(overwrite))
-        x = spd_solve(M, b)
-        assert overwrite == [True]
+        expect = spd_solve(M, b)
+        assert np.array_equal(M, before) == (order > 1)
+        work = before.copy(order="F")
+        x = spd_solve(work, b)
         assert np.array_equal(x, expect)
-        assert np.array_equal(M, before)
+        assert np.array_equal(np.triu(work, 1), np.triu(before, 1))
+        assert np.allclose(np.tril(work), np.linalg.cholesky(before), rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["read-only", "fortran", "asymmetric"])
-    def test_copy_path_inputs_kept(self, monkeypatch, kind):
+    def test_copy_path_inputs_kept(self, kind):
         M = random_spd(40, 5)
         if kind == "read-only":
             M.flags.writeable = False
         elif kind == "fortran":
-            M = np.asfortranarray(M)
+            # a Fortran-ordered block of a larger matrix is no contiguous buffer
+            M = random_spd(50, 5).copy(order="F")[:40, :40]
+            assert not M.flags.f_contiguous
         else:
             M[3, 7] += 1e-14  # within SYM_TOL: accepted, but not exactly symmetric
             assert check_symmetric(M) > 0
         before = M.copy()
         b = np.ones(40)
-        overwrite = []
-        monkeypatch.setattr(gbfpum.numerics, "dpotrf", recording_dpotrf(overwrite))
         x = spd_solve(M, b)
-        assert overwrite == [False]
         assert np.linalg.norm(before @ x - b) <= 1e-8 * np.linalg.norm(b)
         assert np.array_equal(M, before)
 
@@ -372,3 +420,34 @@ class TestSparse:
     def test_low_eigen_needs_k_below_order(self, path3):
         with pytest.raises(ValueError):
             low_eigen(path3.sparse_laplacian(), 3)
+
+
+def openblas_threads() -> dict[str, int]:
+    """Threads each loaded OpenBLAS reports, read from the libraries themselves."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return {}
+    libs = sorted({line.split()[-1] for line in maps.splitlines() if "openblas" in line})
+    found = {}
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                found[Path(path).name] = int(fn())
+                break
+    return found
+
+
+def test_blas_threads_follow_environment():
+    # a thread count set in the environment reaches the libraries only if
+    # nothing loaded them before it was set
+    wanted = os.environ.get("OPENBLAS_NUM_THREADS")
+    if wanted is None:
+        pytest.skip("OPENBLAS_NUM_THREADS is not set")
+    found = openblas_threads()
+    if not found:
+        pytest.skip("no loaded OpenBLAS reports its thread count")
+    assert found == dict.fromkeys(found, int(wanted))
