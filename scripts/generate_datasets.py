@@ -53,24 +53,20 @@ def geometric(n=200, radius=0.13, seed=7):
 def road_surrogate(n=2642, m_target=3304, seed=42):
     rng = np.random.default_rng(seed)
     pts = rng.random((n, 2)) * np.array([2.0, 3.0])
-    tri = Delaunay(pts)
-    edge_set = set()
-    for simplex in tri.simplices:
-        for a in range(3):
-            u, v = int(simplex[a]), int(simplex[(a + 1) % 3])
-            edge_set.add((min(u, v), max(u, v)))
-    edges = np.array(sorted(edge_set))
+    simplices = Delaunay(pts).simplices.astype(np.int64)
+    sides = np.concatenate([simplices[:, [0, 1]], simplices[:, [1, 2]], simplices[:, [2, 0]]])
+    edges = np.unique(np.sort(sides, axis=1), axis=0)  # (lo, hi) pairs in lexicographic order
     lengths = np.linalg.norm(pts[edges[:, 0]] - pts[edges[:, 1]], axis=1)
 
     adj = coo_matrix((lengths, (edges[:, 0], edges[:, 1])), shape=(n, n))
     mst = minimum_spanning_tree(adj).tocoo()
-    keep = {(min(u, v), max(u, v)) for u, v in zip(mst.row.tolist(), mst.col.tolist())}
+    lo, hi = np.minimum(mst.row, mst.col), np.maximum(mst.row, mst.col)
+    in_mst = np.isin(edges[:, 0] * n + edges[:, 1], lo.astype(np.int64) * n + hi)
+    # the shortest edges off the tree, in stable length order, up to the target count
     order = np.argsort(lengths, kind="stable")
-    for idx in order:
-        if len(keep) >= m_target:
-            break
-        keep.add((int(edges[idx, 0]), int(edges[idx, 1])))
-    return sorted(keep)
+    extra = order[~in_mst[order]][: max(m_target - int(in_mst.sum()), 0)]
+    keep = np.sort(np.concatenate([np.flatnonzero(in_mst), extra]))
+    return list(zip(edges[keep, 0].tolist(), edges[keep, 1].tolist()))
 
 
 def main():

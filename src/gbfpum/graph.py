@@ -28,18 +28,20 @@ class Graph:
     """Undirected simple graph held as one read-only binary CSR adjacency.
 
     `indptr` and `indices` are the adjacency's own arrays (row v lists the
-    sorted neighbors of v), and `heads` holds each entry's row, so entry i
-    is the edge end pair (heads[i], indices[i]); every structural query
-    (degrees, connectivity, subgraphs, Laplacians, edges inside a label)
-    reads these. `katz_memo` is the one memo: `metrics.katz_centrality`
-    keeps the graph's read-only Katz vector there, solved once per graph.
+    sorted neighbors of v), and the order n and edge count m are read from
+    them: n = len(indptr) - 1, and m = len(indices) // 2, each edge being
+    two entries. `heads` holds each entry's row, so entry i is the edge end
+    pair (heads[i], indices[i]); every structural query (degrees,
+    connectivity, subgraphs, Laplacians, edges inside a label) reads these.
+    `katz_memo` is the one memo: `metrics.katz_centrality` keeps the
+    graph's read-only Katz vector there, solved once per graph.
     """
 
     __slots__ = ("n", "m", "indptr", "indices", "heads", "_adj", "katz_memo")
 
-    def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray, m: int):
-        self.n = n
-        self.m = m
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray):
+        n = self.n = len(indptr) - 1
+        self.m = len(indices) // 2
         self._adj = sp.csr_matrix(
             (np.ones(len(indices)), indices, indptr), shape=(n, n)
         )
@@ -84,7 +86,7 @@ class Graph:
         cols = np.concatenate([hi, lo])
         A = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
         A.sort_indices()
-        g = cls(n, A.indptr, A.indices, len(keys))
+        g = cls(A.indptr, A.indices)
         if require_connected and not g.is_connected():
             raise DisconnectedError()
         return g
@@ -134,7 +136,7 @@ class Graph:
         col = np.minimum(np.searchsorted(key, nbr_key), max(len(vs) - 1, 0))
         hit = key[col] == nbr_key
         indptr = np.concatenate([[0], np.cumsum(np.bincount(row[hit], minlength=len(vs)))])
-        return Graph(len(vs), indptr, col[hit], int(hit.sum()) // 2)
+        return Graph(indptr, col[hit])
 
     def adjacency(self) -> sp.csr_matrix:
         """Binary adjacency matrix as scipy CSR (shared and read-only)."""

@@ -128,7 +128,7 @@ class TestKatzMemo:
     def test_covers_identical_with_memo(self, geometric200, solves):
         def fresh() -> Graph:
             g = geometric200
-            return Graph(g.n, g.indptr, g.indices, g.m)
+            return Graph(g.indptr, g.indices)
 
         W = np.arange(0, 200, 7)
         g = fresh()
@@ -148,6 +148,14 @@ class TestModularity:
     def test_singletons_on_single_edge(self):
         g = Graph.from_edges(2, [(0, 1)])
         assert modularity(g, np.array([0, 1])) == pytest.approx(-0.5, abs=1e-12)
+
+    def test_rebuilt_graph_keeps_order_edges_and_modularity(self, geometric200):
+        # n and m come from the CSR arrays, so a rebuilt graph cannot disagree with them
+        g = geometric200
+        rebuilt = Graph(g.indptr, g.indices)
+        member = np.arange(g.n) % 3
+        assert (rebuilt.n, rebuilt.m) == (g.n, g.m) == (200, 941)
+        assert modularity(rebuilt, member) == modularity(g, member) == pytest.approx(-0.0094, abs=5e-5)
 
     def test_edgeless_graph_zero(self):
         assert modularity(Graph.from_edges(1, []), [0]) == 0.0
