@@ -19,8 +19,8 @@ vertex carry the label -1, for a core that a pass leaves alone.
 `split_community` is the split phase's pass function: one call plans the
 bipartitions of many cores at once and scores each plan's modularity gain
 from the same edges, so each plan is scored in the call that makes it. Each
-stage finds the edges inside its cores with one mask over the CSR entries
-(`Graph.heads`, `Graph.indices`), on global vertex ids.
+stage finds the edges inside its cores with `graph.intra_edges`, one mask
+over the CSR entries, on global vertex ids.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .graph import Graph, as_vertex_set, groups, sorted_unique
+from .graph import Graph, as_vertex_set, groups, intra_edges, sorted_unique
 from .metrics import default_alpha, katz_centrality, modularity
 
 FORMAT_VERSION = 3
@@ -99,18 +99,6 @@ class DetectionParams:
             raise ValueError(f"small_fraction = {self.small_fraction} is not in (0, 1)")
 
 
-def _intra_edges(g: Graph, label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(u, v): the CSR entries whose two ends carry the same label >= 0, on
-    global vertex ids, read with one mask over `Graph.heads`.
-
-    Each such edge appears twice, once from each end; `u` is ascending, each
-    row's `v` in the graph's order. Distinct labels share no edge.
-    """
-    head = label[g.heads]
-    keep = (head >= 0) & (head == label[g.indices])
-    return g.heads[keep], g.indices[keep]
-
-
 def split_community(
     g: Graph, label: np.ndarray, W: np.ndarray, katz: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -156,7 +144,7 @@ def split_community(
     if len(planned) == 0:
         return np.zeros(g.n, dtype=bool), planned, np.zeros(0, dtype=np.int64)
     label = _restrict(label, planned)
-    u, v = _intra_edges(g, label)
+    u, v = intra_edges(g, label)
     seeds = np.concatenate([w[first], w[first + 1]])
     # the kept edges' rows in order, then the super-source row n; columns as given
     indptr = np.concatenate([[0], np.cumsum(np.bincount(u, minlength=g.n)), [len(u) + len(seeds)]])
@@ -302,7 +290,7 @@ def merge_small(
     arrival = np.zeros(len(sizes), dtype=np.int64)
     arrival[small] = np.arange(1, len(small) + 1)
     arrival = arrival[label]
-    u, v = _intra_edges(g, owner)
+    u, v = intra_edges(g, owner)
     up = u < v
     u, v = u[up], v[up]
     weight = np.maximum(arrival[u], arrival[v]) + 1  # >= 1: a zero entry is no edge
@@ -329,7 +317,7 @@ def expand_overlap(g: Graph, label: np.ndarray) -> list[np.ndarray]:
     each ring as (core, vertex) keys: the 1-hop ones from the CSR entries of
     the ring's vertices, the 2-hop ones from one product A[far] @ A.
     """
-    r = np.bincount(_intra_edges(g, label)[0], minlength=g.n) / np.maximum(g.degrees(), 1)
+    r = np.bincount(intra_edges(g, label)[0], minlength=g.n) / np.maximum(g.degrees(), 1)
     far = np.flatnonzero(r <= T_LOW)  # a vertex of no edge reads r = 0 and adds nothing
     at = (r <= T_HIGH)[g.heads]  # the edges out of every vertex that adds its 1-hop ring
     two_hop = g.adjacency()[far] @ g.adjacency()

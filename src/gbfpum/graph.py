@@ -159,6 +159,18 @@ def groups(label: np.ndarray) -> list[np.ndarray]:
     return np.split(np.argsort(label, kind="stable"), np.cumsum(np.bincount(label))[:-1])
 
 
+def intra_edges(g: Graph, label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v): the CSR entries whose two ends carry the same label >= 0, on
+    global vertex ids, read with one mask over `Graph.heads`.
+
+    Each such edge appears twice, once from each end; `u` is ascending, each
+    row's `v` in the graph's order. Distinct labels share no edge.
+    """
+    head = label[g.heads]
+    keep = (head >= 0) & (head == label[g.indices])
+    return g.heads[keep], g.indices[keep]
+
+
 def sorted_unique(keys: np.ndarray) -> np.ndarray:
     """`np.unique` of integer keys, by a sort and a mask of changes.
 

@@ -1,7 +1,8 @@
-"""Polyharmonic-spline kernels on graph Laplacians and their precision matrices.
+"""Polyharmonic-spline kernels on graph Laplacians.
 
-K = (eps I + L)^(-s), where `KernelParams` holds eps above SHIFT_TOL, as a graph
-Laplacian's lambda_min is 0. The two interpolation routes of `pum` reach it differently:
+K = (eps I + L)^(-s) = M^(-s), with M = eps I + L (`shifted_laplacian`), where
+`KernelParams` holds eps above SHIFT_TOL, as a graph Laplacian's lambda_min is
+0. The two interpolation routes of `pum` reach it differently:
 
 - the kernel route (`kernel_block`) forms the block K[W,W] at the nodes W
   and a function that evaluates K[:, W] a. For integer s it uses one sparse
@@ -21,8 +22,8 @@ Laplacian's lambda_min is 0. The two interpolation routes of `pum` reach it diff
   columns at a time, the one place it is made exactly symmetric, and
   returned in Fortran order, so `numerics.spd_solve` leaves its Cholesky
   factor there: one |W| x |W| buffer serves from the block to the solve.
-- the native route never forms K: for integer s the precision matrix
-  A = K^(-1) = M^s (`precision_matrix`) is sparse, and `pum` solves with it.
+- the native route never forms K: for integer s, K^(-1) = M^s is sparse,
+  and `pum` builds from M only the rows of M^s that it solves with.
 """
 
 from __future__ import annotations
@@ -38,9 +39,10 @@ from .graph import Graph, check_nodes
 from .numerics import SOLVE_BLOCK, check_positive, sparse_lu, sym_eigen
 
 SHIFT_TOL = 1e-12
-# Largest exponent s. The native route makes int(s) - 1 sparse products, so a
-# huge s would run for hours; and at eps = 0.01 or 1 both committed graphs are
-# already not positive definite in floating point by s = 32.
+# Largest exponent s. The native route makes int(s) - 1 sparse products of the
+# rows it solves with, so a huge s would run for hours; and at eps = 0.01 or 1
+# both committed graphs are already not positive definite in floating point by
+# s = 32.
 S_MAX = 64
 
 
@@ -77,18 +79,9 @@ def gbf_kernel(L: np.ndarray, p: KernelParams, cols: np.ndarray) -> np.ndarray:
     return eig.vectors @ (w[:, None] * eig.vectors[cols].T)
 
 
-def _shifted_laplacian(g: Graph, p: KernelParams) -> sp.csr_matrix:
+def shifted_laplacian(g: Graph, p: KernelParams) -> sp.csr_matrix:
     """M = eps I + L as scipy CSR, L the Laplacian of g; K = M^(-s)."""
     return (g.sparse_laplacian() + p.epsilon * sp.identity(g.n, format="csr")).tocsr()
-
-
-def precision_matrix(g: Graph, p: KernelParams) -> sp.csr_matrix:
-    """A = K^(-1) = (eps I + L)^s for integer s: sparse, with s-hop fill."""
-    M = _shifted_laplacian(g, p)
-    A = M
-    for _ in range(int(p.s) - 1):
-        A = A @ M
-    return A.tocsr()
 
 
 def kernel_block(
@@ -107,7 +100,7 @@ def kernel_block(
         Kw = gbf_kernel(g.laplacian().T, p, cols)
         block, evaluate = Kw[cols], lambda a: Kw @ a
     else:
-        lu = sparse_lu(_shifted_laplacian(g, p))
+        lu = sparse_lu(shifted_laplacian(g, p))
         s = int(p.s)
         block = np.empty((len(cols), len(cols)))
         for j in range(0, len(cols), SOLVE_BLOCK):

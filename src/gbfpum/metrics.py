@@ -10,7 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import EmptySetError
-from .graph import Graph, as_vertex_set
+from .graph import Graph, as_vertex_set, intra_edges
 from .numerics import sparse_lu
 
 DEFAULT_ALPHA_CAP = 0.5
@@ -54,10 +54,8 @@ def modularity(g: Graph, membership: np.ndarray) -> float:
         raise ValueError("membership must assign every vertex")
     n_comm = int(membership.max(initial=-1)) + 1
     deg = g.degrees().astype(np.float64)
-    head = membership[g.heads]
-    intra_halfedges = np.bincount(
-        head[head == membership[g.indices]], minlength=n_comm
-    ).astype(np.float64)
+    u, _ = intra_edges(g, membership)
+    intra_halfedges = np.bincount(membership[u], minlength=n_comm).astype(np.float64)
     deg_tot = np.bincount(membership, weights=deg, minlength=n_comm)
     if g.m == 0:
         return 0.0

@@ -5,11 +5,12 @@ subdomain becomes one block of a disjoint-union graph of vertex copies, and
 one of two solvers fills one vector f over those copies with the local
 kernel interpolants of K = (eps I + L)^(-s):
 
-- integer s, the native route: the precision matrix A = (eps I + L)^s = K^-1
-  of the union is sparse. With S the sampled vertex copies and U the others,
-  the block inverse identity K[U,S] K[S,S]^-1 = -A[U,U]^-1 A[U,S] gives every
-  local interpolant from one sparse LDL^T factor (`numerics.sparse_lu`):
-  f[S] = y[S], A[U,U] f[U] = -A[U,S] y[S].
+- integer s, the native route: A = (eps I + L)^s = K^-1 of the union is
+  sparse. With S the sampled vertex copies and U the others, the block
+  inverse identity K[U,S] K[S,S]^-1 = -A[U,U]^-1 A[U,S] gives every local
+  interpolant from one sparse LDL^T factor (`numerics.sparse_lu`):
+  f[S] = y[S], A[U,U] f[U] = -A[U,S] y[S]. Only the rows A[U, :] are
+  built, from s - 1 row products of eps I + L.
 - any other s, the kernel route: `local_interpolant` on each connected piece
   of the union, which solves K[W,W] a = y[W] and evaluates K[:, W] a.
   K is block diagonal over the pieces, so a subdomain's interpolant is its
@@ -43,7 +44,7 @@ from .errors import (
     ZeroSignalError,
 )
 from .graph import Graph, as_vertex_set, check_nodes, check_range, groups
-from .kernel import KernelParams, kernel_block, precision_matrix
+from .kernel import KernelParams, kernel_block, shifted_laplacian
 from .numerics import low_eigen, sparse_lu, spd_solve, sym_eigen
 
 SIGNAL_MODES = 10  # Laplacian modes in `synthetic_signal`
@@ -183,16 +184,21 @@ def _native_solve(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """f = y on the sampled copies and -A[U,U]^-1 A[U,S] y[S] on the others.
 
-    Also returns the squared entries of the residual and of the right-hand
-    side of the A[U,U] system, 0 at the samples. The pieces are not needed:
-    A is sparse, so one factor serves them all.
+    Of A = M^s, M = eps I + L of the union, only the rows at U are built:
+    M[U] times M, s - 1 times, as row i of a CSR product is row i of its
+    left factor times the right one. Also returns the squared entries of the
+    residual and of the right-hand side of the A[U,U] system, 0 at the
+    samples. The pieces are not needed: one sparse factor serves them all.
     """
-    A = precision_matrix(union, kp)
+    M = shifted_laplacian(union, kp)
     U = np.flatnonzero(~sampled)
-    f = y.copy()
-    rows = A[U]
+    rows = M[U]
+    for _ in range(int(kp.s) - 1):
+        rows = rows @ M
     A_uu = rows[:, U]
-    b = -(rows[:, np.flatnonzero(sampled)] @ y[sampled])
+    b = -(rows @ y)  # y is 0 off the samples
+    del rows  # freed before the factor, which sets the stage's memory peak
+    f = y.copy()
     if len(U):
         f[U] = sparse_lu(A_uu).solve(b)
     r2, b2 = np.zeros(union.n), np.zeros(union.n)

@@ -11,6 +11,7 @@ from scipy.sparse import csgraph
 
 import gbfpum.kernel
 import gbfpum.metrics
+import gbfpum.numerics
 import gbfpum.pum
 from gbfpum import (
     DetectionParams,
@@ -102,6 +103,34 @@ def independent_pieces(g: Graph, c: Community, W: np.ndarray) -> list[tuple[int,
     return [(len(vs), int(np.isin(vs, W).sum())) for vs in piece_sets(g, c.subdomain)]
 
 
+def precision_rows_reference(
+    union: Graph, sampled: np.ndarray, y: np.ndarray, kp: KernelParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`pum._native_solve` from the whole power A = M^s, sliced at the unsampled rows U."""
+    M = gbfpum.kernel.shifted_laplacian(union, kp)
+    A = M
+    for _ in range(int(kp.s) - 1):
+        A = A @ M
+    A = A.tocsr()
+    U, S = np.flatnonzero(~sampled), np.flatnonzero(sampled)
+    A_uu = A[U][:, U]
+    b = -(A[U][:, S] @ y[S])
+    f = y.copy()
+    f[U] = gbfpum.numerics.sparse_lu(A_uu).solve(b)
+    r2, b2 = np.zeros(union.n), np.zeros(union.n)
+    r2[U] = (A_uu @ f[U] - b) ** 2
+    b2[U] = b**2
+    return f, r2, b2
+
+
+def native_inputs(g: Graph, cover: Cover, y: np.ndarray) -> tuple:
+    """(union, sampled, y on the copies): the native solver's inputs, as the stage builds them."""
+    subs = [c.subdomain for c in cover.communities]
+    copies = np.concatenate(subs)
+    sampled = np.isin(copies, cover.samples)
+    return g.disjoint_union(subs), sampled, np.where(sampled, y[copies], 0.0)
+
+
 @pytest.fixture(scope="module")
 def road_covers(minnesota):
     return {
@@ -137,6 +166,24 @@ class TestNativeRoute:
         native, _, _ = interpolate_cover(g, cover, y, kp)
         ref = kernel_route(g, cover, y, kp)
         assert np.abs(native - ref).max() <= 1e-10 * np.abs(y).max()
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    @pytest.mark.parametrize("graph", ["geometric200", "minnesota"])
+    def test_rows_at_unsampled_copies_match_whole_power(self, request, road_covers, graph, s):
+        # A[U, :] from row products of M is the whole power's rows at U bit for bit,
+        # and y = 0 off the samples, so the full row product is A[U, S] y[S]
+        g = request.getfixturevalue(graph)
+        if graph == "minnesota":
+            cover, y = road_covers[200], request.getfixturevalue("minnesota_signal")
+        else:
+            cover = detect_communities(g, sample_nodes(g.n, 40, 0), DetectionParams())
+            y = synthetic_signal(g)
+        union, sampled, y_copies = native_inputs(g, cover, y)
+        kp = KernelParams(s=float(s))
+        got = gbfpum.pum._native_solve(union, None, sampled, y_copies, kp)  # reads no pieces
+        want = precision_rows_reference(union, sampled, y_copies, kp)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
     def test_samples_exact_and_calls_bit_identical(self, minnesota, minnesota_signal, road_covers):
         # both routes of the stage and the global baseline hold y at W bit for bit

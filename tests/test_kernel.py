@@ -261,7 +261,7 @@ class TestKernelColumns:
         p = KernelParams(s=float(s))
         X = np.zeros((geometric200.n, len(cols)), order="F")
         X[cols, np.arange(len(cols))] = 1.0
-        lu = gbfpum.numerics.sparse_lu(gbfpum.kernel._shifted_laplacian(geometric200, p))
+        lu = gbfpum.numerics.sparse_lu(gbfpum.kernel.shifted_laplacian(geometric200, p))
         for _ in range(s):
             X = lu.solve(X)
         B = X[cols]
