@@ -6,6 +6,8 @@ keeps the series convergent, and memoised once per graph.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -47,11 +49,22 @@ def modularity(g: Graph, membership: np.ndarray) -> float:
     """Newman modularity Q of a disjoint community assignment.
 
     Per-community aggregate of intra-edge counts and total degrees; equals
-    the literal (1/2m) double sum over ordered vertex pairs.
+    the literal (1/2m) double sum over ordered vertex pairs. Each vertex's
+    label is a non-negative integer (an integral float is read as one); the
+    first vertex whose label is not raises ValueError.
     """
     membership = np.asarray(membership)
     if len(membership) != g.n:
         raise ValueError("membership must assign every vertex")
+    if membership.dtype.kind not in "iu":
+        for v, x in enumerate(membership.tolist()):
+            whole = isinstance(x, Integral) or (isinstance(x, float) and x.is_integer())
+            if isinstance(x, bool) or not whole:
+                raise ValueError(f"vertex {v} has label {x!r}, which is not an integer")
+        membership = membership.astype(np.int64)
+    if membership.min(initial=0) < 0:
+        v = int(np.argmax(membership < 0))
+        raise ValueError(f"vertex {v} has label {membership[v]}, which is negative")
     n_comm = int(membership.max(initial=-1)) + 1
     deg = g.degrees().astype(np.float64)
     u, _ = intra_edges(g, membership)

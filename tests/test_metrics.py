@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -163,6 +165,26 @@ class TestModularity:
     def test_label_per_vertex(self, two_triangle):
         with pytest.raises(ValueError, match="^membership must assign every vertex$"):
             modularity(two_triangle, np.zeros(5, dtype=int))
+
+    @pytest.mark.parametrize(
+        "member, message",
+        [
+            ([0, -1, 0], "vertex 1 has label -1, which is negative"),
+            (np.array([0, 0, -2]), "vertex 2 has label -2, which is negative"),
+            ([0.5, 0, 0], "vertex 0 has label 0.5, which is not an integer"),
+            ([0, 0, 1.5], "vertex 2 has label 1.5, which is not an integer"),
+            (np.array([False, True, False]), "vertex 0 has label False, which is not an integer"),
+            (np.array(["0", "0", "1"]), "vertex 0 has label '0', which is not an integer"),
+        ],
+    )
+    def test_refuses_bad_label_by_vertex(self, member, message):
+        path = Graph.from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            modularity(path, member)
+
+    def test_integral_float_labels_read_as_integers(self, two_triangle):
+        member = np.array([0, 0, 0, 1, 1, 1])
+        assert modularity(two_triangle, member.astype(float)) == modularity(two_triangle, member)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6))

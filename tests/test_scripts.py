@@ -44,13 +44,67 @@ def bench_file(tmp_path, cases) -> Path:
     return path
 
 
+# the 37 road-graph cases whose digests pin the sweep's pipelines, the s = 1 and 3
+# pipelines and every global baseline: a change that keeps outputs keeps these lines
+DIGEST_CASES = [
+    "minnesota_surrogate N=200 sample_seed=0 s=2",
+    "minnesota_surrogate N=200 sample_seed=1 s=2",
+    "minnesota_surrogate N=200 sample_seed=2 s=2",
+    "minnesota_surrogate N=200 sample_seed=3 s=2",
+    "minnesota_surrogate N=200 sample_seed=4 s=2",
+    "minnesota_surrogate N=400 sample_seed=0 s=2",
+    "minnesota_surrogate N=400 sample_seed=1 s=2",
+    "minnesota_surrogate N=400 sample_seed=2 s=2",
+    "minnesota_surrogate N=400 sample_seed=3 s=2",
+    "minnesota_surrogate N=400 sample_seed=4 s=2",
+    "minnesota_surrogate N=600 sample_seed=0 s=2",
+    "minnesota_surrogate N=600 sample_seed=1 s=2",
+    "minnesota_surrogate N=600 sample_seed=2 s=2",
+    "minnesota_surrogate N=600 sample_seed=3 s=2",
+    "minnesota_surrogate N=600 sample_seed=4 s=2",
+    "minnesota_surrogate N=800 sample_seed=0 s=2",
+    "minnesota_surrogate N=800 sample_seed=1 s=2",
+    "minnesota_surrogate N=800 sample_seed=2 s=2",
+    "minnesota_surrogate N=800 sample_seed=3 s=2",
+    "minnesota_surrogate N=800 sample_seed=4 s=2",
+    "minnesota_surrogate N=200 sample_seed=5 s=1.5",
+    "minnesota_surrogate N=400 sample_seed=5 s=1.5",
+    "minnesota_surrogate N=600 sample_seed=5 s=1.5",
+    "minnesota_surrogate N=800 sample_seed=5 s=1.5",
+    "minnesota_surrogate N=200 sample_seed=0 s=1",
+    "minnesota_surrogate N=800 sample_seed=0 s=1",
+    "minnesota_surrogate N=200 sample_seed=0 s=3",
+    "minnesota_surrogate N=800 sample_seed=0 s=3",
+    "minnesota_surrogate global_gbf_baseline N=200 sample_seed=0 s=1",
+    "minnesota_surrogate global_gbf_baseline N=800 sample_seed=0 s=1",
+    "minnesota_surrogate global_gbf_baseline N=200 sample_seed=0 s=2",
+    "minnesota_surrogate global_gbf_baseline N=800 sample_seed=0 s=2",
+    "minnesota_surrogate global_gbf_baseline N=200 sample_seed=0 s=3",
+    "minnesota_surrogate global_gbf_baseline N=800 sample_seed=0 s=3",
+    "minnesota_surrogate global_gbf_baseline N=200 sample_seed=0 s=4",
+    "minnesota_surrogate global_gbf_baseline N=800 sample_seed=0 s=4",
+    "minnesota_surrogate global_gbf_baseline N=200 sample_seed=0 s=1.5",
+]
+
+
 @pytest.fixture
 def well_formed() -> list[dict]:
     stats = {"median": 0.5, "q1": 0.4, "q3": 0.6}
     return [
-        {"case": stage_bench.case_name(*c), "wall_times": {"total_s": dict(stats), "load_s": dict(stats)}}
+        {
+            "case": stage_bench.case_name(*c),
+            "wall_times": {"total_s": dict(stats), "load_s": dict(stats)},
+            "digest": {"w_misses": 0},
+        }
         for c in stage_bench.CASES
     ]
+
+
+def test_cases_hold_every_digest_case():
+    assert len(set(DIGEST_CASES)) == 37
+    names = [stage_bench.case_name(*c) for c in stage_bench.CASES]
+    assert len(set(names)) == len(names)
+    assert set(DIGEST_CASES) <= set(names)
 
 
 def test_check_passes_well_formed_file(tmp_path, well_formed):
@@ -69,16 +123,55 @@ def test_check_raises_on_nan_median(tmp_path, well_formed):
         stage_bench.check(bench_file(tmp_path, well_formed))
 
 
+def test_check_raises_on_missing_digest(tmp_path, well_formed):
+    del well_formed[5]["digest"]
+    with pytest.raises(ValueError, match=f"{re.escape(well_formed[5]['case'])} has no digest$"):
+        stage_bench.check(bench_file(tmp_path, well_formed))
+
+
+def test_check_raises_on_missed_sample(tmp_path, well_formed):
+    well_formed[7]["digest"]["w_misses"] = 2
+    with pytest.raises(ValueError, match=f"{re.escape(well_formed[7]['case'])} misses 2 sample values$"):
+        stage_bench.check(bench_file(tmp_path, well_formed))
+
+
 def test_run_case_raises_on_cover_unlike_its_pin(monkeypatch):
     text = stage_bench.graph_text("geometric_200")
-    case = ("geometric_200", 20, 0, 2.0)
+    case = ("geometric_200", "run_pipeline", 20, 0, 2.0)
     stats = stage_bench.run_case(text, *case, repeats=2)
     assert stats["communities"] >= 1 and len(stats["cover_sha256"]) == 64
+    assert stats["digest"]["cover"] == stats["cover_sha256"] and stats["digest"]["w_misses"] == 0
+    assert stats["digest"]["rrmse"] == repr(stats["rrmse"])
     assert {"load_s", "signal_s", "total_s"} <= set(stats["wall_times"])
     name = stage_bench.case_name(*case)
     monkeypatch.setitem(stage_bench.COVER_SHA256, name, stats["cover_sha256"])
-    assert stage_bench.run_case(text, *case, repeats=1)["cover_sha256"] == stats["cover_sha256"]
+    assert stage_bench.run_case(text, *case, repeats=1)["digest"] == stats["digest"]
     monkeypatch.setitem(stage_bench.COVER_SHA256, name, "0" * 64)
     message = f"{name}: cover sha256 {stats['cover_sha256']} is not the pinned {'0' * 64}"
     with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
         stage_bench.run_case(text, *case, repeats=1)
+
+
+def test_run_case_raises_when_runs_differ(monkeypatch):
+    # the second run's signal moves by one part in 1e12, so its digest differs from the first's
+    calls, signal = [], stage_bench.synthetic_signal
+
+    def drifting_signal(g):
+        calls.append(g)
+        return signal(g) * (1.0 if len(calls) == 1 else 1.0 + 1e-12)
+
+    monkeypatch.setattr(stage_bench, "synthetic_signal", drifting_signal)
+    text = stage_bench.graph_text("geometric_200")
+    case = ("geometric_200", "run_pipeline", 20, 0, 2.0)
+    with pytest.raises(RuntimeError, match=r"^geometric_200 N=20 sample_seed=0 s=2: 2 runs differ in signal, "):
+        stage_bench.run_case(text, *case, repeats=2)
+    assert len(calls) == 2
+
+
+def test_run_case_baseline_has_no_cover():
+    text = stage_bench.graph_text("geometric_200")
+    stats = stage_bench.run_case(text, "geometric_200", "global_gbf_baseline", 20, 0, 2.0, repeats=1)
+    digest = stats["digest"]
+    assert digest["w_misses"] == 0 and "cover" not in digest and "cores" not in digest
+    assert not {"communities", "max_piece", "cover_sha256"} & set(stats)
+    assert len(digest["approx_off_w"]) == 64 and stats["rrmse"] > 0
