@@ -30,6 +30,8 @@ no `cover` or `cores`. Runs are deterministic at a fixed thread count, so
 the script raises unless every run of a case gives the same digest, with
 `w_misses` 0 and, for a case pinned in `COVER_SHA256`, that cover; a
 change that moves a pinned cover on purpose re-pins it from the file.
+Every pipeline run also raises unless the partition-of-unity weights of
+its cover (`build_pu`) sum to one at every vertex, within 1e-12.
 
 stdout holds one JSON line per case, its name and digest and no timing,
 so two checkouts or two runs compare with `cmp`; progress goes to stderr.
@@ -79,6 +81,7 @@ from generate_datasets import road_surrogate  # noqa: E402
 from gbfpum import (  # noqa: E402
     DetectionParams,
     KernelParams,
+    build_pu,
     global_gbf_baseline,
     load_graph,
     run_pipeline,
@@ -98,6 +101,7 @@ CASES = [
     *(("geometric_200", PIPELINE, count, seed, 2.0) for count in (20, 40, 60, 80) for seed in range(5)),
     *((f"road_surrogate_{n}", PIPELINE, n // 10, 0, 2.0) for n in (10_000, 20_000, 50_000, 100_000, 200_000)),
 ]
+PU_TOL = 1e-12  # the largest miss of one in a vertex's partition-of-unity weight sum
 # sha256 of the cover JSON, per pinned case
 COVER_SHA256 = {
     "road_surrogate_10000 N=1000 sample_seed=0 s=2": "79282aedcfb51cc74d2dca1e995b543081963fb44c9a147189919fb5a35b248a",
@@ -134,6 +138,17 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def check_partition_of_unity(case: str, cover, n: int) -> None:
+    """Raise RuntimeError, naming the case and the worst vertex, unless the weights of
+    `build_pu(cover, n)` sum to one at every vertex within PU_TOL."""
+    copies = np.concatenate([c.subdomain for c in cover.communities])
+    total = np.bincount(copies, weights=build_pu(cover, n).weights(copies), minlength=n)
+    miss = np.abs(total - 1.0)
+    if miss.max() > PU_TOL:
+        v = int(np.argmax(miss))
+        raise RuntimeError(f"{case}: partition-of-unity weights sum to {float(total[v])!r} at vertex {v}")
+
+
 def output_digest(y, W, result, cover) -> dict:
     """The run's outputs as sha256 digests, the `repr` of rrmse and the missed sample count."""
     digest = {"signal": sha(y.tobytes())}
@@ -157,9 +172,10 @@ def output_digest(y, W, result, cover) -> dict:
 def run_case(text: str, graph: str, route: str, count: int, seed: int, s: float, repeats: int) -> dict:
     """The case's digest and statistics over `repeats` runs, each on a freshly loaded graph.
 
-    Raises RuntimeError when the runs' digests differ, when the approximant
-    misses a sample value, or when the cover's sha256 is not the case's pin
-    in `COVER_SHA256`.
+    Raises RuntimeError when a run's partition-of-unity weights miss one
+    (`check_partition_of_unity`), when the runs' digests differ, when the
+    approximant misses a sample value, or when the cover's sha256 is not the
+    case's pin in `COVER_SHA256`.
     """
     case = case_name(graph, route, count, seed, s)
     times, digests = [], []
@@ -172,6 +188,7 @@ def run_case(text: str, graph: str, route: str, count: int, seed: int, s: float,
         W = sample_nodes(g.n, count, seed)
         if route == PIPELINE:
             result, cover = run_pipeline(g, y, W, DetectionParams(), KernelParams(s=s))
+            check_partition_of_unity(case, cover, g.n)
         else:
             result, cover = global_gbf_baseline(g, y, W, KernelParams(s=s)), None
         times.append({**result.wall_times, **setup})

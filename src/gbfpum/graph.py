@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import chain
 from numbers import Integral, Real
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -59,15 +59,21 @@ class Graph:
     ) -> "Graph":
         """Build a graph from undirected edge pairs; duplicates are collapsed.
 
-        `edges` is an (m, 2) integer array, taken as it is, or any iterable of
-        pairs. The first bad edge in input order raises: a self-loop before a
-        vertex out of range. A graph that must be connected but has a vertex
-        on no edge raises DisconnectedError before any array of order n is
-        made, so an edge list with one huge vertex id costs O(m) memory.
+        `edges` is an (m, 2) array, taken as it is, or any iterable of (u, v)
+        pairs; anything of another shape raises ValueError. Its entries go
+        through `integer_entries`, so an end that is not an integer raises
+        ValueError, named by its edge. Then the first bad edge in input order
+        raises: a self-loop before an end out of range, and of two ends out of
+        range, u. A graph that must be connected but has a vertex on no edge
+        raises DisconnectedError before any array of order n is made, so an
+        edge list with one huge vertex id costs O(m) memory.
         """
-        if not isinstance(edges, np.ndarray):
-            edges = list(edges)
-        u, v = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+        edges = edges if isinstance(edges, np.ndarray) else np.array(list(edges), dtype=object)
+        if edges.shape[1:] != (2,) and edges.size:
+            raise ValueError(f"edges must be (u, v) pairs, got shape {edges.shape}")
+        u, v = integer_entries(
+            edges, lambda i, ends: f"edge {i // 2} has end {ends[i]!r}, which is not an integer"
+        ).reshape(-1, 2).T
         loop = u == v
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         bad = np.flatnonzero(loop | (lo < 0) | (hi >= n))
@@ -75,11 +81,12 @@ class Graph:
             i = bad[0]
             if loop[i]:
                 raise SelfLoopError(int(u[i]))
-            raise OutOfRangeError(int(hi[i]), n)
+            raise OutOfRangeError(int(u[i] if not 0 <= u[i] < n else v[i]), n)
         if require_connected and n > 1 and len(sorted_unique(np.concatenate([u, v]))) < n:
             raise DisconnectedError()  # some vertex has no edge
         # one int64 key per undirected edge, ordered as (lo, hi); n^2 fits below
         # n = 3e9, past which the CSR's row pointers alone would take 24 GB
+        lo, hi = lo.astype(np.int64, copy=False), hi.astype(np.int64, copy=False)
         keys = sorted_unique(lo * n + hi)
         lo, hi = keys // n, keys % n
         rows = np.concatenate([lo, hi])
@@ -205,38 +212,47 @@ def as_vertex_set(ids, n: int) -> np.ndarray:
     return sorted_unique(vertex_ids(ids, n))
 
 
+def integer_entries(values, named: Callable[[int, list], str]) -> np.ndarray:
+    """`values` as an array, a list or tuple as an object one, whose entries are all integers.
+
+    This is the one integer rule for vertex ids, edge ends and labels. An
+    integer dtype passes with no per-element pass. Any other is read element
+    by element, so numpy never coerces [True, 2] to [1, 2] nor "3" to 3: an
+    integer or an integral float (a JSON reader's 3.0) passes, and the first
+    boolean, text, NaN, inf or fractional entry raises
+    ValueError(named(i, entries)), i its position in the flattened array.
+    The entries keep their dtype, so a caller checks the range of Python
+    ints past 64 bits exactly, before its int64 cast.
+    """
+    a = np.array(values, dtype=object) if isinstance(values, (list, tuple)) else np.asarray(values)
+    entries = [] if a.dtype.kind in "iu" else a.ravel().tolist()
+    for i, x in enumerate(entries):
+        whole = isinstance(x, Integral) or isinstance(x, Real) and float(x).is_integer()
+        if isinstance(x, (bool, np.bool_)) or not whole:
+            raise ValueError(named(i, entries))
+    return a
+
+
 def vertex_ids(ids, n: int) -> np.ndarray:
     """Vertex ids < n as a flat int64 array, in the caller's order, repeats kept.
 
-    Integral floats (a JSON reader's 3.0) and empty input are accepted. A
-    boolean array, or an object array, list or tuple of booleans only, is a
-    mask, not ids, and raises ValueError; so does the first float that is not
-    a finite integer, named with its position. An object or text array, a
-    list and a tuple are checked element by element by the same rules, so
-    numpy never coerces [True, 2] to [1, 2] nor "3" to 3: the first boolean
-    or the first element that is not an integer (or an integral float)
-    raises ValueError, named by its repr and its position. An id below 0
-    (the lowest), else one of n or more (the highest), raises OutOfRangeError.
+    The ids go through `integer_entries`, flattened, so integral floats and
+    empty input are accepted and the first entry that is not an integer
+    raises ValueError, named by its repr and its position; for booleans
+    only, the message says they are a mask, not ids. An id below 0 (the
+    lowest), else one of n or more (the highest), raises OutOfRangeError.
     """
-    vs = np.ravel(np.array(ids, dtype=object) if isinstance(ids, (list, tuple)) else ids)
-    if vs.dtype == bool or (
-        vs.dtype == object and len(vs) and all(isinstance(x, (bool, np.bool_)) for x in vs)
-    ):
-        raise ValueError("vertex ids are booleans; pass the ids of a mask, np.flatnonzero(mask)")
-    if vs.dtype.kind == "f":
-        bad = np.flatnonzero(~np.isfinite(vs) | (vs != np.trunc(vs)))
-        if len(bad):
-            i = bad[0]
-            raise ValueError(f"vertex id {float(vs[i])} at position {i} is not an integer")
-    elif vs.dtype.kind in "OUS":  # objects and text, element by element
-        for i, x in enumerate(vs.tolist()):
-            if isinstance(x, (bool, np.bool_)):
-                raise ValueError(f"vertex id {x!r} at position {i} is a boolean, not an integer")
-            if not isinstance(x, Integral) and not (isinstance(x, Real) and float(x).is_integer()):
-                raise ValueError(f"vertex id {x!r} at position {i} is not an integer")
-    # exact also on an object array of Python ints past 64 bits, before any cast
+    vs = np.ravel(integer_entries(ids, _bad_id))
     check_range(vs, n)
     return vs.astype(np.int64, copy=False)
+
+
+def _bad_id(i: int, ids: list) -> str:
+    """The message for ids[i], the first vertex id that is not an integer."""
+    if all(isinstance(x, (bool, np.bool_)) for x in ids):
+        return "vertex ids are booleans; pass the ids of a mask, np.flatnonzero(mask)"
+    kind = "a boolean, not an integer" if isinstance(ids[i], (bool, np.bool_)) else "not an integer"
+    return f"vertex id {ids[i]!r} at position {i} is {kind}"
 
 
 def load_graph(stream: IO[str] | str) -> Graph:

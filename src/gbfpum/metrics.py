@@ -6,13 +6,11 @@ keeps the series convergent, and memoised once per graph.
 
 from __future__ import annotations
 
-from numbers import Integral
-
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import EmptySetError
-from .graph import Graph, as_vertex_set, intra_edges
+from .graph import Graph, as_vertex_set, integer_entries, intra_edges
 from .numerics import sparse_lu
 
 DEFAULT_ALPHA_CAP = 0.5
@@ -49,19 +47,17 @@ def modularity(g: Graph, membership: np.ndarray) -> float:
     """Newman modularity Q of a disjoint community assignment.
 
     Per-community aggregate of intra-edge counts and total degrees; equals
-    the literal (1/2m) double sum over ordered vertex pairs. Each vertex's
-    label is a non-negative integer (an integral float is read as one); the
-    first vertex whose label is not raises ValueError.
+    the literal (1/2m) double sum over ordered vertex pairs. `membership` is
+    one label per vertex, a flat array of n; each label goes through
+    `graph.integer_entries` (an integral float is read as one), and the
+    first vertex whose label is not an integer, else is negative, raises
+    ValueError.
     """
-    membership = np.asarray(membership)
-    if len(membership) != g.n:
+    if np.shape(membership) != (g.n,):
         raise ValueError("membership must assign every vertex")
-    if membership.dtype.kind not in "iu":
-        for v, x in enumerate(membership.tolist()):
-            whole = isinstance(x, Integral) or (isinstance(x, float) and x.is_integer())
-            if isinstance(x, bool) or not whole:
-                raise ValueError(f"vertex {v} has label {x!r}, which is not an integer")
-        membership = membership.astype(np.int64)
+    membership = integer_entries(
+        membership, lambda v, labels: f"vertex {v} has label {labels[v]!r}, which is not an integer"
+    ).astype(np.int64, copy=False)
     if membership.min(initial=0) < 0:
         v = int(np.argmax(membership < 0))
         raise ValueError(f"vertex {v} has label {membership[v]}, which is negative")

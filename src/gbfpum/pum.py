@@ -43,7 +43,7 @@ from .errors import (
     UncoveredVertexError,
     ZeroSignalError,
 )
-from .graph import Graph, as_vertex_set, check_nodes, check_range, groups
+from .graph import Graph, as_vertex_set, check_nodes, check_range, groups, integer_entries
 from .kernel import KernelParams, kernel_block, shifted_laplacian
 from .numerics import low_eigen, sparse_lu, spd_solve, sym_eigen
 
@@ -91,6 +91,26 @@ class PumResult:
         }
 
 
+def real_values(values, n: int, flat: str, each: str) -> np.ndarray:
+    """`values`, an array or a sequence, as a flat float64 array of n entries.
+
+    This is the one rule for signal and node values. It raises ValueError
+    "need {flat}, got shape ..." when they are not flat, "need {each} (n),
+    got ..." when there are not n of them, and TypeError naming the dtype
+    when it is not bool, integer or float: a complex array would lose its
+    imaginary part to the cast, and an object or text one would reach the
+    solver.
+    """
+    a = np.asarray(values)
+    if a.ndim != 1:
+        raise ValueError(f"need {flat}, got shape {a.shape}")
+    if len(a) != n:
+        raise ValueError(f"need {each} ({n}), got {len(a)}")
+    if a.dtype.kind not in "biuf":
+        raise TypeError(f"need bool, integer or float values, got dtype {a.dtype}")
+    return a.astype(np.float64, copy=False)
+
+
 def build_pu(cover: Cover, n: int) -> PartitionOfUnity:
     """Subdomain multiplicity per vertex; the subdomains' ids must lie in 0..n-1 and cover it."""
     subs = [c.subdomain for c in cover.communities]
@@ -120,15 +140,12 @@ def local_interpolant(
     ||s(W) - y[W]||, which is ||K[W,W] a - y[W]|| in exact arithmetic and
     needs no second read of K[W,W], whose storage the Cholesky factor takes.
     Before any of it, the nodes must be distinct ids of g (`check_nodes`), in
-    any order, with one finite value each in the flat array y_nodes.
+    any order, with one finite value each in y_nodes (`real_values`).
     """
     if len(nodes) == 0:
         raise EmptySetError("interpolation node set")
     nodes = check_nodes(nodes, g.n)
-    if np.ndim(y_nodes) != 1:
-        raise ValueError(f"need a flat array of node values, got shape {np.shape(y_nodes)}")
-    if len(y_nodes) != len(nodes):
-        raise ValueError(f"need one value per node ({len(nodes)}), got {len(y_nodes)}")
+    y_nodes = real_values(y_nodes, len(nodes), "a flat array of node values", "one value per node")
     bad = np.flatnonzero(~np.isfinite(y_nodes))
     if len(bad):
         raise ValueError(f"value {y_nodes[bad[0]]} at node {nodes[bad[0]]} is not finite")
@@ -138,19 +155,17 @@ def local_interpolant(
 
 
 def assemble_global(cover: Cover, pu: PartitionOfUnity, f: np.ndarray, n: int) -> np.ndarray:
-    """Blend f, one value per vertex copy, by the PU weights, summed in community order."""
+    """Blend f, one value per vertex copy (`real_values`), by the PU weights, summed in community order."""
     copies = np.concatenate([c.subdomain for c in cover.communities])
-    if len(f) != len(copies):
-        raise ValueError(f"need one value per vertex copy ({len(copies)}), got {len(f)}")
+    f = real_values(f, len(copies), "a flat array of vertex copy values", "one value per vertex copy")
     return np.bincount(copies, weights=pu.weights(copies) * f, minlength=n)
 
 
 def rrmse(truth: np.ndarray, approx: np.ndarray) -> float:
-    """Relative l2 error ||truth - approx|| / ||truth||."""
-    truth = np.asarray(truth, dtype=np.float64)
-    approx = np.asarray(approx, dtype=np.float64)
-    if truth.shape != approx.shape:
+    """Relative l2 error ||truth - approx|| / ||truth|| of two flat signals (`real_values`)."""
+    if np.shape(truth) != np.shape(approx):
         raise ValueError("signals must have equal length")
+    truth, approx = (real_values(y, np.size(y), "a flat signal", "") for y in (truth, approx))
     denom = np.linalg.norm(truth)
     if denom == 0.0:
         raise ZeroSignalError()
@@ -235,10 +250,7 @@ def _interpolate(
     Each community interpolates at the cover's samples in its subdomain; one
     mask over the graph, set at the checked sample ids, marks the sampled copies.
     """
-    if np.ndim(y) != 1:
-        raise ValueError(f"need a flat signal of {g.n} values, got shape {np.shape(y)}")
-    if len(y) != g.n:
-        raise ValueError(f"need one signal value per vertex ({g.n}), got {len(y)}")
+    y = real_values(y, g.n, f"a flat signal of {g.n} values", "one signal value per vertex")
     mask = np.zeros(g.n, dtype=bool)
     mask[as_vertex_set(cover.samples, g.n)] = True
     bad = np.flatnonzero(mask & ~np.isfinite(y))
@@ -290,7 +302,8 @@ def interpolate_cover(
     pass over the subdomains' disjoint union labels its pieces and counts
     them per subdomain; a piece with no sample raises SampleFreePieceError.
     A signal that is not a flat array of one value per vertex raises
-    ValueError first, then a sample id out of 0..n-1 OutOfRangeError (order
+    ValueError first (a dtype other than bool, integer or float TypeError,
+    `real_values`), then a sample id out of 0..n-1 OutOfRangeError (order
     and repeats do not matter), a signal not finite at a sample ValueError,
     and then `build_pu` checks the subdomains' ids. Also returns the wall
     seconds of the solves (`solve_s`) and of the blend and write-back
@@ -390,8 +403,12 @@ def sample_nodes(n: int, count: int, seed: int) -> np.ndarray:
     """Seeded uniform sample of `count` distinct vertices (numpy PCG64).
 
     Samples are prefixes of one seeded permutation, so counts drawn with the
-    same seed are nested.
+    same seed are nested. `count` and `seed` go through
+    `graph.integer_entries`: a boolean or a non-integer raises ValueError
+    naming it.
     """
+    count, seed = map(int, integer_entries(
+        [count, seed], lambda i, xs: f"{('count', 'seed')[i]} must be an integer, got {xs[i]!r}"))
     if not 1 <= count <= n:
         raise ValueError("count must lie in [1, n]")
     rng = np.random.default_rng(seed)

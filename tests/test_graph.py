@@ -1,4 +1,5 @@
 import io
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, strategies as st
 
 from gbfpum import Graph, load_graph
-from gbfpum.graph import as_vertex_set, sorted_unique
+from gbfpum.graph import as_vertex_set, integer_entries, sorted_unique
 from gbfpum.errors import (
     DisconnectedError,
     EmptySetError,
@@ -333,13 +334,14 @@ def test_graph_invariants(seed):
     st.lists(st.tuples(st.integers(-2, 10), st.integers(-2, 10)), max_size=12),
 )
 def test_from_edges_first_bad_edge_raises(n, edges):
-    # the first bad edge in input order decides; a self-loop before the range
+    # the first bad edge in input order decides; a self-loop before the range,
+    # and of two ends out of range, u (the oracle once named max(u, v), an end in range)
     expect = None
     for u, v in edges:
         if u == v:
             expect = (SelfLoopError, u)
         elif min(u, v) < 0 or max(u, v) >= n:
-            expect = (OutOfRangeError, max(u, v))
+            expect = (OutOfRangeError, u if not 0 <= u < n else v)
         if expect:
             break
     if expect is None:
@@ -349,6 +351,57 @@ def test_from_edges_first_bad_edge_raises(n, edges):
         with pytest.raises(expect[0]) as exc:
             Graph.from_edges(n, edges, require_connected=False)
         assert exc.value.vertex == expect[1]
+
+
+class TestFromEdgesEntries:
+    """`from_edges` reads its ends by `integer_entries` and takes (u, v) pairs only."""
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            # each was built: the edge (0, 1), the edge (0, 1), a graph from text
+            ([(0, 1.7), (1, 2)], "edge 0 has end 1.7, which is not an integer"),
+            ([(0, True), (1, 2)], "edge 0 has end True, which is not an integer"),
+            ([("0", "1"), ("1", "2")], "edge 0 has end '0', which is not an integer"),
+            (np.array([[0, 1], [1, np.nan]]), "edge 1 has end nan, which is not an integer"),
+            (np.array([[0, 1], [2, 2.5]]), "edge 1 has end 2.5, which is not an integer"),
+            # regrouped into the three edges (0, 1), (2, 1), (2, 0)
+            ([(0, 1, 2), (1, 2, 0)], "edges must be (u, v) pairs, got shape (2, 3)"),
+            ([(0, 1), (2,)], "edges must be (u, v) pairs, got shape (2,)"),
+            (np.array([0, 1, 1, 2]), "edges must be (u, v) pairs, got shape (4,)"),
+        ],
+        ids=["fraction", "boolean", "text", "nan", "fraction array", "triples", "ragged", "flat"],
+    )
+    def test_bad_entry_or_shape_named(self, edges, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Graph.from_edges(3, edges, require_connected=False)
+
+    @pytest.mark.parametrize(
+        "edges, vertex",
+        # (-1, 2) named 2, the end in range; 2**64 raised numpy's OverflowError
+        [([(0, 1), (-1, 2)], -1), ([(0, 1), (2, -1)], -1), ([(1, 5)], 5), ([(-1, 5)], -1), ([(1, 2**64)], 2**64)],
+    )
+    def test_out_of_range_end_named(self, edges, vertex):
+        with pytest.raises(OutOfRangeError, match=f"^vertex {vertex} out of range for graph of order 3$"):
+            Graph.from_edges(3, edges, require_connected=False)
+
+    def test_integral_floats_and_empty_accepted(self):
+        ints = Graph.from_edges(3, [(0, 1), (1, 2)])
+        for edges in ([(0, 1.0), (1, 2)], np.array([[0.0, 1.0], [1.0, 2.0]]), np.array([[0, 1], [1, 2]], dtype=np.uint8)):
+            g = Graph.from_edges(3, edges)
+            assert np.array_equal(g.indptr, ints.indptr) and np.array_equal(g.indices, ints.indices)
+        for empty in ([], np.zeros((0, 2), dtype=np.int64)):
+            assert Graph.from_edges(1, empty).m == 0
+
+
+def test_integer_entries_passes_integer_dtypes_as_they_are():
+    def named(i, entries):
+        raise AssertionError("an integer array was read element by element")
+
+    for a in (np.array([[0, 1], [1, 2]]), np.arange(4, dtype=np.int32), np.arange(3, dtype=np.uint64)):
+        assert integer_entries(a, named) is a
+    # any other dtype keeps its entries as they are, for the caller's range check
+    assert integer_entries([3.0, 2**64], named).tolist() == [3.0, 2**64]
 
 
 @given(st.integers(0, 10**6))

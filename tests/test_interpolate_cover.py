@@ -305,6 +305,26 @@ class TestSignalCheck:
             with pytest.raises(ValueError, match=message):
                 stage(np.ones(shape))
 
+    @pytest.mark.parametrize(
+        "y", [np.ones(200) + 1j, np.ones(200, dtype=object), np.full(200, "1")], ids=["complex", "object", "text"]
+    )
+    def test_not_real_named(self, geometric200, y):
+        message = f"^need bool, integer or float values, got dtype {re.escape(str(y.dtype))}$"
+        for stage in self.stages(geometric200, sample_nodes(200, 30, 0)):
+            with pytest.raises(TypeError, match=message):
+                stage(y)
+
+    def test_list_and_integer_signals(self, geometric200):
+        # run_pipeline raised "only integer scalar arrays can be converted to a scalar index" on a list
+        g, W, kp = geometric200, sample_nodes(200, 30, 0), KernelParams()
+        y = np.arange(200) % 7
+        expect, _ = run_pipeline(g, y.astype(float), W, DetectionParams(), kp)
+        for signal in (y.tolist(), y):
+            got, _ = run_pipeline(g, signal, W, DetectionParams(), kp)
+            assert np.array_equal(got.approximant, expect.approximant) and got.rrmse == expect.rrmse
+        baseline = global_gbf_baseline(g, y.astype(float), W, kp).approximant
+        assert np.array_equal(global_gbf_baseline(g, y.tolist(), W, kp).approximant, baseline)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_sample_named(self, geometric200, bad):
         W = sample_nodes(200, 30, 0)

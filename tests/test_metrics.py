@@ -185,6 +185,14 @@ class TestModularity:
     def test_integral_float_labels_read_as_integers(self, two_triangle):
         member = np.array([0, 0, 0, 1, 1, 1])
         assert modularity(two_triangle, member.astype(float)) == modularity(two_triangle, member)
+        # unsigned labels raised numpy's TypeError from bincount's cast
+        assert modularity(two_triangle, member.astype(np.uint64)) == modularity(two_triangle, member)
+
+    @pytest.mark.parametrize("shape", [(6, 1), (1, 6), (2, 3)])
+    def test_labels_not_flat_refused(self, two_triangle, shape):
+        # (6, 1) passed the length check, then raised IndexError from the edge mask
+        with pytest.raises(ValueError, match="^membership must assign every vertex$"):
+            modularity(two_triangle, np.zeros(shape, dtype=int))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
@@ -10,6 +12,7 @@ from gbfpum import (
     build_pu,
     detect_communities,
     global_gbf_baseline,
+    local_interpolant,
     rrmse,
     run_pipeline,
     sample_nodes,
@@ -135,6 +138,24 @@ class TestLocalInterpolant:
         s2, _ = community_interpolant(path10, c, _samples(0, 2), y2, KernelParams())
         assert np.array_equal(s1, s2)
 
+    @pytest.mark.parametrize("s", [2.0, 1.5])
+    @pytest.mark.parametrize(
+        "values",
+        [np.array([1.0, 2.0]) + 1j, np.array([1.0, 2.0], dtype=object), np.array(["1", "2"])],
+        ids=["complex", "object", "text"],
+    )
+    def test_values_not_real_named(self, path3, values, s):
+        # complex values gave the real part's interpolant with a ComplexWarning; text was parsed
+        message = f"need bool, integer or float values, got dtype {values.dtype}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            local_interpolant(path3, np.array([0, 2]), values, KernelParams(s=s))
+
+    def test_integer_and_list_values_read_as_floats(self, path3):
+        nodes, kp = np.array([0, 2]), KernelParams()
+        expect, _ = local_interpolant(path3, nodes, np.array([1.0, 3.0]), kp)
+        for values in ([1, 3], np.array([1, 3], dtype=np.int32)):
+            assert np.array_equal(local_interpolant(path3, nodes, values, kp)[0], expect)
+
 
 class TestAssembleAndRrmse:
     def test_single_community_identity(self, path3):
@@ -173,6 +194,25 @@ class TestAssembleAndRrmse:
     def test_rrmse_unequal_lengths(self):
         with pytest.raises(ValueError, match="^signals must have equal length$"):
             rrmse(np.ones(3), np.ones(2))
+
+    def test_rrmse_complex_refused(self):
+        # it returned 0.0: the cast to float dropped the imaginary part
+        with pytest.raises(TypeError, match="^need bool, integer or float values, got dtype complex128$"):
+            rrmse(np.ones(3), np.ones(3) + 1j)
+        with pytest.raises(TypeError, match="^need bool, integer or float values, got dtype complex128$"):
+            rrmse(np.ones(3) + 1j, np.ones(3))
+
+    def test_rrmse_signals_flat(self):
+        assert rrmse([3, 4], [3, 0]) == pytest.approx(0.8)
+        with pytest.raises(ValueError, match=r"^need a flat signal, got shape \(2, 2\)$"):
+            rrmse(np.ones((2, 2)), np.ones((2, 2)))
+
+    def test_assemble_values_flat(self):
+        cover = Cover([_community([0], [1]), _community([1], [0])], _samples(0, 1))
+        with pytest.raises(ValueError, match=r"^need a flat array of vertex copy values, got shape \(4, 1\)$"):
+            assemble_global(cover, build_pu(cover, 2), np.ones((4, 1)), 2)
+        with pytest.raises(TypeError, match="^need bool, integer or float values, got dtype complex128$"):
+            assemble_global(cover, build_pu(cover, 2), np.ones(4) + 1j, 2)
 
 
 class TestPipeline:
@@ -312,6 +352,25 @@ class TestSampling:
             sample_nodes(10, 0, seed=0)
         with pytest.raises(ValueError):
             sample_nodes(10, 11, seed=0)
+
+    @pytest.mark.parametrize(
+        "count, seed, message",
+        [
+            (True, 0, "count must be an integer, got True"),  # drew one sample
+            (2.5, 0, "count must be an integer, got 2.5"),  # a TypeError from the slice
+            (2, 1.5, "seed must be an integer, got 1.5"),  # a TypeError from SeedSequence
+            (2, False, "seed must be an integer, got False"),
+            (np.int64(2), "0", "seed must be an integer, got '0'"),
+        ],
+    )
+    def test_count_and_seed_named(self, count, seed, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample_nodes(4, count, seed)
+
+    def test_integral_count_and_seed_accepted(self):
+        expect = sample_nodes(100, 10, seed=2).tolist()
+        assert sample_nodes(100, 10.0, seed=np.int32(2)).tolist() == expect
+        assert sample_nodes(100, np.uint8(10), seed=2.0).tolist() == expect
 
 
 def test_synthetic_signal_is_smooth_and_deterministic(geometric200):

@@ -6,7 +6,10 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from gbfpum import build_pu
 
 from conftest import DATA
 
@@ -150,6 +153,20 @@ def test_run_case_raises_on_cover_unlike_its_pin(monkeypatch):
     message = f"{name}: cover sha256 {stats['cover_sha256']} is not the pinned {'0' * 64}"
     with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
         stage_bench.run_case(text, *case, repeats=1)
+
+
+def test_run_case_raises_on_partition_of_unity_miss(monkeypatch):
+    # one vertex's multiplicity counts a subdomain too many, so its weights sum to m / (m + 1)
+    def broken_pu(cover, n):
+        pu = build_pu(cover, n)
+        pu.multiplicity = pu.multiplicity + (np.arange(n) == 7)
+        return pu
+
+    monkeypatch.setattr(stage_bench, "build_pu", broken_pu)
+    text = stage_bench.graph_text("geometric_200")
+    message = r"^geometric_200 N=20 sample_seed=0 s=2: partition-of-unity weights sum to 0\.\d+ at vertex 7$"
+    with pytest.raises(RuntimeError, match=message):
+        stage_bench.run_case(text, "geometric_200", "run_pipeline", 20, 0, 2.0, repeats=1)
 
 
 def test_run_case_raises_when_runs_differ(monkeypatch):
