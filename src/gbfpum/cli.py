@@ -9,7 +9,13 @@ existing directory and is not one, neither is the other, and neither
 resolves to the `--graph`, `--signal` or `--samples` file; so a usage error
 exits 1 before any file is read. Each field of the params dataclasses a
 subcommand builds is one of its flags, stored under the field's name, and
-one key of its JSON `params` block; `alpha` there comes from the graph.
+one key of its JSON `params` block; `alpha` there is the graph's
+`metrics.default_alpha`, the one detection solves Katz at.
+
+Every subcommand takes one run-and-write path. `main` loads the graph and
+builds the params objects; the command (`cmd_partition`, `cmd_interpolate`,
+`cmd_benchmark`) returns its JSON document, CSV header and CSV rows; and
+`main` adds the one `params` block and writes the JSON, then the CSV.
 
 The signal and sample files have one reader, `_vertex_rows`, so one set of
 row rules, and an input error names the bad row as `<file> row N`.
@@ -28,10 +34,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .community import FORMAT_VERSION, Cover, DetectionParams, core_membership, detect_communities
+from .community import FORMAT_VERSION, DetectionParams, core_membership, detect_communities
 from .errors import GraphError, NumericalError, ZeroSignalError
 from .graph import Graph, load_graph
 from .kernel import KernelParams
+from .metrics import default_alpha
 from .pum import global_gbf_baseline, run_pipeline, sample_nodes, synthetic_signal
 
 EXIT_USAGE = 1
@@ -129,7 +136,7 @@ def _add_common(sub: argparse.ArgumentParser, with_kernel: bool) -> None:
     sub.add_argument("--seed", type=seed, default=0, help="PRNG seed for sampling")
     sub.add_argument("--small-fraction", **_param(DetectionParams, "small_fraction"))
     settings = (DetectionParams, KernelParams) if with_kernel else (DetectionParams,)
-    # the params dataclasses it builds, in `_settings`, and the suffix of its CSV
+    # the params dataclasses it builds, in `main`, and the suffix of its CSV
     sub.set_defaults(settings=settings, csv_suffix=".csv" if with_kernel else ".plot.csv")
     sub.add_argument("--out", required=True, help="output JSON path")
     if with_kernel:
@@ -186,10 +193,6 @@ def _read_text(path: str, what: str) -> str:
         return p.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError:
         raise InputFailure(f"{what} {path} is not UTF-8 text") from None
-
-
-def _load_graph_file(path: str) -> Graph:
-    return load_graph(_read_text(path, "graph file"))
 
 
 def _vertex_rows(path: str, what: str, n: int, width: int):
@@ -259,43 +262,10 @@ def _resolve_signal(args, g: Graph) -> np.ndarray:
     return synthetic_signal(g) if args.synthetic else _load_signal(args.signal, g.n)
 
 
-def _settings(args) -> list:
-    """The run's params objects, one per dataclass of the subcommand, each field from its flag."""
-    return [cls(**{f.name: getattr(args, f.name) for f in fields(cls)}) for cls in args.settings]
-
-
-def _param_block(args, settings: list, cover: Cover) -> dict:
-    """Every field of the run's params objects, the seed, and the alpha the run used."""
-    block = {name: value for p in settings for name, value in asdict(p).items()}
-    block["alpha"] = cover.provenance[0]["alpha"]  # the Katz entry: the alpha used
-    # seeded samples unless a sample file was given; benchmark always draws
-    block["seed"] = args.seed if getattr(args, "samples", None) is None else None
-    return block
-
-
-def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        wr.writerows(rows)
-
-
-def cmd_partition(args) -> None:
-    g = _load_graph_file(args.graph)
+def cmd_partition(args, g: Graph, settings: list):
+    """The cover's JSON; per vertex a plot row: its core, overlap memberships and sample flag."""
     W = _resolve_samples(args, g.n)
-    settings = _settings(args)
     cover = detect_communities(g, W, *settings)
-    doc = cover.to_json_dict()
-    doc["params"] = _param_block(args, settings, cover)
-    _write_json(args.out, doc)
-
-    # plot data: one row per vertex with core id, overlap memberships, sample flag
     member = core_membership(g.n, [c.core for c in cover.communities])
     over = [[] for _ in range(g.n)]
     for cid, c in enumerate(cover.communities):
@@ -303,77 +273,72 @@ def cmd_partition(args) -> None:
             over[int(v)].append(cid)
     in_w = np.zeros(g.n, dtype=bool)
     in_w[W] = True
-    _write_csv(
-        args.csv_path,
-        ["vertex", "community", "overlap_of", "is_sample"],
-        ([v, int(member[v]), ";".join(map(str, over[v])), int(in_w[v])] for v in range(g.n)),
-    )
+    rows = ([v, int(member[v]), ";".join(map(str, over[v])), int(in_w[v])] for v in range(g.n))
+    return cover.to_json_dict(), ["vertex", "community", "overlap_of", "is_sample"], rows
 
 
-def cmd_interpolate(args) -> None:
-    g = _load_graph_file(args.graph)
+def cmd_interpolate(args, g: Graph, settings: list):
+    """The result's JSON, and a row per vertex: the signal, the approximant and their gap."""
     W = _resolve_samples(args, g.n)
     y = _resolve_signal(args, g)
-    settings = _settings(args)
-    result, cover = run_pipeline(g, y, W, *settings)
-    doc = result.to_json_dict(params=_param_block(args, settings, cover))
-    _write_json(args.out, doc)
+    result, _ = run_pipeline(g, y, W, *settings)
     truth, approx = y.tolist(), result.approximant.tolist()
-    _write_csv(
-        args.csv_path,
-        ["vertex", "truth", "approximant", "abs_error"],
-        ([v, repr(t), repr(a), repr(abs(t - a))] for v, (t, a) in enumerate(zip(truth, approx))),
-    )
+    rows = ([v, repr(t), repr(a), repr(abs(t - a))] for v, (t, a) in enumerate(zip(truth, approx)))
+    return result.to_json_dict(), ["vertex", "truth", "approximant", "abs_error"], rows
 
 
-def cmd_benchmark(args) -> None:
-    g = _load_graph_file(args.graph)
+def cmd_benchmark(args, g: Graph, settings: list):
+    """One row per sample count, in the JSON and the CSV: communities, rrmse, time, baseline."""
     if args.counts[-1] > g.n:
         raise InputFailure(f"count {args.counts[-1]} exceeds graph order {g.n}")
     y = _resolve_signal(args, g)
-    settings = dp, kp = _settings(args)
-
+    dp, kp = settings
     rows = []
     for count in args.counts:
         W = sample_nodes(g.n, count, args.seed)  # prefixes of one permutation: nested
         result, cover = run_pipeline(g, y, W, dp, kp)
-        row = {
+        base = global_gbf_baseline(g, y, W, kp) if args.baseline else None
+        rows.append({
             "n_samples": count,
             "communities": len(cover.communities),
             "rrmse": result.rrmse,
             "time_s": result.wall_times["total_s"],
-            "baseline_time_s": None,
-            "baseline_rrmse": None,
-        }
-        if args.baseline:
-            base = global_gbf_baseline(g, y, W, kp)
-            row["baseline_time_s"] = base.wall_times["total_s"]
-            row["baseline_rrmse"] = base.rrmse
-        rows.append(row)
-
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "rows": rows,
-        "params": _param_block(args, settings, cover),  # every cover records one alpha
-    }
-    _write_json(args.out, doc)
+            "baseline_time_s": None if base is None else base.wall_times["total_s"],
+            "baseline_rrmse": None if base is None else base.rrmse,
+        })
     scored = ("rrmse", "time_s", "baseline_time_s", "baseline_rrmse")
-    _write_csv(
-        args.csv_path,
-        ["N", "communities", *scored],
-        ([r["n_samples"], r["communities"], *("" if r[k] is None else repr(r[k]) for k in scored)]
-         for r in rows),
+    csv_rows = (
+        [r["n_samples"], r["communities"], *("" if r[k] is None else repr(r[k]) for k in scored)]
+        for r in rows
     )
+    return {"format_version": FORMAT_VERSION, "rows": rows}, ["N", "communities", *scored], csv_rows
 
 
 COMMANDS = {"partition": cmd_partition, "interpolate": cmd_interpolate, "benchmark": cmd_benchmark}
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the subcommand of `argv`; write its JSON, with `params`, then its CSV; the exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        COMMANDS[args.command](args)
+        g = load_graph(_read_text(args.graph, "graph file"))
+        # one params object per dataclass of the subcommand, each field from its flag
+        settings = [
+            cls(**{f.name: getattr(args, f.name) for f in fields(cls)}) for cls in args.settings
+        ]
+        doc, header, rows = COMMANDS[args.command](args, g, settings)
+        doc["params"] = {
+            **{name: value for p in settings for name, value in asdict(p).items()},
+            "alpha": default_alpha(g),  # the Katz alpha that detection used
+            # seeded samples unless a sample file was given; benchmark always draws
+            "seed": args.seed if getattr(args, "samples", None) is None else None,
+        }
+        with open(args.out, "w") as fh:
+            json.dump(doc, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        with open(args.csv_path, "w", newline="") as fh:
+            csv.writer(fh).writerows([header, *rows])
     except SystemExit as exc:  # argparse's exit after --help
         return exc.code
     except UsageFailure as exc:

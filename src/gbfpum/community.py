@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .graph import Graph, as_vertex_set, groups, intra_edges, sorted_unique
+from .graph import Graph, as_vertex_set, bad_id, groups, integer_entries, intra_edges, sorted_unique
 from .metrics import default_alpha, katz_centrality, modularity
 
 FORMAT_VERSION = 3
@@ -43,15 +43,33 @@ T_LOW, T_HIGH = 0.4, 0.8  # overlap thresholds on the internal-neighbor ratio (`
 
 @dataclass
 class Community:
-    """One subdomain: a disjoint core plus the overlap ring added later."""
+    """One subdomain: a disjoint core plus the overlap ring added later.
+
+    Core and overlap are vertex ids, read by the integer rule
+    (`graph.integer_entries`, so a mask or a fractional id raises ValueError
+    naming it) and held flat, as `graph.vertex_ids` reads ids, and as int64,
+    so an id that int64 cannot hold raises ValueError too; `build_pu` checks
+    their range.
+    """
 
     core: np.ndarray
     overlap: np.ndarray
+
+    def __post_init__(self):
+        self.core, self.overlap = map(_int64_ids, (self.core, self.overlap))
 
     @cached_property
     def subdomain(self) -> np.ndarray:
         # computed once: core and overlap are never modified, and no caller writes to it
         return sorted_unique(np.concatenate([self.core, self.overlap]))
+
+
+def _int64_ids(ids) -> np.ndarray:
+    """`ids` by the integer rule, flattened, as int64; ValueError names an id int64 cannot hold."""
+    a = np.ravel(integer_entries(ids, bad_id))
+    if a.dtype.kind != "i" and a.size and not -(2**63) <= a.min() <= a.max() < 2**63:
+        raise ValueError(f"vertex id {a.max() if a.max() >= 2**63 else a.min()} lies outside int64")
+    return a.astype(np.int64, copy=False)
 
 
 @dataclass

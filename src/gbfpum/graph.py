@@ -242,12 +242,12 @@ def vertex_ids(ids, n: int) -> np.ndarray:
     only, the message says they are a mask, not ids. An id below 0 (the
     lowest), else one of n or more (the highest), raises OutOfRangeError.
     """
-    vs = np.ravel(integer_entries(ids, _bad_id))
+    vs = np.ravel(integer_entries(ids, bad_id))
     check_range(vs, n)
     return vs.astype(np.int64, copy=False)
 
 
-def _bad_id(i: int, ids: list) -> str:
+def bad_id(i: int, ids: list) -> str:
     """The message for ids[i], the first vertex id that is not an integer."""
     if all(isinstance(x, (bool, np.bool_)) for x in ids):
         return "vertex ids are booleans; pass the ids of a mask, np.flatnonzero(mask)"

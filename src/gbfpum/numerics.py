@@ -68,16 +68,49 @@ def check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be a positive finite number, got {value}")
 
 
+def check_real(a) -> None:
+    """TypeError naming the dtype of array `a`, dense or sparse, unless bool, integer or float.
+
+    This is the package's one dtype rule, read from the dtype alone: a
+    complex array would lose its imaginary part to a float64 cast, and an
+    object or text one would be parsed or reach the solver.
+    """
+    if a.dtype.kind not in "biuf":
+        raise TypeError(f"need bool, integer or float values, got dtype {a.dtype}")
+
+
+def real_values(values, n: int, flat: str, each: str) -> np.ndarray:
+    """`values`, an array or a sequence, as a flat float64 array of n entries.
+
+    This is the one rule for signal and node values, and for `spd_solve`'s
+    right-hand side. It raises ValueError "need {flat}, got shape ..." when
+    they are not flat, "need {each} (n), got ..." when there are not n of
+    them, and TypeError from `check_real` when the dtype is not bool,
+    integer or float.
+    """
+    a = np.asarray(values)
+    if a.ndim != 1:
+        raise ValueError(f"need {flat}, got shape {a.shape}")
+    if len(a) != n:
+        raise ValueError(f"need {each} ({n}), got {len(a)}")
+    check_real(a)
+    return a.astype(np.float64, copy=False)
+
+
 def check_symmetric(M) -> float:
     """max|M - M^T|, raising NotSymmetricError unless it is <= SYM_TOL * max(1, max|M|).
 
     NaN or inf entries raise NonFiniteMatrixError (NaN passes any tolerance
-    test). Accepts dense arrays and scipy sparse matrices; O(nnz) when sparse.
+    test), and a dtype that is not bool, integer or float TypeError
+    (`check_real`). Accepts dense arrays and scipy sparse matrices; O(nnz)
+    when sparse.
     A dense M is read in row blocks of about SYM_BLOCK entries. 0.0 means M
     is exactly symmetric.
     """
     if not sp.issparse(M):
-        M = np.asarray(M, dtype=np.float64)
+        M = np.asarray(M)
+    check_real(M)
+    M = M.astype(np.float64, copy=False)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NotSymmetricError(float("inf"))
     n = M.shape[0]
@@ -116,8 +149,8 @@ def sym_eigen(M: np.ndarray) -> EigenDecomposition:
     conquer returns the eigenvectors in it), so no n x n copy is made; any
     other M is copied and left as it was.
     """
+    check_symmetric(M)  # also rejects NaN, inf and a complex, object or text dtype
     M = np.require(M, np.float64, "W")
-    check_symmetric(M)  # also rejects NaN and inf
     routine = "evd" if len(M) <= EVD_MAX_ORDER else "evr"
     values, vectors = eigh(M, overwrite_a=True, check_finite=False, driver=routine)
     return EigenDecomposition(values=values, vectors=vectors)
@@ -131,13 +164,14 @@ def spd_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
     NotPositiveDefiniteError is raised. Any other M is factored from a copy
     and left as it was. Both give the same bits.
     """
-    M = np.require(M, np.float64, "W")
     check_symmetric(M)
+    M = np.require(M, np.float64, "W")
+    b = real_values(b, len(M), "a flat right-hand side", "one value per row")
     c, info = dpotrf(M, lower=1, clean=0, overwrite_a=True)
     if info != 0:
         raise NotPositiveDefiniteError(pivot=int(info) - 1)
-    # dpotrs fails only on an illegal argument, and f2py rejects a mis-sized b first
-    x, _ = dpotrs(c, np.asarray(b, dtype=np.float64), lower=1)
+    # dpotrs fails only on an illegal argument, and b's length and dtype are checked above
+    x, _ = dpotrs(c, b, lower=1)
     return x
 
 

@@ -45,7 +45,7 @@ from .errors import (
 )
 from .graph import Graph, as_vertex_set, check_nodes, check_range, groups, integer_entries
 from .kernel import KernelParams, kernel_block, shifted_laplacian
-from .numerics import low_eigen, sparse_lu, spd_solve, sym_eigen
+from .numerics import low_eigen, real_values, sparse_lu, spd_solve, sym_eigen
 
 SIGNAL_MODES = 10  # Laplacian modes in `synthetic_signal`
 
@@ -80,35 +80,14 @@ class PumResult:
     per_community: list[CommunityDiagnostics]
     wall_times: dict[str, float] = field(default_factory=dict)
 
-    def to_json_dict(self, params: dict) -> dict:
+    def to_json_dict(self) -> dict:
         return {
             "format_version": FORMAT_VERSION,
             "rrmse": self.rrmse,
             "n_communities": len(self.per_community),
             "per_community": [asdict(d) for d in self.per_community],
             "wall_times": self.wall_times,
-            "params": params,
         }
-
-
-def real_values(values, n: int, flat: str, each: str) -> np.ndarray:
-    """`values`, an array or a sequence, as a flat float64 array of n entries.
-
-    This is the one rule for signal and node values. It raises ValueError
-    "need {flat}, got shape ..." when they are not flat, "need {each} (n),
-    got ..." when there are not n of them, and TypeError naming the dtype
-    when it is not bool, integer or float: a complex array would lose its
-    imaginary part to the cast, and an object or text one would reach the
-    solver.
-    """
-    a = np.asarray(values)
-    if a.ndim != 1:
-        raise ValueError(f"need {flat}, got shape {a.shape}")
-    if len(a) != n:
-        raise ValueError(f"need {each} ({n}), got {len(a)}")
-    if a.dtype.kind not in "biuf":
-        raise TypeError(f"need bool, integer or float values, got dtype {a.dtype}")
-    return a.astype(np.float64, copy=False)
 
 
 def build_pu(cover: Cover, n: int) -> PartitionOfUnity:

@@ -376,6 +376,46 @@ class TestSubdomainIds:
             interpolate_cover(path10, cover, np.ones(10), KernelParams(s=s))
 
 
+class TestCommunityIds:
+    # a hand-built community's core and overlap are read by the integer rule and held as int64
+    @staticmethod
+    def on_path4(core):
+        cover = Cover([Community(core, [])], np.array([0, 3]))
+        return interpolate_cover(path_graph(4), cover, np.cos(np.arange(4.0)), KernelParams())[0]
+
+    def test_mask_refused(self):
+        with pytest.raises(ValueError, match=r"^vertex ids are booleans; pass the ids of a mask"):
+            self.on_path4(np.ones(4, dtype=bool))
+
+    @pytest.mark.parametrize("core", [[0, 1, 2.5, 3], np.array([0, 1, 2.5, 3])])
+    def test_fraction_named(self, core):
+        with pytest.raises(ValueError, match=r"^vertex id 2\.5 at position 2 is not an integer$"):
+            self.on_path4(core)
+
+    def test_fraction_in_overlap_named(self):
+        with pytest.raises(ValueError, match=r"^vertex id 0\.5 at position 0 is not an integer$"):
+            Community(np.arange(4), np.array([0.5]))
+
+    @pytest.mark.parametrize(
+        "ids, named",
+        [([0, 2**64], "18446744073709551616"), (np.array([2**63], dtype=np.uint64), "9223372036854775808"),
+         ([-(2**63) - 1], "-9223372036854775809"), (np.array([1e19]), "1e\\+19")],
+    )
+    def test_id_int64_cannot_hold_named(self, ids, named):
+        # the int64 cast would wrap it or raise numpy's OverflowError, naming nothing
+        with pytest.raises(ValueError, match=f"^vertex id {named} lies outside int64$"):
+            Community(np.arange(4), ids)
+
+    @pytest.mark.parametrize(
+        "core", [np.array([0.0, 1.0, 2.0, 3.0]), [0, 1, 2, 3], (0.0, 1, 2, 3), np.arange(4).reshape(2, 2)]
+    )
+    def test_integral_ids_read_as_flat_int64(self, core):
+        # a (2, 2) core raised numpy's "all the input arrays must have same number of dimensions"
+        c = Community(core, np.array([], dtype=float))
+        assert c.core.dtype == c.overlap.dtype == np.int64 and c.core.ndim == 1
+        assert np.array_equal(self.on_path4(core), self.on_path4(np.arange(4)))
+
+
 class TestPieces:
     @staticmethod
     def split_cover(nodes_b):

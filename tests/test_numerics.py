@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 import gbfpum.numerics
+import gbfpum.pum
 
 from gbfpum import Graph, KernelParams, gbf_kernel, spd_solve, sym_eigen, synthetic_signal
 from gbfpum.errors import (
@@ -20,6 +21,7 @@ from gbfpum.numerics import (
     SYM_TOL,
     check_symmetric,
     low_eigen,
+    real_values,
     sparse_lu,
 )
 
@@ -305,6 +307,58 @@ class TestSpdSolve:
         b = rng.standard_normal(60)
         x = spd_solve(M, b)
         assert np.linalg.norm(M @ x - b) <= 1e-8 * np.linalg.norm(b)
+
+
+class TestDtypeRule:
+    # a complex, object or text matrix or right-hand side is refused by its dtype,
+    # where a float64 cast dropped the imaginary part or parsed the text
+    NOT_REAL = "^need bool, integer or float values, got dtype "
+
+    def test_spd_solve_complex_rhs(self):
+        with pytest.raises(TypeError, match=self.NOT_REAL + "complex128$"):
+            spd_solve(2 * np.eye(2), [1 + 1j, 2])
+
+    def test_sym_eigen_hermitian(self):
+        # its eigenvalues are 1 and 3; the real part alone has 2 and 2
+        with pytest.raises(TypeError, match=self.NOT_REAL + "complex128$"):
+            sym_eigen([[2, 1j], [-1j, 2]])
+
+    def test_gbf_kernel_complex_laplacian(self):
+        L = np.array([[1, -1j], [1j, 1]])
+        with pytest.raises(TypeError, match=self.NOT_REAL + "complex128$"):
+            gbf_kernel(L, KernelParams(s=1.5), np.arange(2))
+
+    def test_spd_solve_text(self):
+        with pytest.raises(TypeError, match=self.NOT_REAL + "<U1$"):
+            spd_solve(np.array([["2", "0"], ["0", "2"]]), np.array(["1", "2"]))
+        with pytest.raises(TypeError, match=self.NOT_REAL + "<U1$"):
+            spd_solve(2 * np.eye(2), np.array(["1", "2"]))
+
+    def test_check_symmetric_sparse_and_object(self):
+        with pytest.raises(TypeError, match=self.NOT_REAL + "complex128$"):
+            check_symmetric(sp.csr_matrix(np.array([[1, 1j], [-1j, 1]])))
+        with pytest.raises(TypeError, match=self.NOT_REAL + "object$"):
+            check_symmetric(np.array([[1.0, None], [None, 1.0]], dtype=object))
+
+    def test_spd_solve_rhs_shape(self):
+        with pytest.raises(ValueError, match=r"^need one value per row \(2\), got 3$"):
+            spd_solve(2 * np.eye(2), np.ones(3))
+        with pytest.raises(ValueError, match=r"^need a flat right-hand side, got shape \(2, 1\)$"):
+            spd_solve(2 * np.eye(2), np.ones((2, 1)))
+
+    def test_real_input_unchanged(self):
+        # bool, integer and float matrices and a list right-hand side give the float64 bits
+        M = np.array([[2, -1], [-1, 2]])
+        assert np.array_equal(spd_solve(M, [1, 1]), spd_solve(M.astype(float), np.ones(2)))
+        assert np.array_equal(sym_eigen(M).values, sym_eigen(M.astype(float)).values)
+        assert check_symmetric(np.eye(3, dtype=bool)) == 0.0
+        assert check_symmetric(sp.identity(3, dtype=np.int64, format="csr")) == 0.0
+
+    def test_float_input_is_not_copied(self):
+        # the rule reads the dtype alone: a float64 vector passes as itself
+        b = np.ones(5)
+        assert real_values(b, 5, "flat", "five") is b
+        assert gbfpum.pum.real_values is real_values
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -15,6 +15,7 @@ from conftest import DATA
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 
+import code_lines  # noqa: E402
 import generate_datasets  # noqa: E402
 import stage_bench  # noqa: E402
 
@@ -192,3 +193,43 @@ def test_run_case_baseline_has_no_cover():
     assert digest["w_misses"] == 0 and "cover" not in digest and "cores" not in digest
     assert not {"communities", "max_piece", "cover_sha256"} & set(stats)
     assert len(digest["approx_off_w"]) == 64 and stats["rrmse"] > 0
+
+
+SYNTHETIC_MODULE = '''"""Module docstring,
+over two lines."""
+
+import os  # a trailing comment keeps the line
+
+# a comment line
+NOTE = """an assigned string
+is code, not a docstring"""
+
+
+class Thing:
+    """Class docstring."""
+
+    def method(self):
+        """Method docstring,
+
+        with a blank line inside."""
+        return os.sep
+
+
+async def fetch():
+    \'\'\'Single-quoted docstring.\'\'\'
+
+    def inner():
+        "Nested function docstring."
+        pass
+    return inner
+'''
+
+
+def test_code_lines_counts_outside_docstrings_and_comments(tmp_path, capsys):
+    # import, NOTE's two lines, class, def method, return, async def, def inner, pass, return
+    assert code_lines.code_lines(SYNTHETIC_MODULE) == 10
+    assert code_lines.code_lines("") == 0
+    (tmp_path / "a.py").write_text(SYNTHETIC_MODULE)
+    (tmp_path / "b.py").write_text("x = 1\n\n# c\ny = 2\n")
+    code_lines.main([str(tmp_path)])
+    assert capsys.readouterr().out.split() == ["a.py", "10", "b.py", "2", "total", "12"]
