@@ -36,6 +36,7 @@ from scipy.sparse import csgraph
 
 from .graph import Graph, as_vertex_set, bad_id, groups, integer_entries, intra_edges, sorted_unique
 from .metrics import default_alpha, katz_centrality, modularity
+from .numerics import is_real
 
 FORMAT_VERSION = 3
 T_LOW, T_HIGH = 0.4, 0.8  # overlap thresholds on the internal-neighbor ratio (`expand_overlap`)
@@ -101,10 +102,17 @@ class Cover:
 
     @classmethod
     def from_json_dict(cls, doc: dict, n: int, W: np.ndarray) -> "Cover":
-        comms = [
-            Community(as_vertex_set(e["core"], n), as_vertex_set(e["overlap"], n))
-            for e in sorted(doc["communities"], key=lambda e: e["id"])
-        ]
+        """The cover a `to_json_dict` document states; its community ids must be 0..k-1.
+
+        ValueError names the lowest id that is repeated or missing.
+        """
+        entries = sorted(doc["communities"], key=lambda e: e["id"])
+        for k, i in enumerate(e["id"] for e in entries):
+            if i != k:  # the ids before are 0..k-1, so an id below k repeats k - 1
+                fault = "repeated" if i < k else "missing"
+                raise ValueError(f"community id {min(i, k)} is {fault}")
+        comms = [Community(as_vertex_set(e["core"], n), as_vertex_set(e["overlap"], n))
+                 for e in entries]
         return cls(comms, as_vertex_set(W, n), list(doc.get("provenance", [])))
 
 
@@ -113,7 +121,7 @@ class DetectionParams:
     small_fraction: float = 0.02
 
     def __post_init__(self):
-        if not 0 < self.small_fraction < 1:
+        if not (is_real(self.small_fraction) and 0 < self.small_fraction < 1):
             raise ValueError(f"small_fraction = {self.small_fraction} is not in (0, 1)")
 
 

@@ -8,7 +8,7 @@ induced subgraphs need not be.
 from __future__ import annotations
 
 from itertools import chain
-from numbers import Integral, Real
+from numbers import Integral
 from typing import IO, Callable, Iterable
 
 import numpy as np
@@ -22,6 +22,7 @@ from .errors import (
     ParseError,
     SelfLoopError,
 )
+from .numerics import is_real
 
 
 class Graph:
@@ -156,9 +157,13 @@ class Graph:
         np.fill_diagonal(L, self.degrees())
         return L
 
-    def sparse_laplacian(self) -> sp.csr_matrix:
-        """Combinatorial Laplacian L = D - A as scipy CSR."""
-        return (sp.diags(self.degrees().astype(np.float64)) - self.adjacency()).tocsr()
+    def sparse_laplacian(self, shift: float = 0.0) -> sp.csr_matrix:
+        """shift I + L as scipy CSR, L = D - A the combinatorial Laplacian, in one pass.
+
+        With shift = eps this is M = eps I + L, whose -s-th power is the
+        kernel of `kernel` and whose s-th power the native route of `pum` solves with.
+        """
+        return (sp.diags(self.degrees() + float(shift)) - self.adjacency()).tocsr()
 
 
 def groups(label: np.ndarray) -> list[np.ndarray]:
@@ -227,8 +232,7 @@ def integer_entries(values, named: Callable[[int, list], str]) -> np.ndarray:
     a = np.array(values, dtype=object) if isinstance(values, (list, tuple)) else np.asarray(values)
     entries = [] if a.dtype.kind in "iu" else a.ravel().tolist()
     for i, x in enumerate(entries):
-        whole = isinstance(x, Integral) or isinstance(x, Real) and float(x).is_integer()
-        if isinstance(x, (bool, np.bool_)) or not whole:
+        if not (is_real(x) and (isinstance(x, Integral) or float(x).is_integer())):
             raise ValueError(named(i, entries))
     return a
 

@@ -1,6 +1,6 @@
 """Polyharmonic-spline kernels on graph Laplacians.
 
-K = (eps I + L)^(-s) = M^(-s), with M = eps I + L (`shifted_laplacian`), where
+K = (eps I + L)^(-s) = M^(-s), with M = eps I + L (`Graph.sparse_laplacian(eps)`), where
 `KernelParams` holds eps above SHIFT_TOL, as a graph Laplacian's lambda_min is
 0. The two interpolation routes of `pum` reach it differently:
 
@@ -32,7 +32,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NonPositiveShiftError
 from .graph import Graph, check_nodes
@@ -71,17 +70,12 @@ def gbf_kernel(L: np.ndarray, p: KernelParams, cols: np.ndarray) -> np.ndarray:
     lies outside 0..n-1 or repeats is refused first (`graph.check_nodes`).
     """
     cols = check_nodes(cols, len(L))
-    eig = sym_eigen(L)
-    shift = p.epsilon + eig.values[0]
+    lam, U = sym_eigen(L)
+    shift = p.epsilon + lam[0]
     if shift <= SHIFT_TOL:
         raise NonPositiveShiftError(float(shift), SHIFT_TOL)
-    w = (p.epsilon + eig.values) ** (-p.s)
-    return eig.vectors @ (w[:, None] * eig.vectors[cols].T)
-
-
-def shifted_laplacian(g: Graph, p: KernelParams) -> sp.csr_matrix:
-    """M = eps I + L as scipy CSR, L the Laplacian of g; K = M^(-s)."""
-    return (g.sparse_laplacian() + p.epsilon * sp.identity(g.n, format="csr")).tocsr()
+    w = (p.epsilon + lam) ** (-p.s)
+    return U @ (w[:, None] * U[cols].T)
 
 
 def kernel_block(
@@ -100,7 +94,7 @@ def kernel_block(
         Kw = gbf_kernel(g.laplacian().T, p, cols)
         block, evaluate = Kw[cols], lambda a: Kw @ a
     else:
-        lu = sparse_lu(shifted_laplacian(g, p))
+        lu = sparse_lu(g.sparse_laplacian(p.epsilon))
         s = int(p.s)
         block = np.empty((len(cols), len(cols)))
         for j in range(0, len(cols), SOLVE_BLOCK):

@@ -20,7 +20,7 @@ dense route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,17 +54,18 @@ EVD_MAX_ORDER = 512
 SOLVE_BLOCK = 32
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenpairs of a symmetric matrix, eigenvalues ascending."""
+def is_real(value) -> bool:
+    """Whether `value` is a real number: a bool, which Python counts as one, is not.
 
-    values: np.ndarray
-    vectors: np.ndarray  # orthonormal columns, same order as values
+    This is the one rule for a scalar setting (`check_positive`, `DetectionParams`)
+    and the first half of the integer rule (`graph.integer_entries`).
+    """
+    return isinstance(value, Real) and not isinstance(value, (bool, np.bool_))
 
 
 def check_positive(name: str, value: float) -> None:
-    """Raise ValueError unless `value` is a positive finite number."""
-    if not (math.isfinite(value) and value > 0):
+    """Raise ValueError unless `value` is a positive finite number (`is_real`)."""
+    if not (is_real(value) and math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be a positive finite number, got {value}")
 
 
@@ -133,8 +134,10 @@ def check_symmetric(M) -> float:
     return asym
 
 
-def sym_eigen(M: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
+def sym_eigen(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (values, vectors) of a symmetric matrix, as scipy's `eigh` returns them.
+
+    The values ascend, and column j of the orthonormal vectors belongs to value j.
 
     Up to order EVD_MAX_ORDER the eigensolver is LAPACK's divide and conquer
     `syevd` (Gu and Eisenstat, 1995), above it scipy's default MRRR `syevr`.
@@ -152,8 +155,7 @@ def sym_eigen(M: np.ndarray) -> EigenDecomposition:
     check_symmetric(M)  # also rejects NaN, inf and a complex, object or text dtype
     M = np.require(M, np.float64, "W")
     routine = "evd" if len(M) <= EVD_MAX_ORDER else "evr"
-    values, vectors = eigh(M, overwrite_a=True, check_finite=False, driver=routine)
-    return EigenDecomposition(values=values, vectors=vectors)
+    return eigh(M, overwrite_a=True, check_finite=False, driver=routine)
 
 
 def spd_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -205,8 +207,11 @@ def sparse_lu(M: sp.spmatrix) -> SuperLU:
     return lu
 
 
-def low_eigen(M: sp.spmatrix, k: int) -> EigenDecomposition:
+def low_eigen(M: sp.spmatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k smallest eigenpairs of a sparse symmetric positive semidefinite matrix.
+
+    Returns (values, vectors) as `sym_eigen` does, values ascending, which
+    scipy's `eigsh` does not promise.
 
     Shift-invert Lanczos (ARPACK) about sigma = -1/n^2 to full precision,
     with (M - sigma I)^-1 applied by one `sparse_lu` factor, so a shifted
@@ -238,4 +243,4 @@ def low_eigen(M: sp.spmatrix, k: int) -> EigenDecomposition:
     except RuntimeError as exc:  # ARPACK non-convergence
         raise SparseSolverError("shift-invert Lanczos", str(exc)) from None
     order = np.argsort(values)
-    return EigenDecomposition(values=values[order], vectors=vectors[:, order])
+    return values[order], vectors[:, order]

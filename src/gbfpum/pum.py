@@ -44,7 +44,7 @@ from .errors import (
     ZeroSignalError,
 )
 from .graph import Graph, as_vertex_set, check_nodes, check_range, groups, integer_entries
-from .kernel import KernelParams, kernel_block, shifted_laplacian
+from .kernel import KernelParams, kernel_block
 from .numerics import low_eigen, real_values, sparse_lu, spd_solve, sym_eigen
 
 SIGNAL_MODES = 10  # Laplacian modes in `synthetic_signal`
@@ -141,10 +141,17 @@ def assemble_global(cover: Cover, pu: PartitionOfUnity, f: np.ndarray, n: int) -
 
 
 def rrmse(truth: np.ndarray, approx: np.ndarray) -> float:
-    """Relative l2 error ||truth - approx|| / ||truth|| of two flat signals (`real_values`)."""
+    """Relative l2 error ||truth - approx|| / ||truth|| of two flat signals (`real_values`).
+
+    A NaN or inf in either raises ValueError naming the signal and its first such vertex.
+    """
     if np.shape(truth) != np.shape(approx):
         raise ValueError("signals must have equal length")
     truth, approx = (real_values(y, np.size(y), "a flat signal", "") for y in (truth, approx))
+    for name, y in (("truth", truth), ("approximant", approx)):
+        bad = np.flatnonzero(~np.isfinite(y))
+        if len(bad):
+            raise ValueError(f"{name} value {y[bad[0]]} at vertex {bad[0]} is not finite")
     denom = np.linalg.norm(truth)
     if denom == 0.0:
         raise ZeroSignalError()
@@ -184,7 +191,7 @@ def _native_solve(
     residual and of the right-hand side of the A[U,U] system, 0 at the
     samples. The pieces are not needed: one sparse factor serves them all.
     """
-    M = shifted_laplacian(union, kp)
+    M = union.sparse_laplacian(kp.epsilon)
     U = np.flatnonzero(~sampled)
     rows = M[U]
     for _ in range(int(kp.s) - 1):
@@ -364,13 +371,11 @@ def synthetic_signal(g: Graph) -> np.ndarray:
     solver returns, as Lanczos does from its fixed start on K_n for n >= 12.
     """
     if SIGNAL_MODES + 1 < g.n:
-        eig = low_eigen(g.sparse_laplacian(), SIGNAL_MODES + 1)
+        _, vectors = low_eigen(g.sparse_laplacian(), SIGNAL_MODES + 1)
     else:
-        eig = sym_eigen(g.laplacian())
-    vecs = eig.vectors[:, 1 : 1 + SIGNAL_MODES]
+        _, vectors = sym_eigen(g.laplacian())
     y = np.zeros(g.n)
-    for j in range(vecs.shape[1]):
-        v = vecs[:, j]
+    for v in vectors[:, 1 : 1 + SIGNAL_MODES].T:
         nz = np.flatnonzero(np.abs(v) > 1e-12)
         if len(nz) and v[nz[0]] < 0:
             v = -v

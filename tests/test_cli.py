@@ -5,6 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
+
+import gbfpum.numerics
 
 from gbfpum import DetectionParams, KernelParams, default_alpha, load_graph
 from gbfpum.cli import main
@@ -586,6 +589,19 @@ def test_overflowing_residual_exit_3(tmp_path, capsys):
                "--n-samples", "30", "--epsilon", "1e6", "--exponent", "30", "--out", str(out)])
     assert rc == 3
     assert capsys.readouterr().err.startswith("numerical error: community 0: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_lanczos_failure_exit_3(tmp_path, capsys, monkeypatch):
+    # the reference signal's eigensolver fails; no JSON is written
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(gbfpum.numerics, "eigsh", no_convergence)
+    rc = main(["interpolate", "--graph", str(DATA / "geometric_200.edges"), "--synthetic",
+               "--n-samples", "30", "--out", str(tmp_path / "r.json")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("numerical error: shift-invert Lanczos failed: ")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,5 +1,6 @@
 from fractions import Fraction
 import json
+import re
 
 import numpy as np
 import pytest
@@ -350,6 +351,14 @@ class TestDetect:
             with pytest.raises(ValueError, match="is not in \\(0, 1\\)$"):
                 DetectionParams(small_fraction=small_fraction)
 
+    @pytest.mark.parametrize("small_fraction", [True, np.True_, "0.5", None, 0.5 + 0j])
+    def test_params_refuse_booleans_and_non_reals(self, small_fraction):
+        # text, None and complex raised a TypeError naming no field
+        message = f"small_fraction = {small_fraction} is not in (0, 1)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DetectionParams(small_fraction=small_fraction)
+        assert DetectionParams(small_fraction=np.float32(0.5)).small_fraction == 0.5
+
     @pytest.mark.parametrize("name", ["geometric200", "minnesota"])
     def test_katz_entry_holds_default_alpha(self, request, name):
         # the attenuation comes from the graph alone
@@ -671,6 +680,33 @@ class TestCoverSerialization:
         doc = detect_communities(two_triangle, np.array([0, 4]), DetectionParams()).to_json_dict()
         with pytest.raises(OutOfRangeError):
             Cover.from_json_dict(doc, two_triangle.n, np.array([0, 4, 6]))
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            ([0, 0], "community id 0 is repeated"),
+            ([0, 5], "community id 1 is missing"),
+            ([1, 2], "community id 0 is missing"),
+            ([2, 0, 0], "community id 0 is repeated"),
+        ],
+    )
+    def test_community_ids_must_be_0_to_k_minus_1(self, two_triangle, ids, message):
+        # two communities of id 0 loaded as two, and ids [0, 5] were written back as [0, 1]
+        cores = [[0, 1, 2], [3, 4, 5], [2]]
+        doc = {"communities": [{"id": i, "core": c, "overlap": []} for i, c in zip(ids, cores)]}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Cover.from_json_dict(doc, two_triangle.n, np.array([0, 4]))
+
+    def test_community_ids_in_any_order(self, two_triangle):
+        doc = {
+            "communities": [
+                {"id": 1, "core": [3, 4, 5], "overlap": [2]},
+                {"id": 0, "core": [0, 1, 2], "overlap": []},
+            ]
+        }
+        cover = Cover.from_json_dict(doc, two_triangle.n, np.array([0, 4]))
+        assert [c.core.tolist() for c in cover.communities] == [[0, 1, 2], [3, 4, 5]]
+        assert [e["id"] for e in cover.to_json_dict()["communities"]] == [0, 1]
 
     def test_boolean_in_core_rejected(self, two_triangle):
         # the JSON core [true, 2, 0, 3] was read as [0, 1, 2, 3]

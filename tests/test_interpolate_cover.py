@@ -107,7 +107,7 @@ def precision_rows_reference(
     union: Graph, sampled: np.ndarray, y: np.ndarray, kp: KernelParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`pum._native_solve` from the whole power A = M^s, sliced at the unsampled rows U."""
-    M = gbfpum.kernel.shifted_laplacian(union, kp)
+    M = union.sparse_laplacian(kp.epsilon)
     A = M
     for _ in range(int(kp.s) - 1):
         A = A @ M

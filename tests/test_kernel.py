@@ -53,8 +53,8 @@ class TestGbfKernel:
     def test_spectrum_is_transformed_laplacian_spectrum(self, path10):
         L = path10.laplacian()
         p = KernelParams(epsilon=0.3, s=2.0)
-        lam = sym_eigen(L).values
-        got = np.sort(sym_eigen(gbf_kernel(L, p, np.arange(10))).values)
+        lam = sym_eigen(L)[0]
+        got = np.sort(sym_eigen(gbf_kernel(L, p, np.arange(10)))[0])
         expect = np.sort((p.epsilon + lam) ** (-p.s))
         assert np.abs(got - expect).max() <= 1e-9
 
@@ -66,8 +66,8 @@ class TestGbfKernel:
         # with epsilon such that eps + lambda_k > 1 for all k
         L = path10.laplacian() + 0.0
         eps = 1.5
-        lam2 = sym_eigen(gbf_kernel(L, KernelParams(epsilon=eps, s=2.0), np.arange(10))).values
-        lam3 = sym_eigen(gbf_kernel(L, KernelParams(epsilon=eps, s=3.0), np.arange(10))).values
+        lam2 = sym_eigen(gbf_kernel(L, KernelParams(epsilon=eps, s=2.0), np.arange(10)))[0]
+        lam3 = sym_eigen(gbf_kernel(L, KernelParams(epsilon=eps, s=3.0), np.arange(10)))[0]
         assert (np.sort(lam3) < np.sort(lam2) + 1e-15).all()
 
     def test_not_symmetric(self):
@@ -87,6 +87,18 @@ class TestGbfKernel:
         for eps in (1e-13, 1e-12):
             with pytest.raises(ValueError, match=rf"^epsilon must exceed 1e-12, got {eps}$"):
                 KernelParams(epsilon=eps)
+
+    @pytest.mark.parametrize("field", ["epsilon", "s"])
+    @pytest.mark.parametrize("value", [True, np.True_, "2", None, 1 + 0j])
+    def test_params_refuse_booleans_and_non_reals(self, field, value):
+        # True was read as 1.0, and text or None raised a TypeError naming no field
+        message = f"{field} must be a positive finite number, got {value}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            KernelParams(**{field: value})
+
+    def test_params_take_numpy_reals(self):
+        p = KernelParams(epsilon=np.float32(0.5), s=np.int64(2))
+        assert (p.epsilon, p.s) == (0.5, 2)
 
     def test_nonpositive_shift(self, path10):
         # L - 0.02 I is no Laplacian: its lambda_min is -0.02, so eps + lambda_min = -0.01
@@ -261,7 +273,7 @@ class TestKernelColumns:
         p = KernelParams(s=float(s))
         X = np.zeros((geometric200.n, len(cols)), order="F")
         X[cols, np.arange(len(cols))] = 1.0
-        lu = gbfpum.numerics.sparse_lu(gbfpum.kernel.shifted_laplacian(geometric200, p))
+        lu = gbfpum.numerics.sparse_lu(geometric200.sparse_laplacian(p.epsilon))
         for _ in range(s):
             X = lu.solve(X)
         B = X[cols]

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence
 
 import gbfpum.numerics
 import gbfpum.pum
@@ -30,33 +31,33 @@ from conftest import CountingLU, path_graph, random_connected_graph
 
 class TestSymEigen:
     def test_scalar_zero(self):
-        eig = sym_eigen(np.array([[0.0]]))
-        assert eig.values.tolist() == [0.0]
-        assert abs(eig.vectors[0, 0]) == pytest.approx(1.0)
+        values, vectors = sym_eigen(np.array([[0.0]]))
+        assert values.tolist() == [0.0]
+        assert abs(vectors[0, 0]) == pytest.approx(1.0)
 
     def test_single_edge_laplacian(self):
-        eig = sym_eigen(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-        assert np.allclose(eig.values, [0.0, 2.0], atol=1e-12)
+        values, vectors = sym_eigen(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        assert np.allclose(values, [0.0, 2.0], atol=1e-12)
         expect = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
         for k in range(2):
-            col = eig.vectors[:, k]
+            col = vectors[:, k]
             assert np.allclose(col, expect[:, k], atol=1e-12) or np.allclose(
                 col, -expect[:, k], atol=1e-12
             )
 
     def test_path3_spectrum(self, path3):
-        eig = sym_eigen(path3.laplacian())
-        assert np.allclose(eig.values, [0.0, 1.0, 3.0], atol=1e-12)
+        values, _ = sym_eigen(path3.laplacian())
+        assert np.allclose(values, [0.0, 1.0, 3.0], atol=1e-12)
 
     def test_reconstruction_and_orthonormality(self):
         rng = np.random.default_rng(0)
         M = rng.standard_normal((40, 40))
         M = (M + M.T) / 2
-        eig = sym_eigen(M)
+        values, vectors = sym_eigen(M)
         scale = max(1.0, np.abs(M).max())
-        assert np.abs(eig.vectors @ np.diag(eig.values) @ eig.vectors.T - M).max() <= 1e-9 * scale
-        assert np.abs(eig.vectors.T @ eig.vectors - np.eye(40)).max() <= 1e-10
-        assert (np.diff(eig.values) >= 0).all()
+        assert np.abs(vectors @ np.diag(values) @ vectors.T - M).max() <= 1e-9 * scale
+        assert np.abs(vectors.T @ vectors - np.eye(40)).max() <= 1e-10
+        assert (np.diff(values) >= 0).all()
 
     def test_not_symmetric(self):
         with pytest.raises(NotSymmetricError):
@@ -65,9 +66,9 @@ class TestSymEigen:
     def test_laplacian_spectrum_nonnegative(self):
         for seed in range(5):
             g = random_connected_graph(seed, n_max=30)
-            eig = sym_eigen(g.laplacian())
-            assert abs(eig.values[0]) <= 1e-9
-            assert eig.values[-1] >= -1e-9
+            values, _ = sym_eigen(g.laplacian())
+            assert abs(values[0]) <= 1e-9
+            assert values[-1] >= -1e-9
 
 
 def star(m: int) -> Graph:
@@ -106,8 +107,7 @@ class TestClusteredSpectra:
     def test_orthonormal_residual_and_values(self, g):
         L = g.laplacian()
         n = g.n
-        eig = sym_eigen(L)
-        V, lam = eig.vectors, eig.values
+        lam, V = sym_eigen(L)
         scale = n * 1e-14
         assert np.abs(V.T @ V - np.eye(n)).max() <= scale
         assert np.abs(L @ V - V * lam).max() <= scale * lam[-1]
@@ -115,14 +115,13 @@ class TestClusteredSpectra:
 
     def test_star_multiplicity(self):
         m = 150
-        lam = sym_eigen(star(m).laplacian()).values
+        lam = sym_eigen(star(m).laplacian())[0]
         expect = np.concatenate([[0.0], np.ones(m - 1), [m + 1.0]])
         assert np.abs(lam - expect).max() <= (m + 1) * 1e-14 * (m + 1)
 
 
 def eigen_route(M: np.ndarray) -> tuple[np.ndarray, ...]:
-    eig = sym_eigen(M)
-    return eig.values, eig.vectors
+    return sym_eigen(M)
 
 
 def kernel_route(M: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -350,7 +349,7 @@ class TestDtypeRule:
         # bool, integer and float matrices and a list right-hand side give the float64 bits
         M = np.array([[2, -1], [-1, 2]])
         assert np.array_equal(spd_solve(M, [1, 1]), spd_solve(M.astype(float), np.ones(2)))
-        assert np.array_equal(sym_eigen(M).values, sym_eigen(M.astype(float)).values)
+        assert np.array_equal(sym_eigen(M)[0], sym_eigen(M.astype(float))[0])
         assert check_symmetric(np.eye(3, dtype=bool)) == 0.0
         assert check_symmetric(sp.identity(3, dtype=np.int64, format="csr")) == 0.0
 
@@ -427,12 +426,12 @@ class TestSparse:
 
     def test_low_eigen_matches_dense(self):
         g = random_connected_graph(8, n_min=30, n_max=40)
-        dense = sym_eigen(g.laplacian())
-        low = low_eigen(g.sparse_laplacian(), 5)
-        assert np.abs(low.values - dense.values[:5]).max() <= 1e-10
+        dense_values, dense_vectors = sym_eigen(g.laplacian())
+        low_values, low_vectors = low_eigen(g.sparse_laplacian(), 5)
+        assert np.abs(low_values - dense_values[:5]).max() <= 1e-10
         # each vector up to sign; the lowest eigenvalues of this graph are simple
-        assert np.diff(dense.values[:6]).min() > 1e-3
-        overlap = np.abs(np.sum(low.vectors * dense.vectors[:, :5], axis=0))
+        assert np.diff(dense_values[:6]).min() > 1e-3
+        overlap = np.abs(np.sum(low_vectors * dense_vectors[:, :5], axis=0))
         assert np.abs(overlap - 1.0).max() <= 1e-10
 
     def test_low_eigen_factors_once(self, monkeypatch, minnesota):
@@ -462,11 +461,11 @@ class TestSparse:
         monkeypatch.setattr(
             gbfpum.numerics, "sparse_lu", lambda M: CountingLU(original(M), widths)
         )
-        low = low_eigen(g.sparse_laplacian(), 11)
+        low_values, _ = low_eigen(g.sparse_laplacian(), 11)
         assert len(widths) <= 50
         if graph == "path2000":
             exact = 2 - 2 * np.cos(np.pi * np.arange(11) / g.n)
-            assert np.abs(low.values - exact).max() <= 1e-12
+            assert np.abs(low_values - exact).max() <= 1e-12
 
     def test_synthetic_signal_is_bit_reproducible(self, minnesota, minnesota_signal):
         assert np.array_equal(synthetic_signal(minnesota), minnesota_signal)
@@ -474,6 +473,15 @@ class TestSparse:
     def test_low_eigen_needs_k_below_order(self, path3):
         with pytest.raises(ValueError):
             low_eigen(path3.sparse_laplacian(), 3)
+
+    def test_lanczos_failure_is_a_sparse_solver_error(self, monkeypatch, geometric200):
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(gbfpum.numerics, "eigsh", no_convergence)
+        with pytest.raises(SparseSolverError, match="^shift-invert Lanczos failed: ARPACK error") as exc:
+            synthetic_signal(geometric200)
+        assert exc.value.solver == "shift-invert Lanczos"
 
 
 def openblas_threads() -> dict[str, int]:

@@ -27,7 +27,7 @@ from gbfpum.errors import (
     ZeroSignalError,
 )
 
-from conftest import community_interpolant
+from conftest import community_interpolant, path_graph
 
 
 
@@ -201,6 +201,28 @@ class TestAssembleAndRrmse:
             rrmse(np.ones(3), np.ones(3) + 1j)
         with pytest.raises(TypeError, match="^need bool, integer or float values, got dtype complex128$"):
             rrmse(np.ones(3) + 1j, np.ones(3))
+
+    @pytest.mark.parametrize(
+        "truth, approx, message",
+        [
+            ([np.nan, 1.0], [0.0, 1.0], "truth value nan at vertex 0"),
+            ([1.0, 2.0], [np.inf, 1.0], "approximant value inf at vertex 0"),
+            ([1.0, 2.0, 3.0], [1.0, -np.inf, np.nan], "approximant value -inf at vertex 1"),
+            ([1.0, np.inf], [np.nan, 1.0], "truth value inf at vertex 1"),
+        ],
+    )
+    def test_rrmse_non_finite_refused(self, truth, approx, message):
+        # it returned nan or inf
+        with pytest.raises(ValueError, match=f"^{message} is not finite$"):
+            rrmse(truth, approx)
+
+    def test_score_refuses_non_finite_truth(self):
+        # the stage takes a NaN off the samples, so both routes interpolated and scored nan
+        g, W, y = path_graph(4), np.array([0, 2, 3]), np.array([1.0, np.nan, 3.0, 4.0])
+        with pytest.raises(ValueError, match="^truth value nan at vertex 1 is not finite$"):
+            run_pipeline(g, y, W, DetectionParams(), KernelParams())
+        with pytest.raises(ValueError, match="^truth value nan at vertex 1 is not finite$"):
+            global_gbf_baseline(g, y, W, KernelParams())
 
     def test_rrmse_signals_flat(self):
         assert rrmse([3, 4], [3, 0]) == pytest.approx(0.8)
