@@ -36,7 +36,7 @@ from scipy.sparse import csgraph
 
 from .graph import Graph, as_vertex_set, bad_id, groups, integer_entries, intra_edges, sorted_unique
 from .metrics import default_alpha, katz_centrality, modularity
-from .numerics import is_real
+from .numerics import is_real, shown
 
 FORMAT_VERSION = 3
 T_LOW, T_HIGH = 0.4, 0.8  # overlap thresholds on the internal-neighbor ratio (`expand_overlap`)
@@ -122,7 +122,7 @@ class DetectionParams:
 
     def __post_init__(self):
         if not (is_real(self.small_fraction) and 0 < self.small_fraction < 1):
-            raise ValueError(f"small_fraction = {self.small_fraction} is not in (0, 1)")
+            raise ValueError(f"small_fraction = {shown(self.small_fraction)} is not in (0, 1)")
 
 
 def split_community(

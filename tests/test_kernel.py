@@ -91,10 +91,17 @@ class TestGbfKernel:
     @pytest.mark.parametrize("field", ["epsilon", "s"])
     @pytest.mark.parametrize("value", [True, np.True_, "2", None, 1 + 0j])
     def test_params_refuse_booleans_and_non_reals(self, field, value):
-        # True was read as 1.0, and text or None raised a TypeError naming no field
-        message = f"{field} must be a positive finite number, got {value}"
+        # True was read as 1.0, and text or None raised a TypeError naming no field;
+        # a value that is not real is named by its repr, so the text "2" reads '2'
+        message = f"{field} must be a positive finite number, got {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             KernelParams(**{field: value})
+
+    def test_refused_real_values_keep_str(self):
+        # only a value that is not real is named by its repr: a numpy scalar reads as its number
+        for value, text in [(np.float64(np.nan), "nan"), (np.float32(-1.5), "-1.5"), (-3, "-3")]:
+            with pytest.raises(ValueError, match=rf"^epsilon must be a positive finite number, got {text}$"):
+                KernelParams(epsilon=value)
 
     def test_params_take_numpy_reals(self):
         p = KernelParams(epsilon=np.float32(0.5), s=np.int64(2))
@@ -259,7 +266,7 @@ class TestKernelColumns:
         )
         cols = np.arange(0, 200, 3)  # 67 columns: blocks of 32, 32 and 3
         _, evaluate = kernel_block(geometric200, cols, KernelParams(s=float(s)))
-        assert gbfpum.numerics.SOLVE_BLOCK == 32
+        assert gbfpum.kernel.SOLVE_BLOCK == 32
         assert widths == [32] * s + [32] * s + [3] * s  # s * |W| columns in all
         widths.clear()
         evaluate(np.ones(len(cols)))

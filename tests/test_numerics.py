@@ -427,8 +427,8 @@ class TestSparse:
     def test_low_eigen_matches_dense(self):
         g = random_connected_graph(8, n_min=30, n_max=40)
         dense_values, dense_vectors = sym_eigen(g.laplacian())
-        low_values, low_vectors = low_eigen(g.sparse_laplacian(), 5)
-        assert np.abs(low_values - dense_values[:5]).max() <= 1e-10
+        low_values, low_vectors = low_eigen(g.sparse_laplacian(1 / g.n**2), 5)
+        assert np.abs(low_values - 1 / g.n**2 - dense_values[:5]).max() <= 1e-10
         # each vector up to sign; the lowest eigenvalues of this graph are simple
         assert np.diff(dense_values[:6]).min() > 1e-3
         overlap = np.abs(np.sum(low_vectors * dense_vectors[:, :5], axis=0))
@@ -443,36 +443,41 @@ class TestSparse:
             return CountingLU(original(M), widths)
 
         monkeypatch.setattr(gbfpum.numerics, "sparse_lu", counted)
-        L = minnesota.sparse_laplacian()
-        low_eigen(L, 11)
+        n = minnesota.n
+        low_eigen(minnesota.sparse_laplacian(1 / n**2), 11)
         assert len(shifted) == 1
         assert widths and set(widths) == {0}  # Lanczos applies the factor, a vector at a time
-        # the shift -1/n^2 sits below the spectrum: the factor is of L + I/n^2
-        n = minnesota.n
+        # the pole 0 sits below the spectrum of the matrix given: the factor is of L + I/n^2
+        L = minnesota.sparse_laplacian()
         assert abs(shifted[0] - (L + sp.identity(n) / n**2)).max() == 0.0
 
     @pytest.mark.parametrize("graph", ["road", "path2000"])
     def test_low_eigen_solve_count_does_not_grow_with_n(self, monkeypatch, minnesota, graph):
-        # the shift -1/n^2 lies inside the low cluster; a fixed -1e-3 took 68 solves
-        # on the road graph and 91 on the path
+        # the pole of L + I/n^2 lies inside the low cluster of L; a fixed shift of
+        # 1e-3 took 68 solves on the road graph and 91 on the path
         g = minnesota if graph == "road" else path_graph(2000)
         widths = []
         original = gbfpum.numerics.sparse_lu
         monkeypatch.setattr(
             gbfpum.numerics, "sparse_lu", lambda M: CountingLU(original(M), widths)
         )
-        low_values, _ = low_eigen(g.sparse_laplacian(), 11)
+        low_values, _ = low_eigen(g.sparse_laplacian(1 / g.n**2), 11)
         assert len(widths) <= 50
         if graph == "path2000":
             exact = 2 - 2 * np.cos(np.pi * np.arange(11) / g.n)
-            assert np.abs(low_values - exact).max() <= 1e-12
+            assert np.abs(low_values - 1 / g.n**2 - exact).max() <= 1e-12
 
     def test_synthetic_signal_is_bit_reproducible(self, minnesota, minnesota_signal):
         assert np.array_equal(synthetic_signal(minnesota), minnesota_signal)
 
     def test_low_eigen_needs_k_below_order(self, path3):
         with pytest.raises(ValueError):
-            low_eigen(path3.sparse_laplacian(), 3)
+            low_eigen(path3.sparse_laplacian(1 / 9), 3)
+
+    def test_low_eigen_refuses_singular_laplacian(self, path3):
+        # the pole 0 is an eigenvalue of L itself: the factor refuses it
+        with pytest.raises((SparseSolverError, NotPositiveDefiniteError)):
+            low_eigen(path3.sparse_laplacian(), 1)
 
     def test_lanczos_failure_is_a_sparse_solver_error(self, monkeypatch, geometric200):
         def no_convergence(*args, **kwargs):

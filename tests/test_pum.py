@@ -216,6 +216,37 @@ class TestAssembleAndRrmse:
         with pytest.raises(ValueError, match=f"^{message} is not finite$"):
             rrmse(truth, approx)
 
+    @pytest.mark.parametrize(
+        "truth, approx, expected",
+        [
+            # the squares overflowed: nan, from inf / inf
+            ([1e160, 0.0], [5e159, 0.0], 0.5),
+            # the squares underflowed: ZeroSignalError for a truth that is not zero
+            ([1e-170, 1e-170], [2e-170, 1e-170], 0.7071067811865475),
+            ([1e-320, 0.0], [0.0, 0.0], 1.0),  # subnormal
+            ([1e300, -1e300, 3e299], [0.0, 0.0, 0.0], 1.0),
+        ],
+    )
+    def test_rrmse_of_finite_signals_of_any_magnitude(self, truth, approx, expected):
+        assert rrmse(np.array(truth), np.array(approx)) == expected
+
+    def test_rrmse_scale_is_exact(self):
+        # the power-of-two scale leaves every ordinary pair's bits as the plain quotient of norms
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            n = int(rng.integers(1, 50))
+            truth, approx = (rng.standard_normal(n) * 10.0 ** rng.uniform(-30, 30, n) for _ in range(2))
+            plain = np.linalg.norm(truth - approx) / np.linalg.norm(truth)
+            assert rrmse(truth, approx) == plain
+
+    def test_pipeline_scores_a_huge_value_off_the_samples(self, geometric200):
+        # one reference value of 1e200 away from the samples: the score was nan
+        y, W = synthetic_signal(geometric200), sample_nodes(geometric200.n, 20, 0)
+        v = np.setdiff1d(np.arange(geometric200.n), W)[0]
+        y[v] = 1e200
+        result, _ = run_pipeline(geometric200, y, W, DetectionParams(), KernelParams())
+        assert result.rrmse == pytest.approx(1.0)
+
     def test_score_refuses_non_finite_truth(self):
         # the stage takes a NaN off the samples, so both routes interpolated and scored nan
         g, W, y = path_graph(4), np.array([0, 2, 3]), np.array([1.0, np.nan, 3.0, 4.0])
