@@ -91,7 +91,7 @@ class NonFiniteResidualError(NumericalError):
         self.community_id = community_id
         super().__init__(
             f"community {community_id}: the residual or right-hand-side norm of its solve "
-            "is not finite; the kernel's entries (about epsilon^s) or the signal overflow"
+            "is not finite; the kernel's entries (about epsilon^s) overflow"
         )
 
 

@@ -17,9 +17,11 @@ kernel interpolants of K = (eps I + L)^(-s):
   pieces' interpolants side by side, and the dense eigendecomposition only
   ever sees one piece.
 
-Both solvers return vectors over the copies, which only `_interpolate` reduces:
-into the blend (`assemble_global`, weight 1/multiplicity) with y written back
-at the samples, and into one diagnostics record per community.
+Both solvers take y in one exact power-of-two scale and return plain vectors
+over the copies (f, and the residual and right-hand side of their systems),
+which only `_interpolate` reduces: into the blend (`assemble_global`, weight
+1/multiplicity) with y written back at the samples, and into one diagnostics
+record per community.
 
 `global_gbf_baseline` is the paper's single-domain comparison: the same stage
 on the cover of one subdomain, the whole graph with every sample and weight
@@ -130,7 +132,7 @@ def local_interpolant(
         raise ValueError(f"value {y_nodes[bad[0]]} at node {nodes[bad[0]]} is not finite")
     Kww, evaluate = kernel_block(g, nodes, p)
     f = evaluate(spd_solve(Kww, y_nodes))
-    return f, float(np.linalg.norm(f[nodes] - y_nodes))
+    return f, float(_norm(f[nodes] - y_nodes))
 
 
 def assemble_global(cover: Cover, pu: PartitionOfUnity, f: np.ndarray, n: int) -> np.ndarray:
@@ -140,15 +142,20 @@ def assemble_global(cover: Cover, pu: PartitionOfUnity, f: np.ndarray, n: int) -
     return np.bincount(copies, weights=pu.weights(copies) * f, minlength=n)
 
 
+def _exponent(y: np.ndarray) -> int:
+    """The binary exponent e of max|y| (0 for an empty or zero y): 2^-e y lies in (-1, 1)."""
+    return int(np.frexp(np.abs(y).max(initial=0.0))[1])
+
+
 def _norm(y: np.ndarray) -> float:
-    """||y||, computed as 2^e ||2^-e y|| with e the binary exponent of max|y|.
+    """||y||, computed as 2^e ||2^-e y|| with e = `_exponent(y)`.
 
     The scale is exact, so on a signal whose squares neither overflow nor
     underflow this is np.linalg.norm(y) bit for bit, and on one whose
     squares do (entries from about 1e154 up or 1e-154 down) it is still the
     norm.
     """
-    e = np.frexp(np.abs(y).max(initial=0.0))[1]
+    e = _exponent(y)
     return np.ldexp(np.linalg.norm(np.ldexp(y, -e)), e)
 
 
@@ -156,8 +163,12 @@ def rrmse(truth: np.ndarray, approx: np.ndarray) -> float:
     """Relative l2 error ||truth - approx|| / ||truth|| of two flat signals (`real_values`).
 
     A NaN or inf in either raises ValueError naming the signal and its first
-    such vertex. Each norm is taken in a power-of-two scale (`_norm`), so a
-    finite signal of any magnitude gets a finite error.
+    such vertex. Both signals are first scaled by 2^-e, e the binary
+    exponent of their joint max (`_exponent`), and each norm is taken in a
+    power-of-two scale (`_norm`): the scales are exact, and a finite pair of
+    any magnitude gets a finite error. A truth that vanishes in that scale
+    (2^1074 below the approximant, an error beyond the float range) raises
+    ZeroSignalError.
     """
     if np.shape(truth) != np.shape(approx):
         raise ValueError("signals must have equal length")
@@ -166,6 +177,8 @@ def rrmse(truth: np.ndarray, approx: np.ndarray) -> float:
         bad = np.flatnonzero(~np.isfinite(y))
         if len(bad):
             raise ValueError(f"{name} value {y[bad[0]]} at vertex {bad[0]} is not finite")
+    e = max(_exponent(truth), _exponent(approx))
+    truth, approx = np.ldexp(truth, -e), np.ldexp(approx, -e)
     denom = _norm(truth)
     if denom == 0.0:
         raise ZeroSignalError()
@@ -201,9 +214,9 @@ def _native_solve(
 
     Of A = M^s, M = eps I + L of the union, only the rows at U are built:
     M[U] times M, s - 1 times, as row i of a CSR product is row i of its
-    left factor times the right one. Also returns the squared entries of the
-    residual and of the right-hand side of the A[U,U] system, 0 at the
-    samples. The pieces are not needed: one sparse factor serves them all.
+    left factor times the right one. Also returns the residual A[U,U] f[U] - b
+    and the right-hand side b of the A[U,U] system, 0 at the samples. The
+    pieces are not needed: one sparse factor serves them all.
     """
     M = union.sparse_laplacian(kp.epsilon)
     U = np.flatnonzero(~sampled)
@@ -216,10 +229,10 @@ def _native_solve(
     f = y.copy()
     if len(U):
         f[U] = sparse_lu(A_uu).solve(b)
-    r2, b2 = np.zeros(union.n), np.zeros(union.n)
-    r2[U] = (A_uu @ f[U] - b) ** 2
-    b2[U] = b**2
-    return f, r2, b2
+    r, rhs = np.zeros(union.n), np.zeros(union.n)
+    r[U] = A_uu @ f[U] - b
+    rhs[U] = b
+    return f, r, rhs
 
 
 def _kernel_solve(
@@ -227,19 +240,16 @@ def _kernel_solve(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """f from one `local_interpolant` per connected piece (label `piece`) of the union.
 
-    Also returns each piece's squared residual norm (its interpolant's miss
-    at its samples), at the piece's first copy, and the squared right-hand
-    side y**2.
+    Also returns the residual f - y at the samples (the interpolants' miss
+    there, 0 elsewhere) and the right-hand side y of the K[W,W] systems.
     """
     f = np.empty(union.n)
-    r2 = np.zeros(union.n)
     for vs in groups(piece):
         # a piece that is the whole union gets the union itself, not a copy of it
         sub, vs = union.induced_subgraph(vs)
         hit = sampled[vs]
-        f[vs], resid = local_interpolant(sub, np.flatnonzero(hit), y[vs[hit]], kp)
-        r2[vs[0]] = resid**2
-    return f, r2, y**2
+        f[vs], _ = local_interpolant(sub, np.flatnonzero(hit), y[vs[hit]], kp)
+    return f, np.where(sampled, f - y, 0.0), y
 
 
 def _interpolate(
@@ -249,6 +259,12 @@ def _interpolate(
 
     Each community interpolates at the cover's samples in its subdomain; one
     mask over the graph, set at the checked sample ids, marks the sampled copies.
+    `solve` sees y times 2^-e, e the binary exponent of max|y| at the samples
+    (`_exponent`), and returns f, the residual and the right-hand side over
+    the copies in that scale. The scale is exact, so f times 2^e is the
+    interpolant of y bit for bit, and a square of the scaled signal cannot
+    overflow. Each community's relative residual is taken in the same scale,
+    where the floor 1 of its right-hand-side norm reads 2^-e.
     """
     y = real_values(y, g.n, f"a flat signal of {g.n} values", "one signal value per vertex")
     mask = np.zeros(g.n, dtype=bool)
@@ -266,17 +282,20 @@ def _interpolate(
     union = g.disjoint_union(subs)
     pieces, fewest, piece = _piece_health(union, part, sampled, k)
     y_copies = np.where(sampled, y[copies], 0.0)
+    e = _exponent(y_copies)
 
     t0 = time.perf_counter()
-    with np.errstate(over="ignore"):  # an overflowing square is raised below as an inf norm
-        f, r2, b2 = solve(union, piece, sampled, y_copies, kp)
-    resid2, rhs2 = (np.bincount(part, weights=w, minlength=k) for w in (r2, b2))
-    bad = np.flatnonzero(~np.isfinite(resid2 + rhs2))
-    if len(bad):
-        raise NonFiniteResidualError(int(bad[0]))
-    resid = np.sqrt(resid2) / np.maximum(np.sqrt(rhs2), 1.0)
+    # A's entries, about eps^s, or their squares may overflow: raised as an inf norm.
+    # The floor 2^-e overflows only for a subnormal max|y|, and the residual is then 0.
+    with np.errstate(over="ignore"):
+        f, r, rhs = solve(union, piece, sampled, np.ldexp(y_copies, -e), kp)
+        resid2, rhs2 = (np.bincount(part, weights=v**2, minlength=k) for v in (r, rhs))
+        bad = np.flatnonzero(~np.isfinite(resid2 + rhs2))
+        if len(bad):
+            raise NonFiniteResidualError(int(bad[0]))
+        resid = np.sqrt(resid2) / np.maximum(np.sqrt(rhs2), np.ldexp(1.0, -e))
     t1 = time.perf_counter()
-    approx = assemble_global(cover, pu, f, g.n)
+    approx = assemble_global(cover, pu, np.ldexp(f, e), g.n)
     approx[copies[sampled]] = y_copies[sampled]  # the solves and the sums hold y only to rounding
     t2 = time.perf_counter()
     rows = zip(map(len, subs), *(a.tolist() for a in (sample_count, resid, pieces, fewest)))

@@ -117,10 +117,10 @@ def precision_rows_reference(
     b = -(A[U][:, S] @ y[S])
     f = y.copy()
     f[U] = gbfpum.numerics.sparse_lu(A_uu).solve(b)
-    r2, b2 = np.zeros(union.n), np.zeros(union.n)
-    r2[U] = (A_uu @ f[U] - b) ** 2
-    b2[U] = b**2
-    return f, r2, b2
+    r, rhs = np.zeros(union.n), np.zeros(union.n)
+    r[U] = A_uu @ f[U] - b
+    rhs[U] = b
+    return f, r, rhs
 
 
 def native_inputs(g: Graph, cover: Cover, y: np.ndarray) -> tuple:
@@ -254,11 +254,18 @@ class TestNativeRoute:
         assert isinstance(exc.value, NumericalError)
 
     @pytest.mark.parametrize("s", [2.0, 1.5])
-    def test_overflowing_signal_raises(self, path10, s):
-        # the squares of signal values above about 1e154 overflow on either route
-        cover = cover_of((range(10), [0, 5]))
-        with pytest.raises(NonFiniteResidualError, match="^community 0: "):
-            interpolate_cover(path10, cover, np.full(10, 1e200), KernelParams(s=s))
+    def test_huge_signal_scales_exactly(self, geometric200, s):
+        # the squares of signal values above about 1e154 overflowed and raised
+        # NonFiniteResidualError; the stage solves in a power-of-two scale of y
+        W, kp = sample_nodes(geometric200.n, 20, 0), KernelParams(s=s)
+        # 8 y holds every community's right-hand-side norm above the floor 1 of
+        # solve_residual (y's ||y[W]|| are 0.70-0.81), so it reads alike in both scales
+        y = 8.0 * synthetic_signal(geometric200)
+        small, _ = run_pipeline(geometric200, y, W, DetectionParams(), kp)
+        big, _ = run_pipeline(geometric200, 2.0**600 * y, W, DetectionParams(), kp)
+        assert np.array_equal(big.approximant, 2.0**600 * small.approximant)
+        assert big.rrmse == small.rrmse
+        assert big.per_community == small.per_community
 
     def test_overflow_raises_rather_than_reporting_nan(self, geometric200):
         y = synthetic_signal(geometric200)

@@ -5,9 +5,10 @@ only on those with an oracle (the dense kernel, networkx, the chain system).
 The cases are the committed graphs and seeded `random_connected_graph` draws,
 each with its reference signal at seeded samples.
 
-- Scaling: P(c y) = c P(y) bit for bit for c = 4 and 2^-3, on the native
-  route (s = 2, 3), the kernel route (s = 1.5) and `global_gbf_baseline`.
-  Every operation on y is linear, and a power-of-two scale is exact in
+- Scaling: P(c y) = c P(y) bit for bit for c = 4, 2^-3, 2^600 and 2^-600,
+  on the native route (s = 2, 3), the kernel route (s = 1.5) and
+  `global_gbf_baseline`. Every operation on y is linear, the stage solves on
+  y in a power-of-two scale of its own, and a power-of-two scale is exact in
   binary floating point unless it overflows or underflows.
 - Linearity: P(y + z) = P(y) + P(z) to rounding, z standard normal.
 - Relabelling: for a permutation pi of the vertices, the cover of the
@@ -96,7 +97,7 @@ def relabelled(g: Graph, pi: np.ndarray) -> Graph:
 @pytest.mark.parametrize("name", CASES)
 def test_power_of_two_scaling_is_exact(name, s):
     g, _, y = case(name)
-    for c in (4.0, 2.0**-3):
+    for c in (4.0, 2.0**-3, 2.0**600, 2.0**-600):
         scaled = interpolate_cover(g, cover(name), c * y, KernelParams(s=s))[0]
         assert np.array_equal(scaled, c * approximant(name, s))
         assert rrmse(c * y, scaled) == rrmse(y, approximant(name, s))
@@ -107,7 +108,7 @@ def test_power_of_two_scaling_is_exact(name, s):
 def test_baseline_power_of_two_scaling_is_exact(name, s):
     g, W, y = case(name)
     result = global_gbf_baseline(g, y, W, KernelParams(s=s))
-    for c in (4.0, 2.0**-3):
+    for c in (4.0, 2.0**-3, 2.0**600, 2.0**-600):
         scaled = global_gbf_baseline(g, c * y, W, KernelParams(s=s))
         assert np.array_equal(scaled.approximant, c * result.approximant)
         assert scaled.rrmse == result.rrmse

@@ -150,6 +150,16 @@ class TestLocalInterpolant:
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             local_interpolant(path3, np.array([0, 2]), values, KernelParams(s=s))
 
+    @pytest.mark.parametrize("s", [2.0, 1.5])
+    def test_residual_of_huge_values(self, geometric200, s):
+        # the residual's squares overflowed: inf and a RuntimeWarning for a finite f
+        W, y = sample_nodes(geometric200.n, 20, 0), synthetic_signal(geometric200)
+        kp, c = KernelParams(s=s), 2.0**665  # about 1.3e200
+        f, resid = local_interpolant(geometric200, W, y[W], kp)
+        big, big_resid = local_interpolant(geometric200, W, c * y[W], kp)
+        assert np.array_equal(big, c * f)
+        assert big_resid == c * resid
+
     def test_integer_and_list_values_read_as_floats(self, path3):
         nodes, kp = np.array([0, 2]), KernelParams()
         expect, _ = local_interpolant(path3, nodes, np.array([1.0, 3.0]), kp)
@@ -225,6 +235,8 @@ class TestAssembleAndRrmse:
             ([1e-170, 1e-170], [2e-170, 1e-170], 0.7071067811865475),
             ([1e-320, 0.0], [0.0, 0.0], 1.0),  # subnormal
             ([1e300, -1e300, 3e299], [0.0, 0.0, 0.0], 1.0),
+            # the difference overflowed: inf
+            ([1.5e308, 1.0], [-1.5e308, 1.0], 2.0),
         ],
     )
     def test_rrmse_of_finite_signals_of_any_magnitude(self, truth, approx, expected):
