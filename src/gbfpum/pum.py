@@ -110,18 +110,19 @@ def build_pu(cover: Cover, n: int) -> PartitionOfUnity:
 
 def local_interpolant(
     g: Graph, nodes: np.ndarray, y_nodes: np.ndarray, p: KernelParams
-) -> tuple[np.ndarray, float]:
+) -> np.ndarray:
     """Kernel interpolant on graph g from the values y_nodes at its vertices nodes.
 
     Solves K[W,W] a = y[W] (W = nodes) by Cholesky and evaluates
     s(v) = sum_i a_i K[v, w_i] at every vertex of g, so s reproduces y at W
     up to the solve's rounding. The kernel enters only through the block
     K[W,W] and the product K[:, W] a (`kernel_block`): for integer s neither
-    needs the columns K[:, W] themselves. Also returns the residual norm
-    ||s(W) - y[W]||, which is ||K[W,W] a - y[W]|| in exact arithmetic and
-    needs no second read of K[W,W], whose storage the Cholesky factor takes.
-    Before any of it, the nodes must be distinct ids of g (`check_nodes`), in
-    any order, with one finite value each in y_nodes (`real_values`).
+    needs the columns K[:, W] themselves. Its miss s(W) - y[W] at the nodes
+    is the solve's residual K[W,W] a - y[W] in exact arithmetic; the
+    interpolation stage reads it from s, with no second read of K[W,W],
+    whose storage the Cholesky factor takes. Before any of it, the nodes
+    must be distinct ids of g (`check_nodes`), in any order, with one finite
+    value each in y_nodes (`real_values`).
     """
     if len(nodes) == 0:
         raise EmptySetError("interpolation node set")
@@ -131,8 +132,7 @@ def local_interpolant(
     if len(bad):
         raise ValueError(f"value {y_nodes[bad[0]]} at node {nodes[bad[0]]} is not finite")
     Kww, evaluate = kernel_block(g, nodes, p)
-    f = evaluate(spd_solve(Kww, y_nodes))
-    return f, float(_norm(f[nodes] - y_nodes))
+    return evaluate(spd_solve(Kww, y_nodes))
 
 
 def assemble_global(cover: Cover, pu: PartitionOfUnity, f: np.ndarray, n: int) -> np.ndarray:
@@ -248,7 +248,7 @@ def _kernel_solve(
         # a piece that is the whole union gets the union itself, not a copy of it
         sub, vs = union.induced_subgraph(vs)
         hit = sampled[vs]
-        f[vs], _ = local_interpolant(sub, np.flatnonzero(hit), y[vs[hit]], kp)
+        f[vs] = local_interpolant(sub, np.flatnonzero(hit), y[vs[hit]], kp)
     return f, np.where(sampled, f - y, 0.0), y
 
 
@@ -264,7 +264,8 @@ def _interpolate(
     the copies in that scale. The scale is exact, so f times 2^e is the
     interpolant of y bit for bit, and a square of the scaled signal cannot
     overflow. Each community's relative residual is taken in the same scale,
-    where the floor 1 of its right-hand-side norm reads 2^-e.
+    with its right-hand-side norm floored at 1 there (2^e in the signal's
+    units), so it reads the same at every power-of-two scale of y.
     """
     y = real_values(y, g.n, f"a flat signal of {g.n} values", "one signal value per vertex")
     mask = np.zeros(g.n, dtype=bool)
@@ -286,14 +287,13 @@ def _interpolate(
 
     t0 = time.perf_counter()
     # A's entries, about eps^s, or their squares may overflow: raised as an inf norm.
-    # The floor 2^-e overflows only for a subnormal max|y|, and the residual is then 0.
     with np.errstate(over="ignore"):
         f, r, rhs = solve(union, piece, sampled, np.ldexp(y_copies, -e), kp)
         resid2, rhs2 = (np.bincount(part, weights=v**2, minlength=k) for v in (r, rhs))
         bad = np.flatnonzero(~np.isfinite(resid2 + rhs2))
         if len(bad):
             raise NonFiniteResidualError(int(bad[0]))
-        resid = np.sqrt(resid2) / np.maximum(np.sqrt(rhs2), np.ldexp(1.0, -e))
+        resid = np.sqrt(resid2) / np.maximum(np.sqrt(rhs2), 1.0)
     t1 = time.perf_counter()
     approx = assemble_global(cover, pu, np.ldexp(f, e), g.n)
     approx[copies[sampled]] = y_copies[sampled]  # the solves and the sums hold y only to rounding
@@ -430,11 +430,13 @@ def sample_nodes(n: int, count: int, seed: int) -> np.ndarray:
     Samples are prefixes of one seeded permutation, so counts drawn with the
     same seed are nested. `count` and `seed` go through
     `graph.integer_entries`: a boolean or a non-integer raises ValueError
-    naming it.
+    naming it, as does a negative seed.
     """
     count, seed = map(int, integer_entries(
         [count, seed], lambda i, xs: f"{('count', 'seed')[i]} must be an integer, got {xs[i]!r}"))
     if not 1 <= count <= n:
         raise ValueError("count must lie in [1, n]")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     return np.sort(rng.permutation(n)[:count])

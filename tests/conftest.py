@@ -13,7 +13,7 @@ def neighbors(g: Graph, v: int) -> list[int]:
     return g.indices[g.indptr[v] : g.indptr[v + 1]].tolist()
 
 
-def community_interpolant(g: Graph, c, W, y: np.ndarray, p) -> tuple[np.ndarray, float]:
+def community_interpolant(g: Graph, c, W, y: np.ndarray, p) -> np.ndarray:
     """`local_interpolant` of community c at the samples W in it, indexed like c.subdomain."""
     sub, vs = g.induced_subgraph(c.subdomain)
     nodes = np.intersect1d(vs, W)

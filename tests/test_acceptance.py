@@ -245,7 +245,7 @@ def test_baseline_equivalence(geometric200):
         y = synthetic_signal(g)
         cover = Cover([Community(core=np.arange(g.n), overlap=np.empty(0, dtype=np.int64))], W)
         pu = build_pu(cover, g.n)
-        s, _ = local_interpolant(g, W, y[W], kp)
+        s = local_interpolant(g, W, y[W], kp)
         assembled = assemble_global(cover, pu, s, g.n)
         base = global_gbf_baseline(g, y, W, kp)
         worst = max(worst, float(np.abs(assembled - base.approximant).max()))

@@ -51,25 +51,30 @@ def blend(g: Graph, cover: Cover, y: np.ndarray, locals_: list[np.ndarray]) -> n
 
 def piecewise_interpolant(
     g: Graph, c: Community, W: np.ndarray, y: np.ndarray, kp: KernelParams
-) -> tuple[np.ndarray, list[float]]:
-    """`local_interpolant` at W on each piece of c's subdomain, indexed like it; the residuals."""
+) -> np.ndarray:
+    """`local_interpolant` at W on each piece of c's subdomain, indexed like it."""
     out = np.empty(len(c.subdomain))
-    resid = []
     for vs in piece_sets(g, c.subdomain):
         piece = Community(vs, np.array([], int))
-        out[np.searchsorted(c.subdomain, vs)], r = community_interpolant(g, piece, W, y, kp)
-        resid.append(r)
-    return out, resid
+        out[np.searchsorted(c.subdomain, vs)] = community_interpolant(g, piece, W, y, kp)
+    return out
 
 
-def community_residual(piece_residuals: list[float], y_nodes: np.ndarray) -> float:
-    """Relative residual of a community's K[W,W] system, block diagonal over its pieces."""
-    return float(np.linalg.norm(piece_residuals) / max(np.linalg.norm(y_nodes), 1.0))
+def community_residual(c: Community, W: np.ndarray, y: np.ndarray, local: np.ndarray) -> float:
+    """Relative residual of c's K[W,W] systems, read from its pieces' interpolant `local`.
+
+    The miss at c's samples over their ||y||, floored at 2^e, e the binary
+    exponent of max|y| at all the samples W.
+    """
+    nodes = np.intersect1d(c.subdomain, W)
+    miss = local[np.searchsorted(c.subdomain, nodes)] - y[nodes]
+    floor = np.ldexp(1.0, np.frexp(np.abs(y[W]).max())[1])
+    return float(np.linalg.norm(miss) / max(np.linalg.norm(y[nodes]), floor))
 
 
 def kernel_route(g: Graph, cover: Cover, y: np.ndarray, kp: KernelParams) -> np.ndarray:
     """Per-piece kernel interpolants of every community, blended."""
-    locals_ = [piecewise_interpolant(g, c, cover.samples, y, kp)[0] for c in cover.communities]
+    locals_ = [piecewise_interpolant(g, c, cover.samples, y, kp) for c in cover.communities]
     return blend(g, cover, y, locals_)
 
 
@@ -258,9 +263,7 @@ class TestNativeRoute:
         # the squares of signal values above about 1e154 overflowed and raised
         # NonFiniteResidualError; the stage solves in a power-of-two scale of y
         W, kp = sample_nodes(geometric200.n, 20, 0), KernelParams(s=s)
-        # 8 y holds every community's right-hand-side norm above the floor 1 of
-        # solve_residual (y's ||y[W]|| are 0.70-0.81), so it reads alike in both scales
-        y = 8.0 * synthetic_signal(geometric200)
+        y = synthetic_signal(geometric200)
         small, _ = run_pipeline(geometric200, y, W, DetectionParams(), kp)
         big, _ = run_pipeline(geometric200, 2.0**600 * y, W, DetectionParams(), kp)
         assert np.array_equal(big.approximant, 2.0**600 * small.approximant)
@@ -461,8 +464,8 @@ class TestPieces:
             whole = whole_subdomain_route(graph, cover, y, kp)
             assert np.abs(got - whole).max() <= 1e-10 * np.abs(y).max()
             for c, d in zip(cover.communities, diags):
-                resid = piecewise_interpolant(graph, c, cover.samples, y, kp)[1]
-                expect = community_residual(resid, y[np.intersect1d(c.subdomain, cover.samples)])
+                local = piecewise_interpolant(graph, c, cover.samples, y, kp)
+                expect = community_residual(c, cover.samples, y, local)
                 assert d.solve_residual == pytest.approx(expect, rel=1e-12, abs=0)
 
     @settings(max_examples=40, deadline=None)
@@ -491,9 +494,9 @@ class TestPieces:
         ]
         assert np.abs(got - whole_subdomain_route(g, cover, y, kp)).max() <= 1e-10 * np.abs(y).max()
         per_piece = [piecewise_interpolant(g, c, W, y, kp) for c in cover.communities]
-        assert np.array_equal(got, blend(g, cover, y, [values for values, _ in per_piece]))
-        for w, d, (_, resid) in zip(nodes, diags, per_piece):
-            expect = community_residual(resid, y[w])
+        assert np.array_equal(got, blend(g, cover, y, per_piece))
+        for c, d, local in zip(cover.communities, diags, per_piece):
+            expect = community_residual(c, W, y, local)
             assert d.solve_residual == pytest.approx(expect, rel=1e-12, abs=0)
 
     @settings(max_examples=60, deadline=None)
@@ -577,3 +580,16 @@ def test_path_pipeline_reports_one_piece_per_community():
     res, cover = run_pipeline(g, y, np.array([2, 14, 27]), DetectionParams(), KernelParams())
     assert len(res.per_community) == len(cover.communities)
     assert all(d.pieces == 1 and d.min_piece_samples >= 1 for d in res.per_community)
+
+
+@pytest.mark.parametrize("s", [2.0, 1.5])
+@pytest.mark.parametrize("count", [200, 800])
+def test_cover_survives_its_json(minnesota, minnesota_signal, road_covers, count, s):
+    # the cover that a written document states interpolates as the detected one, bit for bit
+    cover, kp = road_covers[count], KernelParams(s=s)
+    W = sample_nodes(minnesota.n, count, 0)
+    back = Cover.from_json_dict(json.loads(cover.to_json()), minnesota.n, W)
+    got, diags, _ = interpolate_cover(minnesota, back, minnesota_signal, kp)
+    expect, expect_diags, _ = interpolate_cover(minnesota, cover, minnesota_signal, kp)
+    assert np.array_equal(got, expect)
+    assert diags == expect_diags

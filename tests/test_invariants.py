@@ -7,9 +7,10 @@ each with its reference signal at seeded samples.
 
 - Scaling: P(c y) = c P(y) bit for bit for c = 4, 2^-3, 2^600 and 2^-600,
   on the native route (s = 2, 3), the kernel route (s = 1.5) and
-  `global_gbf_baseline`. Every operation on y is linear, the stage solves on
-  y in a power-of-two scale of its own, and a power-of-two scale is exact in
-  binary floating point unless it overflows or underflows.
+  `global_gbf_baseline`, and the per-community diagnostics do not move.
+  Every operation on y is linear, the stage solves and takes its residuals
+  on y in a power-of-two scale of its own, and a power-of-two scale is
+  exact in binary floating point unless it overflows or underflows.
 - Linearity: P(y + z) = P(y) + P(z) to rounding, z standard normal.
 - Relabelling: for a permutation pi of the vertices, the cover of the
   relabelled graph and samples is pi of the cover, and the approximant is
@@ -82,10 +83,10 @@ def cover(name: str) -> Cover:
 
 
 @lru_cache(maxsize=None)
-def approximant(name: str, s: float) -> np.ndarray:
-    """The case's approximant P(y) of its reference signal y at exponent s."""
+def stage(name: str, s: float) -> tuple:
+    """`interpolate_cover` of the case's reference signal y at exponent s: P(y) first."""
     g, _, y = case(name)
-    return interpolate_cover(g, cover(name), y, KernelParams(s=s))[0]
+    return interpolate_cover(g, cover(name), y, KernelParams(s=s))
 
 
 def relabelled(g: Graph, pi: np.ndarray) -> Graph:
@@ -97,10 +98,12 @@ def relabelled(g: Graph, pi: np.ndarray) -> Graph:
 @pytest.mark.parametrize("name", CASES)
 def test_power_of_two_scaling_is_exact(name, s):
     g, _, y = case(name)
+    approx, diags, _ = stage(name, s)
     for c in (4.0, 2.0**-3, 2.0**600, 2.0**-600):
-        scaled = interpolate_cover(g, cover(name), c * y, KernelParams(s=s))[0]
-        assert np.array_equal(scaled, c * approximant(name, s))
-        assert rrmse(c * y, scaled) == rrmse(y, approximant(name, s))
+        scaled, scaled_diags, _ = interpolate_cover(g, cover(name), c * y, KernelParams(s=s))
+        assert np.array_equal(scaled, c * approx)
+        assert rrmse(c * y, scaled) == rrmse(y, approx)
+        assert scaled_diags == diags
 
 
 @pytest.mark.parametrize("s", ROUTES)
@@ -112,6 +115,7 @@ def test_baseline_power_of_two_scaling_is_exact(name, s):
         scaled = global_gbf_baseline(g, c * y, W, KernelParams(s=s))
         assert np.array_equal(scaled.approximant, c * result.approximant)
         assert scaled.rrmse == result.rrmse
+        assert scaled.per_community == result.per_community
 
 
 @pytest.mark.parametrize("s", ROUTES)
@@ -120,7 +124,7 @@ def test_linearity(name, s):
     g, _, y = case(name)
     z = np.random.default_rng(0).standard_normal(g.n)
     pz, pyz = (interpolate_cover(g, cover(name), v, KernelParams(s=s))[0] for v in (z, y + z))
-    assert np.abs(pyz - approximant(name, s) - pz).max() <= LINEARITY_TOL[s] * np.abs(y + z).max()
+    assert np.abs(pyz - stage(name, s)[0] - pz).max() <= LINEARITY_TOL[s] * np.abs(y + z).max()
 
 
 @pytest.mark.parametrize("s", ROUTES)
@@ -140,4 +144,4 @@ def test_relabelling(name, s):
     y_moved = np.empty(g.n)
     y_moved[pi] = y
     approx_moved = interpolate_cover(h, moved, y_moved, KernelParams(s=s))[0]
-    assert np.abs(approx_moved[pi] - approximant(name, s)).max() <= RELABEL_TOL[s] * np.abs(y).max()
+    assert np.abs(approx_moved[pi] - stage(name, s)[0]).max() <= RELABEL_TOL[s] * np.abs(y).max()
